@@ -32,10 +32,10 @@ def test_headlines(campaign, benchmark, capsys):
 def test_campaign_simulation_speed(benchmark):
     """How long a simulated week takes to run (the simulator's own
     performance, not the paper's)."""
-    from repro.core.study import run_study
+    from repro.core.study import StudyConfig, run_study
 
     result = benchmark.pedantic(
-        lambda: run_study(seed=5, n_days=2, n_nodes=144, n_users=60),
+        lambda: run_study(StudyConfig(seed=5, n_days=2, n_nodes=144, n_users=60)),
         rounds=1,
         iterations=1,
     )

@@ -31,8 +31,7 @@ import sys
 import time
 from dataclasses import dataclass
 
-from repro.core.study import StudyConfig, StudyDataset, WorkloadStudy
-from repro.power2.batch import resolve_backend
+from repro.core.study import StudyConfig, StudyDataset, run_study
 from repro.stats.estimators import mean_ci, relative_standard_error
 from repro.stats.gate import ci_overlap_gate, render_gate
 
@@ -72,7 +71,7 @@ def _paired_run(config: StudyConfig) -> dict[str, float]:
             accrual_backend=backend,
         )
         t0 = time.perf_counter()
-        dataset = WorkloadStudy(cfg).run()
+        dataset = run_study(cfg)
         seconds[backend] = time.perf_counter() - t0
         fp = _fingerprint(dataset)
         if reference is None:
@@ -132,8 +131,7 @@ def render_table(points: list[HotpathPoint], config: StudyConfig) -> str:
     lines = [
         f"# sp2 counter hot path — {config.n_days}-day campaign, "
         f"{config.n_nodes} nodes, seed {config.seed}",
-        f"# vectorized resolves to {resolve_backend('vectorized')!r}, "
-        f"{os.cpu_count()} cpu cores visible",
+        f"# {os.cpu_count()} cpu cores visible",
         f"{'backend':>12s} {'seconds':>10s} {'speedup':>8s}",
     ]
     for p in points:
@@ -227,7 +225,6 @@ def main(argv: list[str] | None = None) -> int:
             "max_repeats": args.max_repeats,
             "target_rse": args.target_rse,
         },
-        "backend_resolved": resolve_backend("vectorized"),
         "points": [
             {"backend": p.backend, "seconds": round(p.seconds, 4), "speedup": round(p.speedup, 3)}
             for p in points

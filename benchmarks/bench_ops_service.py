@@ -30,7 +30,7 @@ import sys
 import time
 from dataclasses import dataclass
 
-from repro.core.study import StudyConfig, WorkloadStudy
+from repro.core.study import StudyConfig, run_study
 from repro.ops import CampaignHub, OpsClient, OpsServer
 from repro.ops.ingest import replay_into_hub
 from repro.stats.estimators import mean_ci
@@ -78,7 +78,7 @@ def _raise_fd_limit(needed: int) -> None:
 def build_hub(*, seed: int = 5, n_days: int = 2, n_nodes: int = 32) -> CampaignHub:
     """A completed campaign for the service to answer questions about."""
     config = StudyConfig(seed=seed, n_days=n_days, n_nodes=n_nodes, n_users=8)
-    dataset = WorkloadStudy(config).run()
+    dataset = run_study(config)
     hub = CampaignHub()
     hub.register("bench", kind="single", meta={"seed": seed})
     replay_into_hub(hub, "bench", dataset)

@@ -13,7 +13,7 @@ import os
 
 import pytest
 
-from repro.core.study import run_study
+from repro.core.study import StudyConfig, run_study
 
 BENCH_DAYS = int(os.environ.get("REPRO_BENCH_DAYS", "60"))
 BENCH_SEED = int(os.environ.get("REPRO_BENCH_SEED", "0"))
@@ -35,4 +35,6 @@ def pytest_collection_modifyitems(items):
 @pytest.fixture(scope="session")
 def campaign():
     """The measured dataset every experiment analyses."""
-    return run_study(seed=BENCH_SEED, n_days=BENCH_DAYS, n_nodes=144, n_users=60)
+    return run_study(
+        StudyConfig(seed=BENCH_SEED, n_days=BENCH_DAYS, n_nodes=144, n_users=60)
+    )

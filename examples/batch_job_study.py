@@ -13,7 +13,7 @@ Run::
 import sys
 
 
-from repro import figure2, figure3, figure4, run_study
+from repro import StudyConfig, figure2, figure3, figure4, run_study
 from repro.hpm.jobreport import render_job_report
 from repro.util.tables import Table
 
@@ -23,7 +23,7 @@ def main() -> None:
     days = int(sys.argv[2]) if len(sys.argv) > 2 else 30
 
     print(f"Running a {days}-day campaign (seed {seed})...", flush=True)
-    dataset = run_study(seed=seed, n_days=days)
+    dataset = run_study(StudyConfig(seed=seed, n_days=days))
     acct = dataset.accounting
 
     # ------------------------------------------------------------------

@@ -20,8 +20,9 @@ import tempfile
 
 from repro.analysis.export import dataset_to_json
 from repro.core.study import StudyConfig, run_study
+from repro.faults import FaultProfile
 from repro.faults.report import render_fault_report
-from repro.parallel import ShardExecutionError, run_parallel_study
+from repro.parallel import ShardExecutionError
 from repro.parallel.worker import CRASH_ENV_VAR
 from repro.telemetry.rules import render_alert
 
@@ -33,8 +34,9 @@ def main() -> None:
     # ------------------------------------------------------------------
     # 1. A faulted campaign and what it did to the measurement
     print(f"Running a {days}-day campaign under the 'pathological' profile...")
-    dataset = run_study(seed, n_days=days, n_nodes=32, n_users=10,
-                        fault_profile="pathological")
+    cfg = StudyConfig(seed=seed, n_days=days, n_nodes=32, n_users=10,
+                      fault_profile=FaultProfile.named("pathological"))
+    dataset = run_study(cfg)
     log = dataset.faults
     print()
     print(render_fault_report(log))
@@ -58,15 +60,12 @@ def main() -> None:
     # 2. Kill a shard worker, hard-fail, resume — byte-identical output
     print()
     print("Now the operational failure: a shard worker dies mid-campaign.")
-    cfg = StudyConfig(seed=seed, n_days=days, n_nodes=32, n_users=10,
-                      fault_profile=dataset.config.fault_profile)
-    reference = run_parallel_study(cfg, workers=1, shard_days=2)
+    reference = run_study(cfg, shard_days=2)
 
     with tempfile.TemporaryDirectory(prefix="sp2-ckpt-") as ckpt:
         os.environ[CRASH_ENV_VAR] = "1"  # shard 1's worker will die
         try:
-            run_parallel_study(cfg, workers=1, shard_days=2,
-                               checkpoint_dir=ckpt, max_attempts=1)
+            run_study(cfg, shard_days=2, checkpoint_dir=ckpt, shard_attempts=1)
         except ShardExecutionError as err:
             print(f"  campaign failed as expected: {err}")
         finally:
@@ -75,8 +74,7 @@ def main() -> None:
         survivors = sorted(f for f in os.listdir(ckpt) if f.endswith(".pkl"))
         print(f"  surviving checkpoints: {', '.join(survivors)}")
 
-        resumed = run_parallel_study(cfg, workers=1, shard_days=2,
-                                     checkpoint_dir=ckpt, resume=True)
+        resumed = run_study(cfg, shard_days=2, checkpoint_dir=ckpt, resume=True)
 
     identical = dataset_to_json(resumed) == dataset_to_json(reference)
     print(f"  resumed output byte-identical to uninterrupted run: {identical}")

@@ -22,7 +22,7 @@ Run::
 
 import sys
 
-from repro import run_study
+from repro import StudyConfig, run_study
 from repro.telemetry import render_alerts
 from repro.util.tables import Table
 
@@ -33,7 +33,7 @@ def main() -> None:
 
     print(f"Running a {days}-day campaign (seed {seed}) with live telemetry...",
           flush=True)
-    dataset = run_study(seed=seed, n_days=days)
+    dataset = run_study(StudyConfig(seed=seed, n_days=days))
     t = dataset.telemetry
 
     # ------------------------------------------------------------------

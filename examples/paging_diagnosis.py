@@ -17,7 +17,7 @@ Run::
 
 import numpy as np
 
-from repro import figure3, figure5, run_study
+from repro import StudyConfig, figure3, figure5, run_study
 from repro.cluster.machine import SP2Machine
 from repro.pbs.scheduler import PBSServer
 from repro.sim.engine import Simulator
@@ -71,7 +71,7 @@ def controlled_experiment() -> None:
 
 def campaign_views() -> None:
     print("\nRunning a 30-day campaign for the workload-level views...", flush=True)
-    dataset = run_study(seed=1, n_days=30)
+    dataset = run_study(StudyConfig(seed=1, n_days=30))
 
     fig5 = figure5(dataset)
     print()

@@ -14,7 +14,7 @@ Run::
 
 import sys
 
-from repro import figure1, paper_comparison, run_study, table2
+from repro import StudyConfig, figure1, paper_comparison, run_study, table2
 
 
 def main() -> None:
@@ -22,7 +22,7 @@ def main() -> None:
 
     # A 30-day campaign on the full 144-node machine takes ~10 s.
     print("Running a 30-day campaign on 144 nodes...", flush=True)
-    dataset = run_study(seed=seed, n_days=30)
+    dataset = run_study(StudyConfig(seed=seed, n_days=30))
 
     # The headline block: every §5-§7 number, paper vs this campaign.
     print()

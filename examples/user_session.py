@@ -18,7 +18,7 @@ Run::
 
 from repro.analysis.opsreport import day_ops, render_day_report
 from repro.cluster.machine import SP2Machine
-from repro.core.study import StudyConfig, StudyDataset, WorkloadStudy
+from repro.core.study import StudyConfig, StudyDataset, run_study
 from repro.hpm.jobreport import render_job_report
 from repro.hpm.program import ProgramMonitor
 from repro.pbs.qcmds import PBSCommands
@@ -100,9 +100,9 @@ def interactive_part() -> None:
 
 def operator_part() -> None:
     print("\n--- the operator's morning report ---")
-    dataset: StudyDataset = WorkloadStudy(
+    dataset: StudyDataset = run_study(
         StudyConfig(seed=3, n_days=3, n_nodes=144, n_users=40)
-    ).run()
+    )
     worst = min(
         range(3), key=lambda d: day_ops(dataset, d).gflops
     )

@@ -11,10 +11,10 @@ every table and figure in the paper.
 
 Quickstart::
 
-    from repro import run_study, paper_comparison
+    from repro import StudyConfig, paper_comparison, run_study
 
-    dataset = run_study(seed=0, n_days=30)      # a one-month campaign
-    print(paper_comparison(dataset))            # paper vs measured
+    dataset = run_study(StudyConfig(seed=0, n_days=30))  # a one-month campaign
+    print(paper_comparison(dataset))                     # paper vs measured
 
 See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 paper-vs-measured record of every experiment.

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.core.study import StudyConfig, WorkloadStudy
+from repro.core.study import StudyConfig, run_study
 from repro.power2.config import MachineConfig
 
 
@@ -62,7 +62,7 @@ def _config_for(knob: str, value: float, base: StudyConfig) -> StudyConfig:
 
 
 def _measure(config: StudyConfig, knob_value: float) -> SweepPoint:
-    dataset = WorkloadStudy(config).run()
+    dataset = run_study(config)
     daily = dataset.daily_gflops()
     util = dataset.daily_utilization()
     wide = [

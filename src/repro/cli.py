@@ -27,7 +27,9 @@ from repro.analysis import (
     table3,
     table4,
 )
-from repro.core.study import run_study
+from repro.core.study import StudyConfig, cli_shard_days, run_study
+from repro.faults.profile import FaultProfile
+from repro.power2.batch import BACKEND_CHOICES
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -80,11 +82,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--accrual-backend",
         default="auto",
-        choices=["auto", "scalar", "vectorized", "numpy", "python"],
+        choices=BACKEND_CHOICES,
         metavar="NAME",
-        help="counter-accrual backend: auto/vectorized (batched store, "
-        "numpy when available), numpy, python, or scalar (legacy "
-        "per-node path); all backends produce byte-identical output",
+        help="counter-accrual backend: auto/vectorized (batched numpy "
+        "store) or scalar (legacy per-node path); all backends produce "
+        "byte-identical output",
     )
     p.add_argument(
         "--shard-attempts",
@@ -118,13 +120,23 @@ def main(argv: list[str] | None = None) -> int:
     if args.resume and args.checkpoint_dir is None:
         print("error: --resume requires --checkpoint-dir", file=sys.stderr)
         return 2
-    t0 = time.time()
-    sharded = (
-        args.workers is not None
-        or args.shard_days is not None
-        or args.checkpoint_dir is not None
+    try:
+        config = StudyConfig(
+            seed=args.seed,
+            n_days=args.days,
+            n_nodes=args.nodes,
+            n_users=args.users,
+            fault_profile=FaultProfile.resolve(args.fault_profile),
+            accrual_backend=args.accrual_backend,
+        )
+    except ValueError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 2
+    shard_days = cli_shard_days(
+        args.shard_days, workers=args.workers, checkpoint_dir=args.checkpoint_dir
     )
-    how = f", {args.workers or 1} workers" if sharded else ""
+    t0 = time.time()
+    how = f", {args.workers or 1} workers" if shard_days is not None else ""
     faulty = f", faults={args.fault_profile}" if args.fault_profile else ""
     print(
         f"Running {args.days}-day campaign on {args.nodes} nodes "
@@ -133,19 +145,14 @@ def main(argv: list[str] | None = None) -> int:
     )
     try:
         dataset = run_study(
-            args.seed,
-            n_days=args.days,
-            n_nodes=args.nodes,
-            n_users=args.users,
-            workers=args.workers,
-            shard_days=args.shard_days,
-            fault_profile=args.fault_profile,
+            config,
+            shard_days=shard_days,
+            workers=args.workers or 1,
             checkpoint_dir=(
                 str(args.checkpoint_dir) if args.checkpoint_dir is not None else None
             ),
             resume=args.resume,
             shard_attempts=args.shard_attempts,
-            accrual_backend=args.accrual_backend,
         )
     except Exception as err:  # noqa: BLE001 - operator-facing boundary
         from repro.parallel.runner import ShardExecutionError

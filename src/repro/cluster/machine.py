@@ -24,10 +24,9 @@ class SP2Machine:
 
     ``accrual_backend`` selects how node counters integrate over time:
     ``"scalar"`` (default) keeps the legacy per-node accumulators;
-    ``"auto"``/``"vectorized"``/``"numpy"``/``"python"`` move every
-    node's accumulators into one shared
-    :class:`~repro.power2.batch.CounterStore` so collector passes and
-    job transitions run as flat array sweeps.  Both produce bitwise
+    ``"auto"``/``"vectorized"`` move every node's accumulators into one
+    shared :class:`~repro.power2.batch.CounterStore` so collector passes
+    and job transitions run as flat array sweeps.  Both produce bitwise
     identical measurements (see :mod:`repro.power2.batch`).
     """
 

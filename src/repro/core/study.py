@@ -11,6 +11,7 @@ analyses §5–§6 report.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -343,70 +344,77 @@ class WorkloadStudy:
 
 
 def run_study(
-    seed: int = 0,
+    config: StudyConfig,
     *,
-    n_days: int = 270,
-    n_nodes: int = 144,
-    n_users: int = 60,
-    workers: int | None = None,
     shard_days: int | None = None,
-    fault_profile: "FaultProfile | str | None" = None,
+    workers: int = 1,
     checkpoint_dir: str | None = None,
     resume: bool = False,
     shard_attempts: int = 3,
-    accrual_backend: str = "auto",
+    tracing: bool = False,
+    trace: CampaignTrace | None = None,
+    fault_namespace: tuple[int, ...] = (),
+    bus_hook: Callable[[EventBus], None] | None = None,
 ) -> StudyDataset:
-    """One-call campaign: generate the trace, run it, return the data.
+    """Run one campaign, serially or as day-range shards.
 
-    With ``workers`` and/or ``shard_days`` set, the campaign runs through
-    the sharded runner (:func:`repro.parallel.run_parallel_study`): split
-    into day-range shards, executed across worker processes, merged
-    deterministically.  The merged output depends on the shard plan but
-    never on the worker count.
+    The shard plan alone chooses the runner: ``shard_days=None`` runs
+    :class:`WorkloadStudy`; a width runs
+    :func:`repro.parallel.run_parallel_study` on that plan.  ``workers``
+    only sets how many processes execute the shards, so it never changes
+    the output (a serial run ignores it).  Checkpoint files
+    (``checkpoint_dir``/``resume``, retried up to ``shard_attempts``)
+    belong to a shard plan, so they need ``shard_days``.
 
-    ``fault_profile`` (a profile object or a name from
-    :data:`repro.faults.PROFILES`) arms fault injection.
-    ``checkpoint_dir``/``resume``/``shard_attempts`` enable the runner's
-    checkpoint-restart path; they imply the sharded runner even without
-    ``workers``/``shard_days`` (a single-shard plan, still byte-identical
-    to the serial run).
-
-    ``accrual_backend`` selects how counters integrate (scalar per-node
-    vs. batched store, :mod:`repro.power2.batch`); every backend yields
-    bitwise identical output.
+    ``tracing`` records spans into ``dataset.tracer``.  ``trace``
+    replays a pre-built submission stream instead of generating one
+    (fleet members).  ``fault_namespace`` prefixes the fault schedule's
+    RNG spawn key (:func:`repro.util.rng.member_key`; ``()`` is the
+    single-machine tree).  ``bus_hook`` receives the campaign's event
+    bus before it runs, the seam live consumers tap; a sharded run
+    rebuilds its telemetry at merge time, has no live bus, and refuses
+    the hook.
     """
-    profile = None
-    if fault_profile is not None:
-        profile = (
-            FaultProfile.named(fault_profile)
-            if isinstance(fault_profile, str)
-            else fault_profile
+    if shard_days is None:
+        if checkpoint_dir is not None or resume:
+            raise ValueError("checkpointing needs a shard plan; pass shard_days")
+        fault_streams = (
+            RngStreams(config.seed, spawn_key=fault_namespace) if fault_namespace else None
         )
-        if profile.is_null:
-            profile = None
-    cfg = StudyConfig(
-        seed=seed,
-        n_days=n_days,
-        n_nodes=n_nodes,
-        n_users=n_users,
-        fault_profile=profile,
-        accrual_backend=accrual_backend,
-    )
-    sharded = (
-        workers is not None
-        or shard_days is not None
-        or checkpoint_dir is not None
-        or resume
-    )
-    if not sharded:
-        return WorkloadStudy(cfg).run()
+        study = WorkloadStudy(
+            config, tracer=Tracer() if tracing else None, fault_streams=fault_streams
+        )
+        if bus_hook is not None:
+            bus_hook(study.bus)
+        return study.run(trace)
+    if bus_hook is not None:
+        raise ValueError(
+            "bus_hook needs the serial runner: a sharded campaign replays its "
+            "telemetry at merge time, so there is no live bus to tap"
+        )
     from repro.parallel.runner import run_parallel_study
 
     return run_parallel_study(
-        cfg,
-        workers=workers or 1,
+        config,
+        workers=workers,
         shard_days=shard_days,
+        tracing=tracing,
         checkpoint_dir=checkpoint_dir,
         resume=resume,
         max_attempts=shard_attempts,
+        trace=trace,
+        fault_namespace=fault_namespace,
     )
+
+
+def cli_shard_days(
+    shard_days: int | None, *, workers: int | None = None, checkpoint_dir: object = None
+) -> int | None:
+    """The campaign CLIs' rule for ``--shard-days``: given ``--workers``
+    or ``--checkpoint-dir`` without it, run the default shard plan
+    (:data:`repro.parallel.plan.DEFAULT_SHARD_DAYS`)."""
+    if shard_days is None and (workers is not None or checkpoint_dir is not None):
+        from repro.parallel.plan import DEFAULT_SHARD_DAYS
+
+        return DEFAULT_SHARD_DAYS
+    return shard_days

@@ -97,6 +97,14 @@ class FaultProfile:
                 f"{', '.join(sorted(PROFILES))}"
             ) from None
 
+    @classmethod
+    def resolve(cls, profile: "FaultProfile | str | None") -> "FaultProfile | None":
+        """The profile a campaign arms: a preset name or a profile in,
+        ``None`` out for a healthy run (no profile, or a null one)."""
+        if isinstance(profile, str):
+            profile = cls.named(profile)
+        return None if profile is None or profile.is_null else profile
+
     def describe(self) -> str:
         """One line per enabled process (operator-facing)."""
         lines = [f"fault profile {self.name!r}:"]

@@ -1,10 +1,10 @@
 """The federation runner: one fleet campaign, member by member.
 
 Each member machine runs its routed share of the fleet demand as an
-ordinary single-machine campaign — serially by default, or through the
-existing sharded runner (:mod:`repro.parallel`) when ``workers`` /
-``shard_days`` are given.  Determinism contract, extending the shard
-runner's:
+ordinary single-machine campaign through
+:func:`repro.core.study.run_study` — serially by default, or as
+day-range shards when ``shard_days`` is given.  Determinism contract,
+extending the shard runner's:
 
 * every member's dataset is a pure function of ``(spec, member name)``
   — never of member ordering, worker count, or scheduling order (fault
@@ -20,13 +20,15 @@ runner's:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
-from repro.core.study import StudyDataset, WorkloadStudy
+from repro.core.study import StudyDataset, run_study
 from repro.fleet.routing import FleetTrace, generate_fleet_trace
 from repro.fleet.spec import FleetSpec, MemberSpec
-from repro.util.rng import RngStreams, member_key
+from repro.telemetry.bus import EventBus
+from repro.util.rng import member_key
 
 
 @dataclass
@@ -66,55 +68,37 @@ def _member_fault_namespace(spec: FleetSpec, member: MemberSpec) -> tuple[int, .
 def run_fleet(
     spec: FleetSpec,
     *,
-    workers: int | None = None,
     shard_days: int | None = None,
-    member_hook: Callable[[MemberSpec, WorkloadStudy], None] | None = None,
+    workers: int = 1,
+    member_hook: Callable[[MemberSpec, EventBus], None] | None = None,
 ) -> FleetDataset:
     """Run the whole fleet campaign and return the per-member datasets.
 
-    With ``workers``/``shard_days``, each member campaign executes
-    through the sharded runner on its routed trace (split into day-range
-    shards); member output depends on the shard plan but never on the
-    worker count, exactly like single-machine campaigns.
+    With ``shard_days``, each member campaign runs as day-range shards of
+    its routed trace on ``workers`` processes; member output depends on
+    the shard plan but never on the worker count, exactly like
+    single-machine campaigns.
 
-    ``member_hook`` is called with ``(member_spec, study)`` after each
-    serial member study is wired but before it runs — the seam the ops
-    service uses to tap member buses for live federation (taps only
-    subscribe extra consumers, so hooked runs stay byte-identical).
-    Sharded member campaigns have no live bus to tap; the hook is
-    rejected there rather than silently skipped.
+    ``member_hook`` is called with ``(member_spec, bus)`` before each
+    member campaign runs — the seam the ops service uses to tap member
+    buses for live federation (taps only subscribe extra consumers, so
+    hooked runs stay byte-identical).  Sharded member campaigns have no
+    live bus to tap, so :func:`~repro.core.study.run_study` refuses the
+    hook there rather than silently skipping it.
     """
-    if member_hook is not None and (workers is not None or shard_days is not None):
-        raise ValueError(
-            "member_hook requires the serial member path (sharded member "
-            "campaigns replay telemetry at merge time; stream the merged "
-            "dataset instead)"
-        )
     trace = generate_fleet_trace(spec)
-    sharded = workers is not None or shard_days is not None
     results: list[MemberResult] = []
     for member in spec.members:
-        config = spec.member_config(member)
-        member_trace = trace.member_traces[member.name]
-        namespace = _member_fault_namespace(spec, member)
-        if sharded:
-            from repro.parallel.runner import run_parallel_study
-
-            dataset = run_parallel_study(
-                config,
-                workers=workers or 1,
-                shard_days=shard_days,
-                trace=member_trace,
-                fault_namespace=namespace,
-            )
-        else:
-            fault_streams = (
-                RngStreams(spec.seed, spawn_key=namespace) if namespace else None
-            )
-            study = WorkloadStudy(config, fault_streams=fault_streams)
-            study.sim.label = f"fleet:{member.name}"
-            if member_hook is not None:
-                member_hook(member, study)
-            dataset = study.run(member_trace)
+        bus_hook = None
+        if member_hook is not None:
+            bus_hook = functools.partial(member_hook, member)
+        dataset = run_study(
+            spec.member_config(member),
+            shard_days=shard_days,
+            workers=workers,
+            trace=trace.member_traces[member.name],
+            fault_namespace=_member_fault_namespace(spec, member),
+            bus_hook=bus_hook,
+        )
         results.append(MemberResult(spec=member, dataset=dataset))
     return FleetDataset(spec=spec, trace=trace, members=results)

@@ -102,8 +102,7 @@ class MemberSpec:
         )
 
     def fault_profile_obj(self) -> FaultProfile | None:
-        profile = FaultProfile.named(self.fault_profile)
-        return None if profile.is_null else profile
+        return FaultProfile.resolve(self.fault_profile)
 
     def to_dict(self) -> dict:
         out: dict = {"name": self.name, "n_nodes": self.n_nodes}

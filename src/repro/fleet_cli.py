@@ -22,6 +22,7 @@ import json
 import sys
 import time
 
+from repro.core.study import cli_shard_days
 from repro.fleet.analysis import compare_fleets, fleet_summary, render_fleet_report
 from repro.fleet.runner import run_fleet
 from repro.fleet.spec import PRESETS, ROUTING_POLICIES, FleetSpec
@@ -73,7 +74,11 @@ def cmd_run(args: argparse.Namespace) -> int:
         f"{spec.total_nodes} nodes, {spec.n_days} days, seed {spec.seed}...",
         file=sys.stderr,
     )
-    fleet = run_fleet(spec, workers=args.workers, shard_days=args.shard_days)
+    fleet = run_fleet(
+        spec,
+        shard_days=cli_shard_days(args.shard_days, workers=args.workers),
+        workers=args.workers or 1,
+    )
     print(f"Fleet campaign done in {time.time() - t0:.1f}s.", file=sys.stderr)
     document = {"spec": spec.to_dict(), **fleet_summary(fleet)}
     if args.out is not None:

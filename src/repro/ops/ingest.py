@@ -14,9 +14,9 @@ Two paths feed a :class:`~repro.ops.hub.CampaignHub`:
   after replay equals :meth:`TelemetryService.replay` state by
   construction.
 
-Fleet campaigns use the serial member path live (one tap per member via
-``run_fleet(member_hook=...)``); sharded fleets fall back to replaying
-the merged member datasets — same end state, no mid-run visibility.
+Sharded campaigns have no live bus, so they run out first and replay
+the merged dataset — same end state, no mid-run visibility.  Serial
+fleets stream live, one tap per member via ``run_fleet(member_hook=...)``.
 """
 
 from __future__ import annotations
@@ -24,9 +24,9 @@ from __future__ import annotations
 import asyncio
 from typing import Any, Callable
 
-from repro.core.study import StudyConfig, StudyDataset, WorkloadStudy
+from repro.core.study import StudyConfig, StudyDataset, run_study
 from repro.fleet.runner import FleetDataset, run_fleet
-from repro.fleet.spec import FleetSpec
+from repro.fleet.spec import FleetSpec, MemberSpec
 from repro.ops.hub import CampaignHub
 from repro.telemetry.bus import (
     TOPIC_COLLECTOR_GAP,
@@ -40,7 +40,6 @@ from repro.telemetry.bus import (
     EventBus,
 )
 from repro.telemetry.service import replay_events
-from repro.tracing.tracer import Tracer
 
 #: Topics forwarded into the hub (everything its services consume).
 TAPPED_TOPICS = (
@@ -133,15 +132,60 @@ def _loop_emitter(
     return emit
 
 
+#: ``tap(bus, member=None)``: stream one campaign bus into the hub
+#: (``member`` names the fleet member the bus belongs to).
+TapFn = Callable[..., None]
+
+
+async def _ingest(
+    hub: CampaignHub,
+    name: str,
+    run: Callable[[TapFn | None], Any],
+    *,
+    live: bool,
+    replay: Callable[[Any], None],
+) -> Any:
+    """Run ``run(tap)`` in a worker thread and feed the hub.
+
+    Live runs get a ``tap`` that streams each bus they are handed into
+    the hub as events happen.  Otherwise ``tap`` is None and ``replay``
+    feeds the finished result after the run.  Either way a failed run
+    completes the campaign with an error flag instead of pinning a
+    "running" slot (running campaigns are exempt from hub eviction).
+    """
+    loop = asyncio.get_running_loop()
+    queue: asyncio.Queue = asyncio.Queue()
+
+    def tap(bus: EventBus, member: str | None = None) -> None:
+        BusTap(_loop_emitter(loop, queue, member)).attach(bus)
+
+    runner = asyncio.ensure_future(asyncio.to_thread(run, tap if live else None))
+    runner.add_done_callback(lambda _: queue.put_nowait(_DONE))
+    await drain_into_hub(hub, name, queue)
+    try:
+        result = await runner
+    except BaseException:
+        hub.complete(name, {"error": True})
+        raise
+    if not live:
+        replay(result)
+    return result
+
+
 async def ingest_study(
     hub: CampaignHub,
     name: str,
     config: StudyConfig,
     *,
     trace: bool = False,
+    shard_days: int | None = None,
+    workers: int = 1,
 ) -> StudyDataset:
-    """Run one single-machine campaign live into the hub.
+    """Run one single-machine campaign into the hub.
 
+    A serial campaign streams live; a sharded one (``shard_days``) runs
+    first and replays after the merge — the sharded runner rebuilds
+    telemetry at merge time, so there is no live bus to tap mid-flight.
     Returns the campaign's own dataset — whose output is byte-identical
     to a run without the hub attached (the tap is read-only).
     """
@@ -155,25 +199,19 @@ async def ingest_study(
             "traced": trace,
         },
     )
-    loop = asyncio.get_running_loop()
-    queue: asyncio.Queue = asyncio.Queue()
 
-    def build_and_run() -> StudyDataset:
-        tracer = Tracer() if trace else None
-        study = WorkloadStudy(config, tracer=tracer)
-        BusTap(_loop_emitter(loop, queue, None)).attach(study.bus)
-        return study.run()
+    def run(tap: TapFn | None) -> StudyDataset:
+        return run_study(
+            config, shard_days=shard_days, workers=workers, tracing=trace, bus_hook=tap
+        )
 
-    runner = asyncio.ensure_future(asyncio.to_thread(build_and_run))
-    runner.add_done_callback(lambda _: queue.put_nowait(_DONE))
-    await drain_into_hub(hub, name, queue)
-    try:
-        dataset = await runner
-    except BaseException:
-        # A failed ingest must not pin a "running" campaign forever
-        # (running campaigns are exempt from hub eviction).
-        hub.complete(name, {"error": True})
-        raise
+    dataset = await _ingest(
+        hub,
+        name,
+        run,
+        live=shard_days is None,
+        replay=lambda ds: replay_into_hub(hub, name, ds),
+    )
     hub.complete(name, {"jobs": len(dataset.accounting)})
     return dataset
 
@@ -183,15 +221,14 @@ async def ingest_fleet(
     name: str,
     spec: FleetSpec,
     *,
-    workers: int | None = None,
     shard_days: int | None = None,
+    workers: int = 1,
 ) -> FleetDataset:
     """Run a fleet campaign into the hub under federated namespaces.
 
     Serial fleets stream live (member by member, as they run); sharded
-    fleets run first and replay after the merge — the sharded runner
-    rebuilds member telemetry at merge time, so there is no live bus to
-    tap mid-flight.
+    fleets run first and replay after the merge, as
+    :func:`ingest_study` does.
     """
     members = tuple(m.name for m in spec.members)
     hub.register(
@@ -201,33 +238,25 @@ async def ingest_fleet(
         node_weights={m.name: m.n_nodes for m in spec.members},
         meta={"seed": spec.seed, "n_days": spec.n_days, "routing": spec.routing},
     )
-    sharded = workers is not None or shard_days is not None
-    if sharded:
-        try:
-            fleet = await asyncio.to_thread(
-                run_fleet, spec, workers=workers, shard_days=shard_days
-            )
-        except BaseException:
-            hub.complete(name, {"error": True})
-            raise
-        replay_fleet_into_hub(hub, name, fleet)
-    else:
-        loop = asyncio.get_running_loop()
-        queue: asyncio.Queue = asyncio.Queue()
 
-        def hook(member_spec, study) -> None:
-            BusTap(_loop_emitter(loop, queue, member_spec.name)).attach(study.bus)
+    def run(tap: TapFn | None) -> FleetDataset:
+        def hook(member: MemberSpec, bus: EventBus) -> None:
+            tap(bus, member.name)
 
-        runner = asyncio.ensure_future(
-            asyncio.to_thread(run_fleet, spec, member_hook=hook)
+        return run_fleet(
+            spec,
+            shard_days=shard_days,
+            workers=workers,
+            member_hook=hook if tap is not None else None,
         )
-        runner.add_done_callback(lambda _: queue.put_nowait(_DONE))
-        await drain_into_hub(hub, name, queue)
-        try:
-            fleet = await runner
-        except BaseException:
-            hub.complete(name, {"error": True})
-            raise
+
+    fleet = await _ingest(
+        hub,
+        name,
+        run,
+        live=shard_days is None,
+        replay=lambda f: replay_fleet_into_hub(hub, name, f),
+    )
     hub.complete(
         name,
         {"jobs": sum(len(m.dataset.accounting) for m in fleet.members)},

@@ -30,7 +30,8 @@ import pathlib
 import sys
 import time
 
-from repro.core.study import StudyConfig, StudyDataset, WorkloadStudy, run_study
+from repro.core.study import StudyConfig, StudyDataset, cli_shard_days, run_study
+from repro.faults.profile import FaultProfile
 from repro.telemetry.rules import render_alert, render_alerts
 from repro.telemetry.service import METRIC_CATALOG, TelemetryService
 from repro.workload.traces import SECONDS_PER_DAY
@@ -82,23 +83,34 @@ def add_campaign_args(p: argparse.ArgumentParser) -> None:
     )
 
 
-def run_campaign(args: argparse.Namespace) -> StudyDataset:
-    t0 = time.time()
-    faulty = f", faults={args.fault_profile}" if args.fault_profile else ""
-    print(
-        f"Replaying {args.days}-day campaign on {args.nodes} nodes "
-        f"(seed {args.seed}, {args.users} users{faulty})...",
-        file=sys.stderr,
-    )
-    dataset = run_study(
-        args.seed,
+def _study_config(args: argparse.Namespace) -> StudyConfig:
+    return StudyConfig(
+        seed=args.seed,
         n_days=args.days,
         n_nodes=args.nodes,
         n_users=args.users,
-        workers=args.workers,
-        shard_days=args.shard_days,
-        fault_profile=args.fault_profile,
+        fault_profile=FaultProfile.resolve(args.fault_profile),
     )
+
+
+def _shard_plan(args: argparse.Namespace) -> dict:
+    """``run_study``'s shard keywords for the campaign flags."""
+    return {
+        "shard_days": cli_shard_days(args.shard_days, workers=args.workers),
+        "workers": args.workers or 1,
+    }
+
+
+def run_campaign(args: argparse.Namespace, *, tracing: bool = False) -> StudyDataset:
+    t0 = time.time()
+    faulty = f", faults={args.fault_profile}" if args.fault_profile else ""
+    traced = ", traced" if tracing else ""
+    print(
+        f"Replaying {args.days}-day campaign on {args.nodes} nodes "
+        f"(seed {args.seed}, {args.users} users{faulty}{traced})...",
+        file=sys.stderr,
+    )
+    dataset = run_study(_study_config(args), tracing=tracing, **_shard_plan(args))
     print(f"Replay done in {time.time() - t0:.1f}s.", file=sys.stderr)
     return dataset
 
@@ -278,28 +290,10 @@ def cmd_jobs(dataset: StudyDataset, args: argparse.Namespace) -> int:
 # The service verbs (PR 7): serve / report / ask
 # ----------------------------------------------------------------------
 
-def _study_config(args: argparse.Namespace) -> StudyConfig:
-    profile = None
-    if args.fault_profile:
-        from repro.faults.profile import FaultProfile
-
-        profile = FaultProfile.named(args.fault_profile)
-        if profile.is_null:
-            profile = None
-    return StudyConfig(
-        seed=args.seed,
-        n_days=args.days,
-        n_nodes=args.nodes,
-        n_users=args.users,
-        fault_profile=profile,
-    )
-
-
 def cmd_report(args: argparse.Namespace) -> int:
     """One job's performance page, from a replayed campaign."""
     from repro.ops import CampaignHub, UnknownJob
     from repro.ops.ingest import replay_into_hub
-    from repro.tracing.tracer import Tracer
 
     if args.trace and (args.workers or args.shard_days):
         print(
@@ -307,18 +301,7 @@ def cmd_report(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return EXIT_USAGE
-    if args.workers or args.shard_days:
-        dataset = run_campaign(args)
-    else:
-        t0 = time.time()
-        print(
-            f"Replaying {args.days}-day campaign on {args.nodes} nodes "
-            f"(seed {args.seed}{', traced' if args.trace else ''})...",
-            file=sys.stderr,
-        )
-        tracer = Tracer() if args.trace else None
-        dataset = WorkloadStudy(_study_config(args), tracer=tracer).run()
-        print(f"Replay done in {time.time() - t0:.1f}s.", file=sys.stderr)
+    dataset = run_campaign(args, tracing=args.trace)
     if len(dataset.accounting) == 0:
         print(
             "error: campaign finished zero jobs — nothing to report on",
@@ -350,10 +333,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 
 async def _serve(args: argparse.Namespace) -> int:
-    import asyncio
-
     from repro.ops import CampaignHub, OpsServer, ingest_fleet, ingest_study
-    from repro.ops.ingest import replay_into_hub
 
     if args.fleet is not None:
         from repro.fleet.spec import PRESETS
@@ -385,11 +365,7 @@ async def _serve(args: argparse.Namespace) -> int:
         from repro.fleet.spec import PRESETS
 
         fleet = await ingest_fleet(
-            hub,
-            args.name,
-            PRESETS[args.fleet],
-            workers=args.workers,
-            shard_days=args.shard_days,
+            hub, args.name, PRESETS[args.fleet], **_shard_plan(args)
         )
         jobs = sum(len(m.dataset.accounting) for m in fleet.members)
         if args.json is not None:
@@ -401,18 +377,9 @@ async def _serve(args: argparse.Namespace) -> int:
                 json.dumps(document, indent=2, sort_keys=True) + "\n"
             )
             print(f"wrote {args.json}", file=sys.stderr)
-    elif args.workers or args.shard_days:
-        # The sharded runner has no live bus; run it out, then replay
-        # through the canonical ordering — same end state.
-        dataset = await asyncio.to_thread(run_campaign, args)
-        hub.register(args.name, kind="single", meta={"seed": args.seed})
-        replay_into_hub(hub, args.name, dataset)
-        hub.complete(args.name, {"jobs": len(dataset.accounting)})
-        jobs = len(dataset.accounting)
-        _write_dataset_json(args, dataset)
     else:
         dataset = await ingest_study(
-            hub, args.name, _study_config(args), trace=args.trace
+            hub, args.name, _study_config(args), trace=args.trace, **_shard_plan(args)
         )
         jobs = len(dataset.accounting)
         _write_dataset_json(args, dataset)

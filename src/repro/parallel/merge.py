@@ -191,7 +191,6 @@ def merge_shard_results(
     config: StudyConfig,
     results: list[ShardResult],
     *,
-    telemetry: bool = True,
     tracing: bool = False,
 ) -> StudyDataset:
     """Assemble the campaign dataset from shard results (index order)."""
@@ -213,23 +212,21 @@ def merge_shard_results(
     truncations = [n for res in results for n in res.truncations]
     faults = merge_faults(results)
 
-    service = None
-    if telemetry:
-        from repro.telemetry.service import TelemetryService
+    from repro.telemetry.service import TelemetryService
 
-        service = TelemetryService.replay(
-            samples,
-            records,
-            spans=spans,
-            truncations=truncations,
-            faults=faults.events if faults is not None else (),
-        )
-        if faults is not None:
-            # Replay sees fault *events* but not the live side effects
-            # (kill notices, dropped passes); carry the counters over so
-            # the merged summary matches the live view.
-            service.jobs_killed_seen = faults.jobs_killed
-            service.collector_gaps_seen = faults.passes_dropped
+    service = TelemetryService.replay(
+        samples,
+        records,
+        spans=spans,
+        truncations=truncations,
+        faults=faults.events if faults is not None else (),
+    )
+    if faults is not None:
+        # Replay sees fault *events* but not the live side effects
+        # (kill notices, dropped passes); carry the counters over so the
+        # merged summary matches the live view.
+        service.jobs_killed_seen = faults.jobs_killed
+        service.collector_gaps_seen = faults.passes_dropped
 
     tracer = None
     if tracing:

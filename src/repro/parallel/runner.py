@@ -55,24 +55,18 @@ class ShardExecutionError(RuntimeError):
         )
 
 
-def _pool_context(start_method: str | None) -> multiprocessing.context.BaseContext:
+def _pool_context() -> multiprocessing.context.BaseContext:
     """Fork where available (cheap, deterministic here: workers only read
-    the pickled payload), else spawn.  Overridable for portability tests
-    and via ``REPRO_MP_START`` for operational tuning."""
-    if start_method is None:
-        start_method = os.environ.get("REPRO_MP_START")
+    the pickled payload), else spawn.  ``REPRO_MP_START`` overrides the
+    choice for portability tests and operational tuning."""
+    start_method = os.environ.get("REPRO_MP_START")
     if start_method is None:
         methods = multiprocessing.get_all_start_methods()
         start_method = "fork" if "fork" in methods else "spawn"
     return multiprocessing.get_context(start_method)
 
 
-def _run_batch(
-    payloads: list[tuple],
-    *,
-    workers: int,
-    start_method: str | None,
-) -> "list[ShardResult | None]":
+def _run_batch(payloads: list[tuple], *, workers: int) -> "list[ShardResult | None]":
     """One attempt over a batch of shard payloads, index-aligned.
 
     A crashed worker (``os._exit`` → ``BrokenProcessPool``) or an
@@ -89,8 +83,7 @@ def _run_batch(
             except SimulatedWorkerCrash:
                 results[i] = None
         return results
-    ctx = _pool_context(start_method)
-    with ProcessPoolExecutor(max_workers=n_procs, mp_context=ctx) as pool:
+    with ProcessPoolExecutor(max_workers=n_procs, mp_context=_pool_context()) as pool:
         futures = [pool.submit(_run_shard_task, payload) for payload in payloads]
         for i, future in enumerate(futures):
             try:
@@ -106,7 +99,6 @@ def execute_shards(
     *,
     workers: int = 1,
     tracing: bool = False,
-    start_method: str | None = None,
     checkpoint_dir: str | None = None,
     resume: bool = False,
     max_attempts: int = 3,
@@ -182,7 +174,7 @@ def execute_shards(
             )
             for shard in pending
         ]
-        batch = _run_batch(payloads, workers=workers, start_method=start_method)
+        batch = _run_batch(payloads, workers=workers)
         failed: list[Shard] = []
         for shard, result in zip(pending, batch):
             if result is not None:
@@ -213,8 +205,6 @@ def run_parallel_study(
     workers: int = 1,
     shard_days: int | None = None,
     tracing: bool = False,
-    telemetry: bool = True,
-    start_method: str | None = None,
     checkpoint_dir: str | None = None,
     resume: bool = False,
     max_attempts: int = 3,
@@ -237,10 +227,6 @@ def run_parallel_study(
     tracing:
         Give each shard a span tracer and merge the spans (shard-offset
         span ids) into ``dataset.tracer``.
-    telemetry:
-        Rebuild the streaming telemetry view over the merged streams
-        (deterministic replay).  ``False`` skips it; the analysis layer
-        falls back to the accounting log, byte-identically.
     checkpoint_dir:
         Directory for per-shard checkpoint files (crash tolerance).
     resume:
@@ -276,7 +262,6 @@ def run_parallel_study(
         shards,
         workers=workers,
         tracing=tracing,
-        start_method=start_method,
         checkpoint_dir=checkpoint_dir,
         resume=resume,
         max_attempts=max_attempts,
@@ -284,4 +269,4 @@ def run_parallel_study(
         traces=traces,
         fault_namespace=fault_namespace,
     )
-    return merge_shard_results(config, results, telemetry=telemetry, tracing=tracing)
+    return merge_shard_results(config, results, tracing=tracing)

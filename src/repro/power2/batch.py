@@ -4,26 +4,20 @@ A 270-day campaign integrates 44 counters on 144 nodes across ~26k
 collector passes plus every job start/stop.  The scalar path does that
 node-by-node (:meth:`repro.power2.node.Node.sync`); profiling shows the
 per-node ``sync`` + ``snapshot_vector`` loop dominating campaign wall
-time.  This module keeps every node's accumulators in one flat store so
-a collector pass becomes a single ``values += rates * dt`` sweep.
+time.  This module keeps every node's accumulators in one flat store,
+:class:`CounterStore` — ``(n, 44)`` float64 matrices — so a collector
+pass becomes a single ``values += rates * dt`` sweep.
 
-Two interchangeable store implementations are provided:
-
-* :class:`NumpyCounterStore` — ``(n, 44)`` float64 matrices, one fused
-  array operation per pass;
-* :class:`PythonCounterStore` — :mod:`array` module buffers with plain
-  Python loops, for interpreters without numpy.
-
-**The equivalence guarantee.** Both stores produce *bitwise identical*
+**The equivalence guarantee.** The store produces *bitwise identical*
 results to the scalar per-node path, not merely close ones, so goldens
-and the parallel runner's byte-for-byte merge invariants hold under any
-backend.  That is not luck; it follows from three IEEE-754 facts the
-implementation is built around (and the differential suite in
+and the parallel runner's byte-for-byte merge invariants hold under
+either backend.  That is not luck; it follows from three IEEE-754 facts
+the implementation is built around (and the differential suite in
 ``tests/power2/test_batch_equivalence.py`` enforces):
 
-1. numpy elementwise double arithmetic, Python float arithmetic and
-   ``array('d')`` arithmetic are the same IEEE-754 binary64 operations —
-   batching rows never reassociates the per-element ``value += rate*dt``;
+1. numpy elementwise double arithmetic and Python float arithmetic are
+   the same IEEE-754 binary64 operations — batching rows never
+   reassociates the per-element ``value += rate*dt``;
 2. ``x + rate*0.0`` is a bitwise no-op for the non-negative accumulators
    used here, so a batched pass may apply a zero ``dt`` unconditionally
    where the scalar path early-returns;
@@ -40,8 +34,9 @@ out of the sweep entirely — their clocks must not advance.  See
 
 from __future__ import annotations
 
-import array
 from typing import Mapping, Sequence
+
+import numpy as np
 
 from repro.power2.counters import (
     BANK_SIZE,
@@ -55,13 +50,6 @@ from repro.power2.counters import (
     execution_event_counts,
 )
 
-try:  # numpy ships with the toolchain, but the pure path must not need it
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised only without numpy
-    _np = None
-
-HAVE_NUMPY = _np is not None
-
 #: Width of one node's flat counter row (user bank then system bank).
 ROW_SIZE = 2 * BANK_SIZE
 
@@ -69,7 +57,7 @@ ROW_SIZE = 2 * BANK_SIZE
 _BROKEN_FLAT = tuple(BROKEN_INDICES) + tuple(i + BANK_SIZE for i in BROKEN_INDICES)
 
 #: User-facing backend names accepted by ``--accrual-backend``.
-BACKEND_CHOICES = ("auto", "scalar", "vectorized", "numpy", "python")
+BACKEND_CHOICES = ("auto", "scalar", "vectorized")
 
 #: Sentinel rate vector for a halted node (counters frozen).
 _ZERO_BANK = (0.0,) * BANK_SIZE
@@ -78,13 +66,9 @@ _ZERO_BANK = (0.0,) * BANK_SIZE
 def resolve_backend(name: str | None) -> str:
     """Resolve a requested backend name to a concrete one.
 
-    Returns one of ``"scalar"``, ``"numpy"`` or ``"python"``:
-
-    * ``auto`` / ``vectorized`` — the fastest batched store available
-      (numpy when importable, else the pure-python store);
-    * ``numpy`` — the numpy store (raises without numpy);
-    * ``python`` — the pure-python store, regardless of numpy;
-    * ``scalar`` / ``None`` — the legacy per-node path.
+    Returns ``"scalar"`` (the legacy per-node path) for ``scalar``, and
+    ``"numpy"`` (the batched :class:`CounterStore`) for ``auto``,
+    ``vectorized`` or ``None``.
     """
     if name is None:
         name = "auto"
@@ -92,47 +76,51 @@ def resolve_backend(name: str | None) -> str:
         raise ValueError(
             f"unknown accrual backend {name!r}; choose from {BACKEND_CHOICES}"
         )
-    if name == "scalar":
-        return "scalar"
-    if name == "numpy":
-        if not HAVE_NUMPY:
-            raise RuntimeError("accrual backend 'numpy' requested but numpy is absent")
-        return "numpy"
-    if name == "python":
-        return "python"
-    # auto / vectorized
-    return "numpy" if HAVE_NUMPY else "python"
+    return "scalar" if name == "scalar" else "numpy"
 
 
 def make_store(n_slots: int, backend: str) -> "CounterStore":
     """Build the counter store for a resolved (non-scalar) backend."""
-    if backend == "numpy":
-        return NumpyCounterStore(n_slots)
-    if backend == "python":
-        return PythonCounterStore(n_slots)
-    raise ValueError(f"no store for backend {backend!r}")
+    if backend != "numpy":
+        raise ValueError(f"no store for backend {backend!r}")
+    return CounterStore(n_slots)
 
 
 class CounterStore:
-    """Shared surface of the batched accumulator stores.
+    """Every node's counters as ``(n, 44)`` float64 matrices.
 
     One *slot* holds everything the scalar :class:`~repro.power2.node.Node`
     keeps per node for the campaign fast path: a 44-wide accumulator row
     (user bank then system bank, :data:`FLAT_NAMES` order), a 44-wide
     rate row, the last-sync timestamp, wall/busy second totals and the
-    busy flag.  Subclasses provide the storage; the slot algebra here is
-    backend-independent.
+    busy flag.  A collector pass is one array operation.
     """
 
     def __init__(self, n_slots: int) -> None:
         if n_slots <= 0:
             raise ValueError("store needs at least one slot")
         self.n_slots = n_slots
+        self._values = np.zeros((n_slots, ROW_SIZE), dtype=np.float64)
+        self._rates = np.zeros((n_slots, ROW_SIZE), dtype=np.float64)
+        self._background = np.zeros((n_slots, BANK_SIZE), dtype=np.float64)
+        self._last_sync = np.zeros(n_slots, dtype=np.float64)
+        self._wall = np.zeros(n_slots, dtype=np.float64)
+        self._busy = np.zeros(n_slots, dtype=np.float64)
+        self._busy_flag = np.zeros(n_slots, dtype=np.float64)
+        self._flops = np.zeros(n_slots, dtype=np.float64)
 
     # -- slot lifecycle -------------------------------------------------
     def configure_slot(self, slot: int, background: Sequence[float]) -> None:
         """Reset a slot and install its idle background system rates."""
-        raise NotImplementedError
+        self._values[slot] = 0.0
+        self._rates[slot, :BANK_SIZE] = 0.0
+        self._background[slot] = background
+        self._rates[slot, BANK_SIZE:] = self._background[slot]
+        self._last_sync[slot] = 0.0
+        self._wall[slot] = 0.0
+        self._busy[slot] = 0.0
+        self._busy_flag[slot] = 0.0
+        self._flops[slot] = 0.0
 
     def install(
         self,
@@ -146,7 +134,17 @@ class CounterStore:
         """Replace a slot's rate rows (``None`` user = zeros, ``None``
         system = the slot's background).  Callers sync first, exactly
         like :meth:`Node.install_rates`."""
-        raise NotImplementedError
+        row = self._rates[slot]
+        if user is None:
+            row[:BANK_SIZE] = 0.0
+        else:
+            row[:BANK_SIZE] = user
+        if system is None:
+            row[BANK_SIZE:] = self._background[slot]
+        else:
+            row[BANK_SIZE:] = system
+        self._busy_flag[slot] = 1.0 if busy else 0.0
+        self._flops[slot] = flops_per_s
 
     def halt(self, slot: int) -> None:
         """Freeze a slot's counters (crash): all rates to zero."""
@@ -154,7 +152,17 @@ class CounterStore:
 
     # -- time integration ----------------------------------------------
     def sync_one(self, slot: int, now: float) -> None:
-        raise NotImplementedError
+        last = float(self._last_sync[slot])
+        if now < last - 1e-9:
+            raise ValueError(f"sync cannot run backwards ({now} < {last})")
+        dt = max(0.0, now - last)
+        self._last_sync[slot] = now
+        if dt == 0.0:
+            return
+        self._values[slot] += self._rates[slot] * dt
+        self._wall[slot] += dt
+        if self._busy_flag[slot]:
+            self._busy[slot] += dt
 
     def sync_slots(self, slots: Sequence[int], now: float) -> None:
         """Integrate a *subset* of slots up to ``now`` in one sweep.
@@ -164,23 +172,45 @@ class CounterStore:
         advancing a down node's clock in two steps instead of one would
         change its accumulators bitwise relative to the scalar path.
         """
-        raise NotImplementedError
+        if not len(slots):
+            return
+        if len(slots) == self.n_slots:
+            # Full sweep: no index gather, one fused pass.
+            last = self._last_sync
+            if now < last.max() - 1e-9:
+                raise ValueError(f"sync cannot run backwards (now={now})")
+            dt = np.maximum(0.0, now - last)
+            last[:] = now
+            self._values += self._rates * dt[:, None]
+            self._wall += dt
+            self._busy += dt * self._busy_flag
+            return
+        idx = np.asarray(slots, dtype=np.intp)
+        last = self._last_sync[idx]
+        if now < last.max() - 1e-9:
+            raise ValueError(f"sync cannot run backwards (now={now})")
+        dt = np.maximum(0.0, now - last)
+        self._last_sync[idx] = now
+        self._values[idx] += self._rates[idx] * dt[:, None]
+        self._wall[idx] += dt
+        self._busy[idx] += dt * self._busy_flag[idx]
 
     # -- direct accrual (phase-execution path) --------------------------
     def add(self, slot: int, mode: Mode, name: str, amount: float) -> None:
         if amount < 0:
             raise ValueError(f"cannot decrement counter {name} by {amount}")
-        self._add_at(slot, self._flat_index(mode, name), amount)
+        self._values[slot, self._flat_index(mode, name)] += amount
 
     def add_many(self, slot: int, mode: Mode, amounts: Mapping[str, float]) -> None:
         for name, amount in amounts.items():
             self.add(slot, mode, name, amount)
 
     def add_vector(self, slot: int, mode: Mode, vec) -> None:
-        raise NotImplementedError
-
-    def _add_at(self, slot: int, flat_index: int, amount: float) -> None:
-        raise NotImplementedError
+        vec = np.asarray(vec)
+        if vec.shape != (BANK_SIZE,):
+            raise ValueError(f"expected shape ({BANK_SIZE},), got {vec.shape}")
+        off = 0 if mode is Mode.USER else BANK_SIZE
+        self._values[slot, off : off + BANK_SIZE] += vec
 
     @staticmethod
     def _flat_index(mode: Mode, name: str) -> int:
@@ -189,10 +219,14 @@ class CounterStore:
 
     # -- reads ----------------------------------------------------------
     def value_at(self, slot: int, flat_index: int) -> float:
-        raise NotImplementedError
+        return float(self._values[slot, flat_index])
 
     def raw(self, slot: int, mode: Mode, name: str) -> float:
         return self.value_at(slot, self._flat_index(mode, name))
+
+    def raw_vector(self, slot: int, mode: Mode):
+        off = 0 if mode is Mode.USER else BANK_SIZE
+        return self._values[slot, off : off + BANK_SIZE].copy()
 
     def read(self, slot: int, mode: Mode, name: str) -> int:
         if name in BROKEN_COUNTERS:
@@ -208,138 +242,14 @@ class CounterStore:
         return {name: self.read(slot, mode, name) for name in COUNTER_NAMES}
 
     def flat_snapshot(self, slot: int) -> dict[str, int]:
-        raise NotImplementedError
-
-    def snapshot_vector(self, slot: int, out=None):
-        """One slot's int64 snapshot row (broken counters zeroed)."""
-        raise NotImplementedError
-
-    def snapshot_matrix(self, slots: Sequence[int]):
-        """Int64 snapshot rows for many slots — the collector's pass."""
-        raise NotImplementedError
-
-    # -- per-slot scalars -----------------------------------------------
-    def wall(self, slot: int) -> float:
-        raise NotImplementedError
-
-    def set_wall(self, slot: int, value: float) -> None:
-        raise NotImplementedError
-
-    def busy(self, slot: int) -> float:
-        raise NotImplementedError
-
-    def set_busy(self, slot: int, value: float) -> None:
-        raise NotImplementedError
-
-    def last_sync(self, slot: int) -> float:
-        raise NotImplementedError
-
-    def reset_bank(self, slot: int, mode: Mode) -> None:
-        raise NotImplementedError
-
-
-class NumpyCounterStore(CounterStore):
-    """All slots as ``(n, 44)`` float64 matrices; one array op per pass."""
-
-    def __init__(self, n_slots: int) -> None:
-        if not HAVE_NUMPY:  # pragma: no cover - guarded by resolve_backend
-            raise RuntimeError("NumpyCounterStore requires numpy")
-        super().__init__(n_slots)
-        self._values = _np.zeros((n_slots, ROW_SIZE), dtype=_np.float64)
-        self._rates = _np.zeros((n_slots, ROW_SIZE), dtype=_np.float64)
-        self._background = _np.zeros((n_slots, BANK_SIZE), dtype=_np.float64)
-        self._last_sync = _np.zeros(n_slots, dtype=_np.float64)
-        self._wall = _np.zeros(n_slots, dtype=_np.float64)
-        self._busy = _np.zeros(n_slots, dtype=_np.float64)
-        self._busy_flag = _np.zeros(n_slots, dtype=_np.float64)
-        self._flops = _np.zeros(n_slots, dtype=_np.float64)
-
-    def configure_slot(self, slot, background):
-        self._values[slot] = 0.0
-        self._rates[slot, :BANK_SIZE] = 0.0
-        self._background[slot] = background
-        self._rates[slot, BANK_SIZE:] = self._background[slot]
-        self._last_sync[slot] = 0.0
-        self._wall[slot] = 0.0
-        self._busy[slot] = 0.0
-        self._busy_flag[slot] = 0.0
-        self._flops[slot] = 0.0
-
-    def install(self, slot, user, system, *, busy, flops_per_s):
-        row = self._rates[slot]
-        if user is None:
-            row[:BANK_SIZE] = 0.0
-        else:
-            row[:BANK_SIZE] = user
-        if system is None:
-            row[BANK_SIZE:] = self._background[slot]
-        else:
-            row[BANK_SIZE:] = system
-        self._busy_flag[slot] = 1.0 if busy else 0.0
-        self._flops[slot] = flops_per_s
-
-    def sync_one(self, slot, now):
-        last = float(self._last_sync[slot])
-        if now < last - 1e-9:
-            raise ValueError(f"sync cannot run backwards ({now} < {last})")
-        dt = max(0.0, now - last)
-        self._last_sync[slot] = now
-        if dt == 0.0:
-            return
-        self._values[slot] += self._rates[slot] * dt
-        self._wall[slot] += dt
-        if self._busy_flag[slot]:
-            self._busy[slot] += dt
-
-    def sync_slots(self, slots, now):
-        if not len(slots):
-            return
-        if len(slots) == self.n_slots:
-            # Full sweep: no index gather, one fused pass.
-            last = self._last_sync
-            if now < last.max() - 1e-9:
-                raise ValueError(f"sync cannot run backwards (now={now})")
-            dt = _np.maximum(0.0, now - last)
-            last[:] = now
-            self._values += self._rates * dt[:, None]
-            self._wall += dt
-            self._busy += dt * self._busy_flag
-            return
-        idx = _np.asarray(slots, dtype=_np.intp)
-        last = self._last_sync[idx]
-        if now < last.max() - 1e-9:
-            raise ValueError(f"sync cannot run backwards (now={now})")
-        dt = _np.maximum(0.0, now - last)
-        self._last_sync[idx] = now
-        self._values[idx] += self._rates[idx] * dt[:, None]
-        self._wall[idx] += dt
-        self._busy[idx] += dt * self._busy_flag[idx]
-
-    def add_vector(self, slot, mode, vec):
-        vec = _np.asarray(vec)
-        if vec.shape != (BANK_SIZE,):
-            raise ValueError(f"expected shape ({BANK_SIZE},), got {vec.shape}")
-        off = 0 if mode is Mode.USER else BANK_SIZE
-        self._values[slot, off : off + BANK_SIZE] += vec
-
-    def _add_at(self, slot, flat_index, amount):
-        self._values[slot, flat_index] += amount
-
-    def value_at(self, slot, flat_index):
-        return float(self._values[slot, flat_index])
-
-    def raw_vector(self, slot, mode):
-        off = 0 if mode is Mode.USER else BANK_SIZE
-        return self._values[slot, off : off + BANK_SIZE].copy()
-
-    def flat_snapshot(self, slot):
-        vals = self._values[slot].astype(_np.int64)
+        vals = self._values[slot].astype(np.int64)
         vals[list(_BROKEN_FLAT)] = 0
         return dict(zip(FLAT_NAMES, vals.tolist()))
 
-    def snapshot_vector(self, slot, out=None):
+    def snapshot_vector(self, slot: int, out=None):
+        """One slot's int64 snapshot row (broken counters zeroed)."""
         if out is None:
-            out = _np.empty(ROW_SIZE, dtype=_np.int64)
+            out = np.empty(ROW_SIZE, dtype=np.int64)
         elif out.shape != (ROW_SIZE,):
             raise ValueError(f"out must have shape ({ROW_SIZE},)")
         out[:] = self._values[slot]  # casts to int64 (truncation toward zero)
@@ -347,173 +257,34 @@ class NumpyCounterStore(CounterStore):
             out[i] = 0
         return out
 
-    def snapshot_matrix(self, slots):
+    def snapshot_matrix(self, slots: Sequence[int]):
+        """Int64 snapshot rows for many slots — the collector's pass."""
         if not len(slots):
-            return _np.zeros((0, ROW_SIZE), dtype=_np.int64)
-        idx = _np.asarray(slots, dtype=_np.intp)
-        out = self._values[idx].astype(_np.int64)
+            return np.zeros((0, ROW_SIZE), dtype=np.int64)
+        idx = np.asarray(slots, dtype=np.intp)
+        out = self._values[idx].astype(np.int64)
         out[:, list(_BROKEN_FLAT)] = 0
         return out
 
-    def wall(self, slot):
+    # -- per-slot scalars -----------------------------------------------
+    def wall(self, slot: int) -> float:
         return float(self._wall[slot])
 
-    def set_wall(self, slot, value):
+    def set_wall(self, slot: int, value: float) -> None:
         self._wall[slot] = value
 
-    def busy(self, slot):
+    def busy(self, slot: int) -> float:
         return float(self._busy[slot])
 
-    def set_busy(self, slot, value):
+    def set_busy(self, slot: int, value: float) -> None:
         self._busy[slot] = value
 
-    def last_sync(self, slot):
+    def last_sync(self, slot: int) -> float:
         return float(self._last_sync[slot])
 
-    def reset_bank(self, slot, mode):
+    def reset_bank(self, slot: int, mode: Mode) -> None:
         off = 0 if mode is Mode.USER else BANK_SIZE
         self._values[slot, off : off + BANK_SIZE] = 0.0
-
-
-class PythonCounterStore(CounterStore):
-    """Flat ``array('d')`` buffers with plain loops — no numpy needed.
-
-    Each arithmetic step is the same IEEE-754 binary64 operation the
-    scalar and numpy paths perform (Python floats *are* C doubles), so
-    the store is bitwise-equivalent, just slower.  It exists for
-    numpy-free interpreters and as the differential suite's third
-    witness.
-    """
-
-    def __init__(self, n_slots: int) -> None:
-        super().__init__(n_slots)
-        self._values = array.array("d", bytes(8 * n_slots * ROW_SIZE))
-        self._rates = array.array("d", bytes(8 * n_slots * ROW_SIZE))
-        self._background = [[0.0] * BANK_SIZE for _ in range(n_slots)]
-        self._last_sync = [0.0] * n_slots
-        self._wall = [0.0] * n_slots
-        self._busy = [0.0] * n_slots
-        self._busy_flag = [False] * n_slots
-        self._flops = [0.0] * n_slots
-
-    def configure_slot(self, slot, background):
-        base = slot * ROW_SIZE
-        for i in range(base, base + ROW_SIZE):
-            self._values[i] = 0.0
-        bg = [float(v) for v in background]
-        if len(bg) != BANK_SIZE:
-            raise ValueError(f"background must have {BANK_SIZE} entries")
-        self._background[slot] = bg
-        for i in range(BANK_SIZE):
-            self._rates[base + i] = 0.0
-            self._rates[base + BANK_SIZE + i] = bg[i]
-        self._last_sync[slot] = 0.0
-        self._wall[slot] = 0.0
-        self._busy[slot] = 0.0
-        self._busy_flag[slot] = False
-        self._flops[slot] = 0.0
-
-    def install(self, slot, user, system, *, busy, flops_per_s):
-        base = slot * ROW_SIZE
-        if user is None:
-            for i in range(base, base + BANK_SIZE):
-                self._rates[i] = 0.0
-        else:
-            for i, v in enumerate(user):
-                self._rates[base + i] = v
-        sysbase = base + BANK_SIZE
-        if system is None:
-            for i, v in enumerate(self._background[slot]):
-                self._rates[sysbase + i] = v
-        else:
-            for i, v in enumerate(system):
-                self._rates[sysbase + i] = v
-        self._busy_flag[slot] = bool(busy)
-        self._flops[slot] = flops_per_s
-
-    def sync_one(self, slot, now):
-        last = self._last_sync[slot]
-        if now < last - 1e-9:
-            raise ValueError(f"sync cannot run backwards ({now} < {last})")
-        dt = max(0.0, now - last)
-        self._last_sync[slot] = now
-        if dt == 0.0:
-            return
-        values, rates = self._values, self._rates
-        base = slot * ROW_SIZE
-        for i in range(base, base + ROW_SIZE):
-            values[i] += rates[i] * dt
-        self._wall[slot] += dt
-        if self._busy_flag[slot]:
-            self._busy[slot] += dt
-
-    def sync_slots(self, slots, now):
-        for slot in slots:
-            self.sync_one(slot, now)
-
-    def add_vector(self, slot, mode, vec):
-        if len(vec) != BANK_SIZE:
-            raise ValueError(f"expected {BANK_SIZE} entries, got {len(vec)}")
-        base = slot * ROW_SIZE + (0 if mode is Mode.USER else BANK_SIZE)
-        values = self._values
-        for i, v in enumerate(vec):
-            values[base + i] += v
-
-    def _add_at(self, slot, flat_index, amount):
-        self._values[slot * ROW_SIZE + flat_index] += amount
-
-    def value_at(self, slot, flat_index):
-        return self._values[slot * ROW_SIZE + flat_index]
-
-    def raw_vector(self, slot, mode):
-        base = slot * ROW_SIZE + (0 if mode is Mode.USER else BANK_SIZE)
-        row = self._values[base : base + BANK_SIZE]
-        return _np.array(row, dtype=_np.float64) if HAVE_NUMPY else list(row)
-
-    def _snapshot_row(self, slot):
-        base = slot * ROW_SIZE
-        row = [int(v) for v in self._values[base : base + ROW_SIZE]]
-        for i in _BROKEN_FLAT:
-            row[i] = 0
-        return row
-
-    def flat_snapshot(self, slot):
-        return dict(zip(FLAT_NAMES, self._snapshot_row(slot)))
-
-    def snapshot_vector(self, slot, out=None):
-        row = self._snapshot_row(slot)
-        if out is not None:
-            out[:] = row
-            return out
-        return _np.array(row, dtype=_np.int64) if HAVE_NUMPY else row
-
-    def snapshot_matrix(self, slots):
-        rows = [self._snapshot_row(s) for s in slots]
-        if HAVE_NUMPY:
-            if not rows:
-                return _np.zeros((0, ROW_SIZE), dtype=_np.int64)
-            return _np.array(rows, dtype=_np.int64)
-        return rows  # pragma: no cover - numpy-free analysis path
-
-    def wall(self, slot):
-        return self._wall[slot]
-
-    def set_wall(self, slot, value):
-        self._wall[slot] = value
-
-    def busy(self, slot):
-        return self._busy[slot]
-
-    def set_busy(self, slot, value):
-        self._busy[slot] = value
-
-    def last_sync(self, slot):
-        return self._last_sync[slot]
-
-    def reset_bank(self, slot, mode):
-        base = slot * ROW_SIZE + (0 if mode is Mode.USER else BANK_SIZE)
-        for i in range(base, base + BANK_SIZE):
-            self._values[i] = 0.0
 
 
 class StoreBankView:

@@ -1,105 +1,33 @@
-"""The concrete ``sp2-study`` repeat unit: seed in, metric dict out.
+"""The concrete repeat unit: seed in, metric dict out.
 
-``CampaignRepeatSpec`` is the picklable description of one repeat — the
-same campaign parameters ``sp2-study`` takes, minus the seed.  The batch
-runner fans a batch of seeds across worker processes (the same pool
-context policy as :mod:`repro.parallel.runner`); because each repeat is
-a pure function of its seed, the collected samples are identical
-whatever worker count executed them.
+:class:`ConfigRepeatSpec` is the picklable description of one repeat: a
+whole resolved :class:`StudyConfig` (machine geometry, switch fabric,
+scheduler policy, fault profile) plus the shard plan, minus the seed.
+``sp2-study repeat`` and sweep cells both build one.  The batch runner
+fans a batch of seeds across worker processes (the same pool context
+policy as :mod:`repro.parallel.runner`); because each repeat is a pure
+function of its seed, the collected samples are identical whatever
+worker count executed them.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from repro.core.study import StudyConfig, WorkloadStudy, run_study
+from repro.core.study import StudyConfig, run_study
 from repro.parallel.runner import _pool_context
-from repro.stats.metrics import DEFAULT_TARGET_METRIC, collect_metrics
-from repro.stats.repeater import Repeater, RepeatResult
-from repro.stats.stopping import StoppingRule
+from repro.stats.metrics import collect_metrics
 
 
-@dataclass(frozen=True)
-class CampaignRepeatSpec:
-    """One repeat's campaign parameters (everything but the seed)."""
-
-    n_days: int = 30
-    n_nodes: int = 144
-    n_users: int = 60
-    fault_profile: str | None = None
-    accrual_backend: str = "auto"
-    #: Shard width for within-campaign sharded execution (None = serial
-    #: campaign inside each repeat; the repeat layer parallelizes across
-    #: seeds, not within one seed).
-    shard_days: int | None = None
-
-    def as_dict(self) -> dict:
-        return {
-            "n_days": self.n_days,
-            "n_nodes": self.n_nodes,
-            "n_users": self.n_users,
-            "fault_profile": self.fault_profile,
-            "accrual_backend": self.accrual_backend,
-            "shard_days": self.shard_days,
-        }
-
-
-def run_campaign_metrics(spec: CampaignRepeatSpec, seed: int) -> dict[str, float]:
-    """One repeat: run the campaign for ``seed`` and flatten it."""
-    dataset = run_study(
-        seed,
-        n_days=spec.n_days,
-        n_nodes=spec.n_nodes,
-        n_users=spec.n_users,
-        shard_days=spec.shard_days,
-        fault_profile=spec.fault_profile,
-        accrual_backend=spec.accrual_backend,
-    )
-    return collect_metrics(dataset)
-
-
-def _repeat_task(payload: tuple[CampaignRepeatSpec, int]) -> dict[str, float]:
-    spec, seed = payload
-    return run_campaign_metrics(spec, seed)
-
-
-def make_batch_runner(
-    spec: CampaignRepeatSpec,
-    *,
-    workers: int = 1,
-    start_method: str | None = None,
-) -> Callable[[Sequence[int]], list[dict[str, float]]]:
-    """A batch executor mapping seeds → metric dicts, order preserved."""
-
-    def run_batch(seeds: Sequence[int]) -> list[dict[str, float]]:
-        payloads = [(spec, int(s)) for s in seeds]
-        n_procs = min(workers, len(payloads))
-        if n_procs <= 1:
-            return [_repeat_task(p) for p in payloads]
-        ctx = _pool_context(start_method)
-        with ProcessPoolExecutor(max_workers=n_procs, mp_context=ctx) as pool:
-            return list(pool.map(_repeat_task, payloads))
-
-    return run_batch
-
-
-# ----------------------------------------------------------------------
-# Full-config repeat unit (the scenario-sweep layer's per-cell estimator)
-# ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class ConfigRepeatSpec:
-    """One repeat over an arbitrary resolved :class:`StudyConfig`.
+    """One repeat over a resolved :class:`StudyConfig`.
 
-    Where :class:`CampaignRepeatSpec` carries the handful of flags
-    ``sp2-study repeat`` exposes, this carries the *whole* frozen config
-    — machine geometry, switch fabric, scheduler policy, fault profile —
-    so a sweep cell with overridden TLB entries or memory size gets the
-    same ``mean ± hw [n, rule]`` treatment.  The spec is picklable (all
-    nested configs are frozen dataclasses of plain values), so batches
-    fan across the worker pool exactly like the CLI repeat path.
+    The spec is picklable (all nested configs are frozen dataclasses of
+    plain values), so batches fan across the worker pool.
     """
 
     config: StudyConfig
@@ -112,13 +40,7 @@ class ConfigRepeatSpec:
             if seed == self.config.seed
             else dataclasses.replace(self.config, seed=seed)
         )
-        if self.shard_days is not None:
-            from repro.parallel.runner import run_parallel_study
-
-            dataset = run_parallel_study(cfg, workers=1, shard_days=self.shard_days)
-        else:
-            dataset = WorkloadStudy(cfg).run()
-        return collect_metrics(dataset)
+        return collect_metrics(run_study(cfg, shard_days=self.shard_days))
 
 
 def _config_repeat_task(payload: tuple[ConfigRepeatSpec, int]) -> dict[str, float]:
@@ -127,52 +49,16 @@ def _config_repeat_task(payload: tuple[ConfigRepeatSpec, int]) -> dict[str, floa
 
 
 def make_config_batch_runner(
-    spec: ConfigRepeatSpec,
-    *,
-    workers: int = 1,
-    start_method: str | None = None,
+    spec: ConfigRepeatSpec, *, workers: int = 1
 ) -> Callable[[Sequence[int]], list[dict[str, float]]]:
-    """A batch executor over a full config, order preserved."""
+    """A batch executor mapping seeds → metric dicts, order preserved."""
 
     def run_batch(seeds: Sequence[int]) -> list[dict[str, float]]:
         payloads = [(spec, int(s)) for s in seeds]
         n_procs = min(workers, len(payloads))
         if n_procs <= 1:
             return [_config_repeat_task(p) for p in payloads]
-        ctx = _pool_context(start_method)
-        with ProcessPoolExecutor(max_workers=n_procs, mp_context=ctx) as pool:
+        with ProcessPoolExecutor(max_workers=n_procs, mp_context=_pool_context()) as pool:
             return list(pool.map(_config_repeat_task, payloads))
 
     return run_batch
-
-
-@dataclass
-class CampaignRepeater:
-    """A :class:`~repro.stats.repeater.Repeater` bound to ``sp2-study``."""
-
-    spec: CampaignRepeatSpec = field(default_factory=CampaignRepeatSpec)
-    rules: Sequence[StoppingRule] = ()
-    max_repeats: int = 256
-    batch_size: int = 8
-    target_metric: str = DEFAULT_TARGET_METRIC
-    confidence: float = 0.95
-    workers: int = 1
-    start_method: str | None = None
-    on_batch: Callable | None = None
-
-    def run(
-        self, *, seed0: int = 0, seeds: Sequence[int] | None = None
-    ) -> RepeatResult:
-        repeater = Repeater(
-            run_one=lambda seed: run_campaign_metrics(self.spec, seed),
-            rules=self.rules,
-            max_repeats=self.max_repeats,
-            batch_size=self.batch_size,
-            target_metric=self.target_metric,
-            confidence=self.confidence,
-            batch_runner=make_batch_runner(
-                self.spec, workers=self.workers, start_method=self.start_method
-            ),
-            on_batch=self.on_batch,
-        )
-        return repeater.run(seed0=seed0, seeds=seeds)

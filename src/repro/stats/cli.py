@@ -15,14 +15,18 @@ import pathlib
 import sys
 import time
 
+from repro.core.study import StudyConfig
+from repro.faults.profile import FaultProfile
+from repro.power2.batch import BACKEND_CHOICES
 from repro.stats.annotate import (
     format_estimate,
     repeat_headline_block,
     repeat_summary,
     repeat_tables,
 )
-from repro.stats.campaign import CampaignRepeater, CampaignRepeatSpec
+from repro.stats.campaign import ConfigRepeatSpec, make_config_batch_runner
 from repro.stats.metrics import DEFAULT_TARGET_METRIC
+from repro.stats.repeater import Repeater
 from repro.stats.stopping import HalfWidthRule, KSStableRule, RSERule
 
 
@@ -88,7 +92,7 @@ def build_repeat_parser() -> argparse.ArgumentParser:
     p.add_argument("--fault-profile", default=None, metavar="NAME")
     p.add_argument(
         "--accrual-backend", default="auto",
-        choices=["auto", "scalar", "vectorized", "numpy", "python"],
+        choices=BACKEND_CHOICES,
     )
     p.add_argument("--tables", action="store_true", help="print Tables 1-4 with CIs")
     p.add_argument(
@@ -125,14 +129,19 @@ def repeat_main(argv: list[str] | None = None) -> int:
         # rule so a bare `sp2-study repeat` still stops on convergence.
         rules.append(RSERule(0.05))
 
-    spec = CampaignRepeatSpec(
-        n_days=args.days,
-        n_nodes=args.nodes,
-        n_users=args.users,
-        fault_profile=args.fault_profile,
-        accrual_backend=args.accrual_backend,
-        shard_days=args.shard_days,
-    )
+    try:
+        config = StudyConfig(
+            seed=args.seed0,
+            n_days=args.days,
+            n_nodes=args.nodes,
+            n_users=args.users,
+            fault_profile=FaultProfile.resolve(args.fault_profile),
+            accrual_backend=args.accrual_backend,
+        )
+    except ValueError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 2
+    unit = ConfigRepeatSpec(config=config, shard_days=args.shard_days)
     rule_names = ", ".join(r.describe() for r in rules) or "none"
     how = (
         f"fixed seeds {seeds}" if seeds is not None
@@ -155,14 +164,14 @@ def repeat_main(argv: list[str] | None = None) -> int:
                 file=sys.stderr,
             )
 
-    repeater = CampaignRepeater(
-        spec=spec,
+    repeater = Repeater(
+        run_one=unit.run_one,
         rules=rules,
         max_repeats=args.max_repeats,
         batch_size=args.batch,
         target_metric=args.metric,
         confidence=args.confidence,
-        workers=args.workers or 1,
+        batch_runner=make_config_batch_runner(unit, workers=args.workers or 1),
         on_batch=narrate,
     )
     try:
@@ -201,7 +210,15 @@ def repeat_main(argv: list[str] | None = None) -> int:
             print(table.render())
 
     if args.json is not None:
-        payload = repeat_summary(result, config=spec.as_dict())
+        block = {
+            "n_days": args.days,
+            "n_nodes": args.nodes,
+            "n_users": args.users,
+            "fault_profile": args.fault_profile,
+            "accrual_backend": args.accrual_backend,
+            "shard_days": args.shard_days,
+        }
+        payload = repeat_summary(result, config=block)
         args.json.parent.mkdir(parents=True, exist_ok=True)
         args.json.write_text(json.dumps(payload, indent=2) + "\n")
         print(f"wrote {args.json}", file=sys.stderr)

@@ -1,11 +1,11 @@
 """Run a :class:`~repro.sweep.planner.SweepPlan`'s cells.
 
-Each cell runs through the machinery the rest of the repo already
-trusts: the serial study, the sharded runner (when the spec asks for a
-shard plan or the caller supplies workers), or — when the spec carries a
-``repeat`` block — the :mod:`repro.stats` Repeater, so every cell's
+Each cell runs through :func:`repro.core.study.run_study`: serial, or
+sharded when the spec gives a shard plan.  A spec with a ``repeat``
+block runs the :mod:`repro.stats` Repeater instead, so every cell's
 metrics arrive as ``mean ± hw [n, rule]`` estimates instead of single
-realizations.
+realizations.  ``workers`` only spreads a cell's shards or repeat seeds
+across processes; it never changes a cell.
 
 A cell with **no axes applied** produces *exactly* the dataset summary
 ``sp2-study --json`` writes at the same settings — the degeneracy
@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.analysis.export import dataset_summary
+from repro.core.study import run_study
 from repro.stats.campaign import ConfigRepeatSpec, make_config_batch_runner
 from repro.stats.metrics import collect_metrics
 from repro.stats.repeater import Repeater
@@ -112,16 +113,7 @@ class SweepResult:
 # Cell execution
 # ----------------------------------------------------------------------
 def _run_single(cell: Cell, spec: SweepSpec, workers: int) -> dict[str, Any]:
-    if workers > 1 or spec.shard_days is not None:
-        from repro.parallel.runner import run_parallel_study
-
-        dataset = run_parallel_study(
-            cell.config, workers=max(workers, 1), shard_days=spec.shard_days
-        )
-    else:
-        from repro.core.study import WorkloadStudy
-
-        dataset = WorkloadStudy(cell.config).run()
+    dataset = run_study(cell.config, shard_days=spec.shard_days, workers=workers)
     return {
         "summary": dataset_summary(dataset),
         "metrics": collect_metrics(dataset),

@@ -28,15 +28,12 @@ from typing import Any, Mapping
 
 from repro.core.study import SCHEDULER_POLICIES, StudyConfig
 from repro.faults.profile import PROFILES, FaultProfile
-from repro.power2.batch import resolve_backend
+from repro.power2.batch import BACKEND_CHOICES, resolve_backend
 from repro.power2.config import POWER2_590, SwitchConfig
 from repro.stats.metrics import DEFAULT_TARGET_METRIC
 
 MB = 1024 * 1024
 KB = 1024
-
-#: Accrual backends the CLI exposes (resolve_backend accepts these).
-ACCRUAL_BACKENDS = ("auto", "scalar", "vectorized", "numpy", "python")
 
 
 # ----------------------------------------------------------------------
@@ -114,7 +111,7 @@ AXES: dict[str, AxisDef] = {
             "accrual_backend",
             "str",
             "counter-accrual backend",
-            choices=ACCRUAL_BACKENDS,
+            choices=BACKEND_CHOICES,
         ),
         AxisDef(
             "scheduler_policy",
@@ -413,12 +410,6 @@ def resolve_config(settings: Mapping[str, Any]) -> StudyConfig:
             ),
         )
 
-    profile = None
-    if settings.get("fault_profile") is not None:
-        profile = FaultProfile.named(settings["fault_profile"])
-        if profile.is_null:
-            profile = None
-
     return StudyConfig(
         seed=int(settings.get("seed", 0)),
         n_days=int(settings.get("n_days", 30)),
@@ -431,7 +422,7 @@ def resolve_config(settings: Mapping[str, Any]) -> StudyConfig:
             if settings.get("demand_mean") is not None
             else None
         ),
-        fault_profile=profile,
+        fault_profile=FaultProfile.resolve(settings.get("fault_profile")),
         accrual_backend=settings.get("accrual_backend", "auto"),
         scheduler_policy=settings.get("scheduler_policy", "backfill"),
         scheduler_wide_threshold=int(settings.get("scheduler_wide_threshold", 64)),

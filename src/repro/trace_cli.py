@@ -22,7 +22,6 @@ import sys
 import time
 
 from repro.tracing import (
-    Tracer,
     analyze_jobs,
     machine_attribution,
     read_jsonl,
@@ -49,9 +48,8 @@ def _add_campaign_args(p: argparse.ArgumentParser) -> None:
 # ----------------------------------------------------------------------
 
 def cmd_record(args: argparse.Namespace) -> int:
-    from repro.core.study import StudyConfig, WorkloadStudy
+    from repro.core.study import StudyConfig, run_study
 
-    tracer = Tracer()
     cfg = StudyConfig(
         seed=args.seed, n_days=args.days, n_nodes=args.nodes, n_users=args.users
     )
@@ -61,7 +59,7 @@ def cmd_record(args: argparse.Namespace) -> int:
         f"(seed {args.seed}) with tracing on...",
         file=sys.stderr,
     )
-    WorkloadStudy(cfg, tracer=tracer).run()
+    tracer = run_study(cfg, tracing=True).tracer
     print(f"Campaign done in {time.time() - t0:.1f}s.", file=sys.stderr)
 
     if not tracer.spans:

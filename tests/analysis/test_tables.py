@@ -3,7 +3,7 @@
 import pytest
 
 from repro.analysis.tables import BUSY_DAY_GFLOPS, busy_days, table1, table2, table3, table4
-from repro.core.study import run_study
+from repro.core.study import StudyConfig, run_study
 
 
 class TestTable1:
@@ -53,7 +53,7 @@ class TestTable2:
         assert avg["Mops"] > avg["Mips"]
 
     def test_raises_without_busy_days(self):
-        tiny = run_study(seed=99, n_days=1, n_nodes=4, n_users=2)
+        tiny = run_study(StudyConfig(seed=99, n_days=1, n_nodes=4, n_users=2))
         with pytest.raises(ValueError):
             table2(tiny)
 

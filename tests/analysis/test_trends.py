@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.analysis.trends import TrendLine, render_trend_report, trend_report
-from repro.core.study import run_study
+from repro.core.study import StudyConfig, run_study
 
 
 class TestTrendLine:
@@ -46,7 +46,7 @@ class TestTrendReport:
             assert abs(by[name].correlation) < 0.75, name
 
     def test_too_few_days_rejected(self):
-        tiny = run_study(seed=2, n_days=1, n_nodes=16, n_users=4)
+        tiny = run_study(StudyConfig(seed=2, n_days=1, n_nodes=16, n_users=4))
         with pytest.raises(ValueError, match="five active days"):
             trend_report(tiny)
 

@@ -10,7 +10,7 @@ import itertools
 
 import pytest
 
-from repro.core.study import StudyDataset, run_study
+from repro.core.study import StudyConfig, StudyDataset, run_study
 
 
 def pytest_addoption(parser: pytest.Parser) -> None:
@@ -47,10 +47,10 @@ def _reset_shared_singletons():
 @pytest.fixture(scope="session")
 def small_dataset() -> StudyDataset:
     """A 10-day, 64-node campaign — fast, but has real jobs and samples."""
-    return run_study(seed=7, n_days=10, n_nodes=64, n_users=20)
+    return run_study(StudyConfig(seed=7, n_days=10, n_nodes=64, n_users=20))
 
 
 @pytest.fixture(scope="session")
 def month_dataset() -> StudyDataset:
     """A 30-day, 144-node campaign — used by calibration-sensitive tests."""
-    return run_study(seed=1, n_days=30, n_nodes=144, n_users=60)
+    return run_study(StudyConfig(seed=1, n_days=30, n_nodes=144, n_users=60))

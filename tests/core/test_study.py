@@ -35,8 +35,8 @@ class TestRun:
         assert (g >= 0).all()
 
     def test_determinism(self):
-        a = run_study(seed=11, n_days=2, n_nodes=16, n_users=5)
-        b = run_study(seed=11, n_days=2, n_nodes=16, n_users=5)
+        cfg = StudyConfig(seed=11, n_days=2, n_nodes=16, n_users=5)
+        a, b = run_study(cfg), run_study(cfg)
         np.testing.assert_allclose(a.daily_gflops(), b.daily_gflops())
         assert len(a.accounting) == len(b.accounting)
 

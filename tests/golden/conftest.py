@@ -16,7 +16,7 @@ import pathlib
 
 import pytest
 
-from repro.core.study import StudyDataset, run_study
+from repro.core.study import StudyConfig, StudyDataset, run_study
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "data"
 
@@ -52,4 +52,4 @@ def golden(request: pytest.FixtureRequest) -> GoldenChecker:
 def default_month() -> StudyDataset:
     """A 30-day campaign at the paper's scale and the *default* seed —
     the configuration whose numbers the golden files pin."""
-    return run_study(seed=0, n_days=30, n_nodes=144, n_users=60)
+    return run_study(StudyConfig(seed=0, n_days=30, n_nodes=144, n_users=60))

@@ -73,3 +73,16 @@ class TestFleet:
         golden.check(
             "fleet_demo2.json", json.dumps(document, indent=2, sort_keys=True) + "\n"
         )
+
+
+class TestRepeat:
+    def test_repeat_json(self, tmp_path, golden):
+        """``sp2-study repeat --days 2 --nodes 16 --users 6 --seeds 0,1,2
+        --json``: pins the config block and every per-seed sample of a
+        fixed-seed repeat."""
+        from repro.stats.cli import repeat_main
+
+        out = tmp_path / "repeat.json"
+        argv = ["--days", "2", "--nodes", "16", "--users", "6", "--seeds", "0,1,2"]
+        assert repeat_main([*argv, "--json", str(out)]) == 0
+        golden.check("repeat_2d_16n.json", out.read_text())

@@ -1,7 +1,7 @@
 """The collector's batched sweep vs. the per-daemon scalar path.
 
 When every daemon's node shares one counter store (the vectorized
-accrual backends), :class:`SystemCollector` collapses its per-node
+accrual backend), :class:`SystemCollector` collapses its per-node
 sampling loop into one ``sync_slots`` sweep.  These are regression tests
 for the one real hazard in that collapse: an *unreachable* node must be
 masked out of the sweep entirely — its counters AND its sync clock must
@@ -59,13 +59,6 @@ class TestBatchedSweepEquivalence:
             batched.collect(t)
         assert_samples_identical(scalar, batched)
         assert len(scalar.intervals()) == 3
-
-    def test_python_store_sweep_identical(self):
-        scalar, batched = make_stacks(backend="python")
-        for t in (0.0, 900.0, 1800.0):
-            scalar.collect(t)
-            batched.collect(t)
-        assert_samples_identical(scalar, batched)
 
 
 class TestUnreachableNodeMasking:
@@ -131,7 +124,7 @@ class TestFastPathGating:
         """Nodes on different stores (or none) must not engage the
         batched sweep."""
         a = Node(0)
-        a.attach_store(make_store(1, "python"), 0)
+        a.attach_store(make_store(1, "numpy"), 0)
         b = Node(1)  # detached
         b.install_rates(0.0, rates_vector(RATES), busy=True)
         a.install_rates(0.0, rates_vector(RATES), busy=True)

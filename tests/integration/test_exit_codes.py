@@ -64,6 +64,16 @@ class TestUsageErrors:
     def test_study_resume_without_checkpoint_dir(self, capsys):
         assert repro.cli.main(["--resume"]) == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["--fault-profile", "bogus"], ["repeat", "--days", "0", "--seeds", "0"]],
+        ids=["study", "repeat"],
+    )
+    def test_study_bad_config_is_one_line_error(self, argv, capsys):
+        assert repro.cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_sweep_bad_spec(self, tmp_path, capsys):
         spec = tmp_path / "s.yaml"
         spec.write_text("name: s\naxes:\n  bogus: [1]\n")

@@ -46,8 +46,8 @@ class TestPagingDetection:
 
 class TestDeterminism:
     def test_same_seed_same_alerts(self):
-        a = run_study(seed=3, n_days=8, n_nodes=64, n_users=20)
-        b = run_study(seed=3, n_days=8, n_nodes=64, n_users=20)
+        cfg = StudyConfig(seed=3, n_days=8, n_nodes=64, n_users=20)
+        a, b = run_study(cfg), run_study(cfg)
         assert a.telemetry.engine.alerts == b.telemetry.engine.alerts
         assert a.telemetry.summary() == b.telemetry.summary()
 

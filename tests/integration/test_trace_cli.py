@@ -102,10 +102,12 @@ class TestAnalysis:
 class TestExitCodes:
     def test_record_zero_spans_exits_1(self, tmp_path, capsys, monkeypatch):
         """A recording that captured nothing must not read as success."""
+        import repro.core.study as study_mod
         import repro.trace_cli as trace_cli
         from repro.tracing.tracer import Tracer
 
-        monkeypatch.setattr(trace_cli, "Tracer", lambda: Tracer(enabled=False))
+        # The campaign's tracer records nothing: every span call is a no-op.
+        monkeypatch.setattr(study_mod, "Tracer", lambda: Tracer(enabled=False))
         out = tmp_path / "trace.jsonl"
         rc = trace_cli.main(["record", "--days", "1", "--out", str(out)])
         assert rc == 1

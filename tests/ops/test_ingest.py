@@ -106,16 +106,10 @@ class TestIngestLifecycle:
         a slot forever."""
         import repro.ops.ingest as ingest_mod
 
-        from repro.telemetry.bus import EventBus
+        def exploding_run_study(config, **kwargs):
+            raise RuntimeError("boom")
 
-        class ExplodingStudy:
-            def __init__(self, *args, **kwargs):
-                self.bus = EventBus()
-
-            def run(self):
-                raise RuntimeError("boom")
-
-        monkeypatch.setattr(ingest_mod, "WorkloadStudy", ExplodingStudy)
+        monkeypatch.setattr(ingest_mod, "run_study", exploding_run_study)
         hub = CampaignHub()
         with pytest.raises(RuntimeError, match="boom"):
             asyncio.run(ingest_study(hub, "doomed", tiny_config()))

@@ -19,6 +19,11 @@ from repro.parallel.worker import ShardResult
 
 CONFIG = StudyConfig(seed=3, n_days=4, n_nodes=16, n_users=6)
 
+#: ``config_fingerprint`` of the pathological 4-shard campaign pinned
+#: below.  It moves only when ``StudyConfig``'s repr or the checkpoint
+#: format version does.
+PINNED_FINGERPRINT = "50a9e7b6fe5195437a78e4cac4b328c112ebacdd8a7fba61b8d169aacc505873"
+
 
 def tiny_result(index: int = 0) -> ShardResult:
     return ShardResult(
@@ -53,6 +58,15 @@ class TestFingerprint:
             ),
         ):
             assert config_fingerprint(other, 4) != base
+
+    def test_fingerprint_is_pinned(self):
+        """Checkpoints are keyed by a hash of ``StudyConfig``'s repr: a
+        changed field, order or default would silently invalidate every
+        checkpoint a resumable campaign left behind."""
+        faulted = StudyConfig(
+            seed=7, n_days=4, n_nodes=32, n_users=8, fault_profile=PROFILES["pathological"]
+        )
+        assert config_fingerprint(faulted, 4) == PINNED_FINGERPRINT
 
 
 class TestRoundTrip:

@@ -82,9 +82,7 @@ def test_parallel_matches_serial(serial, workers):
 def test_single_shard_plan_is_byte_identical_to_serial_path():
     """``shard_days >= n_days`` degenerates to the exact serial study:
     same trace streams, same samples, same reports."""
-    legacy = run_study(
-        CONFIG.seed, n_days=CONFIG.n_days, n_nodes=CONFIG.n_nodes, n_users=CONFIG.n_users
-    )
+    legacy = run_study(CONFIG)
     sharded = run_parallel_study(CONFIG, workers=2, shard_days=CONFIG.n_days)
 
     _assert_same_samples(legacy, sharded)

@@ -1,12 +1,12 @@
 """Differential equivalence: scalar vs. batched counter accrual.
 
-The vectorized backends (:mod:`repro.power2.batch`) promise *bitwise*
+The vectorized backend (:mod:`repro.power2.batch`) promises *bitwise*
 identical accumulators to the legacy per-node path — goldens and the
 parallel runner's byte-for-byte merge invariants depend on it.  These
-property tests drive all three implementations (detached scalar
-:class:`Node`, numpy store, pure-python store) through identical random
-schedules of rate installs, syncs, crashes/repairs, direct accruals and
-phase work, and demand exact float equality at every step.
+property tests drive both implementations (detached scalar
+:class:`Node`, store-attached node) through identical random schedules
+of rate installs, syncs, crashes/repairs, direct accruals and phase
+work, and demand exact float equality at every step.
 """
 
 import numpy as np
@@ -16,9 +16,7 @@ from hypothesis import strategies as st
 
 from repro.power2.batch import (
     BACKEND_CHOICES,
-    HAVE_NUMPY,
-    NumpyCounterStore,
-    PythonCounterStore,
+    CounterStore,
     make_store,
     resolve_backend,
 )
@@ -33,24 +31,25 @@ from repro.workload.kernels import (
     kernel,
 )
 
+#: Resolved backends that keep counters in a store (parametrizes the
+#: store-semantics tests).
+STORE_BACKENDS = ["numpy"]
+
 # ---------------------------------------------------------------------------
-# Harness: one scalar node + one node attached to each store flavour
+# Harness: one scalar node + one store-attached node
 # ---------------------------------------------------------------------------
 
 
-def make_trio(n_nodes=1):
-    """(scalar nodes, numpy-attached nodes, python-attached nodes)."""
+def make_pair(n_nodes=1):
+    """(scalar nodes, store-attached nodes)."""
     scalar = [Node(i) for i in range(n_nodes)]
-    np_store = NumpyCounterStore(n_nodes)
-    py_store = PythonCounterStore(n_nodes)
-    np_nodes, py_nodes = [], []
+    store = CounterStore(n_nodes)
+    attached = []
     for i in range(n_nodes):
-        a, b = Node(i), Node(i)
-        a.attach_store(np_store, i)
-        b.attach_store(py_store, i)
-        np_nodes.append(a)
-        py_nodes.append(b)
-    return scalar, np_nodes, py_nodes
+        node = Node(i)
+        node.attach_store(store, i)
+        attached.append(node)
+    return scalar, attached
 
 
 def assert_bitwise_equal(reference: Node, *others: Node):
@@ -116,13 +115,13 @@ class TestScheduleEquivalence:
     @settings(max_examples=120, deadline=None)
     def test_random_schedules_bitwise_identical(self, schedule):
         """Any interleaving of installs/syncs/crashes accrues identically."""
-        (scalar,), (np_node,), (py_node,) = make_trio(1)
+        (scalar,), (attached,) = make_pair(1)
         now = 0.0
         for dt, action, user, system, busy in schedule:
             now += dt
-            for node in (scalar, np_node, py_node):
+            for node in (scalar, attached):
                 apply_step(node, now, action, user, system, busy)
-            assert_bitwise_equal(scalar, np_node, py_node)
+            assert_bitwise_equal(scalar, attached)
 
     @given(bank_rates, st.lists(deltas, min_size=1, max_size=8))
     @settings(max_examples=100, deadline=None)
@@ -135,16 +134,16 @@ class TestScheduleEquivalence:
         them late; see test_masked_multi_node_sweeps and the collector
         regression tests in tests/hpm.)
         """
-        (scalar,), (np_node,), (py_node,) = make_trio(1)
+        (scalar,), (attached,) = make_pair(1)
         vec = np.asarray(rates)
         now = 0.0
-        for node in (scalar, np_node, py_node):
+        for node in (scalar, attached):
             node.install_rates(0.0, vec, busy=True)
         for dt in dts:
             now += dt
-            for node in (scalar, np_node, py_node):
+            for node in (scalar, attached):
                 node.sync(now)
-            assert_bitwise_equal(scalar, np_node, py_node)
+            assert_bitwise_equal(scalar, attached)
 
     @given(
         st.lists(bank_rates, min_size=2, max_size=4),
@@ -159,12 +158,11 @@ class TestScheduleEquivalence:
         """store.sync_slots over a random availability mask == per-node
         scalar syncs of exactly the available nodes (fault schedules)."""
         n = len(per_node_rates)
-        scalar, np_nodes, py_nodes = make_trio(n)
-        np_store = np_nodes[0]._store
-        py_store = py_nodes[0]._store
+        scalar, attached = make_pair(n)
+        store = attached[0]._store
         for i, rates in enumerate(per_node_rates):
             vec = np.asarray(rates)
-            for group in (scalar, np_nodes, py_nodes):
+            for group in (scalar, attached):
                 group[i].install_rates(0.0, vec, busy=True)
         now = 0.0
         for dt, mask in passes:
@@ -172,16 +170,13 @@ class TestScheduleEquivalence:
             up = [i for i in range(n) if mask[i % len(mask)]]
             for i in up:
                 scalar[i].sync(now)
-            np_store.sync_slots(up, now)
-            py_store.sync_slots(up, now)
-            matrix_np = np_store.snapshot_matrix(up)
-            matrix_py = py_store.snapshot_matrix(up)
+            store.sync_slots(up, now)
+            matrix = store.snapshot_matrix(up)
             for row, i in enumerate(up):
                 ref = scalar[i].monitor.snapshot_vector()
-                assert np.array_equal(ref, matrix_np[row])
-                assert np.array_equal(ref, np.asarray(matrix_py[row]))
+                assert np.array_equal(ref, matrix[row])
             for i in range(n):
-                assert_bitwise_equal(scalar[i], np_nodes[i], py_nodes[i])
+                assert_bitwise_equal(scalar[i], attached[i])
 
 
 class TestKernelMemoization:
@@ -216,29 +211,25 @@ class TestKernelMemoization:
 
 class TestBackendSelection:
     def test_resolve_backend_names(self):
-        assert resolve_backend(None) in ("numpy", "python")
+        assert resolve_backend(None) == "numpy"
         assert resolve_backend("scalar") == "scalar"
-        assert resolve_backend("python") == "python"
-        if HAVE_NUMPY:
-            assert resolve_backend("auto") == "numpy"
-            assert resolve_backend("vectorized") == "numpy"
-            assert resolve_backend("numpy") == "numpy"
-        with pytest.raises(ValueError):
-            resolve_backend("cuda")
+        assert resolve_backend("auto") == "numpy"
+        assert resolve_backend("vectorized") == "numpy"
+        for name in ("cuda", "numpy", "python"):
+            with pytest.raises(ValueError):
+                resolve_backend(name)
 
     def test_choices_cover_cli_surface(self):
-        assert set(BACKEND_CHOICES) == {"auto", "scalar", "vectorized", "numpy", "python"}
+        assert set(BACKEND_CHOICES) == {"auto", "scalar", "vectorized"}
 
     def test_make_store_flavours(self):
-        assert isinstance(make_store(4, "python"), PythonCounterStore)
-        if HAVE_NUMPY:
-            assert isinstance(make_store(4, "numpy"), NumpyCounterStore)
+        assert isinstance(make_store(4, "numpy"), CounterStore)
         with pytest.raises(ValueError):
             make_store(4, "scalar")
 
 
 class TestStoreSemantics:
-    @pytest.mark.parametrize("backend", ["numpy", "python"])
+    @pytest.mark.parametrize("backend", STORE_BACKENDS)
     def test_backwards_sync_rejected(self, backend):
         store = make_store(2, backend)
         store.configure_slot(0, [0.0] * BANK_SIZE)
@@ -248,14 +239,14 @@ class TestStoreSemantics:
         with pytest.raises(ValueError):
             store.sync_slots([0], 50.0)
 
-    @pytest.mark.parametrize("backend", ["numpy", "python"])
+    @pytest.mark.parametrize("backend", STORE_BACKENDS)
     def test_negative_accrual_rejected(self, backend):
         store = make_store(1, backend)
         store.configure_slot(0, [0.0] * BANK_SIZE)
         with pytest.raises(ValueError):
             store.add(0, Mode.USER, "fpu0", -1.0)
 
-    @pytest.mark.parametrize("backend", ["numpy", "python"])
+    @pytest.mark.parametrize("backend", STORE_BACKENDS)
     def test_broken_divide_counters_read_zero(self, backend):
         node = Node(0)
         node.attach_store(make_store(1, backend), 0)
@@ -265,7 +256,7 @@ class TestStoreSemantics:
         assert node.monitor.banks[Mode.USER].raw("fpu0_fp_div") == 1e8
         assert node.monitor.banks[Mode.USER].read("fpu0") == 10**8
 
-    @pytest.mark.parametrize("backend", ["numpy", "python"])
+    @pytest.mark.parametrize("backend", STORE_BACKENDS)
     def test_zero_length_interval_is_bitwise_noop(self, backend):
         """Syncing twice at the same instant must not perturb a single
         bit (the batched sweep applies dt=0 unconditionally where the
@@ -285,7 +276,7 @@ class TestStoreSemantics:
         assert after == before
         assert node.wall_seconds == wall
 
-    @pytest.mark.parametrize("backend", ["numpy", "python"])
+    @pytest.mark.parametrize("backend", STORE_BACKENDS)
     def test_hardware_read_wraps_32bit_like_scalar(self, backend):
         """Counter saturation: the physical registers are 32-bit and the
         store's hardware view must wrap exactly like the scalar bank."""
@@ -307,9 +298,9 @@ class TestStoreSemantics:
         node = Node(0)
         node.sync(10.0)
         with pytest.raises(RuntimeError):
-            node.attach_store(make_store(1, "python"), 0)
+            node.attach_store(make_store(1, "numpy"), 0)
 
-    @pytest.mark.parametrize("backend", ["numpy", "python"])
+    @pytest.mark.parametrize("backend", STORE_BACKENDS)
     def test_counter_freeze_across_crash(self, backend):
         """halt/resume freezes counters exactly like the scalar node."""
         scalar = Node(0)

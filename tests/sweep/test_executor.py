@@ -45,8 +45,16 @@ class TestDegeneracy:
         expected = dataset_summary(WorkloadStudy(resolve_config(TINY)).run())
         assert document["summary"] == expected
 
-    def test_workers_do_not_change_the_document(self):
+    def test_workers_do_not_change_the_document(self, monkeypatch):
         spec = make(shard_days=1)
+        plan = plan_sweep(spec)
+        one = execute_cell(plan.cells[0], spec, workers=1)
+        two = execute_cell(plan.cells[0], spec, workers=2)
+        assert one == two
+        # Without shard_days the worker count must not choose a shard
+        # plan either, even for a campaign longer than the default width.
+        monkeypatch.setattr("repro.parallel.plan.DEFAULT_SHARD_DAYS", 1)
+        spec = make(base={**TINY, "n_days": 2})
         plan = plan_sweep(spec)
         one = execute_cell(plan.cells[0], spec, workers=1)
         two = execute_cell(plan.cells[0], spec, workers=2)

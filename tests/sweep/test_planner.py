@@ -14,6 +14,10 @@ from repro.sweep import (
 
 BASE = {"n_days": 2, "n_nodes": 16, "n_users": 6, "seed": 3}
 
+#: The fingerprint of the last cell of ``make()``'s plan.  It moves only
+#: when the resolved config's repr or the cell format version does.
+PINNED_CELL_FINGERPRINT = "0a5262cb42e1eacd60c974476fd23c2378059454e6f28bf110979421f561002a"
+
 
 def make(**kw):
     kw.setdefault("name", "t")
@@ -123,6 +127,14 @@ class TestFingerprints:
         plan = plan_sweep(spec)
         for cell in plan.cells:
             assert cell_fingerprint(cell.config, spec) == cell.fingerprint
+
+    def test_fingerprint_is_pinned(self):
+        """Cached cells are keyed by this hash of the resolved config's
+        repr: a changed ``StudyConfig`` field, order or default orphans
+        every cache on disk and must show up here, not in the field."""
+        cell = plan_sweep(make()).cells[-1]
+        assert cell.name == "tlb_entries=512,fault_profile=pathological"
+        assert cell.fingerprint == PINNED_CELL_FINGERPRINT
 
 
 class TestOnly:
