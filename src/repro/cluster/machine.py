@@ -9,9 +9,11 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from repro.cluster.filesystem import NFSFilesystem
 from repro.cluster.switch import HighPerformanceSwitch
-from repro.power2.batch import make_store, resolve_backend
+from repro.power2.batch import ROW_SIZE, make_store, resolve_backend
 from repro.power2.config import MachineConfig, POWER2_590, SwitchConfig
 from repro.power2.node import Node, PhaseKind, WorkPhase
 
@@ -147,6 +149,29 @@ class SP2Machine:
     # ------------------------------------------------------------------
     def node(self, node_id: int) -> Node:
         return self.nodes[node_id]
+
+    def read_counters(self, node_ids: Sequence[int], now: float) -> np.ndarray:
+        """Sync ``node_ids`` to ``now`` and read their counters.
+
+        Returns an ``(len(node_ids), 44)`` int64 matrix: one row per
+        node, in the order given, columns in
+        :data:`~repro.power2.counters.FLAT_NAMES` order (broken divide
+        counters read 0).  This is the one counter read behind the
+        collector's cron pass and the PBS prologue/epilogue; nodes not
+        listed are neither synced nor read.  On the store backend it is
+        one masked sweep plus one gather, on the scalar backend a
+        per-node loop, with bitwise-identical results.
+        """
+        if self.store is not None:
+            slots = np.asarray(node_ids, dtype=np.intp)  # slot i is node i
+            self.store.sync_slots(slots, now)
+            return self.store.snapshot_matrix(slots)
+        out = np.empty((len(node_ids), ROW_SIZE), dtype=np.int64)
+        for row, nid in zip(out, node_ids):
+            node = self.nodes[nid]
+            node.sync(now)
+            node.monitor.snapshot_vector(row)
+        return out
 
     def iter_nodes(self, ids: Sequence[int] | None = None) -> Iterable[Node]:
         if ids is None:

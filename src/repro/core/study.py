@@ -20,7 +20,6 @@ from repro.faults.events import FaultLog
 from repro.faults.profile import FaultProfile
 from repro.power2.config import MachineConfig, SwitchConfig
 from repro.hpm.collector import SAMPLE_INTERVAL_SECONDS, SystemCollector
-from repro.hpm.daemon import NodeDaemon
 from repro.hpm.derived import DerivedRates, workload_rates
 from repro.pbs.accounting import AccountingLog
 from repro.pbs.scheduler import PBSServer
@@ -128,6 +127,22 @@ class StudyDataset:
     #: Fault-injection record (None = campaign ran without faults).
     faults: FaultLog | None = None
 
+    #: name → (the collector interval list it was derived from, value).
+    #: A plain class attribute, not a field (see :meth:`_derived`).
+    _derived_cache = None
+
+    def _derived(self, name: str, build: Callable[[list], object]):
+        """``build(intervals)``, computed once per collector interval
+        list: the collector builds a new list only when it takes another
+        sample, so a different list object means recompute."""
+        ivs = self.collector.intervals()
+        if self._derived_cache is None:
+            self._derived_cache = {}
+        hit = self._derived_cache.get(name)
+        if hit is None or hit[0] is not ivs:
+            hit = self._derived_cache[name] = (ivs, build(ivs))
+        return hit[1]
+
     # ------------------------------------------------------------------
     # Day-level series (the paper's Figure 1 axes)
     # ------------------------------------------------------------------
@@ -139,9 +154,12 @@ class StudyDataset:
         fault injection) don't shift later days; a gap-spanning interval
         simply contributes its counts to the day it started in.
         """
+        return list(self._derived("daily_rates", self._daily_rates))
+
+    def _daily_rates(self, ivs: list) -> list[DerivedRates]:
         out: list[DerivedRates] = []
         grouped: dict[int, list] = {}
-        for iv in self.collector.intervals():
+        for iv in ivs:
             grouped.setdefault(int(iv.start // SECONDS_PER_DAY), []).append(iv)
         for d in range(self.config.n_days):
             chunk = grouped.get(d)
@@ -161,7 +179,10 @@ class StudyDataset:
     def interval_gflops(self) -> tuple[np.ndarray, np.ndarray]:
         """(interval end times, system Gflops) at the 15-minute cadence —
         the series behind the paper's 5.7 Gflops 15-minute maximum."""
-        ivs = self.collector.intervals()
+        times, gflops = self._derived("interval_gflops", self._interval_gflops)
+        return times.copy(), gflops.copy()
+
+    def _interval_gflops(self, ivs: list) -> tuple[np.ndarray, np.ndarray]:
         times = np.array([iv.end for iv in ivs])
         rates = np.empty(len(ivs))
         for i, iv in enumerate(ivs):
@@ -253,13 +274,13 @@ class WorkloadStudy:
         )
         self.machine.switch.tracer = tracer
         self.machine.filesystem.tracer = tracer
-        self.daemons = [NodeDaemon.for_node(n) for n in self.machine.nodes]
         self.collector = SystemCollector(
-            self.daemons,
+            self.machine,
             interval=self.config.sample_interval,
             bus=self.bus,
             tracer=tracer,
         )
+        self.daemons = self.collector.daemons
         self._utilization_probes: list[tuple[float, int]] = []
 
     def _probe_utilization(self, sim: Simulator) -> None:
@@ -327,6 +348,9 @@ class WorkloadStudy:
         # Final sync so trailing partial intervals are consistent.
         for node in self.machine.nodes:
             node.sync(trace.horizon_seconds)
+        # The campaign is over: events past the horizon never fire, and
+        # dropping them lets the dataset's memory go with the dataset.
+        self.sim.clear()
 
         return StudyDataset(
             config=cfg,

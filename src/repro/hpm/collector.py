@@ -10,28 +10,37 @@ behind Figure 1 and the 5.7 Gflops 15-minute maximum.
 Storage is an ``(n_nodes, 44)`` int64 matrix per sample (user bank then
 system bank, see :data:`repro.power2.counters.FLAT_NAMES`); a 270-day
 campaign takes ~26k samples × 144 nodes, so the per-sample path must be
-vectorized (profiled: the dict-based path was 30× slower).
+vectorized (profiled: the dict-based path was 30× slower).  A pass is
+one :meth:`~repro.cluster.machine.SP2Machine.read_counters` call over
+the nodes whose daemon answers — the same read the PBS prologue and
+epilogue make, on either accrual backend.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.hpm.daemon import DaemonUnavailable, NodeDaemon
+from repro.hpm.daemon import NodeDaemon
 from repro.power2.counters import FLAT_NAMES
 from repro.sim.engine import Simulator
 from repro.sim.periodic import PeriodicTask
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.cluster.machine import SP2Machine
     from repro.telemetry.bus import EventBus
     from repro.tracing.tracer import Tracer
 
 #: The paper's sampling cadence.
 SAMPLE_INTERVAL_SECONDS = 15 * 60.0
+
+#: ``all(map(_answers, daemons))`` checks every daemon without running
+#: Python bytecode per daemon (the common pass: everyone answers).
+_answers = attrgetter("available")
 
 
 @dataclass(frozen=True)
@@ -162,20 +171,26 @@ class SampleSeries:
 
 
 class SystemCollector(SampleSeries):
-    """Collects and stores system-wide samples on the simulation clock."""
+    """Collects and stores system-wide samples on the simulation clock.
+
+    One :class:`~repro.hpm.daemon.NodeDaemon` per machine node decides
+    which nodes a pass reaches (:attr:`daemons`, in node order); the
+    counters themselves come from one machine-level read.
+    """
 
     def __init__(
         self,
-        daemons: list[NodeDaemon],
+        machine: "SP2Machine",
         *,
         interval: float = SAMPLE_INTERVAL_SECONDS,
         bus: "EventBus | None" = None,
         tracer: "Tracer | None" = None,
     ) -> None:
-        if not daemons:
-            raise ValueError("collector needs at least one node daemon")
         super().__init__(cadence=interval)
-        self.daemons = daemons
+        self.machine = machine
+        self.daemons = [NodeDaemon.for_node(n) for n in machine.nodes]
+        #: Every node, for the common pass where all daemons answer.
+        self._all_ids = tuple(d.node_id for d in self.daemons)
         self.interval = interval
         self.bus = bus
         #: Span tracer; each cron pass becomes one span on the machine
@@ -189,18 +204,6 @@ class SystemCollector(SampleSeries):
         #: (no sample stored) — the §3 pipeline's missing data files.
         self._drop_next = False
         self.passes_dropped = 0
-        # Batched fast path: when every daemon's node shares one counter
-        # store (vectorized accrual backends), a cron pass is a single
-        # masked sweep over the store instead of a per-daemon loop.
-        self._store = None
-        self._slots: list[int] = []
-        nodes = [d.interface.node for d in daemons]
-        store = getattr(nodes[0], "_store", None)
-        if store is not None and all(
-            getattr(n, "_store", None) is store for n in nodes
-        ):
-            self._store = store
-            self._slots = [n._slot for n in nodes]
 
     def attach(self, sim: Simulator) -> PeriodicTask:
         """Arm the cron job; also takes the t=0 baseline sample."""
@@ -240,56 +243,30 @@ class SystemCollector(SampleSeries):
         return sample
 
     def _collect(self, now: float) -> SystemSample:
-        if self._store is not None:
-            ids, missing, matrix = self._collect_batched(now)
+        """Read every node whose daemon answers.
+
+        An unreachable node is left out of the read entirely — neither
+        synced nor read — as a cron script that cannot contact its
+        daemon never touches it.  That is load-bearing for the store
+        backend: advancing a down node's clock in two steps instead of
+        one would change its accumulators bitwise.
+        """
+        if all(map(_answers, self.daemons)):
+            ids: tuple[int, ...] = self._all_ids
+            missing: tuple[int, ...] = ()
         else:
-            ids, missing, matrix = self._collect_scalar(now)
+            ids = tuple(d.node_id for d in self.daemons if d.available)
+            missing = tuple(d.node_id for d in self.daemons if not d.available)
         sample = SystemSample(
-            time=now, node_ids=tuple(ids), matrix=matrix, missing=tuple(missing)
+            time=now,
+            node_ids=ids,
+            matrix=self.machine.read_counters(ids, now),
+            missing=missing,
         )
         self.samples.append(sample)
         self._intervals_cache = None
         self._publish(sample)
         return sample
-
-    def _collect_scalar(self, now: float):
-        """Per-daemon polling loop (legacy scalar accrual backend)."""
-        matrix = np.empty((len(self.daemons), len(FLAT_NAMES)), dtype=np.int64)
-        ids: list[int] = []
-        missing: list[int] = []
-        row = 0
-        for daemon in self.daemons:
-            try:
-                daemon.request_vector(now, out=matrix[row])
-            except DaemonUnavailable:
-                missing.append(daemon.node_id)
-                continue
-            ids.append(daemon.node_id)
-            row += 1
-        matrix = matrix[:row].copy() if row < len(self.daemons) else matrix
-        return ids, missing, matrix
-
-    def _collect_batched(self, now: float):
-        """One masked sweep over the shared counter store.
-
-        Unreachable nodes are masked *out of the sweep entirely* — the
-        scalar path never syncs a node whose daemon is down, and a down
-        node's clock advancing in two pieces instead of one would change
-        its accumulators bitwise.  Gap flagging (``missing``) follows the
-        same daemon order as the scalar loop.
-        """
-        ids: list[int] = []
-        missing: list[int] = []
-        slots: list[int] = []
-        for daemon, slot in zip(self.daemons, self._slots):
-            if daemon.available:
-                ids.append(daemon.node_id)
-                slots.append(slot)
-            else:
-                missing.append(daemon.node_id)
-        self._store.sync_slots(slots, now)
-        matrix = self._store.snapshot_matrix(slots)
-        return ids, missing, matrix
 
     def _publish(self, sample: SystemSample) -> None:
         """Feed the streaming side: the sample itself, plus node

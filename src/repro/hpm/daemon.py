@@ -46,18 +46,6 @@ class NodeDaemon:
             raise DaemonUnavailable(f"node {self.node_id} is not responding")
         return self.interface.read(now)
 
-    def request_vector(self, now: float, out=None):
-        """Vectorized snapshot: both banks in FLAT_NAMES order (int64).
-
-        Same data as :meth:`request_snapshot`, minus the dict packing —
-        the collector's per-node fast path.  ``out`` writes in place.
-        """
-        if not self.available:
-            raise DaemonUnavailable(f"node {self.node_id} is not responding")
-        node = self.interface.node
-        node.sync(now)
-        return node.monitor.snapshot_vector(out)
-
     def mark_down(self) -> None:
         self.available = False
 

@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Mapping, Protocol, runtime_checkable
 
 import numpy as np
+
+from repro.power2.counters import FLAT_NAMES
 
 
 @runtime_checkable
@@ -77,7 +80,9 @@ class JobRecord:
 
     ``counter_deltas`` holds the per-node prologue→epilogue counter
     differences, flat-labelled (``user.fxu0`` …) exactly as the RS2HPM
-    prologue/epilogue scripts wrote them (§3).
+    prologue/epilogue scripts wrote them (§3).  They are summed over the
+    job's nodes once (:meth:`summed_deltas`), and every per-job figure
+    reads that one reduction.
     """
 
     job_id: int
@@ -89,6 +94,35 @@ class JobRecord:
     start_time: float
     end_time: float
     counter_deltas: dict[int, dict[str, int]] = field(default_factory=dict)
+
+    #: ``(counter_deltas, read-only totals)`` once reduced.  A plain
+    #: class attribute, not a field: never compared, printed or pickled.
+    _reduced = None
+
+    @classmethod
+    def from_delta_matrix(cls, deltas: np.ndarray, /, **fields) -> "JobRecord":
+        """The epilogue's record: row ``i`` of the ``(n, 44)`` int64
+        ``deltas`` matrix is node ``fields["node_ids"][i]``'s counter
+        deltas, in :data:`~repro.power2.counters.FLAT_NAMES` order.
+
+        Each node's delta dict gets the keys, order and ints
+        :func:`~repro.power2.counters.snapshot_delta` gives, and the
+        per-job totals come from the matrix's column sums.
+        """
+        rows = deltas.tolist()
+        per_node = {
+            nid: dict(zip(FLAT_NAMES, row)) for nid, row in zip(fields["node_ids"], rows)
+        }
+        record = cls(counter_deltas=per_node, **fields)
+        totals = dict(zip(FLAT_NAMES, deltas.sum(axis=0).tolist()))
+        record._reduced = (per_node, MappingProxyType(totals))
+        return record
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__
+        if "_reduced" in state:
+            state = {k: v for k, v in state.items() if k != "_reduced"}
+        return state
 
     @property
     def walltime_seconds(self) -> float:
@@ -102,13 +136,22 @@ class JobRecord:
     def node_seconds(self) -> float:
         return self.walltime_seconds * len(self.node_ids)
 
-    def summed_deltas(self) -> dict[str, int]:
-        """Counter deltas summed over the job's nodes."""
-        total: dict[str, int] = {}
-        for per_node in self.counter_deltas.values():
-            for name, v in per_node.items():
-                total[name] = total.get(name, 0) + v
-        return total
+    def summed_deltas(self) -> Mapping[str, int]:
+        """Counter deltas summed over the job's nodes (read-only).
+
+        Reduced once per record: seeded by the epilogue, or summed on
+        first use for records built any other way (parsed reports, shard
+        merges, hand-built rows) and again only if ``counter_deltas`` is
+        replaced.
+        """
+        reduced = self._reduced
+        if reduced is None or reduced[0] is not self.counter_deltas:
+            total: dict[str, int] = {}
+            for per_node in self.counter_deltas.values():
+                for name, v in per_node.items():
+                    total[name] = total.get(name, 0) + v
+            reduced = self._reduced = (self.counter_deltas, MappingProxyType(total))
+        return reduced[1]
 
     @staticmethod
     def flops_from_deltas(deltas: Mapping[str, int]) -> float:

@@ -6,9 +6,9 @@ Drives jobs through the machine on the simulation clock:
 * the scheduler starts every startable job (FIFO + backfill, draining
   for wide jobs — policy in :class:`~repro.pbs.queue.JobQueue`);
 * job start = allocate dedicated nodes, pin memory, run the *prologue*
-  (per-node counter snapshot, §3), install the job's steady counter
-  rates on its nodes, schedule the end event;
-* job end = sync and snapshot again (*epilogue*), diff the snapshots,
+  (one counter read over the job's nodes, §3), install the job's steady
+  counter rates on its nodes, schedule the end event;
+* job end = read the same nodes again (*epilogue*), diff the two reads,
   release nodes and memory, append the accounting record, reschedule.
 
 Paging is applied here, not in the profile: the job's per-node memory
@@ -30,7 +30,7 @@ from repro.pbs.accounting import AccountingLog
 from repro.pbs.job import ExecutionProfile, JobRecord, JobSpec, JobState
 from repro.pbs.queue import JobQueue
 from repro.power2.config import MachineConfig
-from repro.power2.counters import rates_vector, snapshot_delta
+from repro.power2.counters import FLAT_NAMES, rates_vector
 from repro.power2.node import (
     DMA_TRANSFER_BYTES,
     PAGING_CPU_BUSY_FRACTION,
@@ -119,8 +119,9 @@ class RunningJob:
     alloc_id: int
     node_ids: tuple[int, ...]
     start_time: float
-    #: Per-node prologue counter snapshots (§3).
-    prologue: dict[int, dict[str, int]]
+    #: Prologue counter read (§3): ``(len(node_ids), 44)`` int64, one
+    #: row per node in ``node_ids`` order.
+    prologue: np.ndarray
     #: The scheduled epilogue event — cancelled if the job is killed.
     end_event: "object | None" = None
     #: Effective per-node memory demand (profile demand × any storm
@@ -263,12 +264,10 @@ class PBSServer:
                 flops_per_s /= slow
                 walltime *= slow
 
-        # Prologue: snapshot counters on each allocated node (§3).
-        prologue: dict[int, dict[str, int]] = {}
+        # Prologue: read the allocated nodes' counters (§3).
+        prologue = self.machine.read_counters(node_ids, now)
         for nid in node_ids:
             node = self.machine.node(nid)
-            node.sync(now)
-            prologue[nid] = node.snapshot()
             node.assign_memory(demand)
             node.install_rates(now, user, system, busy=True, flops_per_s=flops_per_s)
 
@@ -320,17 +319,23 @@ class PBSServer:
         start_time, prologue = rj.start_time, rj.prologue
         job.state = JobState.EXITED
 
-        # Epilogue: sync, snapshot, diff against the prologue (§3).
-        deltas: dict[int, dict[str, int]] = {}
+        # Epilogue: read the same nodes again, diff against the prologue (§3).
+        epilogue = self.machine.read_counters(node_ids, now)
+        deltas = epilogue - prologue
+        if (deltas < 0).any():
+            row, col = np.argwhere(deltas < 0)[0]
+            raise ValueError(
+                f"job {job_id}: node {node_ids[row]} counter {FLAT_NAMES[col]} "
+                f"went backwards ({prologue[row, col]} -> {epilogue[row, col]})"
+            )
         for nid in node_ids:
             node = self.machine.node(nid)
-            node.sync(now)
-            deltas[nid] = snapshot_delta(prologue[nid], node.snapshot())
             node.release_memory(rj.memory_per_node)
             node.install_rates(now)  # back to idle background
 
         self.machine.release(alloc_id)
-        record = JobRecord(
+        record = JobRecord.from_delta_matrix(
+            deltas,
             job_id=job.job_id,
             user=job.user,
             app_name=job.app_name,
@@ -339,7 +344,6 @@ class PBSServer:
             submit_time=job.submit_time,
             start_time=start_time,
             end_time=now,
-            counter_deltas=deltas,
         )
         self.accounting.append(record)
         if job_id in self._job_spans:

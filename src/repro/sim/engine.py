@@ -121,6 +121,21 @@ class Simulator:
 
         return PeriodicTask(self, period, handler, start=start, name=name)
 
+    def clear(self) -> None:
+        """Drop every pending event, cancelled and without its handler.
+
+        Handlers close over the layers that scheduled them, and those
+        layers hold the simulator, so a finished run's queue would keep
+        the whole campaign in reference cycles until a full garbage
+        collection.  Cleared, it is released as soon as its last outside
+        reference goes — callers that still hold an event (a periodic
+        task, a running job) keep only the inert event.
+        """
+        for ev in self._queue:
+            ev.cancelled = True
+            ev.handler = None
+        self._queue.clear()
+
     def peek(self) -> Optional[float]:
         """Time of the next live event, or ``None`` if the queue is empty."""
         while self._queue and self._queue[0].cancelled:

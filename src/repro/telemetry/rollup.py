@@ -32,9 +32,9 @@ class ActiveJob:
 class JobRollup:
     """One finished job's frozen operator-facing figures.
 
-    The derived numbers are computed once at finalization (the record
-    properties walk every node's delta dict) and cached here; ``record``
-    keeps the full accounting row for drill-down.
+    The derived numbers are read once at finalization from the record's
+    per-job totals (summed once, at the epilogue) and frozen here;
+    ``record`` keeps the full accounting row for drill-down.
     """
 
     record: JobRecord

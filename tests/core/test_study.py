@@ -85,3 +85,38 @@ class TestConsistency:
         u = small_dataset.daily_utilization()
         # Performance requires utilization: the top-G day cannot be idle.
         assert u[int(np.argmax(g))] > 0.2
+
+
+class TestDerivedSeriesCache:
+    def test_series_derived_once_per_interval_list(self, monkeypatch):
+        """daily_rates/interval_gflops are derived once per collector
+        interval list, and a dataset whose collector takes another
+        sample derives them again."""
+        import repro.core.study as study_mod
+
+        calls = []
+        real = study_mod.workload_rates
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(study_mod, "workload_rates", counting)
+        ds = run_study(StudyConfig(seed=3, n_days=2, n_nodes=16, n_users=4))
+        first_daily, first_times = ds.daily_rates(), ds.interval_gflops()[0]
+        derived = len(calls)
+        assert derived == len(first_daily) + len(first_times)
+        for _ in range(3):
+            assert ds.daily_rates() == first_daily
+            np.testing.assert_array_equal(ds.interval_gflops()[0], first_times)
+        assert len(calls) == derived
+        # Callers get their own copies: mutating one changes no other read.
+        ds.daily_rates().clear()
+        ds.interval_gflops()[1][:] = -1.0
+        assert ds.daily_rates() == first_daily
+        assert (ds.interval_gflops()[1] >= 0).all()
+
+        ds.collector.collect(ds.collector.samples[-1].time + ds.config.sample_interval)
+        times, _ = ds.interval_gflops()
+        assert len(times) == len(first_times) + 1
+        assert len(calls) > derived

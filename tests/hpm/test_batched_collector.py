@@ -1,22 +1,20 @@
-"""The collector's batched sweep vs. the per-daemon scalar path.
+"""The collector's read on the store backend vs. the scalar backend.
 
-When every daemon's node shares one counter store (the vectorized
-accrual backend), :class:`SystemCollector` collapses its per-node
-sampling loop into one ``sync_slots`` sweep.  These are regression tests
-for the one real hazard in that collapse: an *unreachable* node must be
-masked out of the sweep entirely — its counters AND its sync clock must
-not advance — because a scalar collector never touches a down node, and
-float accrual does not distribute over a late catch-up sync
-(``rate*dt1 + rate*dt2 != rate*(dt1+dt2)`` bitwise).
+A cron pass is one :meth:`~repro.cluster.machine.SP2Machine.read_counters`
+call: on a vectorized machine that is a single ``sync_slots`` sweep over
+the shared counter store, on a scalar machine a per-node loop.  These
+are regression tests for the one real hazard in the sweep: an
+*unreachable* node must be masked out of it entirely — its counters AND
+its sync clock must not advance — because a scalar collector never
+touches a down node, and float accrual does not distribute over a late
+catch-up sync (``rate*dt1 + rate*dt2 != rate*(dt1+dt2)`` bitwise).
 """
 
 import numpy as np
 
+from repro.cluster.machine import SP2Machine
 from repro.hpm.collector import SystemCollector
-from repro.hpm.daemon import NodeDaemon
-from repro.power2.batch import make_store
 from repro.power2.counters import rates_vector
-from repro.power2.node import Node
 
 # Rates chosen so rate*dt accumulates rounding: per-interval syncs and a
 # single catch-up sync differ in the low mantissa bits, which is exactly
@@ -24,21 +22,17 @@ from repro.power2.node import Node
 RATES = {"fpu0_fp_add": 1.1e6 / 3.0, "fpu0": 0.7e6 / 3.0, "cycles": 6.65e7 / 3.0}
 
 
-def make_stacks(n=4, backend="numpy"):
+def make_stacks(n=4):
     """Parallel scalar and store-backed collector stacks over n nodes."""
-    scalar_nodes = [Node(i) for i in range(n)]
-    store = make_store(n, backend)
-    batched_nodes = []
-    for i in range(n):
-        node = Node(i)
-        node.attach_store(store, i)
-        batched_nodes.append(node)
-    for node in scalar_nodes + batched_nodes:
-        node.install_rates(0.0, rates_vector(RATES), busy=True)
-    scalar_col = SystemCollector([NodeDaemon.for_node(n) for n in scalar_nodes])
-    batched_col = SystemCollector([NodeDaemon.for_node(n) for n in batched_nodes])
-    assert batched_col._store is store  # the fast path actually engaged
-    assert scalar_col._store is None
+    cols = []
+    for backend in ("scalar", "vectorized"):
+        machine = SP2Machine(n, accrual_backend=backend)
+        for node in machine.nodes:
+            node.install_rates(0.0, rates_vector(RATES), busy=True)
+        cols.append(SystemCollector(machine))
+    scalar_col, batched_col = cols
+    assert batched_col.machine.store is not None  # the sweep actually engaged
+    assert scalar_col.machine.store is None
     return scalar_col, batched_col
 
 
@@ -66,7 +60,7 @@ class TestUnreachableNodeMasking:
         """The regression: a down node must be excluded from the batched
         sweep, not synced and discarded."""
         _, batched = make_stacks(n=2)
-        store = batched._store
+        store = batched.machine.store
         batched.collect(0.0)
         batched.daemons[1].mark_down()
         batched.collect(900.0)
@@ -120,16 +114,20 @@ class TestUnreachableNodeMasking:
 
 
 class TestFastPathGating:
-    def test_mixed_stores_fall_back_to_scalar_path(self):
-        """Nodes on different stores (or none) must not engage the
-        batched sweep."""
-        a = Node(0)
-        a.attach_store(make_store(1, "numpy"), 0)
-        b = Node(1)  # detached
-        b.install_rates(0.0, rates_vector(RATES), busy=True)
-        a.install_rates(0.0, rates_vector(RATES), busy=True)
-        col = SystemCollector([NodeDaemon.for_node(a), NodeDaemon.for_node(b)])
-        assert col._store is None
-        col.collect(0.0)
-        col.collect(900.0)
-        assert col.samples[1].node_ids == (0, 1)
+    def test_store_pass_is_one_sweep(self, monkeypatch):
+        """On the store backend a pass where every daemon answers is one
+        ``sync_slots`` sweep and no per-node sync."""
+        _, batched = make_stacks(n=3)
+        store = batched.machine.store
+        calls = []
+        for name in ("sync_one", "sync_slots"):
+            original = getattr(store, name)
+
+            def spy(*args, _name=name, _original=original):
+                calls.append(_name)
+                return _original(*args)
+
+            monkeypatch.setattr(store, name, spy)
+        batched.collect(900.0)
+        assert calls == ["sync_slots"]
+        assert batched.samples[0].node_ids == (0, 1, 2)

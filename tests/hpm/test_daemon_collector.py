@@ -3,25 +3,26 @@
 import numpy as np
 import pytest
 
+from repro.cluster.machine import SP2Machine
 from repro.hpm.collector import SAMPLE_INTERVAL_SECONDS, SystemCollector
 from repro.hpm.daemon import DaemonUnavailable, NodeDaemon
-from repro.power2.counters import rates_vector
+from repro.power2.counters import FLAT_NAMES, rates_vector
 from repro.power2.node import Node
 from repro.sim.engine import Simulator
 
 
-def make_nodes(n=4, rate=1e6):
-    nodes = [Node(i) for i in range(n)]
-    for node in nodes:
+def make_machine(n=4, rate=1e6):
+    machine = SP2Machine(n)
+    for node in machine.nodes:
         node.install_rates(
             0.0, rates_vector({"fpu0_fp_add": rate, "cycles": 3e7}), busy=True
         )
-    return nodes
+    return machine
 
 
 class TestDaemon:
     def test_serves_snapshots(self):
-        d = NodeDaemon.for_node(make_nodes(1)[0])
+        d = NodeDaemon.for_node(make_machine(1).nodes[0])
         r = d.request_snapshot(10.0)
         assert r.values["user.fpu0_fp_add"] == pytest.approx(1e7, rel=1e-9)
 
@@ -30,17 +31,17 @@ class TestDaemon:
         d.mark_down()
         with pytest.raises(DaemonUnavailable):
             d.request_snapshot(1.0)
-        with pytest.raises(DaemonUnavailable):
-            d.request_vector(1.0)
         d.mark_up()
         d.request_snapshot(1.0)
 
     def test_vector_matches_dict_snapshot(self):
-        node = make_nodes(1)[0]
-        d = NodeDaemon.for_node(node)
-        vec = d.request_vector(5.0)
+        """The machine's matrix read and the daemon's dict snapshot
+        agree on every counter."""
+        machine = make_machine(1)
+        d = NodeDaemon.for_node(machine.nodes[0])
+        vec = machine.read_counters([0], 5.0)[0]
         snap = d.request_snapshot(5.0).values
-        assert vec[0] == snap["user.fxu0"]
+        assert dict(zip(FLAT_NAMES, vec.tolist())) == snap
 
 
 class TestCollector:
@@ -49,15 +50,13 @@ class TestCollector:
 
     def test_attach_takes_baseline_and_samples(self):
         sim = Simulator()
-        daemons = [NodeDaemon.for_node(n) for n in make_nodes()]
-        col = SystemCollector(daemons)
+        col = SystemCollector(make_machine())
         col.attach(sim)
         sim.run(until=3 * 900.0)
         assert len(col.samples) == 4  # baseline + 3
 
     def test_interval_totals_sum_nodes(self):
-        daemons = [NodeDaemon.for_node(n) for n in make_nodes(n=3, rate=2e6)]
-        col = SystemCollector(daemons)
+        col = SystemCollector(make_machine(n=3, rate=2e6))
         col.collect(0.0)
         col.collect(100.0)
         ivs = col.intervals()
@@ -67,8 +66,8 @@ class TestCollector:
         assert ivs[0].seconds == 100.0
 
     def test_missing_node_skipped_for_interval(self):
-        daemons = [NodeDaemon.for_node(n) for n in make_nodes(n=2)]
-        col = SystemCollector(daemons)
+        col = SystemCollector(make_machine(n=2))
+        daemons = col.daemons
         col.collect(0.0)
         daemons[1].mark_down()
         col.collect(100.0)
@@ -77,8 +76,8 @@ class TestCollector:
         assert ivs[0].n_nodes == 1
 
     def test_node_recovery_rejoins(self):
-        daemons = [NodeDaemon.for_node(n) for n in make_nodes(n=2)]
-        col = SystemCollector(daemons)
+        col = SystemCollector(make_machine(n=2))
+        daemons = col.daemons
         col.collect(0.0)
         daemons[1].mark_down()
         col.collect(100.0)
@@ -87,8 +86,7 @@ class TestCollector:
         assert col.intervals()[1].n_nodes == 1  # down in 'before' sample
 
     def test_interval_matrix(self):
-        daemons = [NodeDaemon.for_node(n) for n in make_nodes(n=2, rate=1e6)]
-        col = SystemCollector(daemons)
+        col = SystemCollector(make_machine(n=2, rate=1e6))
         for t in (0.0, 50.0, 100.0):
             col.collect(t)
         times, counts = col.interval_matrix("user.fpu0_fp_add")
@@ -96,19 +94,19 @@ class TestCollector:
         np.testing.assert_allclose(counts, [1e8, 1e8], rtol=1e-6)
 
     def test_snapshot_for_compatibility_view(self):
-        daemons = [NodeDaemon.for_node(n) for n in make_nodes(n=2)]
-        col = SystemCollector(daemons)
+        col = SystemCollector(make_machine(n=2))
         s = col.collect(10.0)
         snap = s.snapshot_for(1)
         assert snap["user.fpu0_fp_add"] == pytest.approx(1e7, rel=1e-9)
 
     def test_needs_daemons(self):
+        """One daemon per node, and a machine has at least one node."""
+        assert len(SystemCollector(make_machine(n=3)).daemons) == 3
         with pytest.raises(ValueError):
-            SystemCollector([])
+            SystemCollector(SP2Machine(0))
 
     def test_intervals_cache_invalidation(self):
-        daemons = [NodeDaemon.for_node(n) for n in make_nodes(n=1)]
-        col = SystemCollector(daemons)
+        col = SystemCollector(make_machine(n=1))
         col.collect(0.0)
         col.collect(10.0)
         assert len(col.intervals()) == 1

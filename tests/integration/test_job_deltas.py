@@ -1,0 +1,60 @@
+"""Per-job counter deltas and totals, campaign-wide, on every backend.
+
+The epilogue reads a job's nodes once, subtracts the prologue read, and
+seeds the record's totals from the difference matrix's column sums;
+records merged from shards reduce their totals on first use instead.
+Either way every :class:`~repro.pbs.job.JobRecord` must carry the same
+per-node deltas under the ``scalar`` and ``auto`` accrual backends, and
+its :meth:`~repro.pbs.job.JobRecord.summed_deltas` must equal a per-node
+sum computed here from scratch — in the same key order.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from repro.core.study import StudyConfig, run_study
+from repro.faults.profile import PROFILES
+
+SMALL = dict(seed=7, n_days=2, n_nodes=16, n_users=6)
+
+
+def _records(backend: str, fault_profile: str | None, shard_days: int | None):
+    config = StudyConfig(
+        accrual_backend=backend,
+        fault_profile=PROFILES[fault_profile] if fault_profile else None,
+        **SMALL,
+    )
+    return run_study(config, shard_days=shard_days).accounting.records
+
+
+def _summed_from_scratch(record) -> dict[str, int]:
+    total: dict[str, int] = {}
+    for nid in record.node_ids:
+        for name, value in record.counter_deltas[nid].items():
+            total[name] = total.get(name, 0) + value
+    return total
+
+
+@pytest.mark.parametrize("fault_profile", [None, "pathological"])
+@pytest.mark.parametrize("shard_days", [None, 1], ids=["serial", "2-shards"])
+def test_job_deltas_match_across_backends_and_a_fresh_sum(fault_profile, shard_days):
+    scalar = _records("scalar", fault_profile, shard_days)
+    auto = _records("auto", fault_profile, shard_days)
+    assert len(scalar) == len(auto) > 0
+    for a, b in zip(scalar, auto):
+        assert a == b  # every field, counter_deltas included
+        assert set(a.counter_deltas) == set(a.node_ids)
+        expected = _summed_from_scratch(a)
+        for record in (a, b):
+            totals = record.summed_deltas()
+            assert list(totals.items()) == list(expected.items())
+            assert all(type(v) is int for v in totals.values())
+
+
+def test_cached_totals_are_read_only():
+    record = _records("auto", None, None)[0]
+    totals = record.summed_deltas()
+    with pytest.raises(TypeError):
+        totals["user.fxu0"] = 0
+    assert record.summed_deltas() is totals  # reduced once, not re-summed

@@ -6,7 +6,7 @@ import pytest
 from repro.cluster.machine import SP2Machine
 from repro.pbs.scheduler import PBSServer, apply_paging_to_rates
 from repro.power2.config import POWER2_590
-from repro.power2.counters import counter_index, rates_vector
+from repro.power2.counters import Mode, counter_index, rates_vector
 from repro.sim.engine import Simulator
 
 
@@ -23,8 +23,8 @@ class Profile:
         self.mflops_per_node = fpu_rate / 1e6
 
 
-def server(n_nodes=16) -> PBSServer:
-    return PBSServer(Simulator(), SP2Machine(n_nodes))
+def server(n_nodes=16, backend="scalar") -> PBSServer:
+    return PBSServer(Simulator(), SP2Machine(n_nodes, accrual_backend=backend))
 
 
 class TestLifecycle:
@@ -100,6 +100,30 @@ class TestCounterCapture:
         first, second = s.accounting.records
         assert first.counter_deltas[0]["user.fpu0"] == pytest.approx(1e8, rel=1e-6)
         assert second.counter_deltas[0]["user.fpu0"] == pytest.approx(3e8, rel=1e-6)
+
+    @pytest.mark.parametrize("backend", ["scalar", "auto"])
+    def test_counter_rollback_fails_the_epilogue_in_one_line(self, backend):
+        """A counter that went backwards between prologue and epilogue
+        names the job, the node, the counter and both readings."""
+        s = server(n_nodes=2, backend=backend)
+        s.submit(0, "first", 2, Profile(walltime=1000.0))
+        second = s.submit(0, "second", 2, Profile(walltime=1000.0))
+        s.sim.run(until=1400.0)
+        running = s.running[second.job_id]
+        node_id = running.node_ids[1]
+        fxu0 = counter_index("fxu0")  # user.fxu0: the first flat column
+        before = int(running.prologue[1, fxu0])
+        node = s.machine.node(node_id)
+        node.sync(1400.0)
+        node.monitor.banks[Mode.USER].reset()  # CounterStore.reset_bank on auto
+        with pytest.raises(ValueError) as err:
+            s.sim.run()
+        after = int(s.machine.read_counters([node_id], 2000.0)[0, fxu0])
+        assert 0 < after < before
+        assert str(err.value) == (
+            f"job {second.job_id}: node {node_id} counter user.fxu0 "
+            f"went backwards ({before} -> {after})"
+        )
 
     def test_memory_released_after_job(self):
         s = server()

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cluster.machine import SP2Machine
 from repro.power2.batch import (
     BACKEND_CHOICES,
     CounterStore,
@@ -21,7 +22,7 @@ from repro.power2.batch import (
     resolve_backend,
 )
 from repro.power2.config import POWER2_590
-from repro.power2.counters import BANK_SIZE, Mode, rates_vector
+from repro.power2.counters import BANK_SIZE, FLAT_NAMES, Mode, rates_vector
 from repro.power2.node import Node
 from repro.power2.pipeline import CycleModel
 from repro.workload.kernels import (
@@ -177,6 +178,96 @@ class TestScheduleEquivalence:
                 assert np.array_equal(ref, matrix[row])
             for i in range(n):
                 assert_bitwise_equal(scalar[i], attached[i])
+
+
+# One machine-level step: advance time by dt, then act on a random
+# ordered subset of nodes ("read" is SP2Machine.read_counters).
+MACHINE_NODES = 5
+node_subsets = st.lists(
+    st.integers(min_value=0, max_value=MACHINE_NODES - 1), unique=True, max_size=MACHINE_NODES
+)
+machine_steps = st.lists(
+    st.tuples(
+        deltas,
+        st.sampled_from(["read", "sync", "install", "idle", "halt", "resume"]),
+        node_subsets,
+        bank_rates,
+        bank_rates,
+        st.booleans(),
+    ),
+    min_size=1,
+    max_size=14,
+)
+
+
+class TestReadCounters:
+    """``SP2Machine.read_counters`` — the one read behind the collector
+    and the PBS prologue/epilogue — on the scalar and store backends."""
+
+    @given(machine_steps)
+    @settings(max_examples=100, deadline=None)
+    def test_random_schedules_read_identical_matrices(self, schedule):
+        """Any schedule of installs, syncs, crashes/repairs and reads on
+        random node subsets reads bitwise-equal int64 matrices, and
+        leaves equal wall and busy seconds, on both backends."""
+        machines = [
+            SP2Machine(MACHINE_NODES, accrual_backend=b) for b in ("scalar", "vectorized")
+        ]
+        assert machines[0].store is None and machines[1].store is not None
+        now = 0.0
+        for dt, action, subset, user, system, busy in schedule:
+            now += dt
+            reads = []
+            for machine in machines:
+                if action == "read":
+                    reads.append(machine.read_counters(subset, now))
+                else:
+                    for i in subset:
+                        apply_step(machine.nodes[i], now, action, user, system, busy)
+            for matrix in reads:
+                assert matrix.dtype == np.int64
+                assert matrix.shape == (len(subset), len(FLAT_NAMES))
+            if reads:
+                assert reads[0].tobytes() == reads[1].tobytes()
+            for a, b in zip(*(m.nodes for m in machines)):
+                assert a.wall_seconds == b.wall_seconds
+                assert a.busy_seconds == b.busy_seconds
+        everyone = list(range(MACHINE_NODES))
+        final = [m.read_counters(everyone, now) for m in machines]
+        assert final[0].tobytes() == final[1].tobytes()
+        for a, b in zip(*(m.nodes for m in machines)):
+            assert_bitwise_equal(a, b)
+
+    @given(machine_steps)
+    @settings(max_examples=40, deadline=None)
+    def test_read_is_sync_then_snapshot(self, schedule):
+        """A read equals syncing each named node and stacking its
+        snapshot vector, and it leaves unnamed nodes untouched."""
+        for backend in ("scalar", "vectorized"):
+            reader, reference = (
+                SP2Machine(MACHINE_NODES, accrual_backend=backend) for _ in range(2)
+            )
+            now = 0.0
+            for dt, action, subset, user, system, busy in schedule:
+                now += dt
+                if action != "read":
+                    for machine in (reader, reference):
+                        for i in subset:
+                            apply_step(machine.nodes[i], now, action, user, system, busy)
+                    continue
+                matrix = reader.read_counters(subset, now)
+                expected = np.zeros((len(subset), len(FLAT_NAMES)), dtype=np.int64)
+                for row, i in enumerate(subset):
+                    reference.nodes[i].sync(now)
+                    expected[row] = reference.nodes[i].monitor.snapshot_vector()
+                assert matrix.tobytes() == expected.tobytes()
+                for a, b in zip(reader.nodes, reference.nodes):
+                    assert_bitwise_equal(a, b)
+
+    def test_empty_read(self):
+        for backend in ("scalar", "vectorized"):
+            matrix = SP2Machine(3, accrual_backend=backend).read_counters([], 10.0)
+            assert matrix.shape == (0, len(FLAT_NAMES)) and matrix.dtype == np.int64
 
 
 class TestKernelMemoization:

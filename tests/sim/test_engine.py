@@ -116,6 +116,44 @@ class TestRun:
         assert sim.now == 0.0
 
 
+class TestClear:
+    def test_clear_drops_pending_events(self):
+        sim = Simulator()
+        fired = []
+        held = sim.schedule(5.0, lambda s: fired.append("late"))
+        sim.schedule(1.0, lambda s: fired.append("early"))
+        sim.run(until=2.0)
+        sim.clear()
+        assert sim.peek() is None
+        assert held.cancelled and held.handler is None
+        sim.run()
+        assert fired == ["early"]
+
+    def test_cleared_cycles_free_without_the_garbage_collector(self):
+        """A handler that closes over an owner of the simulator forms a
+        cycle; clearing the queue breaks it."""
+        import gc
+        import weakref
+
+        class Owner:
+            def __init__(self):
+                self.sim = Simulator()
+                self.sim.schedule(10.0, lambda s: self.tick())
+
+            def tick(self):
+                pass
+
+        gc.disable()
+        try:
+            owner = Owner()
+            owner.sim.clear()
+            ref = weakref.ref(owner)
+            del owner
+            assert ref() is None
+        finally:
+            gc.enable()
+
+
 class TestTruncation:
     def test_exhaustion_warns_and_reports_next_event(self):
         sim = Simulator()
