@@ -127,21 +127,22 @@ class StudyDataset:
     #: Fault-injection record (None = campaign ran without faults).
     faults: FaultLog | None = None
 
-    #: name → (the collector interval list it was derived from, value).
-    #: A plain class attribute, not a field (see :meth:`_derived`).
+    #: name → (the collector interval list it was derived from, its
+    #: length then, value).  A plain class attribute, not a field (see
+    #: :meth:`_derived`).
     _derived_cache = None
 
     def _derived(self, name: str, build: Callable[[list], object]):
         """``build(intervals)``, computed once per collector interval
-        list: the collector builds a new list only when it takes another
-        sample, so a different list object means recompute."""
+        list and length: the collector's list grows in place as it takes
+        samples, so a different list or a longer one means recompute."""
         ivs = self.collector.intervals()
         if self._derived_cache is None:
             self._derived_cache = {}
         hit = self._derived_cache.get(name)
-        if hit is None or hit[0] is not ivs:
-            hit = self._derived_cache[name] = (ivs, build(ivs))
-        return hit[1]
+        if hit is None or hit[0] is not ivs or hit[1] != len(ivs):
+            hit = self._derived_cache[name] = (ivs, len(ivs), build(ivs))
+        return hit[2]
 
     # ------------------------------------------------------------------
     # Day-level series (the paper's Figure 1 axes)

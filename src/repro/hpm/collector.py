@@ -3,9 +3,11 @@
 §3: "At 15-minute intervals, the cron daemon runs a script to collect
 data from all the SP2 nodes which are available for user jobs and stores
 this data for later analysis."  The collector polls every node daemon,
-stores one :class:`SystemSample` per interval, and the analysis layer
-differences consecutive samples to build the daily/15-minute rate series
-behind Figure 1 and the 5.7 Gflops 15-minute maximum.
+stores one :class:`SystemSample` per interval and differences it against
+the previous one as it takes it.  The telemetry service (through the
+sample's bus event) and the analysis layer (the daily/15-minute rate
+series behind Figure 1 and the 5.7 Gflops 15-minute maximum) both read
+those intervals.
 
 Storage is an ``(n_nodes, 44)`` int64 matrix per sample (user bank then
 system bank, see :data:`repro.power2.counters.FLAT_NAMES`); a 270-day
@@ -54,22 +56,6 @@ class SystemSample:
     #: Node ids that did not answer this pass.
     missing: tuple[int, ...] = ()
 
-    def nodes(self) -> list[int]:
-        return sorted(self.node_ids)
-
-    @property
-    def unreachable(self) -> tuple[int, ...]:
-        """Node ids whose daemon did not answer this pass (sorted).
-
-        Telemetry's node-gap rule reads this to alert on daemon outages
-        rather than merely tolerating them.
-        """
-        return tuple(sorted(self.missing))
-
-    @property
-    def n_unreachable(self) -> int:
-        return len(self.missing)
-
     def snapshot_for(self, node_id: int) -> dict[str, int]:
         """One node's flat-labelled snapshot (compatibility view)."""
         row = self.matrix[self.node_ids.index(node_id)]
@@ -98,23 +84,26 @@ class IntervalCounts:
 def sample_delta(before: SystemSample, after: SystemSample) -> IntervalCounts:
     """Counter deltas between two samples, summed over the nodes present
     in both (a node missing from either is skipped, as the real scripts
-    had to do).  Shared by the batch :meth:`SystemCollector.intervals`
-    path and the streaming telemetry service's incremental path."""
+    had to do).  A counter that went backwards is a one-line
+    ``ValueError``.  Used by :class:`SampleSeries` and telemetry replay."""
     if before.node_ids == after.node_ids:
-        diff = after.matrix - before.matrix
-        n_common = len(before.node_ids)
+        ids, b, a = after.node_ids, before.matrix, after.matrix
     else:
-        common = sorted(set(before.node_ids) & set(after.node_ids))
-        bi = [before.node_ids.index(n) for n in common]
-        ai = [after.node_ids.index(n) for n in common]
-        diff = after.matrix[ai] - before.matrix[bi]
-        n_common = len(common)
-    if np.any(diff < 0):
-        raise AssertionError("software counters went backwards")
-    sums = diff.sum(axis=0)
-    totals = {name: int(v) for name, v in zip(FLAT_NAMES, sums) if v}
+        ids, bi, ai = np.intersect1d(
+            before.node_ids, after.node_ids, assume_unique=True, return_indices=True
+        )
+        b, a = before.matrix[bi], after.matrix[ai]
+    diff = a - b
+    if (diff < 0).any():
+        row, col = np.argwhere(diff < 0)[0]
+        raise ValueError(
+            f"interval ending at {after.time} s: node {ids[row]} counter "
+            f"{FLAT_NAMES[col]} went backwards ({b[row, col]} -> {a[row, col]})"
+        )
+    sums = diff.sum(axis=0).tolist()
+    totals = {name: v for name, v in zip(FLAT_NAMES, sums) if v}
     return IntervalCounts(
-        start=before.time, end=after.time, totals=totals, n_nodes=n_common
+        start=before.time, end=after.time, totals=totals, n_nodes=len(ids)
     )
 
 
@@ -134,7 +123,8 @@ class SampleSeries:
         cadence: float | None = None,
     ) -> None:
         self.samples: list[SystemSample] = samples if samples is not None else []
-        self._intervals_cache: list[IntervalCounts] | None = None
+        #: Interval i spans samples i and i + 1; the list grows in place.
+        self._intervals: list[IntervalCounts] = []
         #: Nominal sample spacing; intervals spanning well over one
         #: cadence period (dropped passes) are flagged interpolated.
         #: ``None`` disables flagging.
@@ -145,17 +135,18 @@ class SampleSeries:
         nodes present in both (a node missing from either is skipped for
         that interval, as the real scripts had to do).  With a known
         cadence, intervals spanning a collector gap carry
-        ``interpolated=True``."""
-        if self._intervals_cache is not None:
-            return self._intervals_cache
-        out: list[IntervalCounts] = []
-        for before, after in zip(self.samples, self.samples[1:]):
-            iv = sample_delta(before, after)
-            if self.cadence is not None and iv.seconds > self.cadence * 1.5:
-                iv = dataclasses.replace(iv, interpolated=True)
-            out.append(iv)
-        self._intervals_cache = out
-        return out
+        ``interpolated=True``.  Each sample is differenced once."""
+        samples = self.samples
+        for i in range(len(self._intervals) + 1, len(samples)):
+            self._difference(samples[i - 1], samples[i])
+        return self._intervals
+
+    def _difference(self, before: SystemSample, after: SystemSample) -> IntervalCounts:
+        iv = sample_delta(before, after)
+        if self.cadence is not None and iv.seconds > self.cadence * 1.5:
+            iv = dataclasses.replace(iv, interpolated=True)
+        self._intervals.append(iv)
+        return iv
 
     def gap_intervals(self) -> list[IntervalCounts]:
         """The intervals that span dropped collector passes."""
@@ -263,15 +254,15 @@ class SystemCollector(SampleSeries):
             matrix=self.machine.read_counters(ids, now),
             missing=missing,
         )
+        interval = self._difference(self.samples[-1], sample) if self.samples else None
         self.samples.append(sample)
-        self._intervals_cache = None
-        self._publish(sample)
+        self._publish(sample, interval)
         return sample
 
-    def _publish(self, sample: SystemSample) -> None:
-        """Feed the streaming side: the sample itself, plus node
-        reachability transitions (down on first missed pass, up on the
-        first answered one)."""
+    def _publish(self, sample: SystemSample, interval: IntervalCounts | None) -> None:
+        """Feed the streaming side: the sample and the interval it
+        closes, plus node reachability transitions (down on first missed
+        pass, up on the first answered one)."""
         if self.bus is None:
             return
         from repro.telemetry.bus import (
@@ -292,4 +283,6 @@ class SystemCollector(SampleSeries):
                 TOPIC_NODE_UP, NodeStateChanged(time=sample.time, node_id=node_id, up=True)
             )
         self._down = now_down
-        self.bus.publish(TOPIC_SAMPLE, SampleTaken(time=sample.time, sample=sample))
+        self.bus.publish(
+            TOPIC_SAMPLE, SampleTaken(time=sample.time, sample=sample, interval=interval)
+        )

@@ -66,10 +66,12 @@ TOPICS = (
 
 @dataclass(frozen=True)
 class SampleTaken:
-    """One collector pass; ``sample`` is the stored ``SystemSample``."""
+    """One collector pass; ``sample`` is the stored ``SystemSample`` and
+    ``interval`` the ``IntervalCounts`` it closes (None for the first)."""
 
     time: float
     sample: Any  # repro.hpm.collector.SystemSample (kept untyped: no cycle)
+    interval: Any  # repro.hpm.collector.IntervalCounts | None
 
 
 @dataclass(frozen=True)

@@ -10,11 +10,11 @@ maintains, *while the simulation runs*:
 * the per-job rollup table (:mod:`repro.telemetry.rollup`) — finalized
   at epilogue time.
 
-The per-sample path is incremental: the service differences each new
-:class:`~repro.hpm.collector.SystemSample` against the previous one
-(same common-node algebra the batch ``intervals()`` uses) and derives
-the interval's rates once, so the online layer costs O(nodes) per
-sample regardless of campaign length.
+The per-sample path is incremental: the collector differences each new
+sample as it takes it and publishes the interval on the sample's
+:class:`~repro.telemetry.bus.SampleTaken` event, and the service derives
+its rates once, so the online layer costs O(metrics) per sample
+regardless of campaign length.
 
 ``replay`` rebuilds a service from recorded samples and job records —
 the offline path ``sp2-ops`` uses on an already-run dataset, and the
@@ -88,7 +88,6 @@ class TelemetryService:
         # docs/TRACING.md); the engine reads the tracer's current span.
         if tracer is not None and self.engine.tracer is None:
             self.engine.tracer = tracer
-        self._prev_sample: SystemSample | None = None
         self.samples_seen = 0
         self.intervals_seen = 0
         #: Tracing spans republished on the bus, counted by category.
@@ -117,16 +116,12 @@ class TelemetryService:
     # Bus handlers
     # ------------------------------------------------------------------
     def _on_sample(self, ev: SampleTaken) -> None:
-        sample = ev.sample
         self.samples_seen += 1
-        prev, self._prev_sample = self._prev_sample, sample
-        if prev is None:
-            return
-        iv = sample_delta(prev, sample)
-        if iv.seconds <= 0 or iv.n_nodes <= 0:
+        iv = ev.interval
+        if iv is None or iv.seconds <= 0 or iv.n_nodes <= 0:
             return
         rates = workload_rates(iv.totals, iv.seconds, iv.n_nodes)
-        self._record_interval(sample.time, rates, iv.n_nodes, sample.missing)
+        self._record_interval(ev.sample.time, rates, iv.n_nodes, ev.sample.missing)
 
     def _on_job_end(self, ev: JobEnded) -> None:
         self.rollups.on_end(ev)
@@ -291,11 +286,13 @@ def replay_events(
     This is the single definition of how a recorded campaign becomes an
     event stream again: faults, job ends and job starts are interleaved
     with the sample stream by time, then trailing records, spans and
-    truncation notices follow.  :meth:`TelemetryService.replay` publishes
-    these pairs on a fresh bus; the ops hub (:mod:`repro.ops.ingest`)
-    feeds the identical stream into its own per-campaign services, which
-    is what makes ``hub state == replay()`` a theorem rather than a
-    hope (the federation determinism tests assert it).
+    truncation notices follow; each sample event carries the interval
+    it closes, differenced here as the live collector does.
+    :meth:`TelemetryService.replay` publishes these pairs on a fresh
+    bus; the ops hub (:mod:`repro.ops.ingest`) feeds the identical
+    stream into its own per-campaign services, which is what makes
+    ``hub state == replay()`` a theorem rather than a hope (the
+    federation determinism tests assert it).
     """
     span_list = list(spans)
     truncation_list = list(truncations)
@@ -304,6 +301,7 @@ def replay_events(
     starts = sorted(recs, key=lambda r: (r.start_time, r.job_id))
     ends = sorted(recs, key=lambda r: (r.end_time, r.job_id))
     si = ei = fi = 0
+    prev = None
     for sample in samples:
         while fi < len(fault_list) and fault_list[fi].time <= sample.time:
             fe = fault_list[fi]
@@ -327,7 +325,9 @@ def replay_events(
                 ),
             )
             si += 1
-        yield TOPIC_SAMPLE, SampleTaken(time=sample.time, sample=sample)
+        interval = sample_delta(prev, sample) if prev is not None else None
+        prev = sample
+        yield TOPIC_SAMPLE, SampleTaken(time=sample.time, sample=sample, interval=interval)
     for fe in fault_list[fi:]:
         yield TOPIC_FAULT, FaultInjected(time=fe.time, event=fe)
     for rec in ends[ei:]:

@@ -2,15 +2,18 @@
 
 Design constraints, in order:
 
-* **O(1) append** — the store sits on the 15-minute sample path of a
+* **cheap append** — the store sits on the 15-minute sample path of a
   campaign that may be scaled far past the paper's 144 nodes;
 * **bounded memory** — raw points live in a fixed-capacity ring per
   metric (columnar ``float64`` time/value arrays), so a nine-month
   campaign cannot grow the operator view without bound;
 * **whole-campaign aggregates survive eviction** — EWMA, running
-  min/max, and P² quantile sketches (:mod:`repro.telemetry.sketch`) are
-  updated on append and never forget, so ``sp2-ops query`` reports
-  campaign-wide statistics even after the ring has wrapped.
+  min/max, and P² quantile sketches (:mod:`repro.telemetry.sketch`)
+  never forget, so ``sp2-ops query`` reports campaign-wide statistics
+  even after the ring has wrapped.  An append only writes the ring; the
+  aggregates fold its points in, oldest first, when read or just before
+  an append would overwrite a point not folded yet, so they are bitwise
+  what updating them on every append gives.
 
 Windowed queries return chronological ``(times, values)`` arrays over
 whatever raw points the ring still holds.
@@ -22,7 +25,8 @@ one-shot CLI never had, both served here:
   must see one consistent view of a series even while the ingest side
   keeps appending.  :meth:`MetricSeries.snapshot` freezes the ring and
   every aggregate into an immutable :class:`SeriesSnapshot`;
-  :meth:`MetricStore.snapshot` does it store-wide.
+  :meth:`MetricStore.snapshot` does it store-wide.  A read folds, so
+  reads and appends share one thread (the hub's loop).
 * **bounded series count** — fleet federation multiplies the namespace
   (``fleet.<member>.<metric>``), so a hub store accepts an optional
   ``max_series`` cap and evicts the least-recently-appended series,
@@ -140,7 +144,9 @@ class StoreSnapshot:
 
 
 class MetricSeries:
-    """One metric's ring of raw points plus its streaming aggregators."""
+    """One metric's ring of raw points plus its aggregates, folded from
+    the ring when :meth:`snapshot` reads them or an append would evict
+    a point they have not seen."""
 
     def __init__(
         self,
@@ -160,35 +166,44 @@ class MetricSeries:
         self._values = np.empty(capacity, dtype=np.float64)
         self._head = 0  # next write slot
         self.count = 0  # total points ever appended
+        self._folded = 0  # points the aggregates have seen
         self._alpha = ewma_alpha
-        self.ewma = 0.0
-        self.min = float("inf")
-        self.max = float("-inf")
-        self.sketch = QuantileSet(quantiles)
+        self._ewma: float | None = None
+        self._min = float("inf")
+        self._max = float("-inf")
+        self._sketch = QuantileSet(quantiles)
         self._last_time = float("-inf")
 
     # ------------------------------------------------------------------
     # Append path
     # ------------------------------------------------------------------
     def append(self, time: float, value: float) -> None:
-        """O(1): write one point and fold it into the aggregates."""
+        """O(1) amortized: write one point into the ring."""
         if time < self._last_time:
             raise ValueError(
                 f"{self.name}: appends must be time-ordered "
                 f"({time} < {self._last_time})"
             )
+        if self.count - self._folded == self.capacity:
+            self._fold()  # the slot about to be overwritten is unfolded
         self._last_time = time
         self._times[self._head] = time
         self._values[self._head] = value
         self._head = (self._head + 1) % self.capacity
-        v = float(value)
-        self.ewma = v if self.count == 0 else self._alpha * v + (1 - self._alpha) * self.ewma
-        if v < self.min:
-            self.min = v
-        if v > self.max:
-            self.max = v
-        self.sketch.add(v)
         self.count += 1
+
+    def _fold(self) -> None:
+        """Fold the points not folded yet into the aggregates, oldest first."""
+        pending = self.count - self._folded
+        if not pending:
+            return
+        new = self._values[np.arange(self._head - pending, self._head)].tolist()
+        ewma, alpha = self._ewma, self._alpha
+        for v in new:
+            ewma = v if ewma is None else alpha * v + (1 - alpha) * ewma
+            self._sketch.add(v)
+        self._ewma, self._folded = ewma, self.count
+        self._min, self._max = min(self._min, *new), max(self._max, *new)
 
     # ------------------------------------------------------------------
     # Queries
@@ -203,26 +218,11 @@ class MetricSeries:
         """Raw points evicted by the ring."""
         return self.count - self.size
 
-    def _ordered(self) -> tuple[np.ndarray, np.ndarray]:
-        n = self.size
-        if n < self.capacity:
-            return self._times[:n], self._values[:n]
-        idx = np.concatenate([np.arange(self._head, self.capacity), np.arange(self._head)])
-        return self._times[idx], self._values[idx]
-
     def window(
         self, t0: float | None = None, t1: float | None = None
     ) -> tuple[np.ndarray, np.ndarray]:
         """Chronological ``(times, values)`` with ``t0 <= t < t1``."""
-        times, values = self._ordered()
-        if t0 is not None or t1 is not None:
-            mask = np.ones(len(times), dtype=bool)
-            if t0 is not None:
-                mask &= times >= t0
-            if t1 is not None:
-                mask &= times < t1
-            times, values = times[mask], values[mask]
-        return times.copy(), values.copy()
+        return self.snapshot().window(t0, t1)
 
     def latest(self) -> tuple[float, float] | None:
         if self.count == 0:
@@ -231,31 +231,22 @@ class MetricSeries:
         return float(self._times[i]), float(self._values[i])
 
     def summary(self) -> MetricSummary:
-        last = self.latest()
-        return MetricSummary(
-            name=self.name,
-            count=self.count,
-            dropped=self.dropped,
-            last=last[1] if last else 0.0,
-            ewma=self.ewma,
-            min=self.min if self.count else 0.0,
-            max=self.max if self.count else 0.0,
-            quantiles=self.sketch.values(),
-        )
+        return self.snapshot().summary()
 
     def snapshot(self) -> SeriesSnapshot:
         """Freeze the ring and every aggregate into an immutable view."""
-        times, values = self._ordered()
+        self._fold()
+        order = np.arange(self._head - self.size, self._head)
         return SeriesSnapshot(
             name=self.name,
             count=self.count,
             dropped=self.dropped,
-            ewma=self.ewma,
-            min=self.min if self.count else 0.0,
-            max=self.max if self.count else 0.0,
-            quantiles=self.sketch.values(),
-            times=times.copy(),
-            values=values.copy(),
+            ewma=self._ewma if self.count else 0.0,
+            min=self._min if self.count else 0.0,
+            max=self._max if self.count else 0.0,
+            quantiles=self._sketch.values(),
+            times=self._times[order],
+            values=self._values[order],
         )
 
 

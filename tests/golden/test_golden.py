@@ -86,3 +86,33 @@ class TestRepeat:
         argv = ["--days", "2", "--nodes", "16", "--users", "6", "--seeds", "0,1,2"]
         assert repeat_main([*argv, "--json", str(out)]) == 0
         golden.check("repeat_2d_16n.json", out.read_text())
+
+
+class TestTelemetrySummaries:
+    def test_store_aggregates(self, default_month, golden):
+        """Every catalog metric's campaign-wide store aggregates: the live
+        store, and a replay of the same campaign into 256-point rings.
+        Those rings wrap about 11 times over the month's 2,880
+        intervals, so aggregates that must outlive eviction are pinned
+        too."""
+        from repro.telemetry.service import METRIC_CATALOG, TelemetryService, replay_events
+        from repro.telemetry.store import MetricStore
+
+        replayed = TelemetryService(store=MetricStore(capacity=256))
+        for topic, event in replay_events(
+            default_month.collector.samples, default_month.accounting.records
+        ):
+            replayed.bus.publish(topic, event)
+        lines = ["# metric count dropped last ewma min max p50 p90 p99"]
+        for label, store in (
+            ("live", default_month.telemetry.store),
+            ("replay capacity=256", replayed.store),
+        ):
+            lines.append(f"[{label}]")
+            for name in METRIC_CATALOG:
+                s = store.summary(name)
+                q = s.quantiles
+                fields = (s.count, s.dropped, s.last, s.ewma, s.min, s.max,
+                          q[0.5], q[0.9], q[0.99])
+                lines.append(" ".join([name, *map(repr, fields)]))
+        golden.check("telemetry_summaries.txt", "\n".join(lines) + "\n")
