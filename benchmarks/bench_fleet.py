@@ -7,15 +7,15 @@ time ratio over the capacity ratio.  Routing and per-member campaign
 setup are the only federation costs, so the factor should stay near 1 —
 a fleet of three machines should cost about three machines, not more.
 
-Entry points, mirroring ``bench_hotpath``:
+Entry points:
 
 * ``pytest benchmarks/ --benchmark-only`` runs a short scaling check;
 * ``python benchmarks/bench_fleet.py --out benchmarks/BENCH_fleet.json``
   records the reference numbers with per-repeat overhead-factor samples;
   ``--check`` is the statistical gate (docs/STATS.md): it fails only
   when the measured factor's confidence interval sits entirely above
-  the tolerance-scaled baseline CI.  Old baselines without ``samples``
-  fall back to the single-ratio comparison.
+  the tolerance-scaled baseline CI.  A baseline without ``samples`` is
+  refused (exit 2).
 """
 
 from __future__ import annotations
@@ -179,6 +179,13 @@ def main(argv: list[str] | None = None) -> int:
         "upper bound",
     )
     args = p.parse_args(argv)
+    recorded = None
+    if args.check:
+        with open(args.check) as fh:
+            recorded = json.load(fh)
+        if "samples" not in recorded:
+            print(f"error: baseline {args.check} has no 'samples'", file=sys.stderr)
+            return 2
 
     points, samples = measure_fleet_scaling(
         args.members,
@@ -220,39 +227,21 @@ def main(argv: list[str] | None = None) -> int:
             json.dump(record, fh, indent=2)
             fh.write("\n")
         print(f"wrote {args.out}", file=sys.stderr)
-    if args.check:
-        with open(args.check) as fh:
-            recorded = json.load(fh)
-        if "samples" in recorded:
-            gate = ci_overlap_gate(
-                samples,
-                recorded["samples"],
-                higher_is_better=False,
-                tolerance=args.tolerance,
-            )
-            print(render_gate(gate, "fleet overhead factor"))
-            if not gate.passed:
-                print(
-                    "FAIL: fleet federation overhead regressed past the "
-                    "recorded factor distribution",
-                    file=sys.stderr,
-                )
-                return 1
-        else:
-            # Pre-statistical baseline: single-ratio fallback.
-            ceiling = args.tolerance * recorded["overhead_factor"]
-            measured = record["overhead_factor"]
+    if recorded is not None:
+        gate = ci_overlap_gate(
+            samples,
+            recorded["samples"],
+            higher_is_better=False,
+            tolerance=args.tolerance,
+        )
+        print(render_gate(gate, "fleet overhead factor"))
+        if not gate.passed:
             print(
-                f"perf gate (legacy ratio): measured factor {measured:.2f} vs "
-                f"recorded {recorded['overhead_factor']:.2f} (ceiling {ceiling:.2f})"
+                "FAIL: fleet federation overhead regressed past the "
+                "recorded factor distribution",
+                file=sys.stderr,
             )
-            if measured > ceiling:
-                print(
-                    f"FAIL: fleet federation overhead regressed past "
-                    f"{args.tolerance:.0%} of the recorded factor",
-                    file=sys.stderr,
-                )
-                return 1
+            return 1
     return 0
 
 

@@ -18,7 +18,7 @@ Entry points, mirroring ``bench_fleet``:
   CI.  Latency is machine-dependent, so the default tolerance is loose —
   the gate exists to catch order-of-magnitude regressions (an accidental
   O(n) scan per request, a lost writer task), not scheduler jitter.
-  Old baselines without ``samples`` fall back to the one-ratio check.
+  A baseline without ``samples`` is refused (exit 2).
 """
 
 from __future__ import annotations
@@ -219,6 +219,13 @@ def main(argv: list[str] | None = None) -> int:
     if args.repeats < 1:
         print("error: --repeats must be positive", file=sys.stderr)
         return 2
+    recorded = None
+    if args.check:
+        with open(args.check) as fh:
+            recorded = json.load(fh)
+        if "samples" not in recorded:
+            print(f"error: baseline {args.check} has no 'samples'", file=sys.stderr)
+            return 2
 
     hub = build_hub(seed=args.seed, n_days=args.days, n_nodes=args.nodes)
     results = [
@@ -266,40 +273,21 @@ def main(argv: list[str] | None = None) -> int:
             json.dump(record, fh, indent=2)
             fh.write("\n")
         print(f"wrote {args.out}", file=sys.stderr)
-    if args.check:
-        with open(args.check) as fh:
-            recorded = json.load(fh)
-        if "samples" in recorded:
-            gate = ci_overlap_gate(
-                samples,
-                recorded["samples"],
-                higher_is_better=False,
-                tolerance=args.tolerance,
-            )
-            print(render_gate(gate, "service p99 latency"))
-            if not gate.passed:
-                print(
-                    "FAIL: service p99 latency regressed past the recorded "
-                    "latency distribution",
-                    file=sys.stderr,
-                )
-                return 1
-        else:
-            # Pre-statistical baseline: single-ratio fallback.
-            ceiling = args.tolerance * recorded["results"]["p99_ms"]
-            measured = result.p99_ms
+    if recorded is not None:
+        gate = ci_overlap_gate(
+            samples,
+            recorded["samples"],
+            higher_is_better=False,
+            tolerance=args.tolerance,
+        )
+        print(render_gate(gate, "service p99 latency"))
+        if not gate.passed:
             print(
-                f"perf gate (legacy ratio): measured p99 {measured:.2f} ms vs "
-                f"recorded {recorded['results']['p99_ms']:.2f} ms "
-                f"(ceiling {ceiling:.2f} ms)"
+                "FAIL: service p99 latency regressed past the recorded "
+                "latency distribution",
+                file=sys.stderr,
             )
-            if measured > ceiling:
-                print(
-                    f"FAIL: service p99 latency regressed past "
-                    f"{args.tolerance:.0f}x the recorded value",
-                    file=sys.stderr,
-                )
-                return 1
+            return 1
     return 0
 
 

@@ -29,7 +29,6 @@ from repro.analysis import (
 )
 from repro.core.study import StudyConfig, cli_shard_days, run_study
 from repro.faults.profile import FaultProfile
-from repro.power2.batch import BACKEND_CHOICES
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -80,15 +79,6 @@ def build_parser() -> argparse.ArgumentParser:
         "uninterrupted run)",
     )
     p.add_argument(
-        "--accrual-backend",
-        default="auto",
-        choices=BACKEND_CHOICES,
-        metavar="NAME",
-        help="counter-accrual backend: auto/vectorized (batched numpy "
-        "store) or scalar (legacy per-node path); all backends produce "
-        "byte-identical output",
-    )
-    p.add_argument(
         "--shard-attempts",
         type=int,
         default=3,
@@ -127,7 +117,6 @@ def main(argv: list[str] | None = None) -> int:
             n_nodes=args.nodes,
             n_users=args.users,
             fault_profile=FaultProfile.resolve(args.fault_profile),
-            accrual_backend=args.accrual_backend,
         )
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)

@@ -13,7 +13,7 @@ import numpy as np
 
 from repro.cluster.filesystem import NFSFilesystem
 from repro.cluster.switch import HighPerformanceSwitch
-from repro.power2.batch import ROW_SIZE, make_store, resolve_backend
+from repro.power2.batch import CounterStore
 from repro.power2.config import MachineConfig, POWER2_590, SwitchConfig
 from repro.power2.node import Node, PhaseKind, WorkPhase
 
@@ -24,12 +24,9 @@ NAS_NODE_COUNT = 144
 class SP2Machine:
     """A distributed-memory RS6000/590 cluster.
 
-    ``accrual_backend`` selects how node counters integrate over time:
-    ``"scalar"`` (default) keeps the legacy per-node accumulators;
-    ``"auto"``/``"vectorized"`` move every node's accumulators into one
-    shared :class:`~repro.power2.batch.CounterStore` so collector passes
-    and job transitions run as flat array sweeps.  Both produce bitwise
-    identical measurements (see :mod:`repro.power2.batch`).
+    Every node's counters live in one shared
+    :class:`~repro.power2.batch.CounterStore` (slot ``i`` is node ``i``),
+    so collector passes and job transitions run as flat array sweeps.
     """
 
     def __init__(
@@ -37,20 +34,15 @@ class SP2Machine:
         n_nodes: int = NAS_NODE_COUNT,
         config: MachineConfig | None = None,
         *,
-        accrual_backend: str = "scalar",
         switch_config: SwitchConfig | None = None,
     ) -> None:
         if n_nodes <= 0:
             raise ValueError("machine needs at least one node")
         self.config = config or POWER2_590
         self.nodes: list[Node] = [Node(i, self.config) for i in range(n_nodes)]
-        self.accrual_backend = resolve_backend(accrual_backend)
-        #: The shared counter store (None on the scalar backend).
-        self.store = None
-        if self.accrual_backend != "scalar":
-            self.store = make_store(n_nodes, self.accrual_backend)
-            for node in self.nodes:
-                node.attach_store(self.store, node.node_id)
+        self.store = CounterStore(n_nodes)
+        for node in self.nodes:
+            node.attach_store(self.store, node.node_id)
         self.switch = HighPerformanceSwitch(switch_config)
         self.filesystem = NFSFilesystem(self.switch)
         self._free: set[int] = set(range(n_nodes))
@@ -120,10 +112,6 @@ class SP2Machine:
     # ------------------------------------------------------------------
     # Failure transitions (driven by repro.faults.injector)
     # ------------------------------------------------------------------
-    @property
-    def down_node_ids(self) -> set[int]:
-        return set(self._down)
-
     def crash_node(self, node_id: int) -> None:
         """Take a node out of service (hardware failure).
 
@@ -157,26 +145,13 @@ class SP2Machine:
         node, in the order given, columns in
         :data:`~repro.power2.counters.FLAT_NAMES` order (broken divide
         counters read 0).  This is the one counter read behind the
-        collector's cron pass and the PBS prologue/epilogue; nodes not
-        listed are neither synced nor read.  On the store backend it is
-        one masked sweep plus one gather, on the scalar backend a
-        per-node loop, with bitwise-identical results.
+        collector's cron pass and the PBS prologue/epilogue: one masked
+        sweep of the store plus one gather.  Nodes not listed are
+        neither synced nor read.
         """
-        if self.store is not None:
-            slots = np.asarray(node_ids, dtype=np.intp)  # slot i is node i
-            self.store.sync_slots(slots, now)
-            return self.store.snapshot_matrix(slots)
-        out = np.empty((len(node_ids), ROW_SIZE), dtype=np.int64)
-        for row, nid in zip(out, node_ids):
-            node = self.nodes[nid]
-            node.sync(now)
-            node.monitor.snapshot_vector(row)
-        return out
-
-    def iter_nodes(self, ids: Sequence[int] | None = None) -> Iterable[Node]:
-        if ids is None:
-            return iter(self.nodes)
-        return (self.nodes[i] for i in ids)
+        slots = np.asarray(node_ids, dtype=np.intp)  # slot i is node i
+        self.store.sync_slots(slots, now)
+        return self.store.snapshot_matrix(slots)
 
     def idle_all(self, seconds: float, node_ids: Iterable[int] | None = None) -> None:
         """Advance idle time on the given nodes (default: the free ones)."""

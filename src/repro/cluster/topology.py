@@ -123,9 +123,6 @@ class HPSTopology:
     def chip_hops(self, src: int, dst: int) -> int:
         return self.route(src, dst).chip_hops
 
-    def frame_of(self, node: int) -> int:
-        return node // FRAME_SIZE
-
     def bisection_width(self) -> int:
         """Frame-cable links crossing a half/half frame split."""
         if self.n_frames < 2:

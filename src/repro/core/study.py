@@ -56,12 +56,11 @@ class StudyConfig:
     #: Fault-injection profile (None or a null profile = healthy run;
     #: healthy campaigns are byte-identical to pre-fault releases).
     fault_profile: FaultProfile | None = None
-    #: Counter-accrual backend (see :mod:`repro.power2.batch`):
-    #: ``auto`` picks the fastest vectorized store available; ``scalar``
-    #: forces the legacy per-node path.  Every backend produces bitwise
-    #: identical measurements — the flag exists for differential testing
-    #: and benchmarking, not for trading accuracy against speed.
-    accrual_backend: str = "auto"
+    #: Not a setting: counters always accrue in one
+    #: :class:`~repro.power2.batch.CounterStore`.  The constant stays a
+    #: field because sweep-cell and checkpoint fingerprints hash this
+    #: dataclass's repr, which includes it.
+    accrual_backend: str = field(default="auto", init=False)
     #: PBS queue policy: ``backfill`` is NAS's drain-for-wide-jobs
     #: conditional backfill (the paper's setup, §6); ``fifo`` disables
     #: backfill entirely so nothing starts ahead of a blocked head —
@@ -101,9 +100,6 @@ class StudyConfig:
                 "scheduler_wide_threshold must be positive, got "
                 f"{self.scheduler_wide_threshold}"
             )
-        from repro.power2.batch import resolve_backend
-
-        resolve_backend(self.accrual_backend)  # unknown names raise here
 
 
 @dataclass
@@ -243,7 +239,6 @@ class WorkloadStudy:
         self.machine = SP2Machine(
             self.config.n_nodes,
             self.config.machine_config,
-            accrual_backend=self.config.accrual_backend,
             switch_config=self.config.switch_config,
         )
         # One bus per campaign: the collector and PBS publish, the

@@ -138,7 +138,6 @@ class FleetSpec:
     #: Cross-machine job routing policy (:data:`ROUTING_POLICIES`).
     routing: str = "home-center"
     demand_mean: float | None = None
-    accrual_backend: str = "auto"
 
     def __post_init__(self) -> None:
         if isinstance(self.members, list):  # tolerate list literals
@@ -192,7 +191,6 @@ class FleetSpec:
             switch_config=member.switch_config(),
             demand_mean=self.demand_mean,
             fault_profile=member.fault_profile_obj(),
-            accrual_backend=self.accrual_backend,
         )
 
     def to_dict(self) -> dict:
@@ -206,8 +204,6 @@ class FleetSpec:
         }
         if self.demand_mean is not None:
             out["demand_mean"] = self.demand_mean
-        if self.accrual_backend != "auto":
-            out["accrual_backend"] = self.accrual_backend
         return out
 
     @classmethod

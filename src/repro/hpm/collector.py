@@ -15,7 +15,7 @@ campaign takes ~26k samples × 144 nodes, so the per-sample path must be
 vectorized (profiled: the dict-based path was 30× slower).  A pass is
 one :meth:`~repro.cluster.machine.SP2Machine.read_counters` call over
 the nodes whose daemon answers — the same read the PBS prologue and
-epilogue make, on either accrual backend.
+epilogue make.
 """
 
 from __future__ import annotations
@@ -55,11 +55,6 @@ class SystemSample:
     matrix: np.ndarray
     #: Node ids that did not answer this pass.
     missing: tuple[int, ...] = ()
-
-    def snapshot_for(self, node_id: int) -> dict[str, int]:
-        """One node's flat-labelled snapshot (compatibility view)."""
-        row = self.matrix[self.node_ids.index(node_id)]
-        return {name: int(v) for name, v in zip(FLAT_NAMES, row)}
 
 
 @dataclass(frozen=True)
@@ -151,14 +146,6 @@ class SampleSeries:
     def gap_intervals(self) -> list[IntervalCounts]:
         """The intervals that span dropped collector passes."""
         return [iv for iv in self.intervals() if iv.interpolated]
-
-    def interval_matrix(self, counter: str) -> tuple[np.ndarray, np.ndarray]:
-        """(interval end times, per-interval summed counts) for one
-        counter — the fast path for time-series analysis."""
-        ivs = self.intervals()
-        times = np.array([iv.end for iv in ivs])
-        counts = np.array([iv.totals.get(counter, 0) for iv in ivs], dtype=float)
-        return times, counts
 
 
 class SystemCollector(SampleSeries):

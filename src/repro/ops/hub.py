@@ -99,9 +99,6 @@ class CampaignHandle:
     events_fed: int = 0
     meta: dict[str, Any] = field(default_factory=dict)
 
-    def member_keys(self) -> tuple[str | None, ...]:
-        return tuple(self.members) if self.members else (None,)
-
     def service(self, member: str | None) -> TelemetryService:
         try:
             return self.services[member]

@@ -249,7 +249,6 @@ class PBSServer:
         user, system, _ = apply_paging_to_rates(
             profile.user_rates, profile.system_rates, demand, self.machine.config
         )
-        flops_per_s = profile.mflops_per_node * 1e6
         walltime = profile.walltime_seconds
 
         # A degraded switch stretches the communication share of the
@@ -261,7 +260,6 @@ class PBSServer:
             slow = 1.0 + comm * (degradation - 1.0)
             if slow > 1.0:
                 user = user / slow
-                flops_per_s /= slow
                 walltime *= slow
 
         # Prologue: read the allocated nodes' counters (§3).
@@ -269,7 +267,7 @@ class PBSServer:
         for nid in node_ids:
             node = self.machine.node(nid)
             node.assign_memory(demand)
-            node.install_rates(now, user, system, busy=True, flops_per_s=flops_per_s)
+            node.install_rates(now, user, system, busy=True)
 
         running = RunningJob(
             job=job,

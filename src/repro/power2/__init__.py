@@ -17,6 +17,8 @@ This subpackage replaces the paper's silicon.  It provides:
   memory behaviour → cycles;
 * :mod:`repro.power2.counters` — the 22-counter hardware performance
   monitor of Table 1, including the broken divide counter;
+* :mod:`repro.power2.batch` — the counter store every node's counters
+  live in, and its per-node bank and monitor views;
 * :mod:`repro.power2.node` — an RS6000/590 node: CPU + 128 MB memory +
   AIX-style paging + DMA engine.
 """
@@ -27,12 +29,8 @@ from repro.power2.dcache import SetAssociativeCache, CacheStats
 from repro.power2.tlb import TLB
 from repro.power2.dispatch import DispatchModel, DispatchResult
 from repro.power2.pipeline import CycleModel, ExecutionResult
-from repro.power2.counters import (
-    CounterBank,
-    HardwareMonitor,
-    Mode,
-    COUNTER_LAYOUT,
-)
+from repro.power2.counters import Mode, COUNTER_LAYOUT
+from repro.power2.batch import CounterStore, StoreMonitor
 from repro.power2.node import Node, PhaseResult, WorkPhase, compute_paging_state
 from repro.power2.vm import FaultKind, VirtualMemory
 from repro.power2.streams import measure_stream
@@ -49,8 +47,8 @@ __all__ = [
     "DispatchResult",
     "CycleModel",
     "ExecutionResult",
-    "CounterBank",
-    "HardwareMonitor",
+    "CounterStore",
+    "StoreMonitor",
     "Mode",
     "COUNTER_LAYOUT",
     "Node",

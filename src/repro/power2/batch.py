@@ -1,35 +1,33 @@
-"""Batched counter accrual: the campaign's vectorized hot path.
+"""Every node's hardware counters, in one store.
 
 A 270-day campaign integrates 44 counters on 144 nodes across ~26k
-collector passes plus every job start/stop.  The scalar path does that
-node-by-node (:meth:`repro.power2.node.Node.sync`); profiling shows the
-per-node ``sync`` + ``snapshot_vector`` loop dominating campaign wall
-time.  This module keeps every node's accumulators in one flat store,
-:class:`CounterStore` — ``(n, 44)`` float64 matrices — so a collector
-pass becomes a single ``values += rates * dt`` sweep.
+collector passes plus every job start/stop.  :class:`CounterStore`
+keeps every node's accumulators as ``(n, 44)`` float64 matrices, so a
+collector pass is a single ``values += rates * dt`` sweep over the
+nodes it reads.  A node is one slot; :class:`StoreBankView` and
+:class:`StoreMonitor` are the per-node bank and monitor API over it.
 
-**The equivalence guarantee.** The store produces *bitwise identical*
-results to the scalar per-node path, not merely close ones, so goldens
-and the parallel runner's byte-for-byte merge invariants hold under
-either backend.  That is not luck; it follows from three IEEE-754 facts
-the implementation is built around (and the differential suite in
-``tests/power2/test_batch_equivalence.py`` enforces):
+**Bitwise reproducibility.** A sweep produces exactly what integrating
+each node on its own would, not merely something close, so goldens and
+the parallel runner's byte-for-byte merge invariants hold, and the
+per-node reference integrator in ``tests/power2/accrual_reference.py``
+agrees with the store bit for bit.  That is not luck; it follows from
+three IEEE-754 facts the implementation is built around:
 
 1. numpy elementwise double arithmetic and Python float arithmetic are
    the same IEEE-754 binary64 operations — batching rows never
    reassociates the per-element ``value += rate*dt``;
 2. ``x + rate*0.0`` is a bitwise no-op for the non-negative accumulators
-   used here, so a batched pass may apply a zero ``dt`` unconditionally
-   where the scalar path early-returns;
+   used here, so a sweep may apply a zero ``dt`` unconditionally where
+   a per-node sync early-returns;
 3. ``int(float)`` and an int64 cast truncate toward zero identically,
    so dict snapshots and vector snapshots quantize the same way.
 
-The one *semantic* hazard is unreachable nodes: the scalar collector
-never syncs a node whose daemon is down (``rate*dt1 + rate*dt2`` is not
-bitwise ``rate*(dt1+dt2)``), so the batched pass must mask down nodes
-out of the sweep entirely — their clocks must not advance.  See
-:meth:`CounterStore.sync_slots` and the regression tests in
-``tests/hpm/``.
+The one *semantic* hazard is unreachable nodes: a collector never syncs
+a node whose daemon is down (``rate*dt1 + rate*dt2`` is not bitwise
+``rate*(dt1+dt2)``), so a sweep must mask down nodes out entirely —
+their clocks must not advance.  See :meth:`CounterStore.sync_slots` and
+the regression tests in ``tests/hpm/``.
 """
 
 from __future__ import annotations
@@ -56,44 +54,18 @@ ROW_SIZE = 2 * BANK_SIZE
 #: Flat row positions the hardware bug zeroes (both banks).
 _BROKEN_FLAT = tuple(BROKEN_INDICES) + tuple(i + BANK_SIZE for i in BROKEN_INDICES)
 
-#: User-facing backend names accepted by ``--accrual-backend``.
-BACKEND_CHOICES = ("auto", "scalar", "vectorized")
-
 #: Sentinel rate vector for a halted node (counters frozen).
 _ZERO_BANK = (0.0,) * BANK_SIZE
-
-
-def resolve_backend(name: str | None) -> str:
-    """Resolve a requested backend name to a concrete one.
-
-    Returns ``"scalar"`` (the legacy per-node path) for ``scalar``, and
-    ``"numpy"`` (the batched :class:`CounterStore`) for ``auto``,
-    ``vectorized`` or ``None``.
-    """
-    if name is None:
-        name = "auto"
-    if name not in BACKEND_CHOICES:
-        raise ValueError(
-            f"unknown accrual backend {name!r}; choose from {BACKEND_CHOICES}"
-        )
-    return "scalar" if name == "scalar" else "numpy"
-
-
-def make_store(n_slots: int, backend: str) -> "CounterStore":
-    """Build the counter store for a resolved (non-scalar) backend."""
-    if backend != "numpy":
-        raise ValueError(f"no store for backend {backend!r}")
-    return CounterStore(n_slots)
 
 
 class CounterStore:
     """Every node's counters as ``(n, 44)`` float64 matrices.
 
-    One *slot* holds everything the scalar :class:`~repro.power2.node.Node`
-    keeps per node for the campaign fast path: a 44-wide accumulator row
-    (user bank then system bank, :data:`FLAT_NAMES` order), a 44-wide
-    rate row, the last-sync timestamp, wall/busy second totals and the
-    busy flag.  A collector pass is one array operation.
+    One *slot* holds one :class:`~repro.power2.node.Node`'s counter
+    state: a 44-wide accumulator row (user bank then system bank,
+    :data:`FLAT_NAMES` order), a 44-wide rate row, the node's idle
+    background system rates, the last-sync timestamp, wall/busy second
+    totals and the busy flag.  A collector pass is one array operation.
     """
 
     def __init__(self, n_slots: int) -> None:
@@ -107,7 +79,6 @@ class CounterStore:
         self._wall = np.zeros(n_slots, dtype=np.float64)
         self._busy = np.zeros(n_slots, dtype=np.float64)
         self._busy_flag = np.zeros(n_slots, dtype=np.float64)
-        self._flops = np.zeros(n_slots, dtype=np.float64)
 
     # -- slot lifecycle -------------------------------------------------
     def configure_slot(self, slot: int, background: Sequence[float]) -> None:
@@ -120,7 +91,6 @@ class CounterStore:
         self._wall[slot] = 0.0
         self._busy[slot] = 0.0
         self._busy_flag[slot] = 0.0
-        self._flops[slot] = 0.0
 
     def install(
         self,
@@ -129,11 +99,10 @@ class CounterStore:
         system: Sequence[float] | None,
         *,
         busy: bool,
-        flops_per_s: float,
     ) -> None:
         """Replace a slot's rate rows (``None`` user = zeros, ``None``
-        system = the slot's background).  Callers sync first, exactly
-        like :meth:`Node.install_rates`."""
+        system = the slot's background).  Callers sync first, as
+        :meth:`~repro.power2.node.Node.install_rates` does."""
         row = self._rates[slot]
         if user is None:
             row[:BANK_SIZE] = 0.0
@@ -144,11 +113,10 @@ class CounterStore:
         else:
             row[BANK_SIZE:] = system
         self._busy_flag[slot] = 1.0 if busy else 0.0
-        self._flops[slot] = flops_per_s
 
     def halt(self, slot: int) -> None:
         """Freeze a slot's counters (crash): all rates to zero."""
-        self.install(slot, _ZERO_BANK, _ZERO_BANK, busy=False, flops_per_s=0.0)
+        self.install(slot, _ZERO_BANK, _ZERO_BANK, busy=False)
 
     # -- time integration ----------------------------------------------
     def sync_one(self, slot: int, now: float) -> None:
@@ -170,7 +138,7 @@ class CounterStore:
         Slots not listed are untouched — neither their accumulators nor
         their clocks move.  That is load-bearing for unreachable nodes:
         advancing a down node's clock in two steps instead of one would
-        change its accumulators bitwise relative to the scalar path.
+        change its accumulators bitwise relative to one catch-up sync.
         """
         if not len(slots):
             return
@@ -242,19 +210,12 @@ class CounterStore:
         return {name: self.read(slot, mode, name) for name in COUNTER_NAMES}
 
     def flat_snapshot(self, slot: int) -> dict[str, int]:
-        vals = self._values[slot].astype(np.int64)
-        vals[list(_BROKEN_FLAT)] = 0
-        return dict(zip(FLAT_NAMES, vals.tolist()))
+        return dict(zip(FLAT_NAMES, self.snapshot_vector(slot).tolist()))
 
-    def snapshot_vector(self, slot: int, out=None):
+    def snapshot_vector(self, slot: int):
         """One slot's int64 snapshot row (broken counters zeroed)."""
-        if out is None:
-            out = np.empty(ROW_SIZE, dtype=np.int64)
-        elif out.shape != (ROW_SIZE,):
-            raise ValueError(f"out must have shape ({ROW_SIZE},)")
-        out[:] = self._values[slot]  # casts to int64 (truncation toward zero)
-        for i in _BROKEN_FLAT:
-            out[i] = 0
+        out = self._values[slot].astype(np.int64)  # truncation toward zero
+        out[list(_BROKEN_FLAT)] = 0
         return out
 
     def snapshot_matrix(self, slots: Sequence[int]):
@@ -288,9 +249,11 @@ class CounterStore:
 
 
 class StoreBankView:
-    """:class:`~repro.power2.counters.CounterBank`-shaped view of one
-    store slot's bank, so phase execution, prologue/epilogue snapshots
-    and unit tests address an attached node exactly like a detached one."""
+    """One mode's bank of 22 counters in one store slot.
+
+    Values accumulate in float (event counts from the analytic model are
+    fractional); reads quantize to integers, and :meth:`hardware_read`
+    wraps modulo 2³², which is what the physical register shows."""
 
     __slots__ = ("_store", "_slot", "_mode")
 
@@ -309,18 +272,27 @@ class StoreBankView:
         self._store.add_vector(self._slot, self._mode, vec)
 
     def raw(self, name: str) -> float:
+        """Unwrapped accumulated total (simulation-side ground truth)."""
         return self._store.raw(self._slot, self._mode, name)
 
     def raw_vector(self):
+        """Copy of the unwrapped accumulator vector."""
         return self._store.raw_vector(self._slot, self._mode)
 
     def hardware_read(self, name: str) -> int:
+        """What the physical 32-bit register reads: wrapped, and zero for
+        the broken divide counters.  The cycles counter wraps every
+        ≈64 s at 66.7 MHz, which is why RS2HPM's kernel extension
+        accumulated into wide software counters (:meth:`read`)."""
         return self._store.hardware_read(self._slot, self._mode, name)
 
     def read(self, name: str) -> int:
+        """The RS2HPM software counter: 64-bit accumulated value, still
+        zero for the broken divide counters."""
         return self._store.read(self._slot, self._mode, name)
 
     def snapshot(self) -> dict[str, int]:
+        """Every software counter, as the RS2HPM daemon serves them."""
         return self._store.bank_snapshot(self._slot, self._mode)
 
     def snapshot_vector(self):
@@ -333,10 +305,14 @@ class StoreBankView:
 
 
 class StoreMonitor:
-    """:class:`~repro.power2.counters.HardwareMonitor`-shaped facade over
-    one store slot (both banks).  Attached nodes swap their monitor for
-    one of these; every monitor consumer — daemons, samplers, the PBS
-    prologue/epilogue, phase execution — works unchanged."""
+    """One node's hardware monitor: a user bank plus a system bank over
+    one store slot.
+
+    Work executed on the node is accrued via :meth:`accrue` (CPU events
+    from an :class:`~repro.power2.pipeline.ExecutionResult`) and
+    :meth:`accrue_dma` (SCU DMA transfer events, which are not tied to a
+    privilege mode in Table 1's selection — banked as user reads the way
+    RS2HPM's system-wide reports did)."""
 
     __slots__ = ("_store", "_slot", "banks")
 
@@ -349,28 +325,35 @@ class StoreMonitor:
         }
 
     def accrue(self, result, mode: Mode = Mode.USER) -> None:
+        """Account one executed block's events in ``mode``'s bank."""
         self._store.add_many(self._slot, mode, execution_event_counts(result))
 
     def accrue_raw(self, amounts: Mapping[str, float], mode: Mode) -> None:
+        """Directly accrue counter events (paging, idle cycles, ...)."""
         self._store.add_many(self._slot, mode, amounts)
 
     def accrue_dma(self, *, reads: float = 0.0, writes: float = 0.0) -> None:
+        """DMA transfer events from the I/O subsystem (message passing
+        and disk traffic, §5)."""
         if reads:
             self._store.add(self._slot, Mode.USER, "dma_read", reads)
         if writes:
             self._store.add(self._slot, Mode.USER, "dma_write", writes)
 
     def snapshot(self) -> dict[str, dict[str, int]]:
+        """Both banks, keyed ``user`` / ``system`` like RS2HPM output."""
         return {
             mode.value: self._store.bank_snapshot(self._slot, mode)
             for mode in (Mode.USER, Mode.SYSTEM)
         }
 
     def flat_snapshot(self) -> dict[str, int]:
+        """RS2HPM's flat label form, e.g. ``user.fxu0``/``system.cycles``."""
         return self._store.flat_snapshot(self._slot)
 
-    def snapshot_vector(self, out=None):
-        return self._store.snapshot_vector(self._slot, out)
+    def snapshot_vector(self):
+        """Both banks as one int64 vector in :data:`FLAT_NAMES` order."""
+        return self._store.snapshot_vector(self._slot)
 
     def reset(self) -> None:
         self._store.reset_bank(self._slot, Mode.USER)

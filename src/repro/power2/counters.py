@@ -14,6 +14,10 @@ ICU.  This module reproduces:
   operations" (§3).  Divides execute and cost cycles, but both FPU
   divide counters always read zero, exactly as in the paper
   (Table 3's Mflops-div row).
+
+This module is the layout and the pure counter algebra; every node's
+counter values live in :class:`~repro.power2.batch.CounterStore`, read
+through its bank and monitor views.
 """
 
 from __future__ import annotations
@@ -78,11 +82,10 @@ _INDEX: dict[str, int] = {name: i for i, name in enumerate(COUNTER_NAMES)}
 
 #: Counters the hardware bug zeroes out (§3).
 BROKEN_COUNTERS: frozenset[str] = frozenset({"fpu0_fp_div", "fpu1_fp_div"})
-#: Bank positions of the broken counters (shared with the batched store).
+#: Bank positions of the broken counters.
 BROKEN_INDICES: tuple[int, ...] = tuple(_INDEX[name] for name in sorted(BROKEN_COUNTERS))
-_BROKEN_INDICES = list(BROKEN_INDICES)
 
-#: Flat labels in :meth:`HardwareMonitor.snapshot_vector` order.
+#: Flat labels of a node's counter row: user bank then system bank.
 FLAT_NAMES: tuple[str, ...] = tuple(
     f"{mode}.{name}" for mode in ("user", "system") for name in COUNTER_NAMES
 )
@@ -112,84 +115,6 @@ def rates_vector(amounts: Mapping[str, float]) -> np.ndarray:
             raise ValueError(f"negative rate for {name}: {amount}")
         vec[counter_index(name)] = amount
     return vec
-
-
-class CounterBank:
-    """One mode's bank of 22 wrapping 32-bit counters.
-
-    Values accumulate internally in float (event counts from the analytic
-    model are fractional); reads quantize to integers and wrap modulo
-    2³², which is what the collection daemon actually sees.
-    """
-
-    def __init__(self) -> None:
-        self._values = np.zeros(len(COUNTER_LAYOUT), dtype=np.float64)
-
-    def add(self, name: str, amount: float) -> None:
-        if amount < 0:
-            raise ValueError(f"cannot decrement counter {name} by {amount}")
-        self._values[counter_index(name)] += amount
-
-    def add_many(self, amounts: Mapping[str, float]) -> None:
-        for name, amount in amounts.items():
-            self.add(name, amount)
-
-    def add_vector(self, vec: np.ndarray) -> None:
-        """Accrue a bank-ordered event vector (campaign fast path)."""
-        if vec.shape != self._values.shape:
-            raise ValueError(f"expected shape {self._values.shape}, got {vec.shape}")
-        self._values += vec
-
-    def raw(self, name: str) -> float:
-        """Unwrapped accumulated total (simulation-side ground truth)."""
-        return float(self._values[counter_index(name)])
-
-    def raw_vector(self) -> np.ndarray:
-        """Copy of the unwrapped accumulator vector."""
-        return self._values.copy()
-
-    def hardware_read(self, name: str) -> int:
-        """What the physical 32-bit register reads: wrapped, and zero for
-        the broken divide counters.
-
-        The cycles counter wraps every ≈64 s at 66.7 MHz, which is why
-        RS2HPM's kernel extension sampled the registers continuously and
-        accumulated into wide software counters (see :meth:`read`).
-        """
-        if name in BROKEN_COUNTERS:
-            return 0
-        return int(self._values[counter_index(name)]) % COUNTER_MODULUS
-
-    def read(self, name: str) -> int:
-        """The RS2HPM software counter: 64-bit accumulated value.
-
-        Still zero for the broken divide counters — the accumulation
-        can't recover events the hardware never reported.
-        """
-        if name in BROKEN_COUNTERS:
-            return 0
-        return int(self._values[counter_index(name)])
-
-    def snapshot(self) -> dict[str, int]:
-        """Read every software counter, as the RS2HPM daemon serves them.
-
-        One vectorized cast instead of 22 scalar reads; ``astype`` and
-        ``int()`` both truncate toward zero, so the dict is identical to
-        the read-by-read construction.
-        """
-        vals = self._values.astype(np.int64)
-        vals[_BROKEN_INDICES] = 0
-        return dict(zip(COUNTER_NAMES, vals.tolist()))
-
-    def snapshot_vector(self) -> np.ndarray:
-        """Vectorized :meth:`snapshot`: bank-ordered int64, broken
-        counters zeroed.  The campaign-scale collector uses this."""
-        out = self._values.astype(np.int64)
-        out[_BROKEN_INDICES] = 0
-        return out
-
-    def reset(self) -> None:
-        self._values.fill(0.0)
 
 
 def wrapped_delta(before: int, after: int) -> int:
@@ -249,83 +174,6 @@ def execution_event_counts(result: ExecutionResult) -> dict[str, float]:
         "dcache_reload": result.dcache_reloads,
         "dcache_store": result.dcache_writebacks,
     }
-
-
-class HardwareMonitor:
-    """The per-CPU monitor: a user bank plus a system bank.
-
-    Work executed on the node is accrued via :meth:`accrue` (CPU events
-    from an :class:`~repro.power2.pipeline.ExecutionResult`) and
-    :meth:`accrue_dma` (SCU DMA transfer events, which are not tied to a
-    privilege mode in Table 1's selection — we bank them as user reads
-    the way RS2HPM's system-wide reports did).
-    """
-
-    def __init__(self) -> None:
-        self.banks: dict[Mode, CounterBank] = {
-            Mode.USER: CounterBank(),
-            Mode.SYSTEM: CounterBank(),
-        }
-
-    def accrue(self, result: ExecutionResult, mode: Mode = Mode.USER) -> None:
-        """Account one executed block's events in ``mode``'s bank."""
-        self.banks[mode].add_many(execution_event_counts(result))
-
-    def accrue_raw(self, amounts: Mapping[str, float], mode: Mode) -> None:
-        """Directly accrue counter events (paging, idle cycles, ...)."""
-        self.banks[mode].add_many(amounts)
-
-    def accrue_dma(self, *, reads: float = 0.0, writes: float = 0.0) -> None:
-        """DMA transfer events from the I/O subsystem (message passing
-        and disk traffic, §5)."""
-        bank = self.banks[Mode.USER]
-        if reads:
-            bank.add("dma_read", reads)
-        if writes:
-            bank.add("dma_write", writes)
-
-    def snapshot(self) -> dict[str, dict[str, int]]:
-        """Both banks, keyed ``user.*`` / ``system.*`` like RS2HPM output."""
-        return {mode.value: bank.snapshot() for mode, bank in self.banks.items()}
-
-    def flat_snapshot(self) -> dict[str, int]:
-        """RS2HPM's flat label form, e.g. ``user.fxu0``/``system.cycles``.
-
-        The PBS prologue/epilogue takes one of these per node per job;
-        profiling showed the per-name ``read()`` loop was a campaign
-        hotspot, so both banks are quantized with one cast each (same
-        truncation semantics, same insertion order).
-        """
-        vals = np.empty(2 * BANK_SIZE, dtype=np.int64)
-        vals[:BANK_SIZE] = self.banks[Mode.USER]._values
-        vals[BANK_SIZE:] = self.banks[Mode.SYSTEM]._values
-        for idx in _BROKEN_INDICES:
-            vals[idx] = 0
-            vals[BANK_SIZE + idx] = 0
-        return dict(zip(FLAT_NAMES, vals.tolist()))
-
-    def snapshot_vector(self, out: np.ndarray | None = None) -> np.ndarray:
-        """Both banks as one int64 vector ordered like :data:`FLAT_NAMES`
-        (user bank then system bank) — the collector's fast path.
-
-        Pass ``out`` (shape ``(2·BANK_SIZE,)``, int64) to write in place
-        and skip the allocations; profiling showed the per-sample
-        collector loop dominated by exactly these temporaries.
-        """
-        if out is None:
-            out = np.empty(2 * BANK_SIZE, dtype=np.int64)
-        elif out.shape != (2 * BANK_SIZE,):
-            raise ValueError(f"out must have shape ({2 * BANK_SIZE},)")
-        out[:BANK_SIZE] = self.banks[Mode.USER]._values  # casts to int64
-        out[BANK_SIZE:] = self.banks[Mode.SYSTEM]._values
-        for idx in _BROKEN_INDICES:
-            out[idx] = 0
-            out[BANK_SIZE + idx] = 0
-        return out
-
-    def reset(self) -> None:
-        for bank in self.banks.values():
-            bank.reset()
 
 
 def table1() -> Iterable[tuple[str, str, str]]:

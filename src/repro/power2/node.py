@@ -26,8 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.power2.batch import CounterStore, StoreMonitor
 from repro.power2.config import MachineConfig, POWER2_590
-from repro.power2.counters import BANK_SIZE, HardwareMonitor, Mode, rates_vector
+from repro.power2.counters import Mode, rates_vector
 from repro.power2.pipeline import ExecutionResult
 
 
@@ -160,7 +161,6 @@ class Node:
     ) -> None:
         self.node_id = int(node_id)
         self.config = config or POWER2_590
-        self.monitor = HardwareMonitor()
         self.paging_disk_fault_limit = (
             self.config.paging_fault_limit
             if paging_disk_fault_limit is None
@@ -173,38 +173,27 @@ class Node:
         #: Optional span tracer (phase-execution path): each executed
         #: phase is recorded on the node's own wall-time axis.
         self.tracer = None
-        #: Total simulated wall seconds this node has accounted.
-        self._wall_seconds = 0.0
-        self._busy_seconds = 0.0
-        # Campaign fast-path state (see install_rates/sync).
-        self._last_sync = 0.0
-        self._user_rates: np.ndarray | None = None
-        self._system_rates: np.ndarray = self._background_rates()
-        self._rates_busy = False
-        self._flops_per_s = 0.0
-        # Batched-accrual attachment (see attach_store): when set, all
-        # fast-path state above lives in the shared store's slot instead.
-        self._store = None
-        self._slot = -1
+        # Counters, rates and the wall/busy clocks live in a store slot:
+        # the node's own one-slot store until a machine attaches it.
+        self._bind(CounterStore(1), 0)
 
     # ------------------------------------------------------------------
-    # Batched accrual attachment
+    # Counter store slot
     # ------------------------------------------------------------------
-    def attach_store(self, store, slot: int) -> None:
-        """Move this node's accumulators into a shared
-        :class:`~repro.power2.batch.CounterStore` slot.
+    def attach_store(self, store: CounterStore, slot: int) -> None:
+        """Move this node onto ``slot`` of a shared
+        :class:`~repro.power2.batch.CounterStore`.
 
         Must happen on a pristine node (machine construction time): the
         slot starts from zero, so migrating accrued state is neither
-        needed nor supported.  After attachment ``self.monitor`` is a
-        store-backed facade and ``sync``/``install_rates``/``halt``/
-        ``resume`` delegate to the store — same arithmetic, executed as
-        flat array rows so the collector can sweep all nodes at once.
+        needed nor supported.  A machine attaches all its nodes to one
+        store so a counter read syncs all of them in one sweep.
         """
-        from repro.power2.batch import StoreMonitor
-
-        if self._wall_seconds or self._busy_seconds or self._last_sync:
+        if self.wall_seconds or self.busy_seconds or self._store.last_sync(self._slot):
             raise RuntimeError("cannot attach a store to a node with history")
+        self._bind(store, slot)
+
+    def _bind(self, store: CounterStore, slot: int) -> None:
         self._store = store
         self._slot = slot
         store.configure_slot(slot, self._background_rates())
@@ -212,29 +201,20 @@ class Node:
 
     @property
     def wall_seconds(self) -> float:
-        if self._store is not None:
-            return self._store.wall(self._slot)
-        return self._wall_seconds
+        """Total simulated wall seconds this node has accounted."""
+        return self._store.wall(self._slot)
 
     @wall_seconds.setter
     def wall_seconds(self, value: float) -> None:
-        if self._store is not None:
-            self._store.set_wall(self._slot, value)
-        else:
-            self._wall_seconds = value
+        self._store.set_wall(self._slot, value)
 
     @property
     def busy_seconds(self) -> float:
-        if self._store is not None:
-            return self._store.busy(self._slot)
-        return self._busy_seconds
+        return self._store.busy(self._slot)
 
     @busy_seconds.setter
     def busy_seconds(self, value: float) -> None:
-        if self._store is not None:
-            self._store.set_busy(self._slot, value)
-        else:
-            self._busy_seconds = value
+        self._store.set_busy(self._slot, value)
 
     # ------------------------------------------------------------------
     # Memory management
@@ -370,9 +350,9 @@ class Node:
     # Campaign fast path: steady counter rates + lazy accrual
     # ------------------------------------------------------------------
     # A running job presents as constant per-second counter rates on its
-    # nodes (see repro.workload.profile).  `set_rates` installs them and
-    # `sync` integrates counters up to a timestamp; the RS2HPM sampler
-    # calls `sync` before reading so snapshots are exact.
+    # nodes (see repro.workload.profile).  `install_rates` installs them
+    # and `sync` integrates counters up to a timestamp; every counter
+    # read syncs first so snapshots are exact.
 
     def install_rates(
         self,
@@ -381,51 +361,17 @@ class Node:
         system_rates: np.ndarray | None = None,
         *,
         busy: bool = False,
-        flops_per_s: float = 0.0,
     ) -> None:
         """Install steady per-second counter rate vectors from ``now`` on.
 
         ``None`` rates mean "idle": only the background OS vector ticks.
         """
-        if self._store is not None:
-            self._store.sync_one(self._slot, now)
-            self._store.install(
-                self._slot, user_rates, system_rates, busy=busy, flops_per_s=flops_per_s
-            )
-            return
-        self.sync(now)
-        self._user_rates = (
-            np.zeros(BANK_SIZE) if user_rates is None else np.asarray(user_rates, dtype=float)
-        )
-        self._system_rates = (
-            self._background_rates()
-            if system_rates is None
-            else np.asarray(system_rates, dtype=float)
-        )
-        self._rates_busy = busy
-        self._flops_per_s = flops_per_s
+        self._store.sync_one(self._slot, now)
+        self._store.install(self._slot, user_rates, system_rates, busy=busy)
 
     def sync(self, now: float) -> None:
         """Integrate installed rates up to simulated time ``now``."""
-        if self._store is not None:
-            self._store.sync_one(self._slot, now)
-            return
-        last = self._last_sync
-        if now < last - 1e-9:
-            raise ValueError(f"sync cannot run backwards ({now} < {last})")
-        dt = max(0.0, now - last)
-        self._last_sync = now
-        if dt == 0.0:
-            return
-        if self._user_rates is None:
-            # Never had rates installed: idle background only.
-            self.monitor.banks[Mode.SYSTEM].add_vector(self._background_rates() * dt)
-        else:
-            self.monitor.banks[Mode.USER].add_vector(self._user_rates * dt)
-            self.monitor.banks[Mode.SYSTEM].add_vector(self._system_rates * dt)
-        if self._rates_busy:
-            self.busy_seconds += dt
-        self.wall_seconds += dt
+        self._store.sync_one(self._slot, now)
 
     def halt(self, now: float) -> None:
         """Power the node down at ``now`` (crash).
@@ -435,16 +381,8 @@ class Node:
         at repair, so the collector's per-node series stays monotone
         (the delta algebra asserts counters never run backwards).
         """
-        if self._store is not None:
-            self._store.sync_one(self._slot, now)
-            self._store.halt(self._slot)
-            return
-        self.sync(now)
-        zero = np.zeros(BANK_SIZE)
-        self._user_rates = zero
-        self._system_rates = zero.copy()
-        self._rates_busy = False
-        self._flops_per_s = 0.0
+        self._store.sync_one(self._slot, now)
+        self._store.halt(self._slot)
 
     def resume(self, now: float) -> None:
         """Return the node to service at ``now`` (repair).
@@ -452,7 +390,6 @@ class Node:
         The outage integrates as zero-rate time, then the idle
         background OS vector is reinstalled.
         """
-        self.sync(now)
         self.install_rates(now)
 
     def _background_rates(self) -> np.ndarray:

@@ -17,7 +17,6 @@ import time
 
 from repro.core.study import StudyConfig
 from repro.faults.profile import FaultProfile
-from repro.power2.batch import BACKEND_CHOICES
 from repro.stats.annotate import (
     format_estimate,
     repeat_headline_block,
@@ -90,10 +89,6 @@ def build_repeat_parser() -> argparse.ArgumentParser:
         "runner; part of the experiment definition)",
     )
     p.add_argument("--fault-profile", default=None, metavar="NAME")
-    p.add_argument(
-        "--accrual-backend", default="auto",
-        choices=BACKEND_CHOICES,
-    )
     p.add_argument("--tables", action="store_true", help="print Tables 1-4 with CIs")
     p.add_argument(
         "--json", type=pathlib.Path, default=None,
@@ -136,7 +131,6 @@ def repeat_main(argv: list[str] | None = None) -> int:
             n_nodes=args.nodes,
             n_users=args.users,
             fault_profile=FaultProfile.resolve(args.fault_profile),
-            accrual_backend=args.accrual_backend,
         )
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
@@ -215,7 +209,7 @@ def repeat_main(argv: list[str] | None = None) -> int:
             "n_nodes": args.nodes,
             "n_users": args.users,
             "fault_profile": args.fault_profile,
-            "accrual_backend": args.accrual_backend,
+            "accrual_backend": config.accrual_backend,
             "shard_days": args.shard_days,
         }
         payload = repeat_summary(result, config=block)

@@ -28,7 +28,6 @@ from typing import Any, Mapping
 
 from repro.core.study import SCHEDULER_POLICIES, StudyConfig
 from repro.faults.profile import PROFILES, FaultProfile
-from repro.power2.batch import BACKEND_CHOICES, resolve_backend
 from repro.power2.config import POWER2_590, SwitchConfig
 from repro.stats.metrics import DEFAULT_TARGET_METRIC
 
@@ -106,12 +105,6 @@ AXES: dict[str, AxisDef] = {
             "named fault-injection profile",
             choices=tuple(sorted(PROFILES)),
             allow_none=True,
-        ),
-        AxisDef(
-            "accrual_backend",
-            "str",
-            "counter-accrual backend",
-            choices=BACKEND_CHOICES,
         ),
         AxisDef(
             "scheduler_policy",
@@ -292,11 +285,6 @@ class SweepSpec:
                 )
         if self.shard_days is not None and self.shard_days <= 0:
             raise ValueError(f"shard_days must be positive, got {self.shard_days}")
-        # Settings that only fail at StudyConfig construction (e.g. an
-        # accrual backend the registry rejects) fail here instead, with
-        # the cell left unnamed because no cells exist yet.
-        if "accrual_backend" in self.base:
-            resolve_backend(self.base["accrual_backend"])
 
     # ------------------------------------------------------------------
     @property
@@ -423,7 +411,6 @@ def resolve_config(settings: Mapping[str, Any]) -> StudyConfig:
             else None
         ),
         fault_profile=FaultProfile.resolve(settings.get("fault_profile")),
-        accrual_backend=settings.get("accrual_backend", "auto"),
         scheduler_policy=settings.get("scheduler_policy", "backfill"),
         scheduler_wide_threshold=int(settings.get("scheduler_wide_threshold", 64)),
     )

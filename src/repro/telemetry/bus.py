@@ -192,6 +192,3 @@ class EventBus:
                 sub.handler(event)
                 delivered += 1
         return delivered
-
-    def subscriber_count(self, topic: str) -> int:
-        return sum(1 for s in self._subs.get(topic, ()) if s.active)

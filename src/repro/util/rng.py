@@ -112,16 +112,6 @@ def member_key(name: str) -> tuple[int, int]:
     return (_FLEET_TAG, _stable_hash(name))
 
 
-def member_streams(seed: int, name: str) -> RngStreams:
-    """The campaign-root stream tree of fleet member ``name``.
-
-    Disjoint from the single-machine root tree (``RngStreams(seed)``),
-    from shard trees, and from every other member's tree by spawn-key
-    construction.
-    """
-    return RngStreams(seed, spawn_key=member_key(name))
-
-
 def _stable_hash(name: str) -> int:
     """A process-stable 63-bit hash (``hash()`` is salted per process)."""
     h = 1469598103934665603  # FNV-1a 64-bit offset basis

@@ -64,11 +64,6 @@ def _cached_profile(
     )
 
 
-def clear_profile_cache() -> None:
-    """Drop memoized job profiles (for leak-hunting tests)."""
-    _cached_profile.cache_clear()
-
-
 @dataclass(frozen=True)
 class ApplicationTemplate:
     """One family of user codes."""

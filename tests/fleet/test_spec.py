@@ -131,6 +131,16 @@ class TestRoundTrip:
         with pytest.raises(ValueError, match="unknown member spec keys: gpu_count"):
             FleetSpec.from_dict(data)
 
+    def test_accrual_backend_key_rejected(self):
+        data = FleetSpec(members=two_members()).to_dict()
+        data["accrual_backend"] = "scalar"
+        with pytest.raises(ValueError, match="unknown fleet spec keys: accrual_backend"):
+            FleetSpec.from_dict(data)
+        data = FleetSpec(members=two_members()).to_dict()
+        data["members"][0]["accrual_backend"] = "scalar"
+        with pytest.raises(ValueError, match="unknown member spec keys: accrual_backend"):
+            FleetSpec.from_dict(data)
+
     def test_missing_members_rejected(self):
         with pytest.raises(ValueError, match="non-empty 'members'"):
             FleetSpec.from_dict({"name": "empty"})

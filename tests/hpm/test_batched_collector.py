@@ -1,11 +1,12 @@
-"""The collector's read on the store backend vs. the scalar backend.
+"""The collector's read on the counter store vs. the scalar reference.
 
 A cron pass is one :meth:`~repro.cluster.machine.SP2Machine.read_counters`
-call: on a vectorized machine that is a single ``sync_slots`` sweep over
-the shared counter store, on a scalar machine a per-node loop.  These
-are regression tests for the one real hazard in the sweep: an
+call: a single ``sync_slots`` sweep over the machine's counter store.
+On a machine built on the per-node reference
+(``tests/power2/accrual_reference.py``) it is a per-node loop instead.
+These are regression tests for the one real hazard in the sweep: an
 *unreachable* node must be masked out of it entirely — its counters AND
-its sync clock must not advance — because a scalar collector never
+its sync clock must not advance — because a per-node collector never
 touches a down node, and float accrual does not distribute over a late
 catch-up sync (``rate*dt1 + rate*dt2 != rate*(dt1+dt2)`` bitwise).
 """
@@ -14,7 +15,9 @@ import numpy as np
 
 from repro.cluster.machine import SP2Machine
 from repro.hpm.collector import SystemCollector
+from repro.power2.batch import CounterStore
 from repro.power2.counters import rates_vector
+from tests.power2.accrual_reference import ReferenceStore, reference_accrual
 
 # Rates chosen so rate*dt accumulates rounding: per-interval syncs and a
 # single catch-up sync differ in the low mantissa bits, which is exactly
@@ -23,20 +26,23 @@ RATES = {"fpu0_fp_add": 1.1e6 / 3.0, "fpu0": 0.7e6 / 3.0, "cycles": 6.65e7 / 3.0
 
 
 def make_stacks(n=4):
-    """Parallel scalar and store-backed collector stacks over n nodes."""
+    """Parallel reference and store-backed collector stacks over n nodes."""
+    with reference_accrual():
+        reference = SP2Machine(n)
     cols = []
-    for backend in ("scalar", "vectorized"):
-        machine = SP2Machine(n, accrual_backend=backend)
+    for machine in (reference, SP2Machine(n)):
         for node in machine.nodes:
             node.install_rates(0.0, rates_vector(RATES), busy=True)
         cols.append(SystemCollector(machine))
     scalar_col, batched_col = cols
-    assert batched_col.machine.store is not None  # the sweep actually engaged
-    assert scalar_col.machine.store is None
+    assert isinstance(batched_col.machine.store, CounterStore)  # the sweep engaged
+    assert isinstance(scalar_col.machine.store, ReferenceStore)
     return scalar_col, batched_col
 
 
 def assert_samples_identical(a: SystemCollector, b: SystemCollector):
+    """Same samples; ``a``'s were read through the reference."""
+    assert a.machine.store.reads
     assert len(a.samples) == len(b.samples)
     for x, y in zip(a.samples, b.samples):
         assert x.time == y.time
@@ -70,8 +76,8 @@ class TestUnreachableNodeMasking:
 
     def test_outage_and_recovery_bitwise_identical(self):
         """Down across several passes, then back: every sample byte
-        matches the scalar collector, including the catch-up sample
-        (both paths defer the down node's whole outage to one sync)."""
+        matches the reference collector, including the catch-up sample
+        (both defer the down node's whole outage to one sync)."""
         scalar, batched = make_stacks(n=4)
         schedule = [
             (0.0, None),
@@ -115,8 +121,8 @@ class TestUnreachableNodeMasking:
 
 class TestFastPathGating:
     def test_store_pass_is_one_sweep(self, monkeypatch):
-        """On the store backend a pass where every daemon answers is one
-        ``sync_slots`` sweep and no per-node sync."""
+        """A pass where every daemon answers is one ``sync_slots``
+        sweep of the store and no per-node sync."""
         _, batched = make_stacks(n=3)
         store = batched.machine.store
         calls = []

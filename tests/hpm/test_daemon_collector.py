@@ -1,6 +1,5 @@
 """Node daemons and the 15-minute system-wide collector."""
 
-import numpy as np
 import pytest
 
 from repro.cluster.machine import SP2Machine
@@ -84,20 +83,6 @@ class TestCollector:
         daemons[1].mark_up()
         col.collect(200.0)
         assert col.intervals()[1].n_nodes == 1  # down in 'before' sample
-
-    def test_interval_matrix(self):
-        col = SystemCollector(make_machine(n=2, rate=1e6))
-        for t in (0.0, 50.0, 100.0):
-            col.collect(t)
-        times, counts = col.interval_matrix("user.fpu0_fp_add")
-        np.testing.assert_allclose(times, [50.0, 100.0])
-        np.testing.assert_allclose(counts, [1e8, 1e8], rtol=1e-6)
-
-    def test_snapshot_for_compatibility_view(self):
-        col = SystemCollector(make_machine(n=2))
-        s = col.collect(10.0)
-        snap = s.snapshot_for(1)
-        assert snap["user.fpu0_fp_add"] == pytest.approx(1e7, rel=1e-9)
 
     def test_needs_daemons(self):
         """One daemon per node, and a machine has at least one node."""

@@ -1,5 +1,7 @@
 """``sample_delta``: the common-node algebra and the rollback error."""
 
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from repro.cluster.machine import SP2Machine
 from repro.hpm.collector import SystemCollector, SystemSample, sample_delta
 from repro.power2.counters import FLAT_NAMES, Mode, counter_index, rates_vector
+from tests.power2.accrual_reference import reference_accrual, served
 
 NODE_IDS = st.lists(st.integers(0, 15), unique=True, max_size=10)
 
@@ -54,8 +57,10 @@ def test_random_node_subsets_match_per_node_reference(before_ids, after_ids, see
 @pytest.mark.parametrize("backend", ["scalar", "auto"])
 def test_counter_rollback_between_passes_fails_in_one_line(backend):
     """A bank reset between two cron passes names the interval end,
-    the node, the counter and both readings."""
-    machine = SP2Machine(2, accrual_backend=backend)
+    the node, the counter and both readings, on the scalar reference
+    and on the store."""
+    with reference_accrual() if backend == "scalar" else nullcontext([]) as built:
+        machine = SP2Machine(2)
     for node in machine.nodes:
         node.install_rates(0.0, rates_vector({"fxu0": 1e6, "cycles": 3e7}), busy=True)
     collector = SystemCollector(machine)
@@ -64,10 +69,7 @@ def test_counter_rollback_between_passes_fails_in_one_line(backend):
     fxu0 = counter_index("fxu0")  # user.fxu0: the first flat column
     before = int(collector.samples[-1].matrix[1, fxu0])
     machine.node(1).sync(1400.0)
-    if backend == "scalar":
-        machine.node(1).monitor.banks[Mode.USER].reset()
-    else:
-        machine.store.reset_bank(1, Mode.USER)  # the store slot is the node id
+    machine.node(1).monitor.banks[Mode.USER].reset()
     with pytest.raises(ValueError) as err:
         collector.collect(1800.0)
     after = int(machine.read_counters([1], 1800.0)[0, fxu0])
@@ -77,3 +79,4 @@ def test_counter_rollback_between_passes_fails_in_one_line(backend):
         f"went backwards ({before} -> {after})"
     )
     assert len(collector.samples) == len(collector.intervals()) + 1 == 2
+    assert bool(served(built)) == (backend == "scalar")

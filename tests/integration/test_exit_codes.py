@@ -10,6 +10,7 @@ import repro.fleet_cli
 import repro.ops_cli
 import repro.sweep_cli
 import repro.trace_cli
+from repro.core.study import StudyConfig
 
 #: Every installed console entry point (pyproject [project.scripts]).
 ENTRY_POINTS = [
@@ -73,6 +74,26 @@ class TestUsageErrors:
         assert repro.cli.main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--days", "1", "--nodes", "8", "--users", "2"],
+            ["repeat", "--days", "1", "--nodes", "8", "--users", "2", "--seeds", "0"],
+        ],
+        ids=["study", "repeat"],
+    )
+    def test_accrual_backend_flag_is_refused(self, argv, capsys):
+        """Counters accrue in one store; there is no backend to pick."""
+        with pytest.raises(SystemExit) as e:
+            repro.cli.main([*argv, "--accrual-backend", "scalar"])
+        assert e.value.code == 2
+        assert "unrecognized arguments: --accrual-backend scalar" in capsys.readouterr().err
+
+    def test_study_config_refuses_accrual_backend(self):
+        with pytest.raises(TypeError, match="accrual_backend"):
+            StudyConfig(accrual_backend="scalar")
+        assert StudyConfig().accrual_backend == "auto"
 
     def test_sweep_bad_spec(self, tmp_path, capsys):
         spec = tmp_path / "s.yaml"

@@ -1,11 +1,13 @@
-"""Per-job counter deltas and totals, campaign-wide, on every backend.
+"""Per-job counter deltas and totals, campaign-wide, on the store and
+on the scalar reference.
 
 The epilogue reads a job's nodes once, subtracts the prologue read, and
 seeds the record's totals from the difference matrix's column sums;
 records merged from shards reduce their totals on first use instead.
 Either way every :class:`~repro.pbs.job.JobRecord` must carry the same
-per-node deltas under the ``scalar`` and ``auto`` accrual backends, and
-its :meth:`~repro.pbs.job.JobRecord.summed_deltas` must equal a per-node
+per-node deltas on the counter store as on the per-node reference in
+``tests/power2/accrual_reference.py``, and its
+:meth:`~repro.pbs.job.JobRecord.summed_deltas` must equal a per-node
 sum computed here from scratch — in the same key order.
 """
 
@@ -15,13 +17,13 @@ import pytest
 
 from repro.core.study import StudyConfig, run_study
 from repro.faults.profile import PROFILES
+from tests.power2.accrual_reference import reference_accrual, served
 
 SMALL = dict(seed=7, n_days=2, n_nodes=16, n_users=6)
 
 
-def _records(backend: str, fault_profile: str | None, shard_days: int | None):
+def _records(fault_profile: str | None, shard_days: int | None):
     config = StudyConfig(
-        accrual_backend=backend,
         fault_profile=PROFILES[fault_profile] if fault_profile else None,
         **SMALL,
     )
@@ -39,8 +41,10 @@ def _summed_from_scratch(record) -> dict[str, int]:
 @pytest.mark.parametrize("fault_profile", [None, "pathological"])
 @pytest.mark.parametrize("shard_days", [None, 1], ids=["serial", "2-shards"])
 def test_job_deltas_match_across_backends_and_a_fresh_sum(fault_profile, shard_days):
-    scalar = _records("scalar", fault_profile, shard_days)
-    auto = _records("auto", fault_profile, shard_days)
+    with reference_accrual() as built:
+        scalar = _records(fault_profile, shard_days)
+    assert served(built)
+    auto = _records(fault_profile, shard_days)
     assert len(scalar) == len(auto) > 0
     for a, b in zip(scalar, auto):
         assert a == b  # every field, counter_deltas included
@@ -53,7 +57,7 @@ def test_job_deltas_match_across_backends_and_a_fresh_sum(fault_profile, shard_d
 
 
 def test_cached_totals_are_read_only():
-    record = _records("auto", None, None)[0]
+    record = _records(None, None)[0]
     totals = record.summed_deltas()
     with pytest.raises(TypeError):
         totals["user.fxu0"] = 0

@@ -1,5 +1,7 @@
 """PBS server: scheduling flow, prologue/epilogue, paging transform."""
 
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from repro.pbs.scheduler import PBSServer, apply_paging_to_rates
 from repro.power2.config import POWER2_590
 from repro.power2.counters import Mode, counter_index, rates_vector
 from repro.sim.engine import Simulator
+from tests.power2.accrual_reference import reference_accrual, served
 
 
 class Profile:
@@ -23,8 +26,8 @@ class Profile:
         self.mflops_per_node = fpu_rate / 1e6
 
 
-def server(n_nodes=16, backend="scalar") -> PBSServer:
-    return PBSServer(Simulator(), SP2Machine(n_nodes, accrual_backend=backend))
+def server(n_nodes=16) -> PBSServer:
+    return PBSServer(Simulator(), SP2Machine(n_nodes))
 
 
 class TestLifecycle:
@@ -104,8 +107,10 @@ class TestCounterCapture:
     @pytest.mark.parametrize("backend", ["scalar", "auto"])
     def test_counter_rollback_fails_the_epilogue_in_one_line(self, backend):
         """A counter that went backwards between prologue and epilogue
-        names the job, the node, the counter and both readings."""
-        s = server(n_nodes=2, backend=backend)
+        names the job, the node, the counter and both readings, on the
+        scalar reference and on the store."""
+        with reference_accrual() if backend == "scalar" else nullcontext([]) as built:
+            s = server(n_nodes=2)
         s.submit(0, "first", 2, Profile(walltime=1000.0))
         second = s.submit(0, "second", 2, Profile(walltime=1000.0))
         s.sim.run(until=1400.0)
@@ -115,7 +120,7 @@ class TestCounterCapture:
         before = int(running.prologue[1, fxu0])
         node = s.machine.node(node_id)
         node.sync(1400.0)
-        node.monitor.banks[Mode.USER].reset()  # CounterStore.reset_bank on auto
+        node.monitor.banks[Mode.USER].reset()
         with pytest.raises(ValueError) as err:
             s.sim.run()
         after = int(s.machine.read_counters([node_id], 2000.0)[0, fxu0])
@@ -124,6 +129,7 @@ class TestCounterCapture:
             f"job {second.job_id}: node {node_id} counter user.fxu0 "
             f"went backwards ({before} -> {after})"
         )
+        assert bool(served(built)) == (backend == "scalar")
 
     def test_memory_released_after_job(self):
         s = server()

@@ -1,12 +1,13 @@
-"""Differential equivalence: scalar vs. batched counter accrual.
+"""Differential equivalence: the scalar reference vs. the counter store.
 
-The vectorized backend (:mod:`repro.power2.batch`) promises *bitwise*
-identical accumulators to the legacy per-node path — goldens and the
-parallel runner's byte-for-byte merge invariants depend on it.  These
-property tests drive both implementations (detached scalar
-:class:`Node`, store-attached node) through identical random schedules
-of rate installs, syncs, crashes/repairs, direct accruals and phase
-work, and demand exact float equality at every step.
+The counter store (:mod:`repro.power2.batch`) promises *bitwise*
+identical accumulators to integrating each node on its own — goldens
+and the parallel runner's byte-for-byte merge invariants depend on it.
+These property tests drive both implementations (nodes built on the
+per-node reference in ``accrual_reference.py``, nodes on a shared
+:class:`CounterStore`) through identical random schedules of rate
+installs, syncs, crashes/repairs, direct accruals and phase work, and
+demand exact float equality at every step.
 """
 
 import numpy as np
@@ -15,12 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.machine import SP2Machine
-from repro.power2.batch import (
-    BACKEND_CHOICES,
-    CounterStore,
-    make_store,
-    resolve_backend,
-)
+from repro.power2.batch import CounterStore
 from repro.power2.config import POWER2_590
 from repro.power2.counters import BANK_SIZE, FLAT_NAMES, Mode, rates_vector
 from repro.power2.node import Node
@@ -32,25 +28,39 @@ from repro.workload.kernels import (
     kernel,
 )
 
-#: Resolved backends that keep counters in a store (parametrizes the
-#: store-semantics tests).
-STORE_BACKENDS = ["numpy"]
+from .accrual_reference import ReferenceStore, reference_accrual, served
+
+#: Both implementations, by test id: the store's contract must hold on
+#: the reference too, or the reference could not check it.
+IMPLEMENTATIONS = pytest.mark.parametrize(
+    "store_cls", [CounterStore, ReferenceStore], ids=["numpy", "scalar"]
+)
 
 # ---------------------------------------------------------------------------
-# Harness: one scalar node + one store-attached node
+# Harness: reference nodes + store-attached nodes
 # ---------------------------------------------------------------------------
 
 
 def make_pair(n_nodes=1):
-    """(scalar nodes, store-attached nodes)."""
-    scalar = [Node(i) for i in range(n_nodes)]
+    """(reference nodes, nodes attached to one shared store, the
+    reference stores built)."""
+    with reference_accrual() as built:
+        scalar = [Node(i) for i in range(n_nodes)]
     store = CounterStore(n_nodes)
     attached = []
     for i in range(n_nodes):
         node = Node(i)
         node.attach_store(store, i)
         attached.append(node)
-    return scalar, attached
+    return scalar, attached, built
+
+
+def reference_machine(n_nodes):
+    """(an SP2Machine built on the reference, the reference stores built)."""
+    with reference_accrual() as built:
+        machine = SP2Machine(n_nodes)
+    assert isinstance(machine.store, ReferenceStore)
+    return machine, built
 
 
 def assert_bitwise_equal(reference: Node, *others: Node):
@@ -97,9 +107,7 @@ def apply_step(node: Node, now: float, action: str, user, system, busy):
     if action == "sync":
         node.sync(now)
     elif action == "install":
-        node.install_rates(
-            now, np.asarray(user), np.asarray(system), busy=busy, flops_per_s=1.0
-        )
+        node.install_rates(now, np.asarray(user), np.asarray(system), busy=busy)
     elif action == "idle":
         node.install_rates(now)
     elif action == "halt":
@@ -116,18 +124,19 @@ class TestScheduleEquivalence:
     @settings(max_examples=120, deadline=None)
     def test_random_schedules_bitwise_identical(self, schedule):
         """Any interleaving of installs/syncs/crashes accrues identically."""
-        (scalar,), (attached,) = make_pair(1)
+        (scalar,), (attached,), built = make_pair(1)
         now = 0.0
         for dt, action, user, system, busy in schedule:
             now += dt
             for node in (scalar, attached):
                 apply_step(node, now, action, user, system, busy)
             assert_bitwise_equal(scalar, attached)
+        assert served(built)
 
     @given(bank_rates, st.lists(deltas, min_size=1, max_size=8))
     @settings(max_examples=100, deadline=None)
     def test_interval_partitions_identical(self, rates, dts):
-        """The *same* sync schedule accrues identically on every backend.
+        """The *same* sync schedule accrues identically on both.
 
         (Different partitions of the same span are NOT bitwise equal —
         float addition doesn't distribute — which is exactly why the
@@ -135,7 +144,7 @@ class TestScheduleEquivalence:
         them late; see test_masked_multi_node_sweeps and the collector
         regression tests in tests/hpm.)
         """
-        (scalar,), (attached,) = make_pair(1)
+        (scalar,), (attached,), built = make_pair(1)
         vec = np.asarray(rates)
         now = 0.0
         for node in (scalar, attached):
@@ -145,6 +154,7 @@ class TestScheduleEquivalence:
             for node in (scalar, attached):
                 node.sync(now)
             assert_bitwise_equal(scalar, attached)
+        assert served(built)
 
     @given(
         st.lists(bank_rates, min_size=2, max_size=4),
@@ -157,9 +167,9 @@ class TestScheduleEquivalence:
     @settings(max_examples=60, deadline=None)
     def test_masked_multi_node_sweeps(self, per_node_rates, passes):
         """store.sync_slots over a random availability mask == per-node
-        scalar syncs of exactly the available nodes (fault schedules)."""
+        reference syncs of exactly the available nodes (fault schedules)."""
         n = len(per_node_rates)
-        scalar, attached = make_pair(n)
+        scalar, attached, built = make_pair(n)
         store = attached[0]._store
         for i, rates in enumerate(per_node_rates):
             vec = np.asarray(rates)
@@ -178,6 +188,7 @@ class TestScheduleEquivalence:
                 assert np.array_equal(ref, matrix[row])
             for i in range(n):
                 assert_bitwise_equal(scalar[i], attached[i])
+        assert served(built)
 
 
 # One machine-level step: advance time by dt, then act on a random
@@ -202,18 +213,17 @@ machine_steps = st.lists(
 
 class TestReadCounters:
     """``SP2Machine.read_counters`` — the one read behind the collector
-    and the PBS prologue/epilogue — on the scalar and store backends."""
+    and the PBS prologue/epilogue — on the reference and on the store."""
 
     @given(machine_steps)
     @settings(max_examples=100, deadline=None)
     def test_random_schedules_read_identical_matrices(self, schedule):
         """Any schedule of installs, syncs, crashes/repairs and reads on
         random node subsets reads bitwise-equal int64 matrices, and
-        leaves equal wall and busy seconds, on both backends."""
-        machines = [
-            SP2Machine(MACHINE_NODES, accrual_backend=b) for b in ("scalar", "vectorized")
-        ]
-        assert machines[0].store is None and machines[1].store is not None
+        leaves equal wall and busy seconds, on both."""
+        reference, built = reference_machine(MACHINE_NODES)
+        machines = [reference, SP2Machine(MACHINE_NODES)]
+        assert isinstance(machines[1].store, CounterStore)
         now = 0.0
         for dt, action, subset, user, system, busy in schedule:
             now += dt
@@ -237,16 +247,17 @@ class TestReadCounters:
         assert final[0].tobytes() == final[1].tobytes()
         for a, b in zip(*(m.nodes for m in machines)):
             assert_bitwise_equal(a, b)
+        assert served(built)
 
     @given(machine_steps)
     @settings(max_examples=40, deadline=None)
     def test_read_is_sync_then_snapshot(self, schedule):
         """A read equals syncing each named node and stacking its
-        snapshot vector, and it leaves unnamed nodes untouched."""
-        for backend in ("scalar", "vectorized"):
-            reader, reference = (
-                SP2Machine(MACHINE_NODES, accrual_backend=backend) for _ in range(2)
-            )
+        snapshot vector, and it leaves unnamed nodes untouched, on the
+        reference and on the store."""
+        builds = (lambda: reference_machine(MACHINE_NODES)[0], lambda: SP2Machine(MACHINE_NODES))
+        for build in builds:
+            reader, reference = build(), build()
             now = 0.0
             for dt, action, subset, user, system, busy in schedule:
                 now += dt
@@ -265,8 +276,8 @@ class TestReadCounters:
                     assert_bitwise_equal(a, b)
 
     def test_empty_read(self):
-        for backend in ("scalar", "vectorized"):
-            matrix = SP2Machine(3, accrual_backend=backend).read_counters([], 10.0)
+        for machine in (reference_machine(3)[0], SP2Machine(3)):
+            matrix = machine.read_counters([], 10.0)
             assert matrix.shape == (0, len(FLAT_NAMES)) and matrix.dtype == np.int64
 
 
@@ -300,29 +311,17 @@ class TestKernelMemoization:
         assert evaluate_kernel.cache_info().currsize == 2
 
 
-class TestBackendSelection:
-    def test_resolve_backend_names(self):
-        assert resolve_backend(None) == "numpy"
-        assert resolve_backend("scalar") == "scalar"
-        assert resolve_backend("auto") == "numpy"
-        assert resolve_backend("vectorized") == "numpy"
-        for name in ("cuda", "numpy", "python"):
-            with pytest.raises(ValueError):
-                resolve_backend(name)
-
-    def test_choices_cover_cli_surface(self):
-        assert set(BACKEND_CHOICES) == {"auto", "scalar", "vectorized"}
-
-    def test_make_store_flavours(self):
-        assert isinstance(make_store(4, "numpy"), CounterStore)
-        with pytest.raises(ValueError):
-            make_store(4, "scalar")
+def node_on(store_cls) -> Node:
+    """A bare node moved onto a fresh one-slot store of ``store_cls``."""
+    node = Node(0)
+    node.attach_store(store_cls(1), 0)
+    return node
 
 
 class TestStoreSemantics:
-    @pytest.mark.parametrize("backend", STORE_BACKENDS)
-    def test_backwards_sync_rejected(self, backend):
-        store = make_store(2, backend)
+    @IMPLEMENTATIONS
+    def test_backwards_sync_rejected(self, store_cls):
+        store = store_cls(2)
         store.configure_slot(0, [0.0] * BANK_SIZE)
         store.sync_one(0, 100.0)
         with pytest.raises(ValueError):
@@ -330,31 +329,29 @@ class TestStoreSemantics:
         with pytest.raises(ValueError):
             store.sync_slots([0], 50.0)
 
-    @pytest.mark.parametrize("backend", STORE_BACKENDS)
-    def test_negative_accrual_rejected(self, backend):
-        store = make_store(1, backend)
+    @IMPLEMENTATIONS
+    def test_negative_accrual_rejected(self, store_cls):
+        store = store_cls(1)
         store.configure_slot(0, [0.0] * BANK_SIZE)
         with pytest.raises(ValueError):
             store.add(0, Mode.USER, "fpu0", -1.0)
 
-    @pytest.mark.parametrize("backend", STORE_BACKENDS)
-    def test_broken_divide_counters_read_zero(self, backend):
-        node = Node(0)
-        node.attach_store(make_store(1, backend), 0)
+    @IMPLEMENTATIONS
+    def test_broken_divide_counters_read_zero(self, store_cls):
+        node = node_on(store_cls)
         node.install_rates(0.0, rates_vector({"fpu0_fp_div": 1e6, "fpu0": 1e6}))
         node.sync(100.0)
         assert node.monitor.banks[Mode.USER].read("fpu0_fp_div") == 0
         assert node.monitor.banks[Mode.USER].raw("fpu0_fp_div") == 1e8
         assert node.monitor.banks[Mode.USER].read("fpu0") == 10**8
 
-    @pytest.mark.parametrize("backend", STORE_BACKENDS)
-    def test_zero_length_interval_is_bitwise_noop(self, backend):
+    @IMPLEMENTATIONS
+    def test_zero_length_interval_is_bitwise_noop(self, store_cls):
         """Syncing twice at the same instant must not perturb a single
-        bit (the batched sweep applies dt=0 unconditionally where the
-        scalar path early-returns; ``x + rate*0.0`` is the identity for
+        bit (the store's sweep applies dt=0 unconditionally where the
+        reference early-returns; ``x + rate*0.0`` is the identity for
         the non-negative accumulators)."""
-        node = Node(0)
-        node.attach_store(make_store(1, backend), 0)
+        node = node_on(store_cls)
         node.install_rates(0.0, rates_vector({"fpu0": 1.0 / 3.0}), busy=True)
         node.sync(123.456)
         before = bytes(
@@ -367,13 +364,12 @@ class TestStoreSemantics:
         assert after == before
         assert node.wall_seconds == wall
 
-    @pytest.mark.parametrize("backend", STORE_BACKENDS)
-    def test_hardware_read_wraps_32bit_like_scalar(self, backend):
+    @IMPLEMENTATIONS
+    def test_hardware_read_wraps_32bit_like_scalar(self, store_cls):
         """Counter saturation: the physical registers are 32-bit and the
-        store's hardware view must wrap exactly like the scalar bank."""
-        scalar = Node(0)
-        attached = Node(0)
-        attached.attach_store(make_store(1, backend), 0)
+        hardware view must wrap exactly like the scalar reference's."""
+        scalar = node_on(ReferenceStore)
+        attached = node_on(store_cls)
         vec = rates_vector({"cycles": 66.7e6, "fpu0": 1e6})
         for n in (scalar, attached):
             n.install_rates(0.0, vec, busy=True)
@@ -382,27 +378,31 @@ class TestStoreSemantics:
         got = attached.monitor.banks[Mode.USER]
         assert ref.raw("cycles") > 2**32
         assert ref.hardware_read("cycles") == got.hardware_read("cycles")
-        assert got.hardware_read("cycles") == int(ref.raw("cycles")) % 2**32
+        assert got.hardware_read("cycles") == int(got.raw("cycles")) % 2**32
+        assert got.read("cycles") == int(ref.raw("cycles"))
         assert ref.hardware_read("fpu0") == got.hardware_read("fpu0")
 
     def test_attach_requires_pristine_node(self):
         node = Node(0)
         node.sync(10.0)
         with pytest.raises(RuntimeError):
-            node.attach_store(make_store(1, "numpy"), 0)
+            node.attach_store(CounterStore(1), 0)
 
-    @pytest.mark.parametrize("backend", STORE_BACKENDS)
-    def test_counter_freeze_across_crash(self, backend):
-        """halt/resume freezes counters exactly like the scalar node."""
-        scalar = Node(0)
-        attached = Node(0)
-        attached.attach_store(make_store(1, backend), 0)
+    @IMPLEMENTATIONS
+    def test_counter_freeze_across_crash(self, store_cls):
+        """halt/resume freezes counters, exactly like the scalar
+        reference node."""
+        scalar = node_on(ReferenceStore)
+        attached = node_on(store_cls)
         vec = rates_vector({"fpu0_fp_add": 1e6, "cycles": 3e7})
         for n in (scalar, attached):
             n.install_rates(0.0, vec, busy=True)
             n.sync(50.0)
             n.halt(60.0)
+            frozen = n.monitor.snapshot_vector()
             n.sync(200.0)  # outage: frozen
+            assert np.array_equal(n.monitor.snapshot_vector(), frozen)
             n.resume(250.0)
             n.sync(300.0)  # idle background only
+        assert attached.busy_seconds == 60.0
         assert_bitwise_equal(scalar, attached)

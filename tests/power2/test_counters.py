@@ -1,8 +1,11 @@
-"""The 22-counter hardware monitor: layout, modes, wrap, broken divide."""
+"""The 22-counter hardware monitor: layout, modes, wrap, broken divide.
+
+Banks and monitors are the counter store's views of one slot."""
 
 import numpy as np
 import pytest
 
+from repro.power2.batch import CounterStore, StoreBankView, StoreMonitor
 from repro.power2.counters import (
     BANK_SIZE,
     BROKEN_COUNTERS,
@@ -10,8 +13,6 @@ from repro.power2.counters import (
     COUNTER_MODULUS,
     COUNTER_NAMES,
     FLAT_NAMES,
-    CounterBank,
-    HardwareMonitor,
     Mode,
     counter_index,
     execution_event_counts,
@@ -21,6 +22,16 @@ from repro.power2.counters import (
 )
 from repro.power2.isa import InstructionMix
 from repro.power2.pipeline import CycleModel, DependencyProfile, MemoryBehaviour
+
+
+def bank() -> StoreBankView:
+    """A fresh user bank: slot 0 of a one-slot store."""
+    return StoreBankView(CounterStore(1), 0, Mode.USER)
+
+
+def monitor() -> StoreMonitor:
+    """A fresh monitor: both banks of a one-slot store."""
+    return StoreMonitor(CounterStore(1), 0)
 
 
 def some_execution():
@@ -63,17 +74,17 @@ class TestLayout:
 
 class TestCounterBank:
     def test_add_and_read(self):
-        b = CounterBank()
+        b = bank()
         b.add("fxu0", 100.0)
         assert b.read("fxu0") == 100
 
     def test_negative_add_rejected(self):
         with pytest.raises(ValueError):
-            CounterBank().add("fxu0", -1.0)
+            bank().add("fxu0", -1.0)
 
     def test_broken_divide_counters_read_zero(self):
         """§3: the divide counters never report."""
-        b = CounterBank()
+        b = bank()
         b.add("fpu0_fp_div", 1000.0)
         b.add("fpu1_fp_div", 1000.0)
         assert b.read("fpu0_fp_div") == 0
@@ -82,14 +93,14 @@ class TestCounterBank:
         assert b.raw("fpu0_fp_div") == 1000.0
 
     def test_hardware_read_wraps_32bit(self):
-        b = CounterBank()
+        b = bank()
         b.add("cycles", float(COUNTER_MODULUS + 5))
         assert b.hardware_read("cycles") == 5
         # The software (accumulated) counter does not wrap.
         assert b.read("cycles") == COUNTER_MODULUS + 5
 
     def test_snapshot_vector_matches_snapshot(self):
-        b = CounterBank()
+        b = bank()
         b.add("fxu0", 7.0)
         b.add("fpu0_fp_div", 3.0)  # broken: must be zero in both
         vec = b.snapshot_vector()
@@ -98,17 +109,17 @@ class TestCounterBank:
             assert vec[i] == snap[name]
 
     def test_add_vector(self):
-        b = CounterBank()
+        b = bank()
         vec = rates_vector({"fxu0": 2.0, "cycles": 10.0})
         b.add_vector(vec * 3.0)
         assert b.read("fxu0") == 6 and b.read("cycles") == 30
 
     def test_add_vector_shape_checked(self):
         with pytest.raises(ValueError):
-            CounterBank().add_vector(np.zeros(5))
+            bank().add_vector(np.zeros(5))
 
     def test_reset(self):
-        b = CounterBank()
+        b = bank()
         b.add("fxu0", 5.0)
         b.reset()
         assert b.read("fxu0") == 0
@@ -143,7 +154,7 @@ class TestDeltas:
 
 class TestHardwareMonitor:
     def test_accrue_routes_by_mode(self):
-        m = HardwareMonitor()
+        m = monitor()
         r = some_execution()
         m.accrue(r, Mode.USER)
         assert m.banks[Mode.USER].read("fxu0") > 0
@@ -167,7 +178,7 @@ class TestHardwareMonitor:
     def test_flop_algebra_from_counters(self):
         """Flops recovered from counters == mix flops minus the divides
         the broken counter hides."""
-        m = HardwareMonitor()
+        m = monitor()
         r = some_execution()
         m.accrue(r, Mode.USER)
         b = m.banks[Mode.USER]
@@ -181,24 +192,24 @@ class TestHardwareMonitor:
         assert measured == pytest.approx(true_flops - hidden_divides)
 
     def test_accrue_dma(self):
-        m = HardwareMonitor()
+        m = monitor()
         m.accrue_dma(reads=10.0, writes=20.0)
         assert m.banks[Mode.USER].read("dma_read") == 10
         assert m.banks[Mode.USER].read("dma_write") == 20
 
     def test_flat_snapshot_shape(self):
-        snap = HardwareMonitor().flat_snapshot()
+        snap = monitor().flat_snapshot()
         assert set(snap) == set(FLAT_NAMES)
 
     def test_snapshot_vector_order(self):
-        m = HardwareMonitor()
+        m = monitor()
         m.accrue_raw({"fxu0": 3.0}, Mode.SYSTEM)
         vec = m.snapshot_vector()
         assert vec[BANK_SIZE + counter_index("fxu0")] == 3
         assert vec[counter_index("fxu0")] == 0
 
     def test_reset(self):
-        m = HardwareMonitor()
+        m = monitor()
         m.accrue_raw({"fxu0": 3.0}, Mode.USER)
         m.reset()
         assert m.banks[Mode.USER].read("fxu0") == 0

@@ -4,11 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.power2.batch import CounterStore, StoreBankView
 from repro.power2.counters import (
     BROKEN_COUNTERS,
     COUNTER_MODULUS,
     COUNTER_NAMES,
-    CounterBank,
+    Mode,
     wrapped_delta,
 )
 from repro.power2.dispatch import DispatchModel
@@ -19,6 +20,11 @@ amounts = st.dictionaries(
     st.floats(min_value=0, max_value=1e12, allow_nan=False),
     max_size=10,
 )
+
+
+def new_bank() -> StoreBankView:
+    return StoreBankView(CounterStore(1), 0, Mode.USER)
+
 
 mixes = st.builds(
     InstructionMix,
@@ -42,7 +48,7 @@ class TestBankProperties:
     @given(amounts)
     @settings(max_examples=80, deadline=None)
     def test_counters_monotonic(self, amts):
-        bank = CounterBank()
+        bank = new_bank()
         before = {n: bank.read(n) for n in COUNTER_NAMES}
         bank.add_many(amts)
         for n in COUNTER_NAMES:
@@ -51,7 +57,7 @@ class TestBankProperties:
     @given(amounts)
     @settings(max_examples=80, deadline=None)
     def test_broken_counters_always_zero(self, amts):
-        bank = CounterBank()
+        bank = new_bank()
         bank.add_many(amts)
         for n in BROKEN_COUNTERS:
             assert bank.read(n) == 0
@@ -60,7 +66,7 @@ class TestBankProperties:
     @given(amounts)
     @settings(max_examples=50, deadline=None)
     def test_hardware_read_is_software_mod_2_32(self, amts):
-        bank = CounterBank()
+        bank = new_bank()
         bank.add_many(amts)
         for n in set(COUNTER_NAMES) - BROKEN_COUNTERS:
             assert bank.hardware_read(n) == bank.read(n) % COUNTER_MODULUS
@@ -68,7 +74,7 @@ class TestBankProperties:
     @given(amounts)
     @settings(max_examples=50, deadline=None)
     def test_snapshot_vector_consistent_with_reads(self, amts):
-        bank = CounterBank()
+        bank = new_bank()
         bank.add_many(amts)
         vec = bank.snapshot_vector()
         for i, n in enumerate(COUNTER_NAMES):

@@ -39,6 +39,13 @@ class TestValidation:
         with pytest.raises(ValueError, match="unknown base setting 'n_dayz'"):
             make(base={"n_dayz": 2})
 
+    def test_accrual_backend_is_not_a_setting(self):
+        with pytest.raises(ValueError, match="unknown base setting 'accrual_backend'"):
+            make(base={**BASE, "accrual_backend": "scalar"})
+        with pytest.raises(ValueError, match="unknown axis 'accrual_backend'"):
+            make(axes={"accrual_backend": ["scalar", "vectorized"]})
+        assert "accrual_backend" not in AXES
+
     def test_wrong_type_value(self):
         with pytest.raises(ValueError, match="tlb_entries"):
             make(axes={"tlb_entries": [256, "lots"]})
