@@ -15,7 +15,6 @@
 from repro.cluster.switch import HighPerformanceSwitch, MessageCost
 from repro.cluster.filesystem import NFSFilesystem, FileServer
 from repro.cluster.machine import SP2Machine
-from repro.cluster.topology import HPSTopology
 
 __all__ = [
     "HighPerformanceSwitch",
@@ -23,5 +22,4 @@ __all__ = [
     "NFSFilesystem",
     "FileServer",
     "SP2Machine",
-    "HPSTopology",
 ]

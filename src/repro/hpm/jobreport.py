@@ -10,12 +10,28 @@ parser so stored reports round-trip.
 
 from __future__ import annotations
 
-from typing import Mapping
-
 from repro.hpm.derived import workload_rates
 from repro.pbs.job import JobRecord
+from repro.power2.counters import FLAT_NAMES
 
 _HEADER = "# RS2HPM job report v1"
+
+#: Report header key → (JobRecord field, parser).
+_FIELDS = {
+    "job_id": ("job_id", int),
+    "user": ("user", int),
+    "app": ("app_name", str),
+    "nodes_requested": ("nodes_requested", int),
+    "node_ids": ("node_ids", lambda text: tuple(int(x) for x in text.split(",") if x)),
+    "submit_time": ("submit_time", float),
+    "start_time": ("start_time", float),
+    "end_time": ("end_time", float),
+}
+#: Derived-rate header lines: recomputed from the counters, never trusted.
+_DERIVED = ("mflops_per_node", "system_user_fxu_ratio")
+
+#: Matrix columns in the order a node section lists them: by name.
+_COLUMNS = sorted(range(len(FLAT_NAMES)), key=FLAT_NAMES.__getitem__)
 
 
 def render_job_report(record: JobRecord) -> str:
@@ -36,10 +52,9 @@ def render_job_report(record: JobRecord) -> str:
         rates = workload_rates(record.summed_deltas(), wall, len(record.node_ids))
         lines.append(f"mflops_per_node: {rates.mflops_total:.4f}")
         lines.append(f"system_user_fxu_ratio: {rates.system_user_fxu_ratio:.4f}")
-    for nid in sorted(record.counter_deltas):
+    for nid, row in sorted(zip(record.node_ids, record.deltas[:, _COLUMNS].tolist())):
         lines.append(f"[node {nid}]")
-        for name, value in sorted(record.counter_deltas[nid].items()):
-            lines.append(f"{name} = {value}")
+        lines.extend(f"{FLAT_NAMES[c]} = {value}" for c, value in zip(_COLUMNS, row))
     return "\n".join(lines) + "\n"
 
 
@@ -47,64 +62,42 @@ def parse_job_report(text: str) -> JobRecord:
     """Parse a report back into a :class:`JobRecord`.
 
     Derived-rate lines are ignored (they are recomputed from the
-    counters, never trusted from the file).
+    counters, never trusted from the file).  A malformed report — a bad
+    value; an unknown or repeated field, counter or node section; a
+    section for a node outside ``node_ids``, or a node without one —
+    raises a one-line ``ValueError`` naming the line or the node.
     """
-    lines = [ln.rstrip() for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != _HEADER:
+    lines = [(n, ln.rstrip()) for n, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+    if not lines or lines[0][1] != _HEADER:
         raise ValueError("not an RS2HPM job report")
-    meta: dict[str, str] = {}
+    fields: dict[str, object] = {}
     deltas: dict[int, dict[str, int]] = {}
     current: dict[str, int] | None = None
-    for ln in lines[1:]:
-        if ln.startswith("[node "):
-            nid = int(ln[len("[node ") : -1])
-            current = {}
-            deltas[nid] = current
-        elif current is not None:
-            name, _, value = ln.partition(" = ")
-            if not value:
-                raise ValueError(f"malformed counter line: {ln!r}")
-            current[name.strip()] = int(value)
-        else:
-            key, _, value = ln.partition(": ")
-            if not value:
-                raise ValueError(f"malformed header line: {ln!r}")
-            meta[key.strip()] = value.strip()
+    for n, ln in lines[1:]:
+        try:
+            if ln.startswith("[node ") and ln.endswith("]"):
+                nid = int(ln[len("[node ") : -1])
+                if nid in deltas:
+                    raise ValueError(f"second section for node {nid}")
+                current = deltas[nid] = {}
+            elif current is not None:
+                name, _, value = ln.partition(" = ")
+                if not value:
+                    raise ValueError(f"malformed counter line: {ln!r}")
+                if name.strip() in current:
+                    raise ValueError(f"counter {name.strip()!r} repeated")
+                current[name.strip()] = int(value)
+            else:
+                key, _, value = ln.partition(": ")
+                field, parse = _FIELDS.get(key.strip(), (None, None))
+                if not value or field in fields or (field is None and key.strip() not in _DERIVED):
+                    raise ValueError(f"malformed, unknown or repeated header line: {ln!r}")
+                if field is not None:
+                    fields[field] = parse(value.strip())
+        except ValueError as exc:
+            raise ValueError(f"line {n}: {exc}") from None
 
-    required = {
-        "job_id",
-        "user",
-        "app",
-        "nodes_requested",
-        "node_ids",
-        "submit_time",
-        "start_time",
-        "end_time",
-    }
-    missing = required - set(meta)
+    missing = sorted(key for key, (field, _) in _FIELDS.items() if field not in fields)
     if missing:
-        raise ValueError(f"report missing fields: {sorted(missing)}")
-
-    return JobRecord(
-        job_id=int(meta["job_id"]),
-        user=int(meta["user"]),
-        app_name=meta["app"],
-        nodes_requested=int(meta["nodes_requested"]),
-        node_ids=tuple(int(x) for x in meta["node_ids"].split(",") if x),
-        submit_time=float(meta["submit_time"]),
-        start_time=float(meta["start_time"]),
-        end_time=float(meta["end_time"]),
-        counter_deltas=deltas,
-    )
-
-
-def summarize_deltas(deltas: Mapping[str, float], seconds: float, n_nodes: int) -> str:
-    """One-paragraph human summary of a counter block (used by the CLI)."""
-    r = workload_rates(deltas, seconds, n_nodes)
-    return (
-        f"{r.mflops_total:.1f} Mflops/node over {seconds:.0f}s on {n_nodes} nodes "
-        f"({r.gflops_system():.2f} Gflops system); "
-        f"Mips {r.mips_total:.1f}, fma fraction {r.fma_flop_fraction:.0%}, "
-        f"flops/memref {r.flops_per_memory_inst:.2f}, "
-        f"sys/user FXU {r.system_user_fxu_ratio:.2f}"
-    )
+        raise ValueError(f"report missing fields: {missing}")
+    return JobRecord.from_counter_deltas(deltas, **fields)

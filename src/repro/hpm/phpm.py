@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.pbs.job import JobRecord
+from repro.power2.counters import FLAT_COLUMN, FLAT_NAMES
 
 
 @dataclass(frozen=True)
@@ -53,36 +54,37 @@ class NodeDiagnosis:
         return self.system_user_fxu_ratio > 1.0
 
 
-def _flops(deltas: dict[str, int]) -> float:
-    return JobRecord.flops_from_deltas(deltas)
+#: :meth:`JobRecord.flops_from_deltas` as a weight per counter column.
+_FLOP_WEIGHTS = np.array([JobRecord.flops_from_deltas({n: 1}) for n in FLAT_NAMES], dtype=np.int64)
+_FXU = [FLAT_COLUMN[name] for name in ("user.fxu0", "user.fxu1", "system.fxu0", "system.fxu1")]
 
 
-def _sys_user_ratio(deltas: dict[str, int]) -> float:
-    user = deltas.get("user.fxu0", 0) + deltas.get("user.fxu1", 0)
-    system = deltas.get("system.fxu0", 0) + deltas.get("system.fxu1", 0)
+def _sys_user_ratio(user: int, system: int) -> float:
     if user == 0:
         return float("inf") if system else 0.0
     return system / user
 
 
 class ParallelJobReport:
-    """The PHPM view of one finished job."""
+    """The PHPM view of one finished job: columns of its ``deltas``
+    matrix, with rows in sorted-node order."""
 
     def __init__(self, record: JobRecord) -> None:
-        if not record.counter_deltas:
+        if not record.node_ids:
             raise ValueError(f"job {record.job_id} has no per-node counter data")
         self.record = record
-        self._node_ids = sorted(record.counter_deltas)
+        order = sorted(range(len(record.node_ids)), key=record.node_ids.__getitem__)
+        self._node_ids = [record.node_ids[i] for i in order]
+        self._rows = record.deltas[order]
 
     # ------------------------------------------------------------------
     # Reductions
     # ------------------------------------------------------------------
     def reduce(self, counter: str) -> CounterReduction:
         """Reduce one flat-labelled counter across the job's nodes."""
-        values = np.array(
-            [self.record.counter_deltas[n].get(counter, 0) for n in self._node_ids],
-            dtype=float,
-        )
+        if counter not in FLAT_COLUMN:
+            raise ValueError(f"unknown counter {counter!r}")
+        values = self._rows[:, FLAT_COLUMN[counter]].astype(float)
         return CounterReduction(
             counter=counter,
             total=float(values.sum()),
@@ -98,9 +100,7 @@ class ParallelJobReport:
     # Balance
     # ------------------------------------------------------------------
     def node_flops(self) -> np.ndarray:
-        return np.array(
-            [_flops(self.record.counter_deltas[n]) for n in self._node_ids]
-        )
+        return self._rows @ _FLOP_WEIGHTS
 
     def flop_imbalance(self) -> float:
         """max/mean flop ratio across nodes; 1.0 is perfect balance."""
@@ -112,14 +112,15 @@ class ParallelJobReport:
         """Per-node flop share and paging suspicion, worst first."""
         flops = self.node_flops()
         total = flops.sum()
+        fxu = self._rows[:, _FXU].tolist()
         out = [
             NodeDiagnosis(
                 node_id=nid,
                 flops=float(f),
                 flop_share=float(f / total) if total > 0 else 0.0,
-                system_user_fxu_ratio=_sys_user_ratio(self.record.counter_deltas[nid]),
+                system_user_fxu_ratio=_sys_user_ratio(u0 + u1, s0 + s1),
             )
-            for nid, f in zip(self._node_ids, flops)
+            for nid, f, (u0, u1, s0, s1) in zip(self._node_ids, flops, fxu)
         ]
         out.sort(key=lambda d: d.flops)
         return out

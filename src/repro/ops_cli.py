@@ -33,7 +33,7 @@ import time
 from repro.core.study import StudyConfig, StudyDataset, cli_shard_days, run_study
 from repro.faults.profile import FaultProfile
 from repro.telemetry.rules import render_alert, render_alerts
-from repro.telemetry.service import METRIC_CATALOG, TelemetryService
+from repro.telemetry.service import METRIC_CATALOG
 from repro.workload.traces import SECONDS_PER_DAY
 
 #: Exit-code convention shared by every sp2-* CLI (CONTRIBUTING.md):
@@ -115,14 +115,6 @@ def run_campaign(args: argparse.Namespace, *, tracing: bool = False) -> StudyDat
     return dataset
 
 
-def _telemetry(dataset: StudyDataset) -> TelemetryService:
-    # Every WorkloadStudy-run dataset carries its service; the replay
-    # path covers datasets loaded from elsewhere.
-    if dataset.telemetry is not None:
-        return dataset.telemetry
-    return TelemetryService.replay(dataset.collector.samples, dataset.accounting.records)
-
-
 def _no_samples(dataset: StudyDataset) -> bool:
     """A campaign with zero samples watched nothing: exiting 0 would let
     a broken collector read as "all healthy" (exit-code convention:
@@ -142,9 +134,9 @@ def _no_samples(dataset: StudyDataset) -> bool:
 # ----------------------------------------------------------------------
 
 def cmd_alerts(dataset: StudyDataset, args: argparse.Namespace) -> int:
-    t = _telemetry(dataset)
     if _no_samples(dataset):
         return EXIT_OPERATIONAL
+    t = dataset.telemetry
     alerts = t.alerts
     if args.rule:
         # "fault" alerts come straight from the injector, not from an
@@ -178,9 +170,9 @@ TAIL_SERIES = (
 
 
 def cmd_tail(dataset: StudyDataset, args: argparse.Namespace) -> int:
-    t = _telemetry(dataset)
     if _no_samples(dataset):
         return EXIT_OPERATIONAL
+    t = dataset.telemetry
     times, gflops = t.store.window("gflops.system")
     _, ratio = t.store.window("fxu.sys_user_ratio")
     _, tlb = t.store.window("tlb.miss_rate")
@@ -224,9 +216,9 @@ def cmd_tail(dataset: StudyDataset, args: argparse.Namespace) -> int:
 
 
 def cmd_query(dataset: StudyDataset, args: argparse.Namespace) -> int:
-    t = _telemetry(dataset)
     if _no_samples(dataset):
         return EXIT_OPERATIONAL
+    t = dataset.telemetry
     if args.metric not in t.store.names():
         known = "\n  ".join(
             f"{name:<22s} {METRIC_CATALOG.get(name, '')}" for name in t.store.names()
@@ -258,9 +250,9 @@ def cmd_query(dataset: StudyDataset, args: argparse.Namespace) -> int:
 
 
 def cmd_jobs(dataset: StudyDataset, args: argparse.Namespace) -> int:
-    t = _telemetry(dataset)
     if _no_samples(dataset):
         return EXIT_OPERATIONAL
+    t = dataset.telemetry
     rollups = t.rollups.for_user(args.user) if args.user is not None else list(
         t.rollups.finished
     )

@@ -29,7 +29,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 #: Bump when the ShardResult layout changes incompatibly: old files are
 #: then fingerprint-mismatched and recomputed instead of mis-read.
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 def sha256_fingerprint(payload: str) -> str:

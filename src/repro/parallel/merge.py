@@ -103,7 +103,7 @@ def merge_records(results: list[ShardResult]) -> list[JobRecord]:
                     submit_time=r.submit_time + offset,
                     start_time=r.start_time + offset,
                     end_time=r.end_time + offset,
-                    counter_deltas=r.counter_deltas,
+                    deltas=r.deltas,
                 )
             )
     return merged

@@ -2,14 +2,15 @@
 
 from __future__ import annotations
 
+import dataclasses
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping, Protocol, runtime_checkable
 
 import numpy as np
 
-from repro.power2.counters import FLAT_NAMES
+from repro.power2.counters import FLAT_COLUMN, FLAT_NAMES
 
 
 @runtime_checkable
@@ -74,15 +75,15 @@ class JobSpec:
         return self.nodes_requested > 64
 
 
-@dataclass
+@dataclass(eq=False)
 class JobRecord:
     """Epilogue-time accounting for one finished job.
 
-    ``counter_deltas`` holds the per-node prologue→epilogue counter
-    differences, flat-labelled (``user.fxu0`` …) exactly as the RS2HPM
-    prologue/epilogue scripts wrote them (§3).  They are summed over the
-    job's nodes once (:meth:`summed_deltas`), and every per-job figure
-    reads that one reduction.
+    ``deltas`` is the epilogue's counter block (§3), the record's only
+    per-node store: the prologue→epilogue differences as an
+    ``(len(node_ids), 44)`` int64 matrix, row ``i`` node ``node_ids[i]``,
+    columns in :data:`~repro.power2.counters.FLAT_NAMES` order.  Every
+    per-job figure reads one reduction of it (:meth:`summed_deltas`).
     """
 
     job_id: int
@@ -93,36 +94,55 @@ class JobRecord:
     submit_time: float
     start_time: float
     end_time: float
-    counter_deltas: dict[int, dict[str, int]] = field(default_factory=dict)
+    deltas: np.ndarray
 
-    #: ``(counter_deltas, read-only totals)`` once reduced.  A plain
-    #: class attribute, not a field: never compared, printed or pickled.
+    #: ``(deltas, read-only totals)`` once reduced.  A plain class
+    #: attribute, not a field: never compared, printed or pickled.
     _reduced = None
 
     @classmethod
-    def from_delta_matrix(cls, deltas: np.ndarray, /, **fields) -> "JobRecord":
-        """The epilogue's record: row ``i`` of the ``(n, 44)`` int64
-        ``deltas`` matrix is node ``fields["node_ids"][i]``'s counter
-        deltas, in :data:`~repro.power2.counters.FLAT_NAMES` order.
+    def from_counter_deltas(
+        cls, per_node: Mapping[int, Mapping[str, int]], /, **fields
+    ) -> "JobRecord":
+        """A record from per-node delta dicts (parsed reports, hand-built
+        rows) naming exactly the nodes in ``fields["node_ids"]``; a
+        counter absent from a node's dict reads 0."""
+        node_ids = fields["node_ids"]
+        for nid in per_node:
+            if nid not in node_ids:
+                raise ValueError(f"counters for node {nid}, which is not in node_ids")
+        deltas = np.zeros((len(node_ids), len(FLAT_NAMES)), dtype=np.int64)
+        for row, nid in enumerate(node_ids):
+            if nid in node_ids[:row]:
+                raise ValueError(f"node {nid} appears twice in node_ids")
+            if nid not in per_node:
+                raise ValueError(f"no counters for node {nid}")
+            for name, value in per_node[nid].items():
+                if name not in FLAT_COLUMN:
+                    raise ValueError(f"node {nid}: unknown counter {name!r}")
+                try:
+                    deltas[row, FLAT_COLUMN[name]] = value
+                except OverflowError:
+                    raise ValueError(f"node {nid}: {name} = {value} overflows int64") from None
+        return cls(deltas=deltas, **fields)
 
-        Each node's delta dict gets the keys, order and ints
-        :func:`~repro.power2.counters.snapshot_delta` gives, and the
-        per-job totals come from the matrix's column sums.
-        """
-        rows = deltas.tolist()
-        per_node = {
-            nid: dict(zip(FLAT_NAMES, row)) for nid, row in zip(fields["node_ids"], rows)
-        }
-        record = cls(counter_deltas=per_node, **fields)
-        totals = dict(zip(FLAT_NAMES, deltas.sum(axis=0).tolist()))
-        record._reduced = (per_node, MappingProxyType(totals))
-        return record
+    @property
+    def counter_deltas(self) -> dict[int, dict[str, int]]:
+        """``{node: {name: int}}`` view of :attr:`deltas`, built on every read."""
+        return {n: dict(zip(FLAT_NAMES, r)) for n, r in zip(self.node_ids, self.deltas.tolist())}
+
+    def __eq__(self, other: object) -> bool:
+        """Every field; ``deltas`` by shape, dtype and values."""
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        a, b = self.deltas, other.deltas
+        scalars = dataclasses.fields(self)[:-1]
+        return all(getattr(self, f.name) == getattr(other, f.name) for f in scalars) and (
+            a.dtype == b.dtype and np.array_equal(a, b)
+        )
 
     def __getstate__(self) -> dict:
-        state = self.__dict__
-        if "_reduced" in state:
-            state = {k: v for k, v in state.items() if k != "_reduced"}
-        return state
+        return {k: v for k, v in self.__dict__.items() if k != "_reduced"}
 
     @property
     def walltime_seconds(self) -> float:
@@ -137,20 +157,13 @@ class JobRecord:
         return self.walltime_seconds * len(self.node_ids)
 
     def summed_deltas(self) -> Mapping[str, int]:
-        """Counter deltas summed over the job's nodes (read-only).
-
-        Reduced once per record: seeded by the epilogue, or summed on
-        first use for records built any other way (parsed reports, shard
-        merges, hand-built rows) and again only if ``counter_deltas`` is
-        replaced.
-        """
+        """Counter deltas summed over the job's nodes (read-only): the
+        matrix's column sums, reduced on first use (also after
+        unpickling) and again only if ``deltas`` is replaced."""
         reduced = self._reduced
-        if reduced is None or reduced[0] is not self.counter_deltas:
-            total: dict[str, int] = {}
-            for per_node in self.counter_deltas.values():
-                for name, v in per_node.items():
-                    total[name] = total.get(name, 0) + v
-            reduced = self._reduced = (self.counter_deltas, MappingProxyType(total))
+        if reduced is None or reduced[0] is not self.deltas:
+            totals = dict(zip(FLAT_NAMES, self.deltas.sum(axis=0).tolist()))
+            reduced = self._reduced = (self.deltas, MappingProxyType(totals))
         return reduced[1]
 
     @staticmethod

@@ -332,8 +332,7 @@ class PBSServer:
             node.install_rates(now)  # back to idle background
 
         self.machine.release(alloc_id)
-        record = JobRecord.from_delta_matrix(
-            deltas,
+        record = JobRecord(
             job_id=job.job_id,
             user=job.user,
             app_name=job.app_name,
@@ -342,6 +341,7 @@ class PBSServer:
             submit_time=job.submit_time,
             start_time=start_time,
             end_time=now,
+            deltas=deltas,
         )
         self.accounting.append(record)
         if job_id in self._job_spans:

@@ -89,6 +89,8 @@ BROKEN_INDICES: tuple[int, ...] = tuple(_INDEX[name] for name in sorted(BROKEN_C
 FLAT_NAMES: tuple[str, ...] = tuple(
     f"{mode}.{name}" for mode in ("user", "system") for name in COUNTER_NAMES
 )
+#: Position of each flat label in such a row.
+FLAT_COLUMN: dict[str, int] = {name: i for i, name in enumerate(FLAT_NAMES)}
 
 
 #: Number of counters in a bank (22 for the NAS selection).

@@ -88,6 +88,42 @@ class TestRepeat:
         golden.check("repeat_2d_16n.json", out.read_text())
 
 
+#: Counters whose per-job PHPM reductions the job-report golden pins.
+REDUCED_COUNTERS = ("user.fpu0_fp_add", "user.fxu0", "system.fxu0", "user.dcache_reload")
+
+
+class TestJobReports:
+    def test_job_reports(self, default_month, golden):
+        """The epilogue report text and the PHPM view of a fixed set of
+        ``default_month`` jobs: the first to finish, the widest, and
+        every 50th by job id.  Floats are written as ``repr``, so a
+        reduction that moves by one bit shows."""
+        from repro.hpm.jobreport import render_job_report
+        from repro.hpm.phpm import ParallelJobReport
+
+        records = default_month.accounting.records
+        by_id = sorted(records, key=lambda r: r.job_id)
+        widest = max(by_id, key=lambda r: len(r.node_ids))
+        chosen = {r.job_id: r for r in (records[0], widest, *by_id[::50])}
+        lines = []
+        for job_id in sorted(chosen):
+            record = chosen[job_id]
+            phpm = ParallelJobReport(record)
+            lines.append(render_job_report(record))
+            lines.append(f"flop_imbalance {phpm.flop_imbalance()!r}")
+            for counter in REDUCED_COUNTERS:
+                r = phpm.reduce(counter)
+                lines.append(
+                    f"reduce {counter} {r.total!r} {r.mean!r} {r.minimum!r} {r.maximum!r}"
+                )
+            for d in phpm.diagnose_nodes():
+                lines.append(
+                    f"node {d.node_id} {d.flops!r} {d.flop_share!r} "
+                    f"{d.system_user_fxu_ratio!r}"
+                )
+        golden.check("job_reports.txt", "\n".join(lines) + "\n")
+
+
 class TestTelemetrySummaries:
     def test_store_aggregates(self, default_month, golden):
         """Every catalog metric's campaign-wide store aggregates: the live

@@ -2,9 +2,9 @@
 on the scalar reference.
 
 The epilogue reads a job's nodes once, subtracts the prologue read, and
-seeds the record's totals from the difference matrix's column sums;
-records merged from shards reduce their totals on first use instead.
-Either way every :class:`~repro.pbs.job.JobRecord` must carry the same
+keeps the difference matrix as the record's ``deltas``; shard merges
+pass it through, and the totals are its column sums, reduced on first
+use.  Every :class:`~repro.pbs.job.JobRecord` must carry the same
 per-node deltas on the counter store as on the per-node reference in
 ``tests/power2/accrual_reference.py``, and its
 :meth:`~repro.pbs.job.JobRecord.summed_deltas` must equal a per-node
@@ -13,10 +13,12 @@ sum computed here from scratch — in the same key order.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.core.study import StudyConfig, run_study
 from repro.faults.profile import PROFILES
+from repro.power2.counters import FLAT_NAMES
 from tests.power2.accrual_reference import reference_accrual, served
 
 SMALL = dict(seed=7, n_days=2, n_nodes=16, n_users=6)
@@ -47,7 +49,7 @@ def test_job_deltas_match_across_backends_and_a_fresh_sum(fault_profile, shard_d
     auto = _records(fault_profile, shard_days)
     assert len(scalar) == len(auto) > 0
     for a, b in zip(scalar, auto):
-        assert a == b  # every field, counter_deltas included
+        assert a == b  # every field, the deltas matrix included
         assert set(a.counter_deltas) == set(a.node_ids)
         expected = _summed_from_scratch(a)
         for record in (a, b):
@@ -62,3 +64,16 @@ def test_cached_totals_are_read_only():
     with pytest.raises(TypeError):
         totals["user.fxu0"] = 0
     assert record.summed_deltas() is totals  # reduced once, not re-summed
+
+
+@pytest.mark.parametrize("shard_days", [None, 1], ids=["serial", "2-shards"])
+def test_records_keep_only_the_epilogue_matrix(shard_days):
+    """One int64 ``(len(node_ids), 44)`` matrix per record, and no
+    per-node dict stored beside it."""
+    records = _records(None, shard_days)
+    assert records
+    for record in records:
+        record.summed_deltas()
+        assert record.deltas.dtype == np.int64
+        assert record.deltas.shape == (len(record.node_ids), len(FLAT_NAMES))
+        assert not [k for k, v in vars(record).items() if isinstance(v, dict)]

@@ -22,7 +22,7 @@ CONFIG = StudyConfig(seed=3, n_days=4, n_nodes=16, n_users=6)
 #: ``config_fingerprint`` of the pathological 4-shard campaign pinned
 #: below.  It moves only when ``StudyConfig``'s repr or the checkpoint
 #: format version does.
-PINNED_FINGERPRINT = "50a9e7b6fe5195437a78e4cac4b328c112ebacdd8a7fba61b8d169aacc505873"
+PINNED_FINGERPRINT = "724a4f65041d4fb1cd25acec34535572afab5eb303685e422c0e52f9eb0ffece"
 
 
 def tiny_result(index: int = 0) -> ShardResult:

@@ -95,6 +95,7 @@ class TestMergeRecords:
             submit_time=10.0,
             start_time=20.0,
             end_time=30.0,
+            deltas=np.zeros((4, 44), dtype=np.int64),
         )
         r1 = _result(1, 2, 4, records=[rec])
         merged = merge_records([r1])
@@ -106,6 +107,7 @@ class TestMergeRecords:
             20.0 + offset,
             30.0 + offset,
         )
+        assert out.deltas is rec.deltas  # the epilogue's matrix, passed through
         # shard 0 is untouched
         r0 = _result(0, 0, 2, records=[rec])
         assert merge_records([r0])[0].job_id == 3

@@ -5,6 +5,7 @@ import pytest
 
 from repro.pbs.accounting import AccountingLog
 from repro.pbs.job import JobRecord
+from repro.power2.counters import FLAT_COLUMN
 
 
 def record(job_id, nodes, wall, mflops_per_node=20.0, end=None, sys_ratio=0.01):
@@ -21,7 +22,8 @@ def record(job_id, nodes, wall, mflops_per_node=20.0, end=None, sys_ratio=0.01):
         for nid in range(nodes)
     }
     start = 0.0 if end is None else end - wall
-    return JobRecord(
+    return JobRecord.from_counter_deltas(
+        deltas,
         job_id=job_id,
         user=0,
         app_name="app",
@@ -30,7 +32,6 @@ def record(job_id, nodes, wall, mflops_per_node=20.0, end=None, sys_ratio=0.01):
         submit_time=0.0,
         start_time=start,
         end_time=start + wall,
-        counter_deltas=deltas,
     )
 
 
@@ -106,9 +107,7 @@ class TestAggregates:
         log = AccountingLog()
         log.append(record(1, 4, 1000.0))
         weird = record(2, 4, 1000.0)
-        for d in weird.counter_deltas.values():
-            d["user.fxu0"] = 0
-            d["user.fxu1"] = 0
+        weird.deltas[:, [FLAT_COLUMN["user.fxu0"], FLAT_COLUMN["user.fxu1"]]] = 0
         log.append(weird)
         x, y = log.paging_scatter()
         assert np.isfinite(x).all()
@@ -135,7 +134,8 @@ class TestRegisterReuseAggregates:
         for i in range(10):
             log.append(record(i, 4, 1000.0, mflops_per_node=5.0))
         fast = record(99, 4, 1000.0, mflops_per_node=50.0)
-        for d in fast.counter_deltas.values():
-            d["user.fpu0_fp_muladd"] = d.pop("user.fpu0_fp_add") // 2
+        add, fma = FLAT_COLUMN["user.fpu0_fp_add"], FLAT_COLUMN["user.fpu0_fp_muladd"]
+        fast.deltas[:, fma] = fast.deltas[:, add] // 2
+        fast.deltas[:, add] = 0
         log.append(fast)
         assert log.top_decile_fma_fraction() == pytest.approx(1.0)

@@ -1,8 +1,16 @@
-"""Job records: counter-delta algebra (§3's flop counting, §6's ratio)."""
+"""Job records: counter-delta algebra (§3's flop counting, §6's ratio)
+and the epilogue's delta matrix as the record's one per-node store."""
 
+import dataclasses
+import pickle
+
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.pbs.job import JobRecord, JobSpec, JobState
+from repro.power2.counters import FLAT_NAMES
 
 
 def record(**overrides) -> JobRecord:
@@ -36,7 +44,7 @@ def record(**overrides) -> JobRecord:
         },
     )
     base.update(overrides)
-    return JobRecord(**base)
+    return JobRecord.from_counter_deltas(base.pop("counter_deltas"), **base)
 
 
 class TestTimes:
@@ -78,12 +86,12 @@ class TestSystemUserRatio:
 
     def test_ratio_with_zero_user(self):
         r = record(
-            counter_deltas={0: {"system.fxu0": 10, "user.fxu0": 0}},
+            node_ids=(0,), counter_deltas={0: {"system.fxu0": 10, "user.fxu0": 0}}
         )
         assert r.system_user_fxu_ratio == float("inf")
 
     def test_ratio_all_zero(self):
-        r = record(counter_deltas={0: {}})
+        r = record(node_ids=(0,), counter_deltas={0: {}})
         assert r.system_user_fxu_ratio == 0.0
 
 
@@ -125,7 +133,7 @@ class TestRegisterReuseProperties:
         assert r.flops_per_memory_inst == pytest.approx(expected)
 
     def test_flops_per_memory_inst_no_fxu(self):
-        r = record(counter_deltas={0: {"user.fpu0_fp_add": 100}})
+        r = record(node_ids=(0,), counter_deltas={0: {"user.fpu0_fp_add": 100}})
         assert r.flops_per_memory_inst == 0.0
 
     def test_fma_flop_fraction(self):
@@ -137,5 +145,95 @@ class TestRegisterReuseProperties:
         )
 
     def test_fma_fraction_no_flops(self):
-        r = record(counter_deltas={0: {"user.fxu0": 100}})
+        r = record(node_ids=(0,), counter_deltas={0: {"user.fxu0": 100}})
         assert r.fma_flop_fraction == 0.0
+
+
+#: Per-node delta dicts on unsorted node ids, each a random subset of
+#: the counters, in a random insertion order.
+PER_NODE = st.lists(st.integers(0, 4095), min_size=1, max_size=8, unique=True).flatmap(
+    lambda ids: st.tuples(
+        st.just(tuple(ids)),
+        st.permutations(ids).flatmap(
+            lambda order: st.fixed_dictionaries(
+                {
+                    nid: st.dictionaries(st.sampled_from(FLAT_NAMES), st.integers(0, 2**55))
+                    for nid in order
+                }
+            )
+        ),
+    )
+)
+
+
+class TestMatrixForm:
+    @settings(max_examples=200, deadline=None)
+    @given(PER_NODE)
+    def test_from_counter_deltas_round_trip(self, drawn):
+        node_ids, per_node = drawn
+        r = record(node_ids=node_ids, counter_deltas=per_node)
+        assert r.deltas.dtype == np.int64
+        assert r.deltas.shape == (len(node_ids), len(FLAT_NAMES))
+        filled = {n: {name: per_node[n].get(name, 0) for name in FLAT_NAMES} for n in node_ids}
+        assert list(r.counter_deltas.items()) == list(filled.items())
+        total: dict[str, int] = {}
+        for nid in node_ids:
+            for name, value in filled[nid].items():
+                total[name] = total.get(name, 0) + value
+        assert list(r.summed_deltas().items()) == list(total.items())
+
+    def test_counter_deltas_is_a_fresh_view(self):
+        r = record()
+        view = r.counter_deltas
+        view[0]["user.fxu0"] = -1
+        assert r.counter_deltas[0]["user.fxu0"] == 5_000_000
+        assert r.counter_deltas is not r.counter_deltas
+        assert vars(r).keys() == {f.name for f in dataclasses.fields(r)}
+        with pytest.raises(AttributeError):
+            r.counter_deltas = {}
+
+    def test_summed_once_and_again_only_for_a_new_matrix(self):
+        r = record()
+        totals = r.summed_deltas()
+        assert r.summed_deltas() is totals
+        r.deltas = r.deltas * 2
+        assert r.summed_deltas()["user.fxu0"] == 2 * totals["user.fxu0"]
+
+    def test_equality_compares_every_field_and_the_matrix(self):
+        r = record()
+        assert r == record() and r.deltas is not record().deltas
+        changes = {"app_name": "other", "node_ids": (10, 11)}
+        for field in dataclasses.fields(r)[:-1]:
+            name = field.name
+            changed = changes[name] if name in changes else getattr(r, name) + 1
+            assert dataclasses.replace(r, **{name: changed}) != r, name
+        bumped = record()
+        bumped.deltas[1, 0] += 1
+        assert bumped != r
+        narrowed = record()
+        narrowed.deltas = r.deltas.astype(np.int32)  # same values, other dtype
+        assert narrowed != r
+
+    def test_pickle_keeps_fields_and_totals_not_the_cache(self):
+        r = record()
+        totals = dict(r.summed_deltas())
+        state = pickle.dumps(r)
+        assert pickle.dumps(record()) == state  # the reduced totals are not pickled
+        back = pickle.loads(state)
+        assert back == r
+        assert "_reduced" not in vars(back)
+        assert dict(back.summed_deltas()) == totals
+
+    @pytest.mark.parametrize(
+        "per_node, node_ids, message",
+        [
+            ({0: {}}, (0, 1), "no counters for node 1"),
+            ({0: {}, 1: {}, 7: {}}, (0, 1), "counters for node 7, which is not in node_ids"),
+            ({0: {}}, (0, 0), "node 0 appears twice in node_ids"),
+            ({0: {"user.fxu9": 1}}, (0,), "node 0: unknown counter 'user.fxu9'"),
+            ({0: {"user.fxu0": 2**63}}, (0,), f"node 0: user.fxu0 = {2**63} overflows int64"),
+        ],
+    )
+    def test_from_counter_deltas_rejects(self, per_node, node_ids, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            record(node_ids=node_ids, counter_deltas=per_node)
