@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import pathlib
 import sys
-import time
 
 from repro.analysis import (
     figure1,
@@ -27,8 +26,16 @@ from repro.analysis import (
     table3,
     table4,
 )
-from repro.core.study import StudyConfig, cli_shard_days, run_study
-from repro.faults.profile import FaultProfile
+from repro.cli_common import (
+    EXIT_OK,
+    EXIT_OPERATIONAL,
+    UsageError,
+    add_campaign_args,
+    add_shard_args,
+    entry_point,
+    positive_int,
+    run_campaign,
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -36,32 +43,11 @@ def build_parser() -> argparse.ArgumentParser:
         prog="sp2-study",
         description="Replay the NAS SP2 RS2HPM measurement campaign on the simulator.",
     )
-    p.add_argument("--seed", type=int, default=0, help="campaign seed (default 0)")
-    p.add_argument("--days", type=int, default=30, help="campaign length in days")
-    p.add_argument("--nodes", type=int, default=144, help="cluster size")
-    p.add_argument("--users", type=int, default=60, help="user population size")
-    p.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="run the campaign as day-range shards on N worker processes "
-        "(output depends on the shard plan, never on N)",
-    )
-    p.add_argument(
-        "--shard-days",
-        type=int,
-        default=None,
-        metavar="K",
-        help="days per shard for --workers (default 15); implies sharded "
-        "execution even with one worker",
-    )
-    p.add_argument(
-        "--fault-profile",
-        default=None,
-        metavar="NAME",
-        help="inject faults from a named profile (none, mild, pathological); "
-        "omitted = healthy campaign, byte-identical to earlier releases",
+    add_campaign_args(p, days=30)
+    add_shard_args(
+        p,
+        workers_help="run the campaign as day-range shards (15 days unless "
+        "--shard-days) on N worker processes; output never depends on N",
     )
     p.add_argument(
         "--checkpoint-dir",
@@ -80,7 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--shard-attempts",
-        type=int,
+        type=positive_int,
         default=3,
         metavar="N",
         help="retry crashed shard workers up to N attempts total (default 3)",
@@ -96,6 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+@entry_point
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     if argv and argv[0] == "repeat":
@@ -108,55 +95,13 @@ def main(argv: list[str] | None = None) -> int:
         return repeat_main(argv[1:])
     args = build_parser().parse_args(argv)
     if args.resume and args.checkpoint_dir is None:
-        print("error: --resume requires --checkpoint-dir", file=sys.stderr)
-        return 2
-    try:
-        config = StudyConfig(
-            seed=args.seed,
-            n_days=args.days,
-            n_nodes=args.nodes,
-            n_users=args.users,
-            fault_profile=FaultProfile.resolve(args.fault_profile),
-        )
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    shard_days = cli_shard_days(
-        args.shard_days, workers=args.workers, checkpoint_dir=args.checkpoint_dir
+        raise UsageError("--resume requires --checkpoint-dir")
+    dataset = run_campaign(
+        args,
+        checkpoint_dir=str(args.checkpoint_dir) if args.checkpoint_dir is not None else None,
+        resume=args.resume,
+        shard_attempts=args.shard_attempts,
     )
-    t0 = time.time()
-    how = f", {args.workers or 1} workers" if shard_days is not None else ""
-    faulty = f", faults={args.fault_profile}" if args.fault_profile else ""
-    print(
-        f"Running {args.days}-day campaign on {args.nodes} nodes "
-        f"(seed {args.seed}, {args.users} users{how}{faulty})...",
-        file=sys.stderr,
-    )
-    try:
-        dataset = run_study(
-            config,
-            shard_days=shard_days,
-            workers=args.workers or 1,
-            checkpoint_dir=(
-                str(args.checkpoint_dir) if args.checkpoint_dir is not None else None
-            ),
-            resume=args.resume,
-            shard_attempts=args.shard_attempts,
-        )
-    except Exception as err:  # noqa: BLE001 - operator-facing boundary
-        from repro.parallel.runner import ShardExecutionError
-
-        if isinstance(err, ShardExecutionError):
-            print(f"error: {err}", file=sys.stderr)
-            if args.checkpoint_dir is not None:
-                print(
-                    f"hint: rerun with --checkpoint-dir {args.checkpoint_dir} "
-                    "--resume to pick up from the completed shards",
-                    file=sys.stderr,
-                )
-            return 1
-        raise
-    print(f"Campaign done in {time.time() - t0:.1f}s.", file=sys.stderr)
 
     print(paper_comparison(dataset))
 
@@ -174,7 +119,7 @@ def main(argv: list[str] | None = None) -> int:
             "(check --days/--users)",
             file=sys.stderr,
         )
-        return 1
+        return EXIT_OPERATIONAL
 
     if args.tables:
         print()
@@ -212,7 +157,7 @@ def main(argv: list[str] | None = None) -> int:
         args.json.write_text(dataset_to_json(dataset))
         print(f"wrote {args.json}", file=sys.stderr)
 
-    return 0
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -73,6 +73,8 @@ class StudyConfig:
     def __post_init__(self) -> None:
         # Fail at construction with the offending value, not days deep
         # inside the simulation with an empty-collector traceback.
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.n_days <= 0:
             raise ValueError(f"n_days must be positive, got {self.n_days}")
         if self.n_nodes <= 0:
@@ -425,16 +427,3 @@ def run_study(
         trace=trace,
         fault_namespace=fault_namespace,
     )
-
-
-def cli_shard_days(
-    shard_days: int | None, *, workers: int | None = None, checkpoint_dir: object = None
-) -> int | None:
-    """The campaign CLIs' rule for ``--shard-days``: given ``--workers``
-    or ``--checkpoint-dir`` without it, run the default shard plan
-    (:data:`repro.parallel.plan.DEFAULT_SHARD_DAYS`)."""
-    if shard_days is None and (workers is not None or checkpoint_dir is not None):
-        from repro.parallel.plan import DEFAULT_SHARD_DAYS
-
-        return DEFAULT_SHARD_DAYS
-    return shard_days

@@ -18,10 +18,12 @@ through plain dicts so fleet definitions can live in JSON files.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Mapping
 
 from repro.core.study import StudyConfig
 from repro.faults.profile import PROFILES, FaultProfile
 from repro.power2.config import POWER2_590, MachineConfig, SwitchConfig, TLBGeometry
+from repro.util.checks import check_number
 
 #: Routing policies :mod:`repro.fleet.routing` implements.
 ROUTING_POLICIES = ("home-center", "least-loaded", "round-robin")
@@ -51,22 +53,20 @@ class MemberSpec:
     switch_bandwidth_mb_s: float | None = None
 
     def __post_init__(self) -> None:
-        if not self.name or not str(self.name).strip():
-            raise ValueError("member name cannot be empty")
-        if self.n_nodes <= 0:
-            raise ValueError(
-                f"member {self.name!r}: n_nodes must be positive, got {self.n_nodes}"
-            )
-        if self.fault_profile not in PROFILES:
+        if not isinstance(self.name, str) or not self.name.strip():
+            raise ValueError(f"member name cannot be empty or a non-string, got {self.name!r}")
+        check_number(self.n_nodes, f"member {self.name!r}: n_nodes", integer=True)
+        if not isinstance(self.fault_profile, str) or self.fault_profile not in PROFILES:
             raise ValueError(
                 f"member {self.name!r}: unknown fault profile "
                 f"{self.fault_profile!r}; available: {', '.join(sorted(PROFILES))}"
             )
         for fname in ("memory_mb", "tlb_entries", "switch_latency_us", "switch_bandwidth_mb_s"):
             value = getattr(self, fname)
-            if value is not None and value <= 0:
-                raise ValueError(
-                    f"member {self.name!r}: {fname} must be positive, got {value}"
+            if value is not None:
+                check_number(
+                    value, f"member {self.name!r}: {fname}",
+                    integer=fname in ("memory_mb", "tlb_entries"),
                 )
 
     # ------------------------------------------------------------------
@@ -116,6 +116,8 @@ class MemberSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "MemberSpec":
+        if not isinstance(data, Mapping) or not {"name", "n_nodes"} <= set(data):
+            raise ValueError(f"a fleet member must map 'name' and 'n_nodes', got {data!r}")
         unknown = set(data) - set(cls.__dataclass_fields__)
         if unknown:
             raise ValueError(
@@ -148,17 +150,18 @@ class FleetSpec:
         if len(set(names)) != len(names):
             dupes = sorted({n for n in names if names.count(n) > 1})
             raise ValueError(f"duplicate member names: {', '.join(dupes)}")
-        if self.n_days <= 0:
-            raise ValueError(f"n_days must be positive, got {self.n_days}")
-        if self.n_users <= 0:
-            raise ValueError(f"n_users must be positive, got {self.n_users}")
+        if not isinstance(self.name, str) or not self.name.strip():
+            raise ValueError(f"fleet name cannot be empty or a non-string, got {self.name!r}")
+        check_number(self.seed, "seed", integer=True, positive=False)
+        check_number(self.n_days, "n_days", integer=True)
+        check_number(self.n_users, "n_users", integer=True)
         if self.routing not in ROUTING_POLICIES:
             raise ValueError(
                 f"unknown routing policy {self.routing!r}; available: "
                 f"{', '.join(ROUTING_POLICIES)}"
             )
-        if self.demand_mean is not None and self.demand_mean <= 0:
-            raise ValueError(f"demand_mean must be positive, got {self.demand_mean}")
+        if self.demand_mean is not None:
+            check_number(self.demand_mean, "demand_mean")
 
     @property
     def total_nodes(self) -> int:
@@ -208,12 +211,14 @@ class FleetSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "FleetSpec":
+        if not isinstance(data, Mapping):
+            raise ValueError(f"fleet spec must be a mapping, got {type(data).__name__}")
         unknown = set(data) - set(cls.__dataclass_fields__)
         if unknown:
             raise ValueError(f"unknown fleet spec keys: {', '.join(sorted(unknown))}")
         payload = dict(data)
         members = payload.pop("members", None)
-        if not members:
+        if not isinstance(members, (list, tuple)) or not members:
             raise ValueError("fleet spec needs a non-empty 'members' list")
         return cls(
             members=tuple(MemberSpec.from_dict(m) for m in members),

@@ -22,32 +22,22 @@ import json
 import sys
 import time
 
-from repro.core.study import cli_shard_days
+from repro.cli_common import (
+    EXIT_OK,
+    EXIT_OPERATIONAL,
+    UsageError,
+    add_shard_args,
+    entry_point,
+    read_input,
+    shard_plan,
+    usage_errors,
+)
 from repro.fleet.analysis import compare_fleets, fleet_summary, render_fleet_report
 from repro.fleet.runner import run_fleet
 from repro.fleet.spec import PRESETS, ROUTING_POLICIES, FleetSpec
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
-
-
-def _load_json(path: str) -> dict:
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise SystemExit(f"error: cannot read {path!r}: {exc}")
-
-
 def _build_spec(args: argparse.Namespace) -> FleetSpec:
-    if args.spec is not None:
-        spec = FleetSpec.from_dict(_load_json(args.spec))
-    else:
-        spec = PRESETS[args.preset]
     overrides = {
         "n_days": args.days,
         "seed": args.seed,
@@ -55,7 +45,20 @@ def _build_spec(args: argparse.Namespace) -> FleetSpec:
         "routing": args.routing,
     }
     applied = {k: v for k, v in overrides.items() if v is not None}
-    return dataclasses.replace(spec, **applied) if applied else spec
+    with usage_errors():
+        spec = (
+            PRESETS[args.preset] if args.spec is None else FleetSpec.from_dict(read_input(args.spec))
+        )
+        return dataclasses.replace(spec, **applied) if applied else spec
+
+
+def _read_summary(path: str) -> dict:
+    document = read_input(path)
+    if not isinstance(document, dict) or "fleet" not in document:
+        raise UsageError(
+            f"{path!r} has no 'fleet' block — is it a 'sp2-fleet run --out' file?"
+        )
+    return document
 
 
 # ----------------------------------------------------------------------
@@ -63,22 +66,14 @@ def _build_spec(args: argparse.Namespace) -> FleetSpec:
 # ----------------------------------------------------------------------
 
 def cmd_run(args: argparse.Namespace) -> int:
-    try:
-        spec = _build_spec(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    spec = _build_spec(args)
     t0 = time.time()
     print(
         f"Running fleet {spec.name!r}: {len(spec.members)} centers, "
         f"{spec.total_nodes} nodes, {spec.n_days} days, seed {spec.seed}...",
         file=sys.stderr,
     )
-    fleet = run_fleet(
-        spec,
-        shard_days=cli_shard_days(args.shard_days, workers=args.workers),
-        workers=args.workers or 1,
-    )
+    fleet = run_fleet(spec, **shard_plan(args))
     print(f"Fleet campaign done in {time.time() - t0:.1f}s.", file=sys.stderr)
     document = {"spec": spec.to_dict(), **fleet_summary(fleet)}
     if args.out is not None:
@@ -99,32 +94,19 @@ def cmd_run(args: argparse.Namespace) -> int:
             "error: fleet campaign finished zero jobs — nothing was measured",
             file=sys.stderr,
         )
-        return 1
-    return 0
+        return EXIT_OPERATIONAL
+    return EXIT_OK
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    document = _load_json(args.summary)
-    if "fleet" not in document:
-        print(
-            f"error: {args.summary!r} has no 'fleet' block — is it a "
-            "'sp2-fleet run --out' file?",
-            file=sys.stderr,
-        )
-        return 2
-    print(render_fleet_report(document))
-    return 0
+    print(render_fleet_report(_read_summary(args.summary)))
+    return EXIT_OK
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    docs = [_load_json(p) for p in (args.a, args.b)]
-    for path, doc in zip((args.a, args.b), docs):
-        if "fleet" not in doc:
-            print(f"error: {path!r} has no 'fleet' block", file=sys.stderr)
-            return 2
-    table = compare_fleets(docs[0], docs[1], label_a=args.a, label_b=args.b)
-    print(table.render())
-    return 0
+    a, b = _read_summary(args.a), _read_summary(args.b)
+    print(compare_fleets(a, b, label_a=args.a, label_b=args.b).render())
+    return EXIT_OK
 
 
 # ----------------------------------------------------------------------
@@ -149,28 +131,17 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument(
         "--spec", metavar="FILE", default=None, help="fleet definition JSON file"
     )
-    p_run.add_argument("--days", type=_positive_int, default=None, help="override n_days")
+    p_run.add_argument("--days", type=int, default=None, help="override n_days")
     p_run.add_argument("--seed", type=int, default=None, help="override the fleet seed")
-    p_run.add_argument("--users", type=_positive_int, default=None, help="override n_users")
+    p_run.add_argument("--users", type=int, default=None, help="override n_users")
     p_run.add_argument(
         "--routing",
         choices=ROUTING_POLICIES,
         default=None,
         help="override the routing policy",
     )
-    p_run.add_argument(
-        "--workers",
-        type=_positive_int,
-        default=None,
-        metavar="N",
-        help="run each member campaign through the sharded runner on N workers",
-    )
-    p_run.add_argument(
-        "--shard-days",
-        type=_positive_int,
-        default=None,
-        metavar="K",
-        help="days per shard for --workers",
+    add_shard_args(
+        p_run, workers_help="run each member campaign through the sharded runner on N workers"
     )
     p_run.add_argument(
         "--json", action="store_true", help="print the fleet block as JSON"
@@ -191,6 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+@entry_point
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     return args.func(args)

@@ -30,17 +30,24 @@ import pathlib
 import sys
 import time
 
-from repro.core.study import StudyConfig, StudyDataset, cli_shard_days, run_study
-from repro.faults.profile import FaultProfile
+from repro.cli_common import (
+    EXIT_OK,
+    EXIT_OPERATIONAL,
+    EXIT_USAGE,
+    UsageError,
+    add_campaign_args,
+    add_shard_args,
+    entry_point,
+    positive_int,
+    read_input,
+    run_campaign,
+    shard_plan,
+    study_config,
+)
+from repro.core.study import StudyDataset
 from repro.telemetry.rules import render_alert, render_alerts
 from repro.telemetry.service import METRIC_CATALOG
 from repro.workload.traces import SECONDS_PER_DAY
-
-#: Exit-code convention shared by every sp2-* CLI (CONTRIBUTING.md):
-#: 0 = success, 1 = operational failure (ran but measured/served
-#: nothing, or the service died), 2 = usage error (bad arguments,
-#: unknown names).
-EXIT_OK, EXIT_OPERATIONAL, EXIT_USAGE = 0, 1, 2
 
 
 def _fmt_time(t: float) -> str:
@@ -49,70 +56,9 @@ def _fmt_time(t: float) -> str:
     return f"d{int(day):03d} {hh:02d}:{mm:02d}"
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
-
-
-def add_campaign_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=0, help="campaign seed (default 0)")
-    p.add_argument("--days", type=_positive_int, default=3, help="campaign length in days")
-    p.add_argument("--nodes", type=_positive_int, default=144, help="cluster size")
-    p.add_argument("--users", type=_positive_int, default=60, help="user population size")
-    p.add_argument(
-        "--fault-profile",
-        default=None,
-        metavar="NAME",
-        help="inject faults from a named profile (none, mild, pathological)",
-    )
-    p.add_argument(
-        "--workers",
-        type=_positive_int,
-        default=None,
-        metavar="N",
-        help="replay the campaign through the sharded runner on N workers",
-    )
-    p.add_argument(
-        "--shard-days",
-        type=_positive_int,
-        default=None,
-        metavar="K",
-        help="days per shard for --workers",
-    )
-
-
-def _study_config(args: argparse.Namespace) -> StudyConfig:
-    return StudyConfig(
-        seed=args.seed,
-        n_days=args.days,
-        n_nodes=args.nodes,
-        n_users=args.users,
-        fault_profile=FaultProfile.resolve(args.fault_profile),
-    )
-
-
-def _shard_plan(args: argparse.Namespace) -> dict:
-    """``run_study``'s shard keywords for the campaign flags."""
-    return {
-        "shard_days": cli_shard_days(args.shard_days, workers=args.workers),
-        "workers": args.workers or 1,
-    }
-
-
-def run_campaign(args: argparse.Namespace, *, tracing: bool = False) -> StudyDataset:
-    t0 = time.time()
-    faulty = f", faults={args.fault_profile}" if args.fault_profile else ""
-    traced = ", traced" if tracing else ""
-    print(
-        f"Replaying {args.days}-day campaign on {args.nodes} nodes "
-        f"(seed {args.seed}, {args.users} users{faulty}{traced})...",
-        file=sys.stderr,
-    )
-    dataset = run_study(_study_config(args), tracing=tracing, **_shard_plan(args))
-    print(f"Replay done in {time.time() - t0:.1f}s.", file=sys.stderr)
-    return dataset
+def _add_campaign_args(p: argparse.ArgumentParser) -> None:
+    add_campaign_args(p, days=3)
+    add_shard_args(p, workers_help="replay the campaign through the sharded runner on N workers")
 
 
 def _no_samples(dataset: StudyDataset) -> bool:
@@ -143,11 +89,7 @@ def cmd_alerts(dataset: StudyDataset, args: argparse.Namespace) -> int:
         # engine rule — still a filterable rule name here.
         known = {r.name for r in t.engine.rules} | {"fault"}
         if args.rule not in known:
-            print(
-                f"unknown rule {args.rule!r}; available: {', '.join(sorted(known))}",
-                file=sys.stderr,
-            )
-            return EXIT_USAGE
+            raise UsageError(f"unknown rule {args.rule!r}; available: {', '.join(sorted(known))}")
         alerts = [a for a in alerts if a.rule == args.rule]
     print(render_alerts(alerts))
     by_rule = ", ".join(f"{k}={v}" for k, v in sorted(t.alert_counts().items()))
@@ -220,11 +162,10 @@ def cmd_query(dataset: StudyDataset, args: argparse.Namespace) -> int:
         return EXIT_OPERATIONAL
     t = dataset.telemetry
     if args.metric not in t.store.names():
-        known = "\n  ".join(
-            f"{name:<22s} {METRIC_CATALOG.get(name, '')}" for name in t.store.names()
+        raise UsageError(
+            f"unknown metric {args.metric!r}; available: {', '.join(t.store.names())} "
+            "(see docs/TELEMETRY.md)"
         )
-        print(f"unknown metric {args.metric!r}; available:\n  {known}", file=sys.stderr)
-        return EXIT_USAGE
     t0 = args.day_from * SECONDS_PER_DAY if args.day_from is not None else None
     t1 = (args.day_to + 1) * SECONDS_PER_DAY if args.day_to is not None else None
     s = t.store.summary(args.metric)
@@ -288,11 +229,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     from repro.ops.ingest import replay_into_hub
 
     if args.trace and (args.workers or args.shard_days):
-        print(
-            "error: --trace needs the serial runner (drop --workers/--shard-days)",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
+        raise UsageError("--trace needs the serial runner (drop --workers/--shard-days)")
     dataset = run_campaign(args, tracing=args.trace)
     if len(dataset.accounting) == 0:
         print(
@@ -309,8 +246,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     except UnknownJob as exc:
         ids = sorted(r.job_id for r in dataset.accounting.records)
         span = f"{ids[0]}..{ids[-1]}" if ids else "(none)"
-        print(f"error: {exc} — finished job ids: {span}", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError(f"{exc} — finished job ids: {span}") from None
     return EXIT_OK
 
 
@@ -331,12 +267,9 @@ async def _serve(args: argparse.Namespace) -> int:
         from repro.fleet.spec import PRESETS
 
         if args.fleet not in PRESETS:
-            print(
-                f"error: unknown fleet preset {args.fleet!r}; "
-                f"available: {', '.join(sorted(PRESETS))}",
-                file=sys.stderr,
+            raise UsageError(
+                f"unknown fleet preset {args.fleet!r}; available: {', '.join(sorted(PRESETS))}"
             )
-            return EXIT_USAGE
 
     hub = CampaignHub(
         max_campaigns=args.max_campaigns,
@@ -357,7 +290,7 @@ async def _serve(args: argparse.Namespace) -> int:
         from repro.fleet.spec import PRESETS
 
         fleet = await ingest_fleet(
-            hub, args.name, PRESETS[args.fleet], **_shard_plan(args)
+            hub, args.name, PRESETS[args.fleet], **shard_plan(args)
         )
         jobs = sum(len(m.dataset.accounting) for m in fleet.members)
         if args.json is not None:
@@ -371,7 +304,7 @@ async def _serve(args: argparse.Namespace) -> int:
             print(f"wrote {args.json}", file=sys.stderr)
     else:
         dataset = await ingest_study(
-            hub, args.name, _study_config(args), trace=args.trace, **_shard_plan(args)
+            hub, args.name, study_config(args), trace=args.trace, **shard_plan(args)
         )
         jobs = len(dataset.accounting)
         _write_dataset_json(args, dataset)
@@ -409,26 +342,18 @@ _ASK_USAGE_ERRORS = frozenset(
 )
 
 
-def _resolve_port(args: argparse.Namespace) -> int | None:
+def _resolve_port(args: argparse.Namespace) -> int:
     if args.port is not None:
         return args.port
-    if args.port_file is not None:
-        try:
-            return int(pathlib.Path(args.port_file).read_text().strip())
-        except (OSError, ValueError) as exc:
-            print(f"error: cannot read port from {args.port_file}: {exc}", file=sys.stderr)
-            return None
-    print("error: ask needs --port or --port-file", file=sys.stderr)
-    return None
+    if args.port_file is None:
+        raise UsageError("ask needs --port or --port-file")
+    return read_input(args.port_file, lambda path: int(pathlib.Path(path).read_text()))
 
 
 def cmd_ask(args: argparse.Namespace) -> int:
     import asyncio
 
-    port = _resolve_port(args)
-    if port is None:
-        return EXIT_USAGE
-    return asyncio.run(_ask(args, port))
+    return asyncio.run(_ask(args, _resolve_port(args)))
 
 
 async def _ask(args: argparse.Namespace, port: int) -> int:
@@ -496,19 +421,19 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     p_alerts = sub.add_parser("alerts", help="alerts fired during the campaign")
-    add_campaign_args(p_alerts)
+    _add_campaign_args(p_alerts)
     p_alerts.add_argument("--rule", default=None, help="only this rule's alerts")
     p_alerts.set_defaults(func=cmd_alerts)
 
     p_tail = sub.add_parser("tail", help="the 15-minute live feed, alerts inline")
-    add_campaign_args(p_tail)
+    _add_campaign_args(p_tail)
     p_tail.add_argument(
         "--limit", type=int, default=48, help="show the last N intervals (0 = all)"
     )
     p_tail.set_defaults(func=cmd_tail)
 
     p_query = sub.add_parser("query", help="campaign-wide statistics for one metric")
-    add_campaign_args(p_query)
+    _add_campaign_args(p_query)
     p_query.add_argument("--metric", required=True, help="metric name (see docs/TELEMETRY.md)")
     p_query.add_argument("--day-from", type=int, default=None, help="window start day")
     p_query.add_argument("--day-to", type=int, default=None, help="window end day (inclusive)")
@@ -516,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_query.set_defaults(func=cmd_query)
 
     p_jobs = sub.add_parser("jobs", help="finished-job rollups")
-    add_campaign_args(p_jobs)
+    _add_campaign_args(p_jobs)
     p_jobs.add_argument("--top", type=int, default=15, help="show the top N by Mflops (0 = all)")
     p_jobs.add_argument("--user", type=int, default=None, help="only this user's jobs")
     p_jobs.set_defaults(func=cmd_jobs)
@@ -524,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_report = sub.add_parser(
         "report", help="one finished job's performance page (MPCDF-style)"
     )
-    add_campaign_args(p_report)
+    _add_campaign_args(p_report)
     p_report.add_argument("--job", type=int, required=True, help="finished job id")
     p_report.add_argument(
         "--trace",
@@ -536,7 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve = sub.add_parser(
         "serve", help="run a campaign into the resident hub and serve the query API"
     )
-    add_campaign_args(p_serve)
+    _add_campaign_args(p_serve)
     p_serve.add_argument("--name", default="campaign", help="campaign name in the hub")
     p_serve.add_argument(
         "--fleet",
@@ -565,17 +490,17 @@ def build_parser() -> argparse.ArgumentParser:
         "detached sp2-study --json run)",
     )
     p_serve.add_argument(
-        "--max-campaigns", type=_positive_int, default=8, help="resident campaign cap"
+        "--max-campaigns", type=positive_int, default=8, help="resident campaign cap"
     )
     p_serve.add_argument(
         "--store-capacity",
-        type=_positive_int,
+        type=positive_int,
         default=None,
         help="per-metric ring capacity",
     )
     p_serve.add_argument(
         "--max-series",
-        type=_positive_int,
+        type=positive_int,
         default=None,
         help="per-store series cap (least-recently-appended eviction)",
     )
@@ -614,20 +539,13 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+@entry_point
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        if getattr(args, "standalone", False):
-            # serve/report/ask drive their own campaign (or none at all).
-            return args.func(args)
-        dataset = run_campaign(args)
-        return args.func(dataset, args)
-    except BrokenPipeError:
-        # Downstream closed the pipe (| head, | grep -q): not our error.
-        import os
-
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return EXIT_OK
+    if getattr(args, "standalone", False):
+        # serve/report/ask drive their own campaign (or none at all).
+        return args.func(args)
+    return args.func(run_campaign(args), args)
 
 
 if __name__ == "__main__":

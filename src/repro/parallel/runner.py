@@ -43,11 +43,15 @@ from repro.parallel.worker import ShardResult, SimulatedWorkerCrash, _run_shard_
 
 
 class ShardExecutionError(RuntimeError):
-    """Shards still failing after every retry attempt."""
+    """Shards still failing after every retry attempt.  ``checkpoint_dir``
+    holds the shards that finished (None = the run kept no checkpoints)."""
 
-    def __init__(self, shard_indices: list[int], attempts: int) -> None:
+    def __init__(
+        self, shard_indices: list[int], attempts: int, checkpoint_dir: str | None = None
+    ) -> None:
         self.shard_indices = shard_indices
         self.attempts = attempts
+        self.checkpoint_dir = checkpoint_dir
         super().__init__(
             f"shards {shard_indices} failed after {attempts} attempt(s); "
             "completed shards are checkpointed — fix the cause and rerun "
@@ -195,7 +199,7 @@ def execute_shards(
             failed = still_failed
         pending = failed
         if pending and attempt >= max_attempts:
-            raise ShardExecutionError([s.index for s in pending], attempt)
+            raise ShardExecutionError([s.index for s in pending], attempt, checkpoint_dir)
     return [done[s.index] for s in shards]
 
 

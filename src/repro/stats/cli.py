@@ -15,8 +15,15 @@ import pathlib
 import sys
 import time
 
-from repro.core.study import StudyConfig
-from repro.faults.profile import FaultProfile
+from repro.cli_common import (
+    EXIT_OK,
+    EXIT_OPERATIONAL,
+    UsageError,
+    add_campaign_args,
+    add_shard_args,
+    positive_int,
+    study_config,
+)
 from repro.stats.annotate import (
     format_estimate,
     repeat_headline_block,
@@ -36,7 +43,12 @@ def build_repeat_parser() -> argparse.ArgumentParser:
         "statistic converges; report every headline and table with a "
         "confidence interval.",
     )
-    p.add_argument("--seed0", type=int, default=0, help="first seed (default 0)")
+    add_campaign_args(p, days=30, seed_flag="--seed0")
+    add_shard_args(
+        p,
+        workers_help="run each batch's seeds across N worker processes "
+        "(samples are per-seed pure functions: output never depends on N)",
+    )
     p.add_argument(
         "--seeds",
         type=str,
@@ -45,15 +57,12 @@ def build_repeat_parser() -> argparse.ArgumentParser:
         help="comma-separated explicit seed list; runs all of them (no "
         "adaptive stopping) and is invariant to --batch and --workers",
     )
-    p.add_argument("--days", type=int, default=30, help="campaign length in days")
-    p.add_argument("--nodes", type=int, default=144, help="cluster size")
-    p.add_argument("--users", type=int, default=60, help="user population size")
     p.add_argument(
-        "--batch", type=int, default=8, metavar="N",
+        "--batch", type=positive_int, default=8, metavar="N",
         help="repeats per batch between rule evaluations (default 8)",
     )
     p.add_argument(
-        "--max-repeats", type=int, default=256, metavar="N",
+        "--max-repeats", type=positive_int, default=256, metavar="N",
         help="unconditional repeat cutoff (default 256)",
     )
     p.add_argument(
@@ -78,17 +87,6 @@ def build_repeat_parser() -> argparse.ArgumentParser:
         "--confidence", type=float, default=0.95, metavar="C",
         help="confidence level for every reported interval (default 0.95)",
     )
-    p.add_argument(
-        "--workers", type=int, default=None, metavar="N",
-        help="run each batch's seeds across N worker processes (samples "
-        "are per-seed pure functions: output never depends on N)",
-    )
-    p.add_argument(
-        "--shard-days", type=int, default=None, metavar="K",
-        help="shard each campaign's day range (forwarded to the shard "
-        "runner; part of the experiment definition)",
-    )
-    p.add_argument("--fault-profile", default=None, metavar="NAME")
     p.add_argument("--tables", action="store_true", help="print Tables 1-4 with CIs")
     p.add_argument(
         "--json", type=pathlib.Path, default=None,
@@ -99,16 +97,16 @@ def build_repeat_parser() -> argparse.ArgumentParser:
 
 def _parse_seeds(text: str) -> list[int]:
     try:
-        return [int(tok) for tok in text.split(",") if tok.strip() != ""]
+        seeds = [int(tok) for tok in text.split(",") if tok.strip() != ""]
     except ValueError as err:
-        raise SystemExit(f"error: bad --seeds list {text!r}: {err}")
+        raise UsageError(f"bad --seeds list {text!r}: {err}") from None
+    if any(seed < 0 for seed in seeds):
+        raise UsageError(f"bad --seeds list {text!r}: seeds must not be negative")
+    return seeds
 
 
 def repeat_main(argv: list[str] | None = None) -> int:
     args = build_repeat_parser().parse_args(argv)
-    if args.batch < 1 or args.max_repeats < 1:
-        print("error: --batch and --max-repeats must be positive", file=sys.stderr)
-        return 2
 
     rules = []
     if args.target_rse is not None:
@@ -124,22 +122,12 @@ def repeat_main(argv: list[str] | None = None) -> int:
         # rule so a bare `sp2-study repeat` still stops on convergence.
         rules.append(RSERule(0.05))
 
-    try:
-        config = StudyConfig(
-            seed=args.seed0,
-            n_days=args.days,
-            n_nodes=args.nodes,
-            n_users=args.users,
-            fault_profile=FaultProfile.resolve(args.fault_profile),
-        )
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+    config = study_config(args)
     unit = ConfigRepeatSpec(config=config, shard_days=args.shard_days)
     rule_names = ", ".join(r.describe() for r in rules) or "none"
     how = (
         f"fixed seeds {seeds}" if seeds is not None
-        else f"adaptive from seed {args.seed0}, batch {args.batch}, "
+        else f"adaptive from seed {args.seed}, batch {args.batch}, "
         f"max {args.max_repeats}, rules [{rule_names}]"
     )
     print(
@@ -169,10 +157,9 @@ def repeat_main(argv: list[str] | None = None) -> int:
         on_batch=narrate,
     )
     try:
-        result = repeater.run(seed0=args.seed0, seeds=seeds)
+        result = repeater.run(seed0=args.seed, seeds=seeds)
     except KeyError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+        raise UsageError(str(err)) from None
     print(
         f"Stopped after {result.n} campaigns in {time.time() - t0:.1f}s "
         f"(rule={result.stopped.rule}: {result.stopped.detail}).",
@@ -187,7 +174,7 @@ def repeat_main(argv: list[str] | None = None) -> int:
             "was measured (check --days/--users)",
             file=sys.stderr,
         )
-        return 1
+        return EXIT_OPERATIONAL
 
     print(repeat_headline_block(result))
     est = result.estimate(args.metric)
@@ -216,4 +203,4 @@ def repeat_main(argv: list[str] | None = None) -> int:
         args.json.parent.mkdir(parents=True, exist_ok=True)
         args.json.write_text(json.dumps(payload, indent=2) + "\n")
         print(f"wrote {args.json}", file=sys.stderr)
-    return 0
+    return EXIT_OK

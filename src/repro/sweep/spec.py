@@ -30,6 +30,7 @@ from repro.core.study import SCHEDULER_POLICIES, StudyConfig
 from repro.faults.profile import PROFILES, FaultProfile
 from repro.power2.config import POWER2_590, SwitchConfig
 from repro.stats.metrics import DEFAULT_TARGET_METRIC
+from repro.util.checks import check_number
 
 MB = 1024 * 1024
 KB = 1024
@@ -57,36 +58,18 @@ class AxisDef:
             if self.allow_none:
                 return
             raise ValueError(f"{where} {self.name!r} must not be null")
-        # bool is an int subclass; a bare `true` for n_nodes is a typo,
-        # not a node count.
-        if self.kind == "int" and (isinstance(value, bool) or not isinstance(value, int)):
-            raise ValueError(
-                f"{where} {self.name!r} value {value!r} is not an integer"
+        if self.kind != "str":
+            check_number(
+                value, f"{where} {self.name!r} value", integer=self.kind == "int",
+                positive=self.positive,
             )
-        if self.kind == "float" and (
-            isinstance(value, bool) or not isinstance(value, (int, float))
-        ):
-            raise ValueError(
-                f"{where} {self.name!r} value {value!r} is not a number"
-            )
-        if self.kind == "str" and not isinstance(value, str):
-            raise ValueError(
-                f"{where} {self.name!r} value {value!r} is not a string"
-            )
+        elif not isinstance(value, str):
+            raise ValueError(f"{where} {self.name!r} value {value!r} is not a string")
         if self.choices is not None and value not in self.choices:
             raise ValueError(
                 f"{where} {self.name!r} value {value!r} is not one of: "
                 f"{', '.join(str(c) for c in self.choices)}"
             )
-        if self.kind in ("int", "float") and not isinstance(value, bool):
-            if self.positive and value <= 0:
-                raise ValueError(
-                    f"{where} {self.name!r} value {value!r} must be positive"
-                )
-            if not self.positive and value < 0:
-                raise ValueError(
-                    f"{where} {self.name!r} value {value!r} must not be negative"
-                )
 
 
 #: Every knob a sweep may fix (``base``) or vary (``axes``).  Each one
@@ -161,26 +144,25 @@ class RepeatSpec:
             if not self.seeds:
                 raise ValueError("repeat.seeds must not be empty")
             for s in self.seeds:
-                if isinstance(s, bool) or not isinstance(s, int):
-                    raise ValueError(f"repeat.seeds entry {s!r} is not an integer")
+                check_number(s, "repeat.seeds entry", integer=True, positive=False)
             if len(set(self.seeds)) != len(self.seeds):
                 raise ValueError(f"repeat.seeds lists duplicate seeds: {list(self.seeds)}")
-        if self.target_rse is not None and not 0 < self.target_rse < 1:
-            raise ValueError(
-                f"repeat.target_rse must be in (0, 1), got {self.target_rse}"
-            )
         if self.seeds is None and self.target_rse is None:
             raise ValueError("repeat needs either a seeds list or a target_rse rule")
         if self.seeds is not None and self.target_rse is not None:
             raise ValueError(
                 "repeat cannot set both a seeds list and a target_rse rule — pick one"
             )
-        if self.batch < 1 or self.max_repeats < 1:
-            raise ValueError("repeat.batch and repeat.max_repeats must be positive")
-        if not 0 < self.confidence < 1:
-            raise ValueError(
-                f"repeat.confidence must be in (0, 1), got {self.confidence}"
-            )
+        for name in ("target_rse", "confidence"):
+            value = getattr(self, name)
+            if value is not None:
+                check_number(value, f"repeat.{name}")
+                if not value < 1:
+                    raise ValueError(f"repeat.{name} must be in (0, 1), got {value}")
+        check_number(self.batch, "repeat.batch", integer=True)
+        check_number(self.max_repeats, "repeat.max_repeats", integer=True)
+        if not isinstance(self.metric, str):
+            raise ValueError(f"repeat.metric must be a string, got {self.metric!r}")
 
     def as_dict(self) -> dict:
         out: dict = {}
@@ -239,8 +221,8 @@ class SweepSpec:
     shard_days: int | None = None
 
     def __post_init__(self) -> None:
-        if not self.name or not str(self.name).strip():
-            raise ValueError("sweep name cannot be empty")
+        if not isinstance(self.name, str) or not self.name.strip():
+            raise ValueError(f"sweep name cannot be empty or a non-string, got {self.name!r}")
         for key, value in self.base.items():
             if key not in AXES:
                 raise _unknown_key_error("base setting", key)
@@ -283,8 +265,8 @@ class SweepSpec:
                     f"baseline {axis!r} value {value!r} is not among that "
                     f"axis's values {list(self.axes[axis])}"
                 )
-        if self.shard_days is not None and self.shard_days <= 0:
-            raise ValueError(f"shard_days must be positive, got {self.shard_days}")
+        if self.shard_days is not None:
+            check_number(self.shard_days, "shard_days", integer=True)
 
     # ------------------------------------------------------------------
     @property

@@ -28,9 +28,18 @@ import pathlib
 import sys
 import time
 
+from repro.cli_common import (
+    EXIT_OK,
+    EXIT_OPERATIONAL,
+    entry_point,
+    positive_int,
+    read_input,
+    usage_errors,
+)
 from repro.sweep.cache import load_cell
 from repro.sweep.executor import run_sweep
 from repro.sweep.planner import (
+    SweepPlan,
     axis_help,
     cell_name,
     parse_selector,
@@ -44,8 +53,10 @@ from repro.sweep.report import (
 from repro.sweep.spec import SweepSpec, load_spec_file
 
 
-def _load_spec(args: argparse.Namespace) -> SweepSpec:
-    return load_spec_file(args.spec)
+def _plan(args: argparse.Namespace) -> SweepPlan:
+    with usage_errors():
+        spec = load_spec_file(args.spec)
+        return plan_sweep(spec, only=_parse_only(spec, args.only))
 
 
 def _parse_only(spec: SweepSpec, pairs: list[str] | None) -> dict | None:
@@ -66,30 +77,17 @@ def _parse_only(spec: SweepSpec, pairs: list[str] | None) -> dict | None:
     return only
 
 
-def _load_document(path: str) -> dict:
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise SystemExit(f"error: cannot read {path!r}: {exc}")
-
-
 # ----------------------------------------------------------------------
 # Subcommands
 # ----------------------------------------------------------------------
 def cmd_axes(args: argparse.Namespace) -> int:
     print("Sweepable axes (base settings use the same names):")
     print(axis_help())
-    return 0
+    return EXIT_OK
 
 
 def cmd_plan(args: argparse.Namespace) -> int:
-    try:
-        spec = _load_spec(args)
-        plan = plan_sweep(spec, only=_parse_only(spec, args.only))
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    plan = _plan(args)
     cached: set[str] = set()
     if args.cache_dir is not None:
         cached = {
@@ -101,31 +99,26 @@ def cmd_plan(args: argparse.Namespace) -> int:
     if plan.n_cells == 0:
         print("error: plan selected zero cells (--only filtered everything out)",
               file=sys.stderr)
-        return 1
+        return EXIT_OPERATIONAL
     reusable = len(cached)
     print(
         f"\ncells: {plan.n_cells} planned, {plan.n_cells - reusable} to "
         f"execute, {reusable} cached"
     )
-    return 0
+    return EXIT_OK
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    try:
-        spec = _load_spec(args)
-        plan = plan_sweep(spec, only=_parse_only(spec, args.only))
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    plan = _plan(args)
     if plan.n_cells == 0:
         print("error: plan selected zero cells (--only filtered everything out)",
               file=sys.stderr)
-        return 1
+        return EXIT_OPERATIONAL
 
     t0 = time.time()
     print(
-        f"Running sweep {spec.name!r}: {plan.n_cells} cells"
-        + (", repeat per cell" if spec.repeat is not None else "")
+        f"Running sweep {plan.spec.name!r}: {plan.n_cells} cells"
+        + (", repeat per cell" if plan.spec.repeat is not None else "")
         + (f", cache {args.cache_dir}" if args.cache_dir is not None else "")
         + "...",
         file=sys.stderr,
@@ -178,18 +171,15 @@ def cmd_run(args: argparse.Namespace) -> int:
             + ", ".join(empty),
             file=sys.stderr,
         )
-        return 1
-    return 0
+        return EXIT_OPERATIONAL
+    return EXIT_OK
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    document = _load_document(args.summary)
-    try:
+    document = read_input(args.summary)
+    with usage_errors():
         print(render_sweep_report(document))
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    return 0
+    return EXIT_OK
 
 
 def _resolve_name(document: dict, text: str) -> str:
@@ -206,15 +196,12 @@ def _resolve_name(document: dict, text: str) -> str:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    document = _load_document(args.summary)
-    try:
+    document = read_input(args.summary)
+    with usage_errors():
         a = _resolve_name(document, args.a)
         b = _resolve_name(document, args.b)
         print(render_compare(document, a, b))
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    return 0
+    return EXIT_OK
 
 
 # ----------------------------------------------------------------------
@@ -249,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="execute the sweep (cache-aware)")
     add_common(p_run)
-    p_run.add_argument("--workers", type=int, default=None, metavar="N",
+    p_run.add_argument("--workers", type=positive_int, default=None, metavar="N",
                        help="processes per cell (shards or repeat seeds); "
                        "never changes output, only wall time")
     p_run.add_argument("--force", action="store_true",
@@ -277,16 +264,10 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+@entry_point
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        return args.func(args)
-    except BrokenPipeError:
-        # Downstream closed the pipe (| head, | grep -q): not our error.
-        import os
-
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 0
+    return args.func(args)
 
 
 if __name__ == "__main__":

@@ -19,8 +19,16 @@ import argparse
 import json
 import pathlib
 import sys
-import time
 
+from repro.cli_common import (
+    EXIT_OK,
+    EXIT_OPERATIONAL,
+    UsageError,
+    add_campaign_args,
+    entry_point,
+    read_input,
+    run_campaign,
+)
 from repro.tracing import (
     analyze_jobs,
     machine_attribution,
@@ -36,31 +44,12 @@ from repro.tracing import (
 from repro.tracing.span import PHASE_KINDS
 
 
-def _add_campaign_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=0, help="campaign seed (default 0)")
-    p.add_argument("--days", type=int, default=2, help="campaign length in days")
-    p.add_argument("--nodes", type=int, default=16, help="cluster size")
-    p.add_argument("--users", type=int, default=8, help="user population size")
-
-
 # ----------------------------------------------------------------------
 # Subcommands
 # ----------------------------------------------------------------------
 
 def cmd_record(args: argparse.Namespace) -> int:
-    from repro.core.study import StudyConfig, run_study
-
-    cfg = StudyConfig(
-        seed=args.seed, n_days=args.days, n_nodes=args.nodes, n_users=args.users
-    )
-    t0 = time.time()
-    print(
-        f"Recording {args.days}-day campaign on {args.nodes} nodes "
-        f"(seed {args.seed}) with tracing on...",
-        file=sys.stderr,
-    )
-    tracer = run_study(cfg, tracing=True).tracer
-    print(f"Campaign done in {time.time() - t0:.1f}s.", file=sys.stderr)
+    tracer = run_campaign(args, tracing=True).tracer
 
     if not tracer.spans:
         # Exit-code convention (CONTRIBUTING.md): a recording that
@@ -70,27 +59,27 @@ def cmd_record(args: argparse.Namespace) -> int:
             "(check --days)",
             file=sys.stderr,
         )
-        return 1
+        return EXIT_OPERATIONAL
     out = write_jsonl(tracer.spans, args.out)
     print(f"wrote {len(tracer.spans)} spans to {out}")
     if args.chrome is not None:
         chrome = write_chrome_trace(tracer.spans, args.chrome)
         print(f"wrote Chrome trace to {chrome} (open in https://ui.perfetto.dev)")
-    return 0
+    return EXIT_OK
 
 
 def cmd_export(args: argparse.Namespace) -> int:
-    spans = read_jsonl(args.trace)
+    spans = read_input(args.trace, read_jsonl)
     if not spans:
         print(f"error: {args.trace} holds no spans", file=sys.stderr)
-        return 1
+        return EXIT_OPERATIONAL
     if args.format == "chrome":
         obj = spans_to_chrome(spans)
         errors = validate_chrome_trace(obj)
         if errors:
             for err in errors[:10]:
                 print(f"error: {err}", file=sys.stderr)
-            return 1
+            return EXIT_OPERATIONAL
         out = pathlib.Path(args.out)
         out.write_text(json.dumps(obj, sort_keys=True) + "\n")
         print(
@@ -100,20 +89,18 @@ def cmd_export(args: argparse.Namespace) -> int:
     else:  # jsonl re-serialization (normalizes ordering)
         out = write_jsonl(spans, args.out)
         print(f"wrote {len(spans)} spans to {out}")
-    return 0
+    return EXIT_OK
 
 
 def cmd_critical_path(args: argparse.Namespace) -> int:
-    spans = read_jsonl(args.trace)
-    paths = analyze_jobs(spans)
+    paths = analyze_jobs(read_input(args.trace, read_jsonl))
     if not paths:
         print("error: trace holds no finished job span trees", file=sys.stderr)
-        return 1
+        return EXIT_OPERATIONAL
     if args.job is not None:
         paths = [p for p in paths if p.job_id == args.job]
         if not paths:
-            print(f"error: no traced job with id {args.job}", file=sys.stderr)
-            return 2
+            raise UsageError(f"no traced job with id {args.job}")
     for p in paths:
         print(render_critical_path(p))
         print()
@@ -125,13 +112,12 @@ def cmd_critical_path(args: argparse.Namespace) -> int:
         )
         print(f"machine-wide attribution ({len(paths)} jobs, node-second weighted):")
         print(f"  {parts}")
-    return 0
+    return EXIT_OK
 
 
 def cmd_summary(args: argparse.Namespace) -> int:
-    spans = read_jsonl(args.trace)
-    print(render_trace_summary(trace_summary(spans)))
-    return 0
+    print(render_trace_summary(trace_summary(read_input(args.trace, read_jsonl))))
+    return EXIT_OK
 
 
 # ----------------------------------------------------------------------
@@ -146,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     p_rec = sub.add_parser("record", help="run a seeded campaign with tracing on")
-    _add_campaign_args(p_rec)
+    add_campaign_args(p_rec, days=2, nodes=16, users=8, faults=False)
     p_rec.add_argument(
         "--out", type=pathlib.Path, default=pathlib.Path("trace.jsonl"),
         help="JSONL trace output path (default trace.jsonl)",
@@ -179,6 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+@entry_point
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     return args.func(args)

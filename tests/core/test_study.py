@@ -52,6 +52,15 @@ class TestRun:
         assert ds.trace is trace
 
 
+class TestConfigValidation:
+    def test_negative_seed_rejected(self):
+        """numpy's SeedSequence would refuse it only once trace generation
+        starts, as a traceback."""
+        with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+            StudyConfig(seed=-1)
+        assert StudyConfig(seed=0).seed == 0
+
+
 class TestConsistency:
     def test_counters_monotonic_across_samples(self, small_dataset):
         samples = small_dataset.collector.samples

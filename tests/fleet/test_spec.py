@@ -1,8 +1,10 @@
 """FleetSpec / MemberSpec validation and round-trip behavior."""
 
 import pytest
+from hypothesis import given, settings
 
 from repro.fleet.spec import PRESETS, FleetSpec, MemberSpec, preset
+from tests.spec_fuzz import assert_loads_or_refuses, mutated
 
 
 def two_members():
@@ -75,6 +77,11 @@ class TestFleetValidation:
     def test_nonpositive_scalars_rejected(self, field):
         with pytest.raises(ValueError, match=f"{field} must be positive"):
             FleetSpec(members=two_members(), **{field: 0})
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+            FleetSpec(members=two_members(), seed=-1)
+        assert FleetSpec(members=two_members(), seed=0).seed == 0
 
     def test_unknown_routing_rejected(self):
         with pytest.raises(ValueError, match="unknown routing policy 'random'") as exc:
@@ -162,3 +169,20 @@ class TestPresets:
     def test_unknown_preset(self):
         with pytest.raises(ValueError, match="unknown fleet preset"):
             preset("demo99")
+
+
+class TestLoaderFuzz:
+    DEMO2 = PRESETS["demo2"].to_dict()
+    PATHS = (
+        [(f,) for f in FleetSpec.__dataclass_fields__]
+        + [("members", i) for i in range(2)]
+        + [("members", i, f) for i in range(2) for f in MemberSpec.__dataclass_fields__]
+    )
+
+    @settings(max_examples=300, deadline=None)
+    @given(document=mutated(DEMO2, PATHS))
+    def test_mutated_spec_loads_or_is_refused_in_one_line(self, document):
+        """Wrongly typed fields (``n_nodes: ""``, ``members: 3``,
+        ``n_users: null``, a non-string member name) are refused with a
+        ValueError, not a TypeError."""
+        assert_loads_or_refuses(FleetSpec.from_dict, document)

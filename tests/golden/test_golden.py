@@ -152,3 +152,54 @@ class TestTelemetrySummaries:
                           q[0.5], q[0.9], q[0.99])
                 lines.append(" ".join([name, *map(repr, fields)]))
         golden.check("telemetry_summaries.txt", "\n".join(lines) + "\n")
+
+
+def _flag_lines(parser, lines: list[str]) -> None:
+    """One line per non-help action of ``parser``, then each subcommand's
+    parser in turn: option strings, default, choices, ``required`` and
+    the action kind.  Positionals keep their order; options are sorted,
+    since the order ``--help`` lists them in is not the surface.  Help
+    text, ``type`` and ``dest`` are not pinned."""
+    import argparse
+    import pathlib
+
+    lines.append(f"[{parser.prog}]")
+    subparsers = []
+    for action in sorted(parser._actions, key=lambda a: (bool(a.option_strings), a.option_strings)):
+        if isinstance(action, argparse._HelpAction):
+            continue
+        if isinstance(action, argparse._SubParsersAction):
+            subparsers.extend(action.choices.values())
+        default = action.default
+        if isinstance(default, pathlib.PurePath):
+            default = f"path:{default}"
+        choices = None if action.choices is None else list(action.choices)
+        kind = type(action).__name__.lstrip("_").removesuffix("Action")
+        names = ",".join(action.option_strings) or "(positional)"
+        lines.append(
+            f"  {names} default={default!r} choices={choices!r} "
+            f"required={action.required} kind={kind}"
+        )
+    for sub in subparsers:
+        _flag_lines(sub, lines)
+
+
+class TestCliFlags:
+    def test_flag_surface(self, golden):
+        """Every sp2-* parser's flags, recorded before the CLIs shared one
+        argument group: a refactor of the command lines must not add,
+        drop or re-default a flag."""
+        from repro import cli, fleet_cli, ops_cli, sweep_cli, trace_cli
+        from repro.stats.cli import build_repeat_parser
+
+        lines: list[str] = []
+        for build in (
+            cli.build_parser,
+            build_repeat_parser,
+            ops_cli.build_parser,
+            trace_cli.build_parser,
+            fleet_cli.build_parser,
+            sweep_cli.build_parser,
+        ):
+            _flag_lines(build(), lines)
+        golden.check("cli_flags.txt", "\n".join(lines) + "\n")

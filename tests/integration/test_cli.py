@@ -77,16 +77,16 @@ class TestEmptyCampaignExit:
         """A silently-empty campaign must not look like a success."""
         import dataclasses
 
-        import repro.cli
+        import repro.cli_common
         from repro.pbs.accounting import AccountingLog
 
-        real = repro.cli.run_study
+        real = repro.cli_common.run_study
 
         def empty_run(*args, **kwargs):
             dataset = real(*args, **kwargs)
             return dataclasses.replace(dataset, accounting=AccountingLog())
 
-        monkeypatch.setattr(repro.cli, "run_study", empty_run)
+        monkeypatch.setattr(repro.cli_common, "run_study", empty_run)
         rc = main(["--days", "2", "--nodes", "16", "--users", "4"])
         assert rc == 1
         assert "zero jobs" in capsys.readouterr().err

@@ -3,6 +3,12 @@ uniformly across every sp2-* entry point."""
 
 from __future__ import annotations
 
+import os
+import pathlib
+import re
+import subprocess
+import sys
+
 import pytest
 
 import repro.cli
@@ -99,3 +105,155 @@ class TestUsageErrors:
         spec = tmp_path / "s.yaml"
         spec.write_text("name: s\naxes:\n  bogus: [1]\n")
         assert repro.sweep_cli.main(["plan", "--spec", str(spec)]) == 2
+
+
+# ----------------------------------------------------------------------
+# Every bad request is refused the same way
+# ----------------------------------------------------------------------
+#: A campaign small enough that a command which accepts it runs at once.
+TINY = ["--days", "2", "--nodes", "8", "--users", "2"]
+MISSING = "/nonexistent/input.json"
+
+study, ops, trace = repro.cli.main, repro.ops_cli.main, repro.trace_cli.main
+fleet, sweep = repro.fleet_cli.main, repro.sweep_cli.main
+
+#: (entry point, argv, exit code, REPRO_CRASH_SHARD); "{spec}" is a
+#: valid one-cell sweep spec.  Every case failed another way before the
+#: commands shared one front door (a traceback, exit 1, or a silent run).
+MATRIX = [
+    # Exit 2, was a traceback.
+    pytest.param(study, [*TINY, "--shard-days", "0"], 2, None, id="study-shard-days-0"),
+    pytest.param(study, [*TINY, "--shard-attempts", "0"], 2, None, id="study-shard-attempts-0"),
+    pytest.param(study, ["repeat", *TINY, "--shard-days", "0", "--seeds", "0"], 2, None,
+                 id="repeat-shard-days-0"),
+    pytest.param(trace, ["record", "--days", "0"], 2, None, id="trace-record-days-0"),
+    pytest.param(trace, ["record", "--nodes", "-1"], 2, None, id="trace-record-nodes-neg"),
+    pytest.param(ops, ["alerts", *TINY, "--fault-profile", "bogus"], 2, None,
+                 id="ops-fault-profile-bogus"),
+    pytest.param(study, [*TINY, "--seed", "-1"], 2, None, id="study-seed-neg"),
+    pytest.param(ops, ["alerts", *TINY, "--seed", "-1"], 2, None, id="ops-seed-neg"),
+    pytest.param(trace, ["record", *TINY, "--seed", "-1"], 2, None, id="trace-seed-neg"),
+    pytest.param(fleet, ["run", "--days", "2", "--seed", "-1"], 2, None, id="fleet-seed-neg"),
+    pytest.param(study, ["repeat", *TINY, "--seeds", "0,-1"], 2, None, id="repeat-seeds-neg"),
+    pytest.param(trace, ["summary", MISSING], 2, None, id="trace-summary-missing"),
+    pytest.param(trace, ["export", MISSING, "--out", MISSING], 2, None,
+                 id="trace-export-missing"),
+    pytest.param(trace, ["critical-path", MISSING], 2, None, id="trace-critical-path-missing"),
+    # Exit 2, was exit 1 through SystemExit("error: ...").
+    pytest.param(study, ["repeat", *TINY, "--seeds", "1,x"], 2, None, id="repeat-seeds-bad"),
+    pytest.param(fleet, ["report", MISSING], 2, None, id="fleet-report-missing"),
+    pytest.param(fleet, ["run", "--spec", MISSING], 2, None, id="fleet-spec-missing"),
+    pytest.param(sweep, ["report", MISSING], 2, None, id="sweep-report-missing"),
+    pytest.param(sweep, ["compare", MISSING, "a", "b"], 2, None, id="sweep-compare-missing"),
+    # Exit 2, ran without complaint.
+    pytest.param(study, [*TINY, "--workers", "0"], 2, None, id="study-workers-0"),
+    pytest.param(study, ["repeat", *TINY, "--seeds", "0", "--workers", "0"], 2, None,
+                 id="repeat-workers-0"),
+    pytest.param(sweep, ["run", "--spec", "{spec}", "--workers", "0"], 2, None,
+                 id="sweep-workers-0"),
+    # Exit 1 in one line, was a ShardExecutionError traceback.
+    pytest.param(ops, ["alerts", *TINY, "--shard-days", "1"], 1, "0", id="ops-shard-crash"),
+    pytest.param(study, ["repeat", *TINY, "--seeds", "0", "--shard-days", "1"], 1, "0",
+                 id="repeat-shard-crash"),
+    pytest.param(fleet, ["run", "--days", "2", "--shard-days", "1"], 1, "0",
+                 id="fleet-shard-crash"),
+]
+
+
+@pytest.mark.parametrize("main, argv, code, crash", MATRIX)
+def test_bad_request_is_one_error_line(main, argv, code, crash, tmp_path, capsys, monkeypatch):
+    import repro.parallel.runner as runner
+    from repro.parallel.worker import CRASH_ENV_VAR
+
+    spec = tmp_path / "cell.yaml"
+    spec.write_text("name: s\nbase:\n  n_days: 1\n  n_nodes: 8\n  n_users: 2\n")
+    argv = [arg.replace("{spec}", str(spec)) for arg in argv]
+    if crash is not None:
+        monkeypatch.setenv(CRASH_ENV_VAR, crash)
+        monkeypatch.setattr(runner.time, "sleep", lambda seconds: None)
+    try:
+        rc = main(argv)
+    except SystemExit as exc:  # argparse's own refusal
+        rc = exc.code
+    err = capsys.readouterr().err
+    assert rc == code, err
+    assert "Traceback" not in err
+    last = err.rstrip("\n").splitlines()[-1]
+    assert re.match(r"(sp2-[a-z]+( [a-z-]+)?: )?error: ", last), last
+
+
+def test_value_error_inside_a_run_is_not_a_usage_error(monkeypatch):
+    """A fault inside a run (a counter running backwards, say) must stay
+    a traceback: only the request-reading code maps ValueError to 2."""
+    import repro.cli_common
+
+    def faulty_run(*args, **kwargs):
+        raise ValueError("counter ran backwards")
+
+    monkeypatch.setattr(repro.cli_common, "run_study", faulty_run)
+    with pytest.raises(ValueError, match="counter ran backwards"):
+        study(TINY)
+
+
+# ----------------------------------------------------------------------
+# A closed stdout is not a failure
+# ----------------------------------------------------------------------
+SRC = pathlib.Path(__file__).resolve().parents[2] / "src"
+FLEET_DOC = pathlib.Path(__file__).resolve().parents[1] / "golden" / "data" / "fleet_demo2.json"
+
+
+@pytest.fixture(params=["buffered", "unbuffered"])
+def closed_stdout_run(request):
+    """Run ``module.main`` the way its console script does, writing to a
+    pipe whose read end is closed before the child starts.  A buffered
+    stdout fails when flushed, an unbuffered one at the first write."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
+    env.pop("PYTHONUNBUFFERED", None)
+    if request.param == "unbuffered":
+        env["PYTHONUNBUFFERED"] = "1"
+
+    def run(module: str, argv: list[str]) -> subprocess.CompletedProcess:
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        script = f"import sys; from {module} import main; sys.exit(main())"
+        try:
+            return subprocess.run(
+                [sys.executable, "-c", script, *argv],
+                stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=120,
+            )
+        finally:
+            os.close(write_end)
+
+    return run
+
+
+@pytest.fixture(scope="module")
+def recorded_trace(tmp_path_factory) -> str:
+    out = tmp_path_factory.mktemp("trace") / "trace.jsonl"
+    assert repro.trace_cli.main(["record", *TINY, "--out", str(out)]) == 0
+    return str(out)
+
+
+@pytest.mark.parametrize(
+    "module, argv",
+    [
+        pytest.param("repro.cli", ["--help"], id="sp2-study"),
+        pytest.param("repro.cli", ["repeat", "--help"], id="sp2-study-repeat"),
+        pytest.param("repro.ops_cli", ["--help"], id="sp2-ops"),
+        pytest.param("repro.trace_cli", ["summary", "{trace}"], id="sp2-trace"),
+        pytest.param("repro.fleet_cli", ["report", str(FLEET_DOC)], id="sp2-fleet"),
+        pytest.param("repro.sweep_cli", ["axes"], id="sp2-sweep"),
+    ],
+)
+def test_closed_stdout_exits_zero(module, argv, recorded_trace, closed_stdout_run):
+    argv = [arg.replace("{trace}", recorded_trace) for arg in argv]
+    proc = closed_stdout_run(module, argv)
+    assert (proc.returncode, proc.stderr) == (0, "")
+
+
+def test_closed_stdout_during_a_campaign_exits_zero(closed_stdout_run):
+    """Only the progress lines reach stderr when the report cannot be written."""
+    proc = closed_stdout_run("repro.cli", [*TINY, "--figures"])
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert [line.split()[0] for line in lines] == ["Running", "Campaign"], proc.stderr

@@ -172,9 +172,9 @@ class TestCompareErrors:
         assert main(["compare", str(out_file), "baseline", "tlb_entries=999"]) == 2
         assert "matches none" in capsys.readouterr().err
 
-    def test_unreadable_document_exits_via_systemexit(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["compare", "/nonexistent.json", "a", "b"])
+    def test_unreadable_document_exits_2(self, capsys):
+        assert main(["compare", "/nonexistent.json", "a", "b"]) == 2
+        assert capsys.readouterr().err.startswith("error: cannot read '/nonexistent.json'")
 
     def test_non_sweep_document_exits_2(self, tmp_path, capsys):
         bogus = tmp_path / "x.json"

@@ -1,0 +1,71 @@
+"""Hypothesis mutations of a valid spec document, for loader fuzzing.
+
+A spec loader must turn any document into either a spec or a one-line
+``ValueError``.  :func:`mutated` starts from a valid document and changes
+up to three of its fields: each one is replaced by an arbitrary
+JSON-shaped value or deleted.
+"""
+
+from __future__ import annotations
+
+import copy
+
+from hypothesis import strategies as st
+
+#: Any value a JSON or YAML-subset document can hold.
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-3, max_value=2**40)
+    | st.floats()
+    | st.text(max_size=6),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=6), children, max_size=3),
+    max_leaves=6,
+)
+
+_DELETE = object()
+
+
+def mutated(document: dict, paths: list[tuple]) -> st.SearchStrategy:
+    """Copies of ``document`` with up to three of ``paths`` changed.  A
+    path is a tuple of keys and list indexes; one whose parent a previous
+    change replaced with a scalar is skipped."""
+    changes = st.lists(
+        st.tuples(st.sampled_from(paths), JSON_VALUES | st.just(_DELETE)),
+        min_size=1,
+        max_size=3,
+    )
+
+    def apply(edits: list) -> dict:
+        doc = copy.deepcopy(document)
+        for path, value in edits:
+            parent = doc
+            for key in path[:-1]:
+                if not isinstance(parent, (dict, list)):
+                    break
+                try:
+                    parent = parent[key]
+                except (KeyError, IndexError, TypeError):
+                    break
+            else:
+                last = path[-1]
+                if isinstance(parent, dict):
+                    if value is _DELETE:
+                        parent.pop(last, None)
+                    else:
+                        parent[last] = value
+                elif isinstance(parent, list) and isinstance(last, int) and last < len(parent):
+                    if value is not _DELETE:
+                        parent[last] = value
+        return doc
+
+    return changes.map(apply)
+
+
+def assert_loads_or_refuses(load, document: dict) -> None:
+    """``load(document)`` returns, or raises a one-line ``ValueError``."""
+    try:
+        load(document)
+    except ValueError as err:
+        assert "\n" not in str(err), str(err)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given, settings
 
 from repro.sweep import (
     AXES,
@@ -14,6 +15,7 @@ from repro.sweep import (
     parse_simple_yaml,
     resolve_config,
 )
+from tests.spec_fuzz import assert_loads_or_refuses, mutated
 
 BASE = {"n_days": 2, "n_nodes": 16, "n_users": 6, "seed": 3}
 
@@ -239,3 +241,33 @@ class TestLoaders:
     def test_missing_file_is_one_line_error(self):
         with pytest.raises(ValueError, match="cannot read sweep spec"):
             load_spec_file("/nonexistent/spec.yaml")
+
+
+#: CI's sweep-smoke spec (.github/workflows/ci.yml), as a document.
+CI_SMOKE = {
+    "name": "ci-smoke",
+    "base": {"n_days": 4, "n_nodes": 144, "n_users": 60},
+    "axes": {"fault_profile": ["none", "mild", "pathological"], "tlb_entries": [512, 1024]},
+    "baseline": {"fault_profile": "none", "tlb_entries": 512},
+    "repeat": {"seeds": [1, 2, 3]},
+}
+
+
+class TestLoaderFuzz:
+    PATHS = (
+        [(f,) for f in SweepSpec.__dataclass_fields__]
+        + [("repeat", f) for f in RepeatSpec.__dataclass_fields__]
+        + [("repeat", "seeds", 0)]
+        + [(block, key) for block in ("base", "axes", "baseline") for key in CI_SMOKE[block]]
+        + [("axes", "tlb_entries", 0)]
+    )
+
+    def test_smoke_spec_loads(self):
+        assert SweepSpec.from_dict(CI_SMOKE).n_cells == 6
+
+    @settings(max_examples=300, deadline=None)
+    @given(document=mutated(CI_SMOKE, PATHS))
+    def test_mutated_spec_loads_or_is_refused_in_one_line(self, document):
+        """Wrongly typed fields (``shard_days: ten``, ``repeat.batch:
+        two``) are refused with a ValueError, not a TypeError."""
+        assert_loads_or_refuses(SweepSpec.from_dict, document)
