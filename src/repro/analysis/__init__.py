@@ -26,7 +26,6 @@ from repro.analysis.export import (
     table_to_csv,
 )
 from repro.analysis.opsreport import campaign_ops_digest, day_ops, render_day_report
-from repro.analysis.sensitivity import sweep as sensitivity_sweep
 from repro.analysis.trends import trend_report, user_histories
 
 __all__ = [
@@ -49,7 +48,6 @@ __all__ = [
     "campaign_ops_digest",
     "day_ops",
     "render_day_report",
-    "sensitivity_sweep",
     "trend_report",
     "user_histories",
     "paper_comparison",

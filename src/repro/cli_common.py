@@ -21,8 +21,7 @@ import sys
 import time
 from typing import Any, Callable
 
-from repro.core.study import StudyConfig, StudyDataset, run_study
-from repro.faults.profile import FaultProfile
+from repro.core.study import StudyConfig, StudyDataset, resolve_config, run_study
 
 EXIT_OK, EXIT_OPERATIONAL, EXIT_USAGE = 0, 1, 2
 
@@ -91,12 +90,14 @@ def add_shard_args(p: argparse.ArgumentParser, *, workers_help: str) -> None:
 def study_config(args: argparse.Namespace) -> StudyConfig:
     """The one :class:`StudyConfig` the campaign flags describe."""
     with usage_errors():
-        return StudyConfig(
-            seed=args.seed,
-            n_days=args.days,
-            n_nodes=args.nodes,
-            n_users=args.users,
-            fault_profile=FaultProfile.resolve(args.fault_profile),
+        return resolve_config(
+            {
+                "seed": args.seed,
+                "n_days": args.days,
+                "n_nodes": args.nodes,
+                "n_users": args.users,
+                "fault_profile": args.fault_profile,
+            }
         )
 
 

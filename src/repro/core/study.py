@@ -10,15 +10,15 @@ analyses §5–§6 report.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass, field, replace
+from typing import Any, Callable, Mapping
 
 import numpy as np
 
 from repro.cluster.machine import SP2Machine
 from repro.faults.events import FaultLog
-from repro.faults.profile import FaultProfile
-from repro.power2.config import MachineConfig, SwitchConfig
+from repro.faults.profile import PROFILES, FaultProfile
+from repro.power2.config import POWER2_590, SP2_SWITCH, MachineConfig, SwitchConfig
 from repro.hpm.collector import SAMPLE_INTERVAL_SECONDS, SystemCollector
 from repro.hpm.derived import DerivedRates, workload_rates
 from repro.pbs.accounting import AccountingLog
@@ -27,6 +27,7 @@ from repro.sim.engine import Simulator
 from repro.telemetry.bus import EventBus
 from repro.telemetry.service import TelemetryService
 from repro.tracing.tracer import Tracer
+from repro.util.checks import check_number
 from repro.util.rng import RngStreams
 from repro.workload.traces import SECONDS_PER_DAY, CampaignTrace, generate_trace
 
@@ -102,6 +103,143 @@ class StudyConfig:
                 "scheduler_wide_threshold must be positive, got "
                 f"{self.scheduler_wide_threshold}"
             )
+
+
+# ----------------------------------------------------------------------
+# Named settings → StudyConfig
+# ----------------------------------------------------------------------
+MB = 1024 * 1024
+KB = 1024
+
+
+@dataclass(frozen=True)
+class AxisDef:
+    """One named setting: its value type and optional choice set."""
+
+    name: str
+    kind: str  # "int" | "float" | "str"
+    doc: str
+    choices: tuple | None = None
+    allow_none: bool = False
+    #: Numeric axes demand positive values; the seed axis relaxes this
+    #: to non-negative (seed 0 is the paper's default campaign).
+    positive: bool = True
+
+    def check(self, value: Any, *, where: str) -> None:
+        """Raise a one-line ``ValueError`` unless ``value`` fits."""
+        if value is None:
+            if self.allow_none:
+                return
+            raise ValueError(f"{where} {self.name!r} must not be null")
+        if self.kind != "str":
+            check_number(
+                value, f"{where} {self.name!r} value", integer=self.kind == "int",
+                positive=self.positive,
+            )
+        elif not isinstance(value, str):
+            raise ValueError(f"{where} {self.name!r} value {value!r} is not a string")
+        if self.choices is not None and value not in self.choices:
+            raise ValueError(
+                f"{where} {self.name!r} value {value!r} is not one of: "
+                f"{', '.join(str(c) for c in self.choices)}"
+            )
+
+
+#: Every named setting: what a sweep fixes (``base``) or varies
+#: (``axes``), what a fleet member states, and what the campaign flags
+#: set.  Each maps to a :class:`StudyConfig` field in
+#: :func:`resolve_config`.
+AXES: dict[str, AxisDef] = {
+    a.name: a
+    for a in (
+        AxisDef("seed", "int", "campaign seed", positive=False),
+        AxisDef("n_days", "int", "campaign length in days"),
+        AxisDef("n_nodes", "int", "cluster size"),
+        AxisDef("n_users", "int", "user population size"),
+        AxisDef("demand_mean", "float", "demand model's mean target load (workload mix)"),
+        AxisDef(
+            "fault_profile",
+            "str",
+            "named fault-injection profile",
+            choices=tuple(sorted(PROFILES)),
+            allow_none=True,
+        ),
+        AxisDef(
+            "scheduler_policy",
+            "str",
+            "PBS queue policy",
+            choices=tuple(SCHEDULER_POLICIES),
+        ),
+        AxisDef("scheduler_wide_threshold", "int", "drain threshold in nodes"),
+        AxisDef("tlb_entries", "int", "TLB entries per node"),
+        AxisDef("page_kb", "int", "page size in kB (a power of two)"),
+        AxisDef("memory_mb", "int", "per-node memory in MB"),
+        AxisDef("paging_fault_limit", "float", "paging-disk hard faults served per second"),
+        AxisDef("switch_latency_us", "float", "switch latency in microseconds"),
+        AxisDef("switch_bandwidth_mb_s", "float", "switch bandwidth in MB/s"),
+    )
+}
+
+
+def axis_def(name: str, kind: str = "setting") -> AxisDef:
+    """The :data:`AXES` entry ``name``, or a one-line ``ValueError``
+    calling it an unknown ``kind``."""
+    try:
+        return AXES[name]
+    except KeyError:
+        raise ValueError(
+            f"unknown {kind} {name!r}; known axes: {', '.join(sorted(AXES))}"
+        ) from None
+
+
+def resolve_config(settings: Mapping[str, Any]) -> StudyConfig:
+    """The frozen :class:`StudyConfig` for flat named settings.
+
+    The one place named settings (a sweep cell, a fleet member, the
+    campaign flags) become a config.  Distinct spellings of one
+    experiment (``fault_profile: none`` vs ``null``) resolve to equal
+    configs here, which is exactly what cell and checkpoint fingerprints
+    hash.  A setting that is absent or ``None`` keeps the paper's value;
+    ``n_days`` defaults to the CLI's 30 days.  The config objects
+    refuse values they cannot model (a TLB page that is not a power of
+    two, say) with a one-line ``ValueError``.
+    """
+    for key in settings:
+        axis_def(key)
+    given = {k: v for k, v in settings.items() if v is not None}
+
+    tlb: dict[str, Any] = {}
+    if "tlb_entries" in given:
+        tlb["entries"] = int(given["tlb_entries"])
+    if "page_kb" in given:
+        tlb["page_bytes"] = int(given["page_kb"]) * KB
+    node: dict[str, Any] = {}
+    if "memory_mb" in given:
+        node["memory_bytes"] = int(given["memory_mb"]) * MB
+    if "paging_fault_limit" in given:
+        node["paging_fault_limit"] = float(given["paging_fault_limit"])
+    switch: dict[str, Any] = {}
+    if "switch_latency_us" in given:
+        switch["latency_seconds"] = float(given["switch_latency_us"]) * 1e-6
+    if "switch_bandwidth_mb_s" in given:
+        switch["bandwidth_bytes_per_s"] = float(given["switch_bandwidth_mb_s"]) * 1e6
+
+    return StudyConfig(
+        seed=int(given.get("seed", 0)),
+        n_days=int(given.get("n_days", 30)),
+        n_nodes=int(given.get("n_nodes", 144)),
+        n_users=int(given.get("n_users", 60)),
+        machine_config=(
+            replace(POWER2_590, tlb=replace(POWER2_590.tlb, **tlb), **node)
+            if tlb or node
+            else None
+        ),
+        switch_config=replace(SP2_SWITCH, **switch) if switch else None,
+        demand_mean=float(given["demand_mean"]) if "demand_mean" in given else None,
+        fault_profile=FaultProfile.resolve(given.get("fault_profile")),
+        scheduler_policy=given.get("scheduler_policy", "backfill"),
+        scheduler_wide_threshold=int(given.get("scheduler_wide_threshold", 64)),
+    )
 
 
 @dataclass

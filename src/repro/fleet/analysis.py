@@ -25,7 +25,7 @@ def _member_summary(fleet: FleetDataset, name: str) -> dict[str, Any]:
     daily = dataset.daily_gflops()
     util = dataset.daily_utilization()[: len(daily)] if daily.size else dataset.daily_utilization()
     acct = dataset.accounting
-    cfg = member.machine_config() or POWER2_590
+    cfg = dataset.config.machine_config or POWER2_590
     peak_gflops = member.n_nodes * cfg.peak_mflops / 1e3
 
     job_sizes: dict[str, dict[str, float]] = {}

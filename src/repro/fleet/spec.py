@@ -9,32 +9,34 @@ population and demand model, a job-routing policy, and one
 :class:`MemberSpec` per machine — node count, memory size, TLB shape,
 switch characteristics and fault profile all per member.
 
-Both specs are frozen, validated at construction (bad day counts, node
-counts, routing or fault-profile names fail with a ``ValueError`` naming
-the offending value, not a traceback deep inside the sim), and round-trip
-through plain dicts so fleet definitions can live in JSON files.
+A member's keys are sweep axes (:data:`repro.core.study.AXES`) with the
+same checks, and :func:`repro.core.study.resolve_config` builds each
+member's config.  Both specs are frozen and validated at construction:
+bad day counts, node counts, routing or fault-profile names, and member
+machines the model cannot build (``tlb_entries: 511``) fail with a
+``ValueError`` naming the offending value, not a traceback deep inside
+the sim.  They round-trip through plain dicts so fleet definitions can
+live in JSON files.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Mapping
+from dataclasses import dataclass, fields
+from typing import Any, Mapping
 
-from repro.core.study import StudyConfig
-from repro.faults.profile import PROFILES, FaultProfile
-from repro.power2.config import POWER2_590, MachineConfig, SwitchConfig, TLBGeometry
+from repro.core.study import AXES, StudyConfig, resolve_config
 from repro.util.checks import check_number
 
 #: Routing policies :mod:`repro.fleet.routing` implements.
 ROUTING_POLICIES = ("home-center", "least-loaded", "round-robin")
-
-MB = 1024 * 1024
 
 
 @dataclass(frozen=True)
 class MemberSpec:
     """One machine of the fleet.
 
+    Every field but ``name`` is a named setting of
+    :data:`repro.core.study.AXES`, checked as a sweep checks it.
     Overrides default to ``None`` = the NAS SP2 value (POWER2/590 nodes,
     45 µs / 34 MB/s switch), so a member that only states a node count is
     a smaller-or-larger NAS machine.
@@ -55,64 +57,20 @@ class MemberSpec:
     def __post_init__(self) -> None:
         if not isinstance(self.name, str) or not self.name.strip():
             raise ValueError(f"member name cannot be empty or a non-string, got {self.name!r}")
-        check_number(self.n_nodes, f"member {self.name!r}: n_nodes", integer=True)
-        if not isinstance(self.fault_profile, str) or self.fault_profile not in PROFILES:
-            raise ValueError(
-                f"member {self.name!r}: unknown fault profile "
-                f"{self.fault_profile!r}; available: {', '.join(sorted(PROFILES))}"
-            )
-        for fname in ("memory_mb", "tlb_entries", "switch_latency_us", "switch_bandwidth_mb_s"):
-            value = getattr(self, fname)
-            if value is not None:
-                check_number(
-                    value, f"member {self.name!r}: {fname}",
-                    integer=fname in ("memory_mb", "tlb_entries"),
-                )
+        for key, value in self.settings().items():
+            AXES[key].check(value, where=f"member {self.name!r} setting")
 
-    # ------------------------------------------------------------------
-    # Concrete configuration objects
-    # ------------------------------------------------------------------
-    def machine_config(self) -> MachineConfig | None:
-        """The member's per-node constants (None = POWER2/590 defaults)."""
-        if self.memory_mb is None and self.tlb_entries is None:
-            return None
-        cfg = POWER2_590
-        if self.memory_mb is not None:
-            cfg = replace(cfg, memory_bytes=self.memory_mb * MB)
-        if self.tlb_entries is not None:
-            cfg = replace(cfg, tlb=TLBGeometry(entries=self.tlb_entries))
-        return cfg
-
-    def switch_config(self) -> SwitchConfig | None:
-        """The member's switch fabric (None = SP2 HPS defaults)."""
-        if self.switch_latency_us is None and self.switch_bandwidth_mb_s is None:
-            return None
-        base = SwitchConfig()
-        return SwitchConfig(
-            latency_seconds=(
-                self.switch_latency_us * 1e-6
-                if self.switch_latency_us is not None
-                else base.latency_seconds
-            ),
-            bandwidth_bytes_per_s=(
-                self.switch_bandwidth_mb_s * 1e6
-                if self.switch_bandwidth_mb_s is not None
-                else base.bandwidth_bytes_per_s
-            ),
-        )
-
-    def fault_profile_obj(self) -> FaultProfile | None:
-        return FaultProfile.resolve(self.fault_profile)
+    def settings(self) -> dict[str, Any]:
+        """The node count and every setting that differs from the NAS
+        SP2's, by axis name, in field order."""
+        return {
+            f.name: getattr(self, f.name)
+            for f in fields(self)
+            if f.name != "name" and getattr(self, f.name) != f.default
+        }
 
     def to_dict(self) -> dict:
-        out: dict = {"name": self.name, "n_nodes": self.n_nodes}
-        if self.fault_profile != "none":
-            out["fault_profile"] = self.fault_profile
-        for fname in ("memory_mb", "tlb_entries", "switch_latency_us", "switch_bandwidth_mb_s"):
-            value = getattr(self, fname)
-            if value is not None:
-                out[fname] = value
-        return out
+        return {"name": self.name, **self.settings()}
 
     @classmethod
     def from_dict(cls, data: dict) -> "MemberSpec":
@@ -162,6 +120,13 @@ class FleetSpec:
             )
         if self.demand_mean is not None:
             check_number(self.demand_mean, "demand_mean")
+        # A member the machine model cannot build is refused here, at
+        # load, not when its campaign starts.
+        for member in self.members:
+            try:
+                self.member_config(member)
+            except ValueError as err:
+                raise ValueError(f"member {member.name!r}: {err}") from None
 
     @property
     def total_nodes(self) -> int:
@@ -185,15 +150,14 @@ class FleetSpec:
         is needed — and a single-member fleet is configured identically
         to the plain single-machine study.
         """
-        return StudyConfig(
-            seed=self.seed,
-            n_days=self.n_days,
-            n_nodes=member.n_nodes,
-            n_users=self.n_users,
-            machine_config=member.machine_config(),
-            switch_config=member.switch_config(),
-            demand_mean=self.demand_mean,
-            fault_profile=member.fault_profile_obj(),
+        return resolve_config(
+            {
+                "seed": self.seed,
+                "n_days": self.n_days,
+                "n_users": self.n_users,
+                "demand_mean": self.demand_mean,
+                **member.settings(),
+            }
         )
 
     def to_dict(self) -> dict:

@@ -43,6 +43,7 @@ from repro.cli_common import (
     run_campaign,
     shard_plan,
     study_config,
+    usage_errors,
 )
 from repro.core.study import StudyDataset
 from repro.telemetry.rules import render_alert, render_alerts
@@ -263,13 +264,12 @@ def cmd_serve(args: argparse.Namespace) -> int:
 async def _serve(args: argparse.Namespace) -> int:
     from repro.ops import CampaignHub, OpsServer, ingest_fleet, ingest_study
 
+    fleet_spec = None
     if args.fleet is not None:
-        from repro.fleet.spec import PRESETS
+        from repro.fleet.spec import preset
 
-        if args.fleet not in PRESETS:
-            raise UsageError(
-                f"unknown fleet preset {args.fleet!r}; available: {', '.join(sorted(PRESETS))}"
-            )
+        with usage_errors():
+            fleet_spec = preset(args.fleet)
 
     hub = CampaignHub(
         max_campaigns=args.max_campaigns,
@@ -286,17 +286,13 @@ async def _serve(args: argparse.Namespace) -> int:
         pathlib.Path(args.port_file).write_text(f"{server.port}\n")
 
     t0 = time.time()
-    if args.fleet is not None:
-        from repro.fleet.spec import PRESETS
-
-        fleet = await ingest_fleet(
-            hub, args.name, PRESETS[args.fleet], **shard_plan(args)
-        )
+    if fleet_spec is not None:
+        fleet = await ingest_fleet(hub, args.name, fleet_spec, **shard_plan(args))
         jobs = sum(len(m.dataset.accounting) for m in fleet.members)
         if args.json is not None:
             from repro.fleet.analysis import fleet_summary
 
-            document = {"spec": PRESETS[args.fleet].to_dict(), **fleet_summary(fleet)}
+            document = {"spec": fleet_spec.to_dict(), **fleet_summary(fleet)}
             args.json.parent.mkdir(parents=True, exist_ok=True)
             args.json.write_text(
                 json.dumps(document, indent=2, sort_keys=True) + "\n"

@@ -53,7 +53,14 @@ class TLBGeometry:
 
     def __post_init__(self) -> None:
         if self.entries % self.associativity:
-            raise ValueError("TLB entries must be a multiple of associativity")
+            raise ValueError(
+                f"TLB entries must be a multiple of the associativity "
+                f"{self.associativity}, got {self.entries}"
+            )
+        if self.page_bytes <= 0 or self.page_bytes & (self.page_bytes - 1):
+            raise ValueError(
+                f"TLB page size must be a power of two, got {self.page_bytes} bytes"
+            )
 
 
 @dataclass(frozen=True)

@@ -33,9 +33,7 @@ class TLB:
     def __init__(self, geometry: TLBGeometry | None = None) -> None:
         self.geometry = geometry or TLBGeometry()
         g = self.geometry
-        self._page_shift = int(g.page_bytes).bit_length() - 1
-        if (1 << self._page_shift) != g.page_bytes:
-            raise ValueError("page size must be a power of two")
+        self._page_shift = g.page_bytes.bit_length() - 1
         self._n_sets = g.n_sets
         self._assoc = g.associativity
         self._tags = np.full((self._n_sets, self._assoc), -1, dtype=np.int64)

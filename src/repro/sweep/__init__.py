@@ -13,6 +13,7 @@ See docs/SWEEPS.md for the spec schema, cell caching and compare
 semantics.
 """
 
+from repro.core.study import AXES, AxisDef, resolve_config
 from repro.sweep.cache import cell_path, load_cell, save_cell
 from repro.sweep.executor import (
     CellResult,
@@ -29,7 +30,6 @@ from repro.sweep.planner import (
     format_value,
     parse_selector,
     plan_sweep,
-    select_cell,
 )
 from repro.sweep.report import (
     compare_cells,
@@ -39,13 +39,10 @@ from repro.sweep.report import (
     sensitivity_tables,
 )
 from repro.sweep.spec import (
-    AXES,
-    AxisDef,
     RepeatSpec,
     SweepSpec,
     load_spec_file,
     parse_simple_yaml,
-    resolve_config,
 )
 
 __all__ = [
@@ -75,6 +72,5 @@ __all__ = [
     "resolve_config",
     "run_sweep",
     "save_cell",
-    "select_cell",
     "sensitivity_tables",
 ]

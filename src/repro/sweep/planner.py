@@ -23,9 +23,9 @@ import itertools
 from dataclasses import dataclass
 from typing import Any, Mapping
 
-from repro.core.study import StudyConfig
+from repro.core.study import AXES, StudyConfig, resolve_config
 from repro.parallel.checkpoint import sha256_fingerprint
-from repro.sweep.spec import AXES, SweepSpec, resolve_config
+from repro.sweep.spec import SweepSpec
 
 #: Bump when the cell document layout changes incompatibly; stale cache
 #: entries are then recomputed instead of mis-read.
@@ -146,9 +146,12 @@ def plan_sweep(spec: SweepSpec, *, only: Mapping[str, Any] | None = None) -> Swe
     for combo in combos:
         overrides = dict(zip(axis_names, combo))
         settings = {**spec.base, **overrides}
-        config = resolve_config(settings)
-        fp = cell_fingerprint(config, spec)
         name = cell_name(overrides)
+        try:
+            config = resolve_config(settings)
+        except ValueError as err:  # a value the machine model cannot build
+            raise ValueError(f"cell {name!r}: {err}") from None
+        fp = cell_fingerprint(config, spec)
         if fp in by_fingerprint:
             raise ValueError(
                 f"cells {by_fingerprint[fp]!r} and {name!r} resolve to the "
@@ -229,33 +232,6 @@ def parse_selector(spec: SweepSpec, text: str) -> dict[str, Any]:
     if not out:
         raise ValueError(f"empty selector {text!r}")
     return out
-
-
-def select_cell(plan: SweepPlan, text: str) -> Cell:
-    """Resolve a cell reference for ``compare``/``report``.
-
-    ``baseline`` names the baseline cell; a full cell name matches
-    directly; a (partial) ``axis=value`` selector fills unassigned axes
-    from the baseline assignment.
-    """
-    if text == "baseline":
-        cell = plan.baseline
-        if cell is None:
-            raise ValueError("this plan has no baseline cell (filtered out?)")
-        return cell
-    for c in plan.cells:
-        if c.name == text:
-            return c
-    selector = parse_selector(plan.spec, text)
-    overrides = {**plan.spec.baseline_overrides(), **selector}
-    name = cell_name(overrides)
-    try:
-        return plan.cell(name)
-    except KeyError:
-        raise ValueError(
-            f"selector {text!r} resolves to cell {name!r}, which is not in "
-            "the plan"
-        ) from None
 
 
 def axis_help() -> str:

@@ -14,8 +14,8 @@ and every mistake fails at load time with a one-line ``ValueError``
 naming the offending key or value — never a traceback from inside the
 simulator days later.
 
-Every axis maps onto a knob :class:`~repro.core.study.StudyConfig`
-already exposes programmatically; :func:`resolve_config` is the single
+The axes are :data:`repro.core.study.AXES`, the one vocabulary of
+named settings, and :func:`repro.core.study.resolve_config` is the one
 place a flat settings mapping becomes the frozen config object the
 runner, checkpoint fingerprints and cell cache all key on.
 """
@@ -23,97 +23,18 @@ runner, checkpoint fingerprints and cell cache all key on.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Mapping
 
-from repro.core.study import SCHEDULER_POLICIES, StudyConfig
-from repro.faults.profile import PROFILES, FaultProfile
-from repro.power2.config import POWER2_590, SwitchConfig
+from repro.core.study import axis_def
 from repro.stats.metrics import DEFAULT_TARGET_METRIC
 from repro.util.checks import check_number
 
-MB = 1024 * 1024
-KB = 1024
-
-
-# ----------------------------------------------------------------------
-# Axis registry
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class AxisDef:
-    """One sweepable knob: its value type and optional choice set."""
-
-    name: str
-    kind: str  # "int" | "float" | "str"
-    doc: str
-    choices: tuple | None = None
-    allow_none: bool = False
-    #: Numeric axes demand positive values; the seed axis relaxes this
-    #: to non-negative (seed 0 is the paper's default campaign).
-    positive: bool = True
-
-    def check(self, value: Any, *, where: str) -> None:
-        """Raise a one-line ``ValueError`` unless ``value`` fits."""
-        if value is None:
-            if self.allow_none:
-                return
-            raise ValueError(f"{where} {self.name!r} must not be null")
-        if self.kind != "str":
-            check_number(
-                value, f"{where} {self.name!r} value", integer=self.kind == "int",
-                positive=self.positive,
-            )
-        elif not isinstance(value, str):
-            raise ValueError(f"{where} {self.name!r} value {value!r} is not a string")
-        if self.choices is not None and value not in self.choices:
-            raise ValueError(
-                f"{where} {self.name!r} value {value!r} is not one of: "
-                f"{', '.join(str(c) for c in self.choices)}"
-            )
-
-
-#: Every knob a sweep may fix (``base``) or vary (``axes``).  Each one
-#: maps to a :class:`StudyConfig` field in :func:`resolve_config`.
-AXES: dict[str, AxisDef] = {
-    a.name: a
-    for a in (
-        AxisDef("seed", "int", "campaign seed", positive=False),
-        AxisDef("n_days", "int", "campaign length in days"),
-        AxisDef("n_nodes", "int", "cluster size"),
-        AxisDef("n_users", "int", "user population size"),
-        AxisDef("demand_mean", "float", "demand model's mean target load (workload mix)"),
-        AxisDef(
-            "fault_profile",
-            "str",
-            "named fault-injection profile",
-            choices=tuple(sorted(PROFILES)),
-            allow_none=True,
-        ),
-        AxisDef(
-            "scheduler_policy",
-            "str",
-            "PBS queue policy",
-            choices=tuple(SCHEDULER_POLICIES),
-        ),
-        AxisDef("scheduler_wide_threshold", "int", "drain threshold in nodes"),
-        AxisDef("tlb_entries", "int", "TLB entries per node"),
-        AxisDef("page_kb", "int", "page size in kB"),
-        AxisDef("memory_mb", "int", "per-node memory in MB"),
-        AxisDef("switch_latency_us", "float", "switch latency in microseconds"),
-        AxisDef("switch_bandwidth_mb_s", "float", "switch bandwidth in MB/s"),
-    )
-}
 
 #: Seed is special-cased: the repeat layer varies it, so a spec with a
 #: ``repeat`` block may not also sweep or fix it to conflicting ends —
 #: see :class:`SweepSpec` validation.
 _SEED_AXIS = "seed"
-
-
-def _unknown_key_error(kind: str, name: str) -> ValueError:
-    return ValueError(
-        f"unknown {kind} {name!r}; known axes: {', '.join(sorted(AXES))}"
-    )
 
 
 # ----------------------------------------------------------------------
@@ -205,7 +126,8 @@ class SweepSpec:
     """A base campaign plus axes whose cross-product defines the sweep."""
 
     name: str = "sweep"
-    #: Fixed settings every cell shares (keys from :data:`AXES`).
+    #: Fixed settings every cell shares (keys from
+    #: :data:`repro.core.study.AXES`).
     base: dict[str, Any] = field(default_factory=dict)
     #: ``{axis: [values...]}`` — cells are the cross-product, in the
     #: declaration order of the axes (first axis varies slowest).
@@ -224,12 +146,9 @@ class SweepSpec:
         if not isinstance(self.name, str) or not self.name.strip():
             raise ValueError(f"sweep name cannot be empty or a non-string, got {self.name!r}")
         for key, value in self.base.items():
-            if key not in AXES:
-                raise _unknown_key_error("base setting", key)
-            AXES[key].check(value, where="base setting")
+            axis_def(key, "base setting").check(value, where="base setting")
         for axis, values in self.axes.items():
-            if axis not in AXES:
-                raise _unknown_key_error("axis", axis)
+            definition = axis_def(axis, "axis")
             if axis in self.base:
                 raise ValueError(
                     f"axis {axis!r} also appears as a fixed base setting — "
@@ -245,7 +164,7 @@ class SweepSpec:
                 )
             seen: list = []
             for value in values:
-                AXES[axis].check(value, where="axis")
+                definition.check(value, where="axis")
                 if value in seen:
                     raise ValueError(f"axis {axis!r} lists duplicate value {value!r}")
                 seen.append(value)
@@ -332,70 +251,6 @@ def load_spec_file(path: str) -> SweepSpec:
     if not isinstance(data, dict):
         raise ValueError(f"sweep spec {path!r} is not a mapping")
     return SweepSpec.from_dict(data)
-
-
-# ----------------------------------------------------------------------
-# Settings → StudyConfig
-# ----------------------------------------------------------------------
-def resolve_config(settings: Mapping[str, Any]) -> StudyConfig:
-    """The frozen :class:`StudyConfig` for one cell's flat settings.
-
-    This is the normalization point: distinct spellings of the same
-    experiment (``fault_profile: none`` vs ``null``) resolve to equal
-    configs here, which is exactly what cell fingerprints hash — so the
-    planner can refuse accidentally-duplicated cells.
-    """
-    for key in settings:
-        if key not in AXES:
-            raise _unknown_key_error("setting", key)
-
-    machine = None
-    if any(settings.get(k) is not None for k in ("tlb_entries", "page_kb", "memory_mb")):
-        machine = POWER2_590
-        tlb = machine.tlb
-        if settings.get("tlb_entries") is not None:
-            tlb = replace(tlb, entries=int(settings["tlb_entries"]))
-        if settings.get("page_kb") is not None:
-            tlb = replace(tlb, page_bytes=int(settings["page_kb"]) * KB)
-        machine = replace(machine, tlb=tlb)
-        if settings.get("memory_mb") is not None:
-            machine = replace(machine, memory_bytes=int(settings["memory_mb"]) * MB)
-
-    switch = None
-    if any(
-        settings.get(k) is not None
-        for k in ("switch_latency_us", "switch_bandwidth_mb_s")
-    ):
-        base = SwitchConfig()
-        switch = SwitchConfig(
-            latency_seconds=(
-                float(settings["switch_latency_us"]) * 1e-6
-                if settings.get("switch_latency_us") is not None
-                else base.latency_seconds
-            ),
-            bandwidth_bytes_per_s=(
-                float(settings["switch_bandwidth_mb_s"]) * 1e6
-                if settings.get("switch_bandwidth_mb_s") is not None
-                else base.bandwidth_bytes_per_s
-            ),
-        )
-
-    return StudyConfig(
-        seed=int(settings.get("seed", 0)),
-        n_days=int(settings.get("n_days", 30)),
-        n_nodes=int(settings.get("n_nodes", 144)),
-        n_users=int(settings.get("n_users", 60)),
-        machine_config=machine,
-        switch_config=switch,
-        demand_mean=(
-            float(settings["demand_mean"])
-            if settings.get("demand_mean") is not None
-            else None
-        ),
-        fault_profile=FaultProfile.resolve(settings.get("fault_profile")),
-        scheduler_policy=settings.get("scheduler_policy", "backfill"),
-        scheduler_wide_threshold=int(settings.get("scheduler_wide_threshold", 64)),
-    )
 
 
 # ----------------------------------------------------------------------

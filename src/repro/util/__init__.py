@@ -23,7 +23,6 @@ from repro.util.stats import (
     moving_average,
     summary,
     time_weighted_mean,
-    RunningStats,
 )
 from repro.util.tables import Table, render_table
 from repro.util.asciiplot import ascii_scatter, ascii_series, ascii_histogram
@@ -41,7 +40,6 @@ __all__ = [
     "moving_average",
     "summary",
     "time_weighted_mean",
-    "RunningStats",
     "Table",
     "render_table",
     "ascii_scatter",

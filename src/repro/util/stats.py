@@ -74,41 +74,3 @@ def time_weighted_mean(
     if total == 0.0:
         return 0.0
     return float(np.dot(v, w) / total)
-
-
-class RunningStats:
-    """Welford online mean/variance — used by long-running collectors."""
-
-    def __init__(self) -> None:
-        self.n = 0
-        self._mean = 0.0
-        self._m2 = 0.0
-
-    def add(self, x: float) -> None:
-        self.n += 1
-        delta = x - self._mean
-        self._mean += delta / self.n
-        self._m2 += delta * (x - self._mean)
-
-    @property
-    def mean(self) -> float:
-        return self._mean if self.n else 0.0
-
-    @property
-    def variance(self) -> float:
-        return self._m2 / self.n if self.n else 0.0
-
-    @property
-    def std(self) -> float:
-        return float(np.sqrt(self.variance))
-
-    def merge(self, other: "RunningStats") -> "RunningStats":
-        """Combine two disjoint streams (parallel reduction of collectors)."""
-        merged = RunningStats()
-        merged.n = self.n + other.n
-        if merged.n == 0:
-            return merged
-        delta = other._mean - self._mean
-        merged._mean = self._mean + delta * other.n / merged.n
-        merged._m2 = self._m2 + other._m2 + delta**2 * self.n * other.n / merged.n
-        return merged

@@ -1,10 +1,23 @@
 """FleetSpec / MemberSpec validation and round-trip behavior."""
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 
 from repro.fleet.spec import PRESETS, FleetSpec, MemberSpec, preset
 from tests.spec_fuzz import assert_loads_or_refuses, mutated
+
+#: sha256 of ``repr(spec.member_config(member))`` for every preset
+#: member.  Member configs feed checkpoint fingerprints, so a pin moves
+#: only when a resolved config's repr does.
+PINNED_MEMBER_CONFIGS = {
+    ("demo2", "west"): "7369034766ddfa9127abded78e283e31f0ccb67c17968602ca067f459b402a1d",
+    ("demo2", "east"): "784a559e32aa7e2cfc4a5e3de8fd307cdb0b4121a4f53e8842ea5fdbd9513e89",
+    ("demo3", "lewis"): "bd5cb6e1ec303c67c0f7c3ece255042af36d1928ea6aef7dcaff0be59ad7b19e",
+    ("demo3", "ames"): "a2083ee4c3cc2a80ff303b83455ccce01e5f8d5e4290ba8c05bd11fd12144dfb",
+    ("demo3", "langley"): "505405339331416c479c576fe6ff70d2345ca5d4bc912416db499a364c139d87",
+}
 
 
 def two_members():
@@ -21,11 +34,11 @@ class TestMemberValidation:
 
     @pytest.mark.parametrize("n", [0, -4])
     def test_nonpositive_nodes_rejected(self, n):
-        with pytest.raises(ValueError, match="n_nodes must be positive"):
+        with pytest.raises(ValueError, match="'n_nodes' value must be positive"):
             MemberSpec(name="x", n_nodes=n)
 
     def test_unknown_fault_profile_names_available(self):
-        with pytest.raises(ValueError, match="unknown fault profile 'bogus'") as exc:
+        with pytest.raises(ValueError, match="'fault_profile' value 'bogus' is not one of") as exc:
             MemberSpec(name="x", n_nodes=16, fault_profile="bogus")
         assert "mild" in str(exc.value)
 
@@ -33,14 +46,16 @@ class TestMemberValidation:
         "field", ["memory_mb", "tlb_entries", "switch_latency_us", "switch_bandwidth_mb_s"]
     )
     def test_nonpositive_overrides_rejected(self, field):
-        with pytest.raises(ValueError, match=f"{field} must be positive"):
+        with pytest.raises(ValueError, match=f"'{field}' value must be positive"):
             MemberSpec(name="x", n_nodes=16, **{field: 0})
 
     def test_default_member_uses_reference_machine(self):
         m = MemberSpec(name="x", n_nodes=16)
-        assert m.machine_config() is None
-        assert m.switch_config() is None
-        assert m.fault_profile_obj() is None
+        assert m.settings() == {"n_nodes": 16}
+        cfg = FleetSpec(members=(m,)).member_config(m)
+        assert cfg.machine_config is None
+        assert cfg.switch_config is None
+        assert cfg.fault_profile is None
 
     def test_overrides_produce_configs(self):
         m = MemberSpec(
@@ -51,12 +66,23 @@ class TestMemberValidation:
             switch_latency_us=30.0,
             switch_bandwidth_mb_s=68.0,
         )
-        cfg = m.machine_config()
-        assert cfg.memory_bytes == 64 * 1024 * 1024
-        assert cfg.tlb.entries == 1024
-        sw = m.switch_config()
+        cfg = FleetSpec(members=(m,)).member_config(m)
+        assert cfg.machine_config.memory_bytes == 64 * 1024 * 1024
+        assert cfg.machine_config.tlb.entries == 1024
+        sw = cfg.switch_config
         assert sw.latency_seconds == pytest.approx(30e-6)
         assert sw.bandwidth_bytes_per_s == pytest.approx(68e6)
+
+    def test_member_keys_are_checked_as_sweep_axes(self):
+        """One vocabulary: a member key is refused where a sweep's base
+        setting of the same name would be, with the same wording."""
+        from repro.core.study import AXES
+
+        for key in MemberSpec.__dataclass_fields__:
+            if key != "name":
+                assert key in AXES
+        with pytest.raises(ValueError, match="'tlb_entries' value must be an integer"):
+            MemberSpec(name="x", n_nodes=16, tlb_entries="lots")
 
 
 class TestFleetValidation:
@@ -110,6 +136,28 @@ class TestMemberConfig:
         assert cfg.n_nodes == 64
         assert cfg.machine_config.memory_bytes == 64 * 1024 * 1024
         assert cfg.fault_profile is not None and not cfg.fault_profile.is_null
+
+    def test_preset_member_configs_are_pinned(self):
+        configs = {
+            (name, m.name): spec.member_config(m)
+            for name, spec in PRESETS.items()
+            for m in spec.members
+        }
+        assert {
+            key: hashlib.sha256(repr(cfg).encode()).hexdigest()
+            for key, cfg in configs.items()
+        } == PINNED_MEMBER_CONFIGS
+
+    def test_unbuildable_member_is_refused_at_load(self):
+        """A member the machine model cannot build fails when the fleet
+        spec is built, not when its campaign starts."""
+        data = PRESETS["demo2"].to_dict()
+        data["members"][1]["tlb_entries"] = 511
+        with pytest.raises(
+            ValueError, match="member 'east': TLB entries must be a multiple of the associativity"
+        ) as exc:
+            FleetSpec.from_dict(data)
+        assert "\n" not in str(exc.value)
 
     def test_plain_member_config_matches_single_machine_defaults(self):
         spec = FleetSpec(members=(MemberSpec(name="solo", n_nodes=144),), seed=2)
@@ -184,5 +232,9 @@ class TestLoaderFuzz:
     def test_mutated_spec_loads_or_is_refused_in_one_line(self, document):
         """Wrongly typed fields (``n_nodes: ""``, ``members: 3``,
         ``n_users: null``, a non-string member name) are refused with a
-        ValueError, not a TypeError."""
-        assert_loads_or_refuses(FleetSpec.from_dict, document)
+        ValueError, not a TypeError, and every spec that loads builds
+        each member's config (``tlb_entries: 511`` is refused at load)."""
+        spec = assert_loads_or_refuses(FleetSpec.from_dict, document)
+        if spec is not None:
+            for member in spec.members:
+                spec.member_config(member)

@@ -117,9 +117,9 @@ MISSING = "/nonexistent/input.json"
 study, ops, trace = repro.cli.main, repro.ops_cli.main, repro.trace_cli.main
 fleet, sweep = repro.fleet_cli.main, repro.sweep_cli.main
 
-#: (entry point, argv, exit code, REPRO_CRASH_SHARD); "{spec}" is a
-#: valid one-cell sweep spec.  Every case failed another way before the
-#: commands shared one front door (a traceback, exit 1, or a silent run).
+#: (entry point, argv, exit code, REPRO_CRASH_SHARD); a ``{name}`` in
+#: argv is the path of :data:`INPUTS`' file of that name.  Every case
+#: failed another way before (a traceback, exit 1, or a silent run).
 MATRIX = [
     # Exit 2, was a traceback.
     pytest.param(study, [*TINY, "--shard-days", "0"], 2, None, id="study-shard-days-0"),
@@ -139,6 +139,7 @@ MATRIX = [
     pytest.param(trace, ["export", MISSING, "--out", MISSING], 2, None,
                  id="trace-export-missing"),
     pytest.param(trace, ["critical-path", MISSING], 2, None, id="trace-critical-path-missing"),
+    pytest.param(fleet, ["run", "--spec", "{tlb_511_fleet}"], 2, None, id="fleet-tlb-entries-511"),
     # Exit 2, was exit 1 through SystemExit("error: ...").
     pytest.param(study, ["repeat", *TINY, "--seeds", "1,x"], 2, None, id="repeat-seeds-bad"),
     pytest.param(fleet, ["report", MISSING], 2, None, id="fleet-report-missing"),
@@ -151,6 +152,7 @@ MATRIX = [
                  id="repeat-workers-0"),
     pytest.param(sweep, ["run", "--spec", "{spec}", "--workers", "0"], 2, None,
                  id="sweep-workers-0"),
+    pytest.param(sweep, ["run", "--spec", "{page_kb_3_sweep}"], 2, None, id="sweep-page-kb-3"),
     # Exit 1 in one line, was a ShardExecutionError traceback.
     pytest.param(ops, ["alerts", *TINY, "--shard-days", "1"], 1, "0", id="ops-shard-crash"),
     pytest.param(study, ["repeat", *TINY, "--seeds", "0", "--shard-days", "1"], 1, "0",
@@ -160,14 +162,27 @@ MATRIX = [
 ]
 
 
+#: Input files the matrix names: a valid one-cell sweep spec, the same
+#: cell on 3 kB pages, and a fleet whose member has an odd TLB entry
+#: count for a 2-way TLB.
+CELL = "name: s\nbase:\n  n_days: 1\n  n_nodes: 8\n  n_users: 2\n"
+INPUTS = {
+    "spec": CELL,
+    "page_kb_3_sweep": CELL + "  page_kb: 3\n",
+    "tlb_511_fleet": '{"n_days": 1, "n_users": 2, "members": '
+    '[{"name": "a", "n_nodes": 8, "tlb_entries": 511}]}',
+}
+
+
 @pytest.mark.parametrize("main, argv, code, crash", MATRIX)
 def test_bad_request_is_one_error_line(main, argv, code, crash, tmp_path, capsys, monkeypatch):
     import repro.parallel.runner as runner
     from repro.parallel.worker import CRASH_ENV_VAR
 
-    spec = tmp_path / "cell.yaml"
-    spec.write_text("name: s\nbase:\n  n_days: 1\n  n_nodes: 8\n  n_users: 2\n")
-    argv = [arg.replace("{spec}", str(spec)) for arg in argv]
+    for name, text in INPUTS.items():
+        path = tmp_path / name
+        path.write_text(text)
+        argv = [arg.replace("{" + name + "}", str(path)) for arg in argv]
     if crash is not None:
         monkeypatch.setenv(CRASH_ENV_VAR, crash)
         monkeypatch.setattr(runner.time, "sleep", lambda seconds: None)

@@ -9,8 +9,9 @@ from repro.sweep import (
     cell_fingerprint,
     parse_selector,
     plan_sweep,
-    select_cell,
 )
+from repro.sweep.report import find_cell
+from repro.sweep_cli import _resolve_name
 
 BASE = {"n_days": 2, "n_nodes": 16, "n_users": 6, "seed": 3}
 
@@ -185,27 +186,37 @@ class TestSelectors:
         with pytest.raises(ValueError, match="expected axis=value"):
             parse_selector(make(), "tlb_entries")
 
+    # A compare operand resolves against a saved run's cell names and
+    # spec block, whatever the plan kept.
+    @staticmethod
+    def saved(plan):
+        return {
+            "spec": plan.spec.to_dict(),
+            "sweep": {"cells": [{"name": c.name} for c in plan.cells]},
+        }
+
     def test_select_cell_baseline(self):
         plan = plan_sweep(make())
-        assert select_cell(plan, "baseline") is plan.baseline
+        assert _resolve_name(self.saved(plan), "baseline") == plan.baseline.name
 
     def test_select_cell_full_name(self):
         plan = plan_sweep(make())
-        cell = select_cell(plan, "tlb_entries=512,fault_profile=pathological")
-        assert cell.overrides == {
+        name = _resolve_name(self.saved(plan), "tlb_entries=512,fault_profile=pathological")
+        assert plan.cell(name).overrides == {
             "tlb_entries": 512,
             "fault_profile": "pathological",
         }
 
     def test_select_cell_partial_fills_from_baseline(self):
         plan = plan_sweep(make())
-        cell = select_cell(plan, "fault_profile=pathological")
-        assert cell.overrides == {
+        name = _resolve_name(self.saved(plan), "fault_profile=pathological")
+        assert plan.cell(name).overrides == {
             "tlb_entries": 256,  # baseline value
             "fault_profile": "pathological",
         }
 
     def test_select_cell_missing_from_filtered_plan(self):
-        plan = plan_sweep(make(), only={"tlb_entries": 512})
-        with pytest.raises(ValueError, match="not in"):
-            select_cell(plan, "tlb_entries=256,fault_profile=none")
+        saved = self.saved(plan_sweep(make(), only={"tlb_entries": 512}))
+        name = _resolve_name(saved, "tlb_entries=256,fault_profile=none")
+        with pytest.raises(ValueError, match="no cell named"):
+            find_cell(saved, name)

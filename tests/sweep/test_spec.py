@@ -52,6 +52,12 @@ class TestValidation:
         with pytest.raises(ValueError, match="tlb_entries"):
             make(axes={"tlb_entries": [256, "lots"]})
 
+    @pytest.mark.parametrize("value", [float("inf"), float("nan")])
+    def test_non_finite_value(self, value):
+        # An infinite paging-fault limit would overflow a node counter mid-run.
+        with pytest.raises(ValueError, match="'paging_fault_limit' value must be finite"):
+            make(axes={"paging_fault_limit": [value]})
+
     def test_bool_is_not_an_int(self):
         with pytest.raises(ValueError, match="tlb_entries"):
             make(axes={"tlb_entries": [True]})
@@ -67,6 +73,12 @@ class TestValidation:
             ValueError, match="axis 'tlb_entries' has no values"
         ):
             make(axes={"tlb_entries": []})
+
+    def test_one_axis_sweep_with_no_values(self):
+        # The shape benchmarks/bench_sensitivity.py builds: a bare spec,
+        # one axis, the caller's list of values.
+        with pytest.raises(ValueError, match="axis 'demand_mean' has no values"):
+            SweepSpec(name="demand_mean", base={"seed": 1}, axes={"demand_mean": []})
 
     def test_non_list_axis(self):
         with pytest.raises(ValueError, match="must list its values"):
@@ -164,6 +176,14 @@ class TestResolveConfig:
         assert cfg.machine_config.tlb.page_bytes == 16 * 1024
         assert cfg.machine_config.memory_bytes == 256 * 1024 * 1024
 
+    def test_memory_mb_moves_only_memory_bytes(self):
+        from dataclasses import replace
+
+        from repro.power2.config import POWER2_590
+
+        cfg = resolve_config({"memory_mb": 256})
+        assert cfg.machine_config == replace(POWER2_590, memory_bytes=256 * 1024 * 1024)
+
     def test_switch_knobs_build_switch_config(self):
         cfg = resolve_config({"switch_latency_us": 90, "switch_bandwidth_mb_s": 17})
         assert cfg.switch_config.latency_seconds == pytest.approx(90e-6)
@@ -178,6 +198,27 @@ class TestResolveConfig:
         cfg = resolve_config({"scheduler_policy": "fifo", "scheduler_wide_threshold": 8})
         assert cfg.scheduler_policy == "fifo"
         assert cfg.scheduler_wide_threshold == 8
+
+    def test_demand_mean(self):
+        assert resolve_config({"demand_mean": 0.5}).demand_mean == 0.5
+        assert resolve_config({"demand_mean": None}).demand_mean is None
+
+    def test_unknown_setting(self):
+        with pytest.raises(ValueError, match="unknown setting 'warp_factor'; known axes: "):
+            resolve_config({"warp_factor": 9.0})
+
+    def test_paging_fault_limit(self):
+        from repro.power2.config import POWER2_590
+
+        cfg = resolve_config({"paging_fault_limit": 40.0, "memory_mb": 256})
+        assert cfg.machine_config.paging_fault_limit == 40.0
+        assert cfg.machine_config.memory_bytes == 256 * 1024 * 1024
+        # The paper's own limit, spelled out, is the reference machine.
+        assert resolve_config({"paging_fault_limit": 110}).machine_config == POWER2_590
+
+    def test_non_power_of_two_page_is_refused(self):
+        with pytest.raises(ValueError, match="power of two, got 3072 bytes"):
+            resolve_config({"page_kb": 3})
 
     def test_every_declared_axis_resolves(self):
         for name, axis in AXES.items():

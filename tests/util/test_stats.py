@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.util.stats import RunningStats, moving_average, summary, time_weighted_mean
+from repro.util.stats import moving_average, summary, time_weighted_mean
 
 
 class TestMovingAverage:
@@ -71,38 +71,3 @@ class TestTimeWeightedMean:
         with pytest.raises(ValueError):
             time_weighted_mean([1.0], [-1.0])
 
-
-class TestRunningStats:
-    def test_matches_numpy(self):
-        rng = np.random.default_rng(3)
-        xs = rng.normal(10, 2, size=500)
-        rs = RunningStats()
-        for x in xs:
-            rs.add(float(x))
-        assert rs.mean == pytest.approx(xs.mean())
-        assert rs.std == pytest.approx(xs.std(), rel=1e-9)
-
-    def test_empty(self):
-        rs = RunningStats()
-        assert rs.n == 0 and rs.mean == 0.0 and rs.variance == 0.0
-
-    def test_merge_equals_single_stream(self):
-        rng = np.random.default_rng(4)
-        xs = rng.random(100)
-        a, b, whole = RunningStats(), RunningStats(), RunningStats()
-        for x in xs[:37]:
-            a.add(float(x))
-        for x in xs[37:]:
-            b.add(float(x))
-        for x in xs:
-            whole.add(float(x))
-        merged = a.merge(b)
-        assert merged.n == whole.n
-        assert merged.mean == pytest.approx(whole.mean)
-        assert merged.variance == pytest.approx(whole.variance)
-
-    def test_merge_with_empty(self):
-        a = RunningStats()
-        a.add(2.0)
-        merged = a.merge(RunningStats())
-        assert merged.n == 1 and merged.mean == 2.0
