@@ -40,6 +40,7 @@ class SP2Machine:
             raise ValueError("machine needs at least one node")
         self.config = config or POWER2_590
         self.nodes: list[Node] = [Node(i, self.config) for i in range(n_nodes)]
+        self._all_ids = tuple(range(n_nodes))
         self.store = CounterStore(n_nodes)
         for node in self.nodes:
             node.attach_store(self.store, node.node_id)
@@ -147,8 +148,13 @@ class SP2Machine:
         counters read 0).  This is the one counter read behind the
         collector's cron pass and the PBS prologue/epilogue: one masked
         sweep of the store plus one gather.  Nodes not listed are
-        neither synced nor read.
+        neither synced nor read.  Every node in node order (the cron pass
+        when every daemon answers) sweeps and reads the whole store, with
+        no slot array and no gather.
         """
+        if len(node_ids) == len(self._all_ids) and tuple(node_ids) == self._all_ids:
+            self.store.sync_slots(node_ids, now)
+            return self.store.snapshot_matrix()
         slots = np.asarray(node_ids, dtype=np.intp)  # slot i is node i
         self.store.sync_slots(slots, now)
         return self.store.snapshot_matrix(slots)

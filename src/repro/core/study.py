@@ -11,7 +11,7 @@ analyses §5–§6 report.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -19,8 +19,10 @@ from repro.cluster.machine import SP2Machine
 from repro.faults.events import FaultLog
 from repro.faults.profile import PROFILES, FaultProfile
 from repro.power2.config import POWER2_590, SP2_SWITCH, MachineConfig, SwitchConfig
-from repro.hpm.collector import SAMPLE_INTERVAL_SECONDS, SystemCollector
-from repro.hpm.derived import DerivedRates, workload_rates
+from repro.power2.counters import FLAT_COLUMN, FLAT_NAMES
+from repro.power2.node import DMA_TRANSFER_BYTES
+from repro.hpm.collector import SAMPLE_INTERVAL_SECONDS, IntervalCounts, SystemCollector
+from repro.hpm.derived import DerivedRates, column_rates, row_rates
 from repro.pbs.accounting import AccountingLog
 from repro.pbs.scheduler import PBSServer
 from repro.sim.engine import Simulator
@@ -242,6 +244,27 @@ def resolve_config(settings: Mapping[str, Any]) -> StudyConfig:
     )
 
 
+class _IntervalColumns(NamedTuple):
+    """Collector intervals as columns: row ``i`` is interval ``i``."""
+
+    starts: np.ndarray
+    ends: np.ndarray
+    n_nodes: np.ndarray
+    #: ``(n, 44)`` int64: each interval's :attr:`IntervalCounts.sums`.
+    sums: np.ndarray
+
+    @classmethod
+    def of(cls, ivs: list[IntervalCounts]) -> _IntervalColumns:
+        return cls(
+            starts=np.array([iv.start for iv in ivs], dtype=np.float64),
+            ends=np.array([iv.end for iv in ivs], dtype=np.float64),
+            n_nodes=np.array([iv.n_nodes for iv in ivs], dtype=np.int64),
+            sums=np.array([iv.sums for iv in ivs], dtype=np.int64).reshape(
+                len(ivs), len(FLAT_NAMES)
+            ),
+        )
+
+
 @dataclass
 class StudyDataset:
     """Everything the campaign measured."""
@@ -280,6 +303,11 @@ class StudyDataset:
             hit = self._derived_cache[name] = (ivs, len(ivs), build(ivs))
         return hit[2]
 
+    def _columns(self) -> _IntervalColumns:
+        """The collector's intervals as one columnar table, built once
+        per interval list and length (read-only by convention)."""
+        return self._derived("columns", _IntervalColumns.of)
+
     # ------------------------------------------------------------------
     # Day-level series (the paper's Figure 1 axes)
     # ------------------------------------------------------------------
@@ -294,20 +322,18 @@ class StudyDataset:
         return list(self._derived("daily_rates", self._daily_rates))
 
     def _daily_rates(self, ivs: list) -> list[DerivedRates]:
+        t = self._columns()
+        days = (t.starts // SECONDS_PER_DAY).astype(np.intp)
+        order = np.argsort(days, kind="stable")
+        # Day d's intervals are order[bounds[d]:bounds[d + 1]], in list order.
+        bounds = np.searchsorted(days[order], np.arange(self.config.n_days + 1)).tolist()
         out: list[DerivedRates] = []
-        grouped: dict[int, list] = {}
-        for iv in ivs:
-            grouped.setdefault(int(iv.start // SECONDS_PER_DAY), []).append(iv)
-        for d in range(self.config.n_days):
-            chunk = grouped.get(d)
-            if not chunk:
+        for lo, hi in zip(bounds, bounds[1:]):
+            if lo == hi:
                 break
-            totals: dict[str, int] = {}
-            for iv in chunk:
-                for k, v in iv.totals.items():
-                    totals[k] = totals.get(k, 0) + v
-            seconds = chunk[-1].end - chunk[0].start
-            out.append(workload_rates(totals, seconds, self.config.n_nodes))
+            rows = order[lo:hi]
+            seconds = float(t.ends[rows[-1]] - t.starts[rows[0]])
+            out.append(row_rates(t.sums[rows].sum(axis=0), seconds, self.config.n_nodes))
         return out
 
     def daily_gflops(self) -> np.ndarray:
@@ -320,29 +346,17 @@ class StudyDataset:
         return times.copy(), gflops.copy()
 
     def _interval_gflops(self, ivs: list) -> tuple[np.ndarray, np.ndarray]:
-        times = np.array([iv.end for iv in ivs])
-        rates = np.empty(len(ivs))
-        for i, iv in enumerate(ivs):
-            r = workload_rates(iv.totals, iv.seconds, self.config.n_nodes)
-            rates[i] = r.gflops_system()
-        return times, rates
+        t = self._columns()
+        rates = column_rates(t.sums, t.ends - t.starts, self.config.n_nodes)
+        return t.ends, rates.gflops_system()
 
     def interval_dma_bytes_per_node(self) -> tuple[np.ndarray, np.ndarray]:
         """(interval ends, per-node DMA bytes/s) — §5's message-passing
         traffic series (avg ≈1.3 MB/s, best 15-minute ≈5.4 MB/s)."""
-        from repro.power2.node import DMA_TRANSFER_BYTES
-
-        ivs = self.collector.intervals()
-        times = np.array([iv.end for iv in ivs])
-        rates = np.array(
-            [
-                (iv.totals.get("user.dma_read", 0) + iv.totals.get("user.dma_write", 0))
-                * DMA_TRANSFER_BYTES
-                / (iv.seconds * max(iv.n_nodes, 1))
-                for iv in ivs
-            ]
-        )
-        return times, rates
+        t = self._columns()
+        dma = t.sums[:, FLAT_COLUMN["user.dma_read"]] + t.sums[:, FLAT_COLUMN["user.dma_write"]]
+        rates = dma * DMA_TRANSFER_BYTES / ((t.ends - t.starts) * np.maximum(t.n_nodes, 1))
+        return t.ends.copy(), rates
 
     def daily_utilization(self) -> np.ndarray:
         """Fraction of node-time servicing PBS jobs, per day (§5's 64%)."""

@@ -25,7 +25,6 @@ from dataclasses import dataclass, fields
 from typing import Any, Mapping
 
 from repro.core.study import AXES, StudyConfig, resolve_config
-from repro.util.checks import check_number
 
 #: Routing policies :mod:`repro.fleet.routing` implements.
 ROUTING_POLICIES = ("home-center", "least-loaded", "round-robin")
@@ -110,16 +109,17 @@ class FleetSpec:
             raise ValueError(f"duplicate member names: {', '.join(dupes)}")
         if not isinstance(self.name, str) or not self.name.strip():
             raise ValueError(f"fleet name cannot be empty or a non-string, got {self.name!r}")
-        check_number(self.seed, "seed", integer=True, positive=False)
-        check_number(self.n_days, "n_days", integer=True)
-        check_number(self.n_users, "n_users", integer=True)
+        # The fleet-wide settings are axes too, checked as a sweep's base
+        # checks them (demand_mean may be left unset).
+        for key in ("seed", "n_days", "n_users", "demand_mean"):
+            value = getattr(self, key)
+            if value is not None or key != "demand_mean":
+                AXES[key].check(value, where="fleet setting")
         if self.routing not in ROUTING_POLICIES:
             raise ValueError(
                 f"unknown routing policy {self.routing!r}; available: "
                 f"{', '.join(ROUTING_POLICIES)}"
             )
-        if self.demand_mean is not None:
-            check_number(self.demand_mean, "demand_mean")
         # A member the machine model cannot build is refused here, at
         # load, not when its campaign starts.
         for member in self.members:

@@ -4,7 +4,8 @@
 data from all the SP2 nodes which are available for user jobs and stores
 this data for later analysis."  The collector polls every node daemon,
 stores one :class:`SystemSample` per interval and differences it against
-the previous one as it takes it.  The telemetry service (through the
+the previous one as it takes it, into one int64 row of column sums
+(:class:`IntervalCounts`).  The telemetry service (through the
 sample's bus event) and the analysis layer (the daily/15-minute rate
 series behind Figure 1 and the 5.7 Gflops 15-minute maximum) both read
 those intervals.
@@ -57,13 +58,19 @@ class SystemSample:
     missing: tuple[int, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IntervalCounts:
-    """Summed counter deltas between two consecutive samples."""
+    """Summed counter deltas between two consecutive samples.
+
+    ``sums`` is the interval's one node-wide record: the ``(44,)`` int64
+    column sums of the per-node deltas, in
+    :data:`~repro.power2.counters.FLAT_NAMES` order.  Every rate is
+    derived from it (:func:`repro.hpm.derived.row_rates`).
+    """
 
     start: float
     end: float
-    totals: dict[str, int]
+    sums: np.ndarray
     n_nodes: int
     #: True when this interval spans one or more dropped collector
     #: passes: its counts are real (the counters kept accumulating) but
@@ -75,12 +82,28 @@ class IntervalCounts:
     def seconds(self) -> float:
         return self.end - self.start
 
+    @property
+    def totals(self) -> dict[str, int]:
+        """``{name: int}`` view of the non-zero :attr:`sums`, built on
+        every read."""
+        return {name: v for name, v in zip(FLAT_NAMES, self.sums.tolist()) if v}
+
+    def __eq__(self, other: object) -> bool:
+        """Every field; ``sums`` by dtype and values."""
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        a, b = self.sums, other.sums
+        return (self.start, self.end, self.n_nodes, self.interpolated) == (
+            other.start, other.end, other.n_nodes, other.interpolated
+        ) and (a.dtype == b.dtype and np.array_equal(a, b))
+
 
 def sample_delta(before: SystemSample, after: SystemSample) -> IntervalCounts:
     """Counter deltas between two samples, summed over the nodes present
     in both (a node missing from either is skipped, as the real scripts
-    had to do).  A counter that went backwards is a one-line
-    ``ValueError``.  Used by :class:`SampleSeries` and telemetry replay."""
+    had to do), as one int64 row.  A counter that went backwards is a
+    one-line ``ValueError``.  Used by :class:`SampleSeries` and telemetry
+    replay."""
     if before.node_ids == after.node_ids:
         ids, b, a = after.node_ids, before.matrix, after.matrix
     else:
@@ -95,10 +118,8 @@ def sample_delta(before: SystemSample, after: SystemSample) -> IntervalCounts:
             f"interval ending at {after.time} s: node {ids[row]} counter "
             f"{FLAT_NAMES[col]} went backwards ({b[row, col]} -> {a[row, col]})"
         )
-    sums = diff.sum(axis=0).tolist()
-    totals = {name: v for name, v in zip(FLAT_NAMES, sums) if v}
     return IntervalCounts(
-        start=before.time, end=after.time, totals=totals, n_nodes=len(ids)
+        start=before.time, end=after.time, sums=diff.sum(axis=0), n_nodes=len(ids)
     )
 
 

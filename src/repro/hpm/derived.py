@@ -1,10 +1,13 @@
 """Derived-metric algebra — how every number in Tables 2–4 is computed.
 
-Input is a flat counter-delta mapping (``user.fxu0`` …) plus the wall
-seconds it covers and the number of nodes it sums over.  All rates are
-*per node*, in millions per second, matching the paper's convention
-("These rates represent single node values and system rates may be
-obtained by multiplying by 144").
+Input is a block of counter deltas plus the wall seconds it covers and
+the number of nodes it sums over: a flat mapping (``user.fxu0`` …) for
+job and program reports, or an int64 row in
+:data:`~repro.power2.counters.FLAT_NAMES` order for collector intervals
+(one row, or a table of them at once).  All forms go through one
+derivation, :func:`_derive`.  All rates are *per node*, in millions per
+second, matching the paper's convention ("These rates represent single
+node values and system rates may be obtained by multiplying by 144").
 
 The flop algebra follows §3/§5 exactly:
 
@@ -24,16 +27,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
+import numpy as np
+
 from repro.power2.config import MachineConfig, POWER2_590
-
-
-def _g(deltas: Mapping[str, float], key: str) -> float:
-    return float(deltas.get(key, 0))
+from repro.power2.counters import FLAT_COLUMN, FLAT_NAMES
+from repro.power2.node import DMA_TRANSFER_BYTES
 
 
 @dataclass(frozen=True)
 class DerivedRates:
-    """Per-node rates and ratios derived from one counter-delta block."""
+    """Per-node rates and ratios derived from one counter-delta block
+    (from :func:`column_rates`, one float64 element per block instead)."""
 
     seconds: float
     n_nodes: int
@@ -151,8 +155,6 @@ class DerivedRates:
     @property
     def dma_bytes_per_s(self) -> float:
         """DMA traffic in bytes/s (≈32 B per transfer, §5's arithmetic)."""
-        from repro.power2.node import DMA_TRANSFER_BYTES
-
         return (self.dma_read_rate + self.dma_write_rate) * 1e6 * DMA_TRANSFER_BYTES
 
 
@@ -162,24 +164,68 @@ def workload_rates(
     """Derive per-node rates from counter deltas summed over ``n_nodes``.
 
     ``seconds`` is the wall-clock span of the deltas.  Rates are reported
-    per node: each summed count is divided by ``seconds × n_nodes``.
+    per node: each summed count is divided by ``seconds × n_nodes``.  A
+    counter ``deltas`` does not name counts 0.
     """
-    if seconds <= 0:
+    _check(seconds > 0, n_nodes)
+    return _derive([float(deltas.get(name, 0)) for name in FLAT_NAMES], seconds, n_nodes)
+
+
+def row_rates(row: np.ndarray, seconds: float, n_nodes: int) -> DerivedRates:
+    """:func:`workload_rates` for one int64 row of counts in
+    :data:`~repro.power2.counters.FLAT_NAMES` order: an interval's (or a
+    day's) column sums."""
+    _check(seconds > 0, n_nodes)
+    return _derive(row.astype(np.float64).tolist(), seconds, n_nodes)
+
+
+def column_rates(sums: np.ndarray, seconds: np.ndarray, n_nodes: int) -> DerivedRates:
+    """:func:`row_rates` for every row of an ``(n, 44)`` int64 table at once.
+
+    Each field is an ``(n,)`` float64 array whose element ``k`` equals,
+    bit for bit, ``row_rates(sums[k], seconds[k], n_nodes)``'s field: the
+    same IEEE operations in the same order, applied elementwise.
+    """
+    _check(bool((seconds > 0).all()), n_nodes)
+    return _derive(sums.T.astype(np.float64), seconds, n_nodes)
+
+
+def _check(positive_seconds: bool, n_nodes: int) -> None:
+    if not positive_seconds:
         raise ValueError("interval must have positive duration")
     if n_nodes <= 0:
         raise ValueError("need at least one node")
+
+
+def _ratio(num, den):
+    """``num / den`` where ``den > 0``, else 0.0 (elementwise on columns)."""
+    if isinstance(den, np.ndarray):
+        return np.divide(num, den, out=np.zeros_like(den), where=den > 0)
+    return num / den if den > 0 else 0.0
+
+
+def _derive(c, seconds, n_nodes) -> DerivedRates:
+    """The one computation of :class:`DerivedRates`' fields.
+
+    ``c[i]`` is counter ``FLAT_NAMES[i]``'s count as a float, or as a
+    float64 column of counts (then ``seconds`` is a column too and every
+    field comes out a column).  Integer counts are converted to float
+    before any arithmetic, exactly once, by the caller.
+    """
+    col = FLAT_COLUMN
     per = 1.0 / (seconds * n_nodes * 1e6)  # counts → per-node M/s
 
-    fp_add = _g(deltas, "user.fpu0_fp_add") + _g(deltas, "user.fpu1_fp_add")
-    fp_mul = _g(deltas, "user.fpu0_fp_mul") + _g(deltas, "user.fpu1_fp_mul")
-    fp_div = _g(deltas, "user.fpu0_fp_div") + _g(deltas, "user.fpu1_fp_div")
-    fp_fma = _g(deltas, "user.fpu0_fp_muladd") + _g(deltas, "user.fpu1_fp_muladd")
+    fp_add = c[col["user.fpu0_fp_add"]] + c[col["user.fpu1_fp_add"]]
+    fp_mul = c[col["user.fpu0_fp_mul"]] + c[col["user.fpu1_fp_mul"]]
+    fp_div = c[col["user.fpu0_fp_div"]] + c[col["user.fpu1_fp_div"]]
+    fp_fma = c[col["user.fpu0_fp_muladd"]] + c[col["user.fpu1_fp_muladd"]]
 
-    user_fxu = _g(deltas, "user.fxu0") + _g(deltas, "user.fxu1")
-    system_fxu = _g(deltas, "system.fxu0") + _g(deltas, "system.fxu1")
-    user_cycles = _g(deltas, "user.cycles")
-    system_cycles = _g(deltas, "system.cycles")
-    total_cycles = user_cycles + system_cycles
+    fpu0, fpu1 = c[col["user.fpu0"]], c[col["user.fpu1"]]
+    fxu0, fxu1 = c[col["user.fxu0"]], c[col["user.fxu1"]]
+    user_fxu = fxu0 + fxu1
+    system_fxu = c[col["system.fxu0"]] + c[col["system.fxu1"]]
+    user_cycles = c[col["user.cycles"]]
+    total_cycles = user_cycles + c[col["system.cycles"]]
 
     return DerivedRates(
         seconds=seconds,
@@ -191,18 +237,18 @@ def workload_rates(
         mflops_div=fp_div * per,
         mflops_mul=fp_mul * per,
         mflops_fma=fp_fma * per,
-        mips_fp_total=(_g(deltas, "user.fpu0") + _g(deltas, "user.fpu1")) * per,
-        mips_fp_unit0=_g(deltas, "user.fpu0") * per,
-        mips_fp_unit1=_g(deltas, "user.fpu1") * per,
+        mips_fp_total=(fpu0 + fpu1) * per,
+        mips_fp_unit0=fpu0 * per,
+        mips_fp_unit1=fpu1 * per,
         mips_fxu_total=user_fxu * per,
-        mips_fxu_unit0=_g(deltas, "user.fxu0") * per,
-        mips_fxu_unit1=_g(deltas, "user.fxu1") * per,
-        mips_icu=(_g(deltas, "user.icu0") + _g(deltas, "user.icu1")) * per,
-        dcache_miss_rate=_g(deltas, "user.dcache_mis") * per,
-        tlb_miss_rate=_g(deltas, "user.tlb_mis") * per,
-        icache_miss_rate=_g(deltas, "user.icache_reload") * per,
-        dma_read_rate=_g(deltas, "user.dma_read") * per,
-        dma_write_rate=_g(deltas, "user.dma_write") * per,
-        system_user_fxu_ratio=(system_fxu / user_fxu) if user_fxu > 0 else 0.0,
-        user_cycle_fraction=(user_cycles / total_cycles) if total_cycles > 0 else 0.0,
+        mips_fxu_unit0=fxu0 * per,
+        mips_fxu_unit1=fxu1 * per,
+        mips_icu=(c[col["user.icu0"]] + c[col["user.icu1"]]) * per,
+        dcache_miss_rate=c[col["user.dcache_mis"]] * per,
+        tlb_miss_rate=c[col["user.tlb_mis"]] * per,
+        icache_miss_rate=c[col["user.icache_reload"]] * per,
+        dma_read_rate=c[col["user.dma_read"]] * per,
+        dma_write_rate=c[col["user.dma_write"]] * per,
+        system_user_fxu_ratio=_ratio(system_fxu, user_fxu),
+        user_cycle_fraction=_ratio(user_cycles, total_cycles),
     )

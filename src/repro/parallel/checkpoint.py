@@ -20,12 +20,9 @@ from __future__ import annotations
 import hashlib
 import os
 import pickle
-from typing import TYPE_CHECKING
 
 from repro.core.study import StudyConfig
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.parallel.worker import ShardResult
+from repro.parallel.worker import ShardResult
 
 #: Bump when the ShardResult layout changes incompatibly: old files are
 #: then fingerprint-mismatched and recomputed instead of mis-read.
@@ -58,7 +55,7 @@ def shard_path(checkpoint_dir: str, index: int) -> str:
 
 
 def save_shard_result(
-    checkpoint_dir: str, fingerprint: str, result: "ShardResult"
+    checkpoint_dir: str, fingerprint: str, result: ShardResult
 ) -> str:
     """Atomically persist one finished shard; returns the file path."""
     os.makedirs(checkpoint_dir, exist_ok=True)
@@ -78,18 +75,22 @@ def save_shard_result(
 
 def load_shard_result(
     checkpoint_dir: str, fingerprint: str, index: int
-) -> "ShardResult | None":
+) -> ShardResult | None:
     """The checkpointed result for one shard, or None when absent/stale.
 
-    Any defect — missing file, truncated pickle, version or fingerprint
-    mismatch, wrong shard index — returns None: the caller recomputes the
-    shard, which is always safe.
+    Any defect — missing file, a pickle that fails to decode in any way
+    (truncated, corrupted opcodes or protocol byte, bad lengths), version
+    or fingerprint mismatch, wrong shard index, no shard result inside —
+    returns None: the caller recomputes the shard, which is always safe.
     """
     path = shard_path(checkpoint_dir, index)
     try:
         with open(path, "rb") as fh:
             envelope = pickle.load(fh)
-    except (OSError, pickle.UnpicklingError, EOFError, AttributeError):
+    except Exception:
+        # Corrupt pickle bytes surface as nearly any exception type
+        # (ValueError, UnicodeDecodeError, MemoryError, OverflowError,
+        # TypeError, ...); every one of them means "recompute".
         return None
     if not isinstance(envelope, dict):
         return None
@@ -99,4 +100,5 @@ def load_shard_result(
         return None
     if envelope.get("shard_index") != index:
         return None
-    return envelope.get("result")
+    result = envelope.get("result")
+    return result if isinstance(result, ShardResult) else None

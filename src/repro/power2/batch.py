@@ -52,7 +52,7 @@ from repro.power2.counters import (
 ROW_SIZE = 2 * BANK_SIZE
 
 #: Flat row positions the hardware bug zeroes (both banks).
-_BROKEN_FLAT = tuple(BROKEN_INDICES) + tuple(i + BANK_SIZE for i in BROKEN_INDICES)
+_BROKEN_FLAT = np.array(BROKEN_INDICES + tuple(i + BANK_SIZE for i in BROKEN_INDICES))
 
 #: Sentinel rate vector for a halted node (counters frozen).
 _ZERO_BANK = (0.0,) * BANK_SIZE
@@ -215,16 +215,19 @@ class CounterStore:
     def snapshot_vector(self, slot: int):
         """One slot's int64 snapshot row (broken counters zeroed)."""
         out = self._values[slot].astype(np.int64)  # truncation toward zero
-        out[list(_BROKEN_FLAT)] = 0
+        out[_BROKEN_FLAT] = 0
         return out
 
-    def snapshot_matrix(self, slots: Sequence[int]):
-        """Int64 snapshot rows for many slots — the collector's pass."""
-        if not len(slots):
+    def snapshot_matrix(self, slots: Sequence[int] | None = None):
+        """Int64 snapshot rows for many slots — the collector's pass.
+        ``None`` reads every slot in slot order, without a gather."""
+        if slots is None:
+            out = self._values.astype(np.int64)
+        elif not len(slots):
             return np.zeros((0, ROW_SIZE), dtype=np.int64)
-        idx = np.asarray(slots, dtype=np.intp)
-        out = self._values[idx].astype(np.int64)
-        out[:, list(_BROKEN_FLAT)] = 0
+        else:
+            out = self._values[np.asarray(slots, dtype=np.intp)].astype(np.int64)
+        out[:, _BROKEN_FLAT] = 0
         return out
 
     # -- per-slot scalars -----------------------------------------------

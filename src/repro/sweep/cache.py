@@ -8,8 +8,10 @@ other cells are served from disk.  An *unchanged* spec re-runs with
 job asserts exactly this).
 
 The trust model mirrors :mod:`repro.parallel.checkpoint`: any defect —
-missing file, truncated JSON, version or fingerprint mismatch — reads
-as a cache miss and the cell is recomputed, which is always safe.
+missing file, bytes that do not decode as UTF-8 JSON, a document
+missing a field the executor always writes, version or fingerprint
+mismatch — reads as a cache miss and the cell is recomputed, which is
+always safe.
 Writes are atomic (temp file + ``os.replace``) so an interrupted sweep
 can never leave a torn cell behind.
 """
@@ -22,6 +24,13 @@ from typing import Any
 
 from repro.sweep.planner import CELL_VERSION
 
+#: The fields :func:`repro.sweep.executor.execute_cell` writes into every
+#: cell document (``None`` where a field does not apply).
+CELL_FIELDS = frozenset(
+    ("version", "fingerprint", "name", "overrides", "settings")
+    + ("summary", "metrics", "repeat", "estimates", "samples")
+)
+
 
 def cell_path(cache_dir: str, fingerprint: str) -> str:
     return os.path.join(cache_dir, f"cell-{fingerprint}.json")
@@ -32,7 +41,7 @@ def save_cell(cache_dir: str, document: dict[str, Any]) -> str:
     os.makedirs(cache_dir, exist_ok=True)
     path = cell_path(cache_dir, document["fingerprint"])
     tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w") as fh:
+    with open(tmp, "w", encoding="utf-8") as fh:
         json.dump(document, fh, indent=2)
         fh.write("\n")
     os.replace(tmp, path)
@@ -43,11 +52,13 @@ def load_cell(cache_dir: str, fingerprint: str) -> dict[str, Any] | None:
     """The cached document for one cell, or ``None`` when absent/stale."""
     path = cell_path(cache_dir, fingerprint)
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             document = json.load(fh)
-    except (OSError, json.JSONDecodeError):
+    except (OSError, ValueError, RecursionError):
+        # ValueError covers both JSONDecodeError and UnicodeDecodeError;
+        # RecursionError is JSON nested past the parser's depth.
         return None
-    if not isinstance(document, dict):
+    if not isinstance(document, dict) or not CELL_FIELDS <= document.keys():
         return None
     if document.get("version") != CELL_VERSION:
         return None

@@ -13,8 +13,8 @@ maintains, *while the simulation runs*:
 The per-sample path is incremental: the collector differences each new
 sample as it takes it and publishes the interval on the sample's
 :class:`~repro.telemetry.bus.SampleTaken` event, and the service derives
-its rates once, so the online layer costs O(metrics) per sample
-regardless of campaign length.
+its rates once, from the interval's int64 row, so the online layer
+costs O(metrics) per sample regardless of campaign length.
 
 ``replay`` rebuilds a service from recorded samples and job records —
 the offline path ``sp2-ops`` uses on an already-run dataset, and the
@@ -26,7 +26,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from repro.hpm.collector import SystemSample, sample_delta
-from repro.hpm.derived import DerivedRates, workload_rates
+from repro.hpm.derived import DerivedRates, row_rates
 from repro.pbs.job import JobRecord
 from repro.telemetry.bus import (
     TOPIC_COLLECTOR_GAP,
@@ -120,7 +120,7 @@ class TelemetryService:
         iv = ev.interval
         if iv is None or iv.seconds <= 0 or iv.n_nodes <= 0:
             return
-        rates = workload_rates(iv.totals, iv.seconds, iv.n_nodes)
+        rates = row_rates(iv.sums, iv.seconds, iv.n_nodes)
         self._record_interval(ev.sample.time, rates, iv.n_nodes, ev.sample.missing)
 
     def _on_job_end(self, ev: JobEnded) -> None:

@@ -98,34 +98,46 @@ class TestConsistency:
 
 class TestDerivedSeriesCache:
     def test_series_derived_once_per_interval_list(self, monkeypatch):
-        """daily_rates/interval_gflops are derived once per collector
-        interval list, and a dataset whose collector takes another
-        sample derives them again."""
+        """The columnar interval view and the daily_rates/interval_gflops
+        series built on it are derived once per collector interval list,
+        and a dataset whose collector takes another sample derives them
+        again."""
         import repro.core.study as study_mod
 
-        calls = []
-        real = study_mod.workload_rates
+        calls = {"columns": 0, "row_rates": 0, "column_rates": 0}
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
+        def counting(name, real):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
 
-        monkeypatch.setattr(study_mod, "workload_rates", counting)
+            return wrapper
+
+        for name in ("row_rates", "column_rates"):
+            monkeypatch.setattr(study_mod, name, counting(name, getattr(study_mod, name)))
+        columns = study_mod._IntervalColumns
+        monkeypatch.setattr(
+            columns, "of", classmethod(counting("columns", columns.of.__func__))
+        )
         ds = run_study(StudyConfig(seed=3, n_days=2, n_nodes=16, n_users=4))
         first_daily, first_times = ds.daily_rates(), ds.interval_gflops()[0]
-        derived = len(calls)
-        assert derived == len(first_daily) + len(first_times)
+        ds.interval_dma_bytes_per_node()
+        derived = dict(calls)
+        assert derived == {"columns": 1, "row_rates": len(first_daily), "column_rates": 1}
         for _ in range(3):
             assert ds.daily_rates() == first_daily
             np.testing.assert_array_equal(ds.interval_gflops()[0], first_times)
-        assert len(calls) == derived
+            ds.interval_dma_bytes_per_node()
+        assert calls == derived
         # Callers get their own copies: mutating one changes no other read.
         ds.daily_rates().clear()
         ds.interval_gflops()[1][:] = -1.0
+        ds.interval_dma_bytes_per_node()[0][:] = -1.0
         assert ds.daily_rates() == first_daily
         assert (ds.interval_gflops()[1] >= 0).all()
+        np.testing.assert_array_equal(ds.interval_gflops()[0], first_times)
 
         ds.collector.collect(ds.collector.samples[-1].time + ds.config.sample_interval)
         times, _ = ds.interval_gflops()
         assert len(times) == len(first_times) + 1
-        assert len(calls) > derived
+        assert calls["columns"] == 2 and calls["column_rates"] == 2

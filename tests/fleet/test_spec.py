@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 
 from repro.fleet.spec import PRESETS, FleetSpec, MemberSpec, preset
+from repro.sweep.spec import SweepSpec
 from tests.spec_fuzz import assert_loads_or_refuses, mutated
 
 #: sha256 of ``repr(spec.member_config(member))`` for every preset
@@ -101,13 +102,33 @@ class TestFleetValidation:
 
     @pytest.mark.parametrize("field", ["n_days", "n_users"])
     def test_nonpositive_scalars_rejected(self, field):
-        with pytest.raises(ValueError, match=f"{field} must be positive"):
+        message = f"fleet setting '{field}' value must be positive, got 0"
+        with pytest.raises(ValueError, match=message):
             FleetSpec(members=two_members(), **{field: 0})
 
     def test_negative_seed_rejected(self):
-        with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+        with pytest.raises(
+            ValueError, match="^fleet setting 'seed' value must be non-negative, got -1$"
+        ):
             FleetSpec(members=two_members(), seed=-1)
         assert FleetSpec(members=two_members(), seed=0).seed == 0
+
+    @pytest.mark.parametrize(
+        "key, value", [("seed", -1), ("n_days", 0), ("n_users", 2.5), ("demand_mean", "high")]
+    )
+    def test_fleet_scalars_share_the_sweep_wording(self, key, value):
+        """A fleet's own settings are refused in the words a sweep's base
+        uses for the same axis; only the ``where`` prefix differs."""
+        with pytest.raises(ValueError) as fleet:
+            FleetSpec(members=two_members(), **{key: value})
+        with pytest.raises(ValueError) as sweep:
+            SweepSpec.from_dict({"name": "s", "base": {key: value}})
+        assert str(fleet.value).startswith("fleet setting ")
+        assert str(sweep.value).startswith("base setting ")
+        assert (
+            str(fleet.value).removeprefix("fleet setting ")
+            == str(sweep.value).removeprefix("base setting ")
+        )
 
     def test_unknown_routing_rejected(self):
         with pytest.raises(ValueError, match="unknown routing policy 'random'") as exc:
@@ -115,7 +136,7 @@ class TestFleetValidation:
         assert "least-loaded" in str(exc.value)
 
     def test_nonpositive_demand_mean_rejected(self):
-        with pytest.raises(ValueError, match="demand_mean must be positive"):
+        with pytest.raises(ValueError, match="'demand_mean' value must be positive"):
             FleetSpec(members=two_members(), demand_mean=0.0)
 
     def test_total_nodes_and_member_lookup(self):

@@ -1,8 +1,14 @@
 """Derived-metric algebra — the arithmetic behind Tables 2-4."""
 
-import pytest
+from dataclasses import fields
 
-from repro.hpm.derived import workload_rates
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.hpm.derived import DerivedRates, column_rates, row_rates, workload_rates
+from repro.power2.counters import FLAT_NAMES
 from repro.power2.node import DMA_TRANSFER_BYTES
 
 # One node, one second, in raw counts — chosen near Table 3's rates.
@@ -140,3 +146,57 @@ class TestNormalization:
         assert r.mflops_total == pytest.approx(1.0)
         assert r.fpu_ratio == float("inf")  # no fpu1 instructions
         assert r.system_user_fxu_ratio == 0.0
+
+
+#: Counts the int64 row can hold, many of them past float's 2**53.
+COUNTS = st.integers(0, 2**63 - 1)
+ROWS = st.one_of(
+    st.just([0] * len(FLAT_NAMES)),
+    st.tuples(st.integers(0, len(FLAT_NAMES) - 1), COUNTS).map(
+        lambda hit: [hit[1] if i == hit[0] else 0 for i in range(len(FLAT_NAMES))]
+    ),
+    st.lists(COUNTS, min_size=len(FLAT_NAMES), max_size=len(FLAT_NAMES)),
+    st.lists(st.integers(2**53, 2**63 - 1), min_size=len(FLAT_NAMES), max_size=len(FLAT_NAMES)),
+)
+SECONDS = st.floats(0.1, 1e6)
+NODES = st.integers(1, 144)
+
+
+def assert_fields_equal(a: DerivedRates, b: DerivedRates) -> None:
+    for f in fields(DerivedRates):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        assert type(x) is type(y) and x == y, (f.name, x, y)
+
+
+class TestRowForm:
+    """An interval's int64 row and the ``{name: count}`` mapping of the
+    same counts derive identical rates, field by field, with ``==``."""
+
+    @given(ROWS, SECONDS, NODES)
+    @settings(max_examples=300, deadline=None)
+    def test_row_and_mapping_forms_agree_exactly(self, counts, seconds, nodes):
+        row = np.array(counts, dtype=np.int64)
+        mapping = {name: v for name, v in zip(FLAT_NAMES, counts) if v}
+        assert_fields_equal(row_rates(row, seconds, nodes), workload_rates(mapping, seconds, nodes))
+
+    @given(st.lists(st.tuples(ROWS, SECONDS), min_size=1, max_size=6), NODES)
+    @settings(max_examples=100, deadline=None)
+    def test_column_form_is_the_row_form_elementwise(self, blocks, nodes):
+        table = np.array([counts for counts, _ in blocks], dtype=np.int64)
+        seconds = np.array([s for _, s in blocks])
+        columns = column_rates(table, seconds, nodes)
+        for k, (counts, s) in enumerate(blocks):
+            one = row_rates(table[k], s, nodes)
+            for f in fields(DerivedRates):
+                got = getattr(columns, f.name)
+                value = got if f.name == "n_nodes" else got[k]
+                assert value == getattr(one, f.name), f.name
+
+    def test_nonpositive_seconds_rejected_in_every_form(self):
+        row = np.zeros(len(FLAT_NAMES), dtype=np.int64)
+        with pytest.raises(ValueError, match="positive duration"):
+            row_rates(row, 0.0, 1)
+        with pytest.raises(ValueError, match="positive duration"):
+            column_rates(row[None, :], np.array([0.0]), 1)
+        with pytest.raises(ValueError, match="at least one node"):
+            column_rates(row[None, :], np.array([1.0]), 0)

@@ -117,6 +117,22 @@ class TestCrashRecovery:
         )
         assert_identical(reference, resumed)
 
+    def test_resume_recomputes_a_corrupted_checkpoint(self, reference, tmp_path):
+        """A checkpoint whose pickle no longer decodes (protocol byte
+        overwritten with 0xff) is recomputed, not a crashed resume."""
+        run_parallel_study(CONFIG, workers=1, shard_days=SHARD_DAYS, checkpoint_dir=str(tmp_path))
+        with open(tmp_path / "shard-0001.pkl", "r+b") as fh:
+            fh.seek(1)
+            fh.write(b"\xff")
+        resumed = run_parallel_study(
+            CONFIG,
+            workers=1,
+            shard_days=SHARD_DAYS,
+            checkpoint_dir=str(tmp_path),
+            resume=True,
+        )
+        assert_identical(reference, resumed)
+
     def test_resume_ignores_stale_checkpoints(self, reference, tmp_path):
         """Checkpoints from a different campaign definition are
         recomputed, not trusted."""

@@ -2,11 +2,14 @@
 
 import os
 import pickle
+from pathlib import Path
 
 import numpy as np
+from hypothesis import HealthCheck, given, settings
 
 from repro.core.study import StudyConfig
 from repro.faults.profile import PROFILES
+from repro.hpm.collector import SystemSample
 from repro.parallel.checkpoint import (
     CHECKPOINT_VERSION,
     config_fingerprint,
@@ -16,6 +19,9 @@ from repro.parallel.checkpoint import (
 )
 from repro.parallel.plan import Shard
 from repro.parallel.worker import ShardResult
+from repro.pbs.job import JobRecord
+from repro.power2.counters import FLAT_NAMES
+from tests.spec_fuzz import damaged
 
 CONFIG = StudyConfig(seed=3, n_days=4, n_nodes=16, n_users=6)
 
@@ -125,3 +131,73 @@ class TestStaleness:
         with open(shard_path(str(tmp_path), 0), "wb") as fh:
             pickle.dump(["not", "an", "envelope"], fh)
         assert load_shard_result(str(tmp_path), "fp", 0) is None
+
+
+def rich_result() -> ShardResult:
+    """A small shard result holding every kind of object a real one
+    pickles: samples with int64 matrices, a job record, probes."""
+    matrix = np.arange(2 * len(FLAT_NAMES), dtype=np.int64).reshape(2, -1)
+    record = JobRecord(
+        job_id=1,
+        user=0,
+        app_name="cfd",
+        nodes_requested=2,
+        node_ids=(0, 1),
+        submit_time=0.0,
+        start_time=1.0,
+        end_time=901.0,
+        deltas=matrix,
+    )
+    return ShardResult(
+        shard=Shard(index=0, day_start=0, day_end=1),
+        samples=[
+            SystemSample(time=0.0, node_ids=(0, 1), matrix=matrix),
+            SystemSample(time=900.0, node_ids=(0,), matrix=matrix[:1] * 2, missing=(1,)),
+        ],
+        records=[record],
+        utilization_probes=[(0.0, 2), (900.0, 1)],
+        submissions=[],
+        demand_levels=np.ones(3),
+        events_processed=11,
+    )
+
+
+#: What :func:`save_shard_result` writes for :func:`rich_result`.
+VALID_CHECKPOINT = pickle.dumps(
+    {"version": CHECKPOINT_VERSION, "fingerprint": "fp", "shard_index": 0, "result": rich_result()},
+    protocol=pickle.HIGHEST_PROTOCOL,
+)
+
+
+class TestCorruptedFiles:
+    """A checkpoint whose bytes were damaged loads as a shard result or
+    as a miss (None); it never raises."""
+
+    def test_fuzz_seed_is_a_saved_checkpoint(self, tmp_path):
+        path = save_shard_result(str(tmp_path), "fp", rich_result())
+        assert Path(path).read_bytes() == VALID_CHECKPOINT
+
+    def test_bad_protocol_byte_is_a_miss(self, tmp_path):
+        """Byte 1 of a pickle is its protocol number; 255 makes
+        ``pickle.load`` raise ValueError, which resume used to die on."""
+        path = save_shard_result(str(tmp_path), "fp", rich_result())
+        with open(path, "r+b") as fh:
+            fh.seek(1)
+            fh.write(b"\xff")
+        assert load_shard_result(str(tmp_path), "fp", 0) is None
+
+    def test_envelope_without_a_shard_result_is_a_miss(self, tmp_path):
+        envelope = {"version": CHECKPOINT_VERSION, "fingerprint": "fp", "shard_index": 0}
+        for result in ({}, None, "result"):
+            with open(shard_path(str(tmp_path), 0), "wb") as fh:
+                pickle.dump({**envelope, "result": result}, fh)
+            assert load_shard_result(str(tmp_path), "fp", 0) is None
+
+    @settings(
+        max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(data=damaged(VALID_CHECKPOINT))
+    def test_damaged_checkpoint_loads_or_misses(self, tmp_path, data):
+        Path(shard_path(str(tmp_path), 0)).write_bytes(data)
+        loaded = load_shard_result(str(tmp_path), "fp", 0)
+        assert loaded is None or isinstance(loaded, ShardResult)

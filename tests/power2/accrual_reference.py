@@ -185,7 +185,9 @@ class ReferenceStore:
     def flat_snapshot(self, slot: int) -> dict[str, int]:
         return dict(zip(FLAT_NAMES, self.snapshot_vector(slot).tolist()))
 
-    def snapshot_matrix(self, slots) -> np.ndarray:
+    def snapshot_matrix(self, slots=None) -> np.ndarray:
+        if slots is None:
+            slots = range(self.n_slots)
         rows = [self.snapshot_vector(slot) for slot in slots]
         return np.array(rows, dtype=np.int64).reshape(len(rows), len(FLAT_NAMES))
 

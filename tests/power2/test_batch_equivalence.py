@@ -275,6 +275,32 @@ class TestReadCounters:
                 for a, b in zip(reader.nodes, reference.nodes):
                     assert_bitwise_equal(a, b)
 
+    def test_every_node_in_order_reads_the_whole_store(self, monkeypatch):
+        """A read of every node in node order (the cron pass when every
+        daemon answers) asks the store for all its rows, with no slot
+        list, on the store and on the reference, and equals reading the
+        same nodes through a gather."""
+        asked = []
+        for cls in (CounterStore, ReferenceStore):
+            real = cls.snapshot_matrix
+
+            def spy(store, *args, real=real):
+                asked.append(args)
+                return real(store, *args)
+
+            monkeypatch.setattr(cls, "snapshot_matrix", spy)
+        everyone = tuple(range(MACHINE_NODES))
+        for machine in (reference_machine(MACHINE_NODES)[0], SP2Machine(MACHINE_NODES)):
+            for node in machine.nodes:
+                node.install_rates(0.0, rates_vector({"fxu0": 1e6, "cycles": 3e7}), busy=True)
+            asked.clear()
+            whole = machine.read_counters(everyone, 900.0)
+            assert asked == [()]
+            gathered = machine.read_counters(everyone[::-1], 900.0)[::-1]
+            assert len(asked) == 2 and len(asked[1][0]) == MACHINE_NODES
+            assert whole.dtype == np.int64 and whole.tobytes() == gathered.tobytes()
+            assert whole[:, FLAT_NAMES.index("user.fxu0")].tolist() == [900_000_000] * MACHINE_NODES
+
     def test_empty_read(self):
         for machine in (reference_machine(3)[0], SP2Machine(3)):
             matrix = machine.read_counters([], 10.0)

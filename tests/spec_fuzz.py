@@ -1,9 +1,11 @@
-"""Hypothesis mutations of a valid spec document, for loader fuzzing.
+"""Hypothesis mutations of valid documents and files, for loader fuzzing.
 
 A spec loader must turn any document into either a spec or a one-line
 ``ValueError``.  :func:`mutated` starts from a valid document and changes
 up to three of its fields: each one is replaced by an arbitrary
-JSON-shaped value or deleted.
+JSON-shaped value or deleted.  A cache or checkpoint reader must turn
+any file into either its document or a miss; :func:`damaged` starts
+from a valid file's bytes and corrupts, truncates or splices them.
 """
 
 from __future__ import annotations
@@ -71,3 +73,25 @@ def assert_loads_or_refuses(load, document: dict):
     except ValueError as err:
         assert "\n" not in str(err), str(err)
         return None
+
+
+def damaged(data: bytes) -> st.SearchStrategy:
+    """Copies of ``data`` with 1-4 bytes overwritten, cut short, or with
+    a span of up to 16 bytes replaced by up to 16 arbitrary ones."""
+
+    def corrupt(edits: list) -> bytes:
+        out = bytearray(data)
+        for pos, value in edits:
+            out[pos] = value
+        return bytes(out)
+
+    def splice(cut: tuple) -> bytes:
+        start, length, insert = cut
+        return data[:start] + insert + data[start + length :]
+
+    positions = st.integers(0, len(data) - 1)
+    return st.one_of(
+        st.lists(st.tuples(positions, st.integers(0, 255)), min_size=1, max_size=4).map(corrupt),
+        positions.map(lambda end: data[:end]),
+        st.tuples(positions, st.integers(0, 16), st.binary(max_size=16)).map(splice),
+    )

@@ -2,10 +2,16 @@
 
 from __future__ import annotations
 
+import json
 import os
+from pathlib import Path
 
-from repro.sweep.cache import cell_path, load_cell, save_cell
+import pytest
+from hypothesis import HealthCheck, given, settings
+
+from repro.sweep.cache import CELL_FIELDS, cell_path, load_cell, save_cell
 from repro.sweep.planner import CELL_VERSION
+from tests.spec_fuzz import damaged, mutated
 
 FP = "deadbeef" * 8
 
@@ -81,3 +87,69 @@ def test_overwrite_is_atomic_replace(tmp_path):
     assert load_cell(str(tmp_path), FP)["metrics"] == {
         "campaign.jobs_accounted": 9.0
     }
+
+
+def test_non_utf8_file_is_none(tmp_path):
+    Path(cell_path(str(tmp_path), FP)).write_bytes(b'{"version": "\xff"}\n')
+    assert load_cell(str(tmp_path), FP) is None
+
+
+@pytest.mark.parametrize("field", sorted(CELL_FIELDS))
+def test_document_missing_a_written_field_is_none(tmp_path, field):
+    """A stub ``{version, fingerprint}`` document used to be a hit, and
+    the sweep report showed it as an empty ``?`` row."""
+    document = doc()
+    del document[field]
+    Path(cell_path(str(tmp_path), FP)).write_text(json.dumps(document))
+    assert load_cell(str(tmp_path), FP) is None
+
+
+def test_stub_document_is_none(tmp_path):
+    save_cell(str(tmp_path), {"version": CELL_VERSION, "fingerprint": FP})
+    assert load_cell(str(tmp_path), FP) is None
+
+
+def test_executor_writes_every_field(tmp_path):
+    from repro.sweep.executor import execute_cell
+    from repro.sweep.planner import plan_sweep
+    from repro.sweep.spec import SweepSpec
+
+    spec = SweepSpec.from_dict({"name": "one", "base": {"n_days": 1, "n_nodes": 8, "n_users": 2}})
+    (cell,) = plan_sweep(spec).cells
+    assert set(execute_cell(cell, spec)) == CELL_FIELDS
+
+
+def _saved_bytes(document: dict) -> bytes:
+    """What :func:`save_cell` writes for ``document``."""
+    return (json.dumps(document, indent=2) + "\n").encode("utf-8")
+
+
+FUZZ = settings(
+    max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+
+
+def test_fuzz_seed_is_a_saved_cell(tmp_path):
+    assert Path(save_cell(str(tmp_path), doc())).read_bytes() == _saved_bytes(doc())
+
+
+@FUZZ
+@given(data=damaged(_saved_bytes(doc())))
+def test_damaged_file_loads_or_misses(tmp_path, data):
+    Path(cell_path(str(tmp_path), FP)).write_bytes(data)
+    loaded = load_cell(str(tmp_path), FP)
+    assert loaded is None or (isinstance(loaded, dict) and CELL_FIELDS <= loaded.keys())
+
+
+@FUZZ
+@given(document=mutated(doc(), [(key,) for key in sorted(doc())]))
+def test_mutated_document_loads_or_misses(tmp_path, document):
+    Path(cell_path(str(tmp_path), FP)).write_bytes(_saved_bytes(document))
+    loaded = load_cell(str(tmp_path), FP)
+    # Compared as saved bytes: a NaN value never equals itself.
+    assert loaded is None or _saved_bytes(loaded) == _saved_bytes(document)
+    assert (loaded is None) == (
+        not CELL_FIELDS <= document.keys()
+        or document["version"] != CELL_VERSION
+        or document["fingerprint"] != FP
+    )
