@@ -22,6 +22,7 @@ epilogue make.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass
 from operator import attrgetter
 from typing import TYPE_CHECKING
@@ -271,26 +272,36 @@ class SystemCollector(SampleSeries):
         """Feed the streaming side: the sample and the interval it
         closes, plus node reachability transitions (down on first missed
         pass, up on the first answered one)."""
-        if self.bus is None:
+        bus = self.bus
+        if bus is None:
             return
-        from repro.telemetry.bus import (
-            TOPIC_NODE_DOWN,
-            TOPIC_NODE_UP,
-            TOPIC_SAMPLE,
-            NodeStateChanged,
-            SampleTaken,
-        )
-
+        events = _bus_events()
+        taken = events.SampleTaken(time=sample.time, sample=sample, interval=interval)
+        if not sample.missing and not self._down:
+            # The common pass: every node answered, now and before.
+            bus.publish(events.TOPIC_SAMPLE, taken)
+            return
         now_down = set(sample.missing)
         for node_id in sorted(now_down - self._down):
-            self.bus.publish(
-                TOPIC_NODE_DOWN, NodeStateChanged(time=sample.time, node_id=node_id, up=False)
+            bus.publish(
+                events.TOPIC_NODE_DOWN,
+                events.NodeStateChanged(time=sample.time, node_id=node_id, up=False),
             )
         for node_id in sorted(self._down - now_down):
-            self.bus.publish(
-                TOPIC_NODE_UP, NodeStateChanged(time=sample.time, node_id=node_id, up=True)
+            bus.publish(
+                events.TOPIC_NODE_UP,
+                events.NodeStateChanged(time=sample.time, node_id=node_id, up=True),
             )
         self._down = now_down
-        self.bus.publish(
-            TOPIC_SAMPLE, SampleTaken(time=sample.time, sample=sample, interval=interval)
-        )
+        bus.publish(events.TOPIC_SAMPLE, taken)
+
+
+@functools.cache
+def _bus_events():
+    """:mod:`repro.telemetry.bus`, imported on the first publish:
+    ``repro.telemetry`` imports this module, so importing it at load
+    time would be a cycle, and an ``import`` statement on every pass
+    costs more than the publish it guards."""
+    import repro.telemetry.bus as events
+
+    return events

@@ -24,8 +24,7 @@ The flop algebra follows §3/§5 exactly:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -34,10 +33,12 @@ from repro.power2.counters import FLAT_COLUMN, FLAT_NAMES
 from repro.power2.node import DMA_TRANSFER_BYTES
 
 
-@dataclass(frozen=True)
-class DerivedRates:
+class DerivedRates(NamedTuple):
     """Per-node rates and ratios derived from one counter-delta block
-    (from :func:`column_rates`, one float64 element per block instead)."""
+    (from :func:`column_rates`, one float64 element per block instead).
+
+    A named tuple: the live path builds one per 15-minute interval, and
+    a tuple is built in one step, with no per-field ``__setattr__``."""
 
     seconds: float
     n_nodes: int
@@ -227,28 +228,29 @@ def _derive(c, seconds, n_nodes) -> DerivedRates:
     user_cycles = c[col["user.cycles"]]
     total_cycles = user_cycles + c[col["system.cycles"]]
 
+    # Positional, in field order: the live path builds one per interval.
     return DerivedRates(
-        seconds=seconds,
-        n_nodes=n_nodes,
+        seconds,
+        n_nodes,
         # Table 3's add row includes the fma adds; its fma row is the fma
         # multiplies; the div row is the broken counter (reads 0).
-        mflops_total=(fp_add + fp_mul + fp_div + 2.0 * fp_fma) * per,
-        mflops_add=(fp_add + fp_fma) * per,
-        mflops_div=fp_div * per,
-        mflops_mul=fp_mul * per,
-        mflops_fma=fp_fma * per,
-        mips_fp_total=(fpu0 + fpu1) * per,
-        mips_fp_unit0=fpu0 * per,
-        mips_fp_unit1=fpu1 * per,
-        mips_fxu_total=user_fxu * per,
-        mips_fxu_unit0=fxu0 * per,
-        mips_fxu_unit1=fxu1 * per,
-        mips_icu=(c[col["user.icu0"]] + c[col["user.icu1"]]) * per,
-        dcache_miss_rate=c[col["user.dcache_mis"]] * per,
-        tlb_miss_rate=c[col["user.tlb_mis"]] * per,
-        icache_miss_rate=c[col["user.icache_reload"]] * per,
-        dma_read_rate=c[col["user.dma_read"]] * per,
-        dma_write_rate=c[col["user.dma_write"]] * per,
-        system_user_fxu_ratio=_ratio(system_fxu, user_fxu),
-        user_cycle_fraction=_ratio(user_cycles, total_cycles),
+        (fp_add + fp_mul + fp_div + 2.0 * fp_fma) * per,  # mflops_total
+        (fp_add + fp_fma) * per,  # mflops_add
+        fp_div * per,  # mflops_div
+        fp_mul * per,  # mflops_mul
+        fp_fma * per,  # mflops_fma
+        (fpu0 + fpu1) * per,  # mips_fp_total
+        fpu0 * per,  # mips_fp_unit0
+        fpu1 * per,  # mips_fp_unit1
+        user_fxu * per,  # mips_fxu_total
+        fxu0 * per,  # mips_fxu_unit0
+        fxu1 * per,  # mips_fxu_unit1
+        (c[col["user.icu0"]] + c[col["user.icu1"]]) * per,  # mips_icu
+        c[col["user.dcache_mis"]] * per,  # dcache_miss_rate
+        c[col["user.tlb_mis"]] * per,  # tlb_miss_rate
+        c[col["user.icache_reload"]] * per,  # icache_miss_rate
+        c[col["user.dma_read"]] * per,  # dma_read_rate
+        c[col["user.dma_write"]] * per,  # dma_write_rate
+        _ratio(system_fxu, user_fxu),  # system_user_fxu_ratio
+        _ratio(user_cycles, total_cycles),  # user_cycle_fraction
     )

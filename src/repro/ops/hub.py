@@ -6,11 +6,11 @@ A :class:`CampaignHub` holds the live state of *many* campaigns at once
 recorded or live bus events.  Everything the query API serves comes out
 of the hub:
 
-* **bounded memory** — hub stores use the ring capacity and the
-  ``max_series`` cap (:mod:`repro.telemetry.store`), and the hub itself
-  holds at most ``max_campaigns`` campaigns, evicting the oldest
-  *finished* one when a new registration would overflow (a running
-  campaign is never evicted; registration fails instead);
+* **bounded memory** — each hub store holds the fixed metric catalog
+  in rings of the hub's capacity (:mod:`repro.telemetry.store`), and
+  the hub itself holds at most ``max_campaigns`` campaigns, evicting
+  the oldest *finished* one when a new registration would overflow (a
+  running campaign is never evicted; registration fails instead);
 * **snapshot isolation** — every read path hands out immutable
   :class:`~repro.telemetry.store.SeriesSnapshot` views, so a query
   handler that awaits mid-computation still reports one consistent
@@ -123,13 +123,11 @@ class CampaignHub:
         *,
         max_campaigns: int = DEFAULT_MAX_CAMPAIGNS,
         store_capacity: int | None = None,
-        max_series: int | None = None,
     ) -> None:
         if max_campaigns <= 0:
             raise ValueError(f"max_campaigns must be positive, got {max_campaigns}")
         self.max_campaigns = max_campaigns
         self.store_capacity = store_capacity
-        self.max_series = max_series
         self._campaigns: dict[str, CampaignHandle] = {}
         self._seq = 0
         #: Campaigns evicted to make room (count; catalog reports it).
@@ -140,15 +138,9 @@ class CampaignHub:
     # Registration and lifecycle
     # ------------------------------------------------------------------
     def _new_service(self) -> TelemetryService:
-        store = MetricStore(
-            **(
-                {"capacity": self.store_capacity}
-                if self.store_capacity is not None
-                else {}
-            ),
-            max_series=self.max_series,
-        )
-        return TelemetryService(store=store)
+        if self.store_capacity is None:
+            return TelemetryService()
+        return TelemetryService(store=MetricStore(capacity=self.store_capacity))
 
     def register(
         self,
@@ -271,9 +263,6 @@ class CampaignHub:
                     "metrics": len(self.metric_names(cname)),
                     "points_dropped": sum(
                         s.store.points_dropped for s in h.services.values()
-                    ),
-                    "series_evicted": sum(
-                        s.store.series_evicted for s in h.services.values()
                     ),
                     "meta": dict(h.meta),
                 }

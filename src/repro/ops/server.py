@@ -48,6 +48,7 @@ from repro.ops.protocol import (
     series_to_json,
 )
 from repro.telemetry.rollup import JobRollup
+from repro.util.checks import check_number
 
 #: Listen backlog — the load test opens ~1000 connections in a burst.
 DEFAULT_BACKLOG = 2048
@@ -251,6 +252,31 @@ class OpsServer:
             raise ValueError("request needs a 'campaign' string")
         return campaign
 
+    @staticmethod
+    def _number_arg(
+        request: dict[str, Any], key: str, default: Any = None, *, integer: bool = False
+    ) -> Any:
+        """A finite number of either sign (an int if ``integer``), or
+        ``default`` when absent; ``null`` stands for absent only when the
+        default is ``None``.  A non-integer comes back as a float."""
+        value = request.get(key, default)
+        if value is None and default is None:
+            return None
+        check_number(value, repr(key), integer=integer, positive=None)
+        if integer:
+            return value
+        try:
+            return float(value)
+        except OverflowError:  # an integer past float range
+            raise ValueError(f"{key!r} must be finite, got {value}") from None
+
+    @staticmethod
+    def _member_arg(request: dict[str, Any]) -> str | None:
+        member = request.get("member")
+        if member is not None and not isinstance(member, str):
+            raise ValueError(f"'member' must be a string or null, got {member!r}")
+        return member
+
     def _op_ping(self, conn: _Connection, request: dict[str, Any]) -> dict[str, Any]:
         return ok_response(
             "ping", version=PROTOCOL_VERSION, campaigns=len(self.hub.names())
@@ -270,22 +296,19 @@ class OpsServer:
         if not isinstance(metric, str):
             raise ValueError("query needs a 'metric' string")
         snap = self.hub.series_snapshot(campaign, metric)
-        t0 = request.get("t0")
-        t1 = request.get("t1")
-        last = request.get("last")
-        payload = series_to_json(
-            snap,
-            t0=float(t0) if t0 is not None else None,
-            t1=float(t1) if t1 is not None else None,
-            points=bool(request.get("points", False)),
-            last=int(last) if last is not None else None,
-        )
+        t0 = self._number_arg(request, "t0")
+        t1 = self._number_arg(request, "t1")
+        last = self._number_arg(request, "last", integer=True)
+        points = request.get("points", False)
+        if not isinstance(points, bool):
+            raise ValueError(f"'points' must be true or false, got {points!r}")
+        payload = series_to_json(snap, t0=t0, t1=t1, points=points, last=last)
         return ok_response("query", campaign=campaign, **payload)
 
     def _op_jobs(self, conn: _Connection, request: dict[str, Any]) -> dict[str, Any]:
         campaign = self._campaign_arg(request)
-        member = request.get("member")
-        limit = int(request.get("limit", 50))
+        member = self._member_arg(request)
+        limit = self._number_arg(request, "limit", 50, integer=True)
         rollups = self.hub.job_rollups(campaign, member=member)
         total = len(rollups)
         if limit > 0:
@@ -313,16 +336,16 @@ class OpsServer:
 
     def _op_report(self, conn: _Connection, request: dict[str, Any]) -> dict[str, Any]:
         campaign = self._campaign_arg(request)
-        job = request.get("job")
-        if not isinstance(job, int):
+        job = self._number_arg(request, "job", integer=True)
+        if job is None:
             raise ValueError("report needs an integer 'job' id")
-        member = request.get("member")
+        member = self._member_arg(request)
         text = self.hub.job_report(campaign, job, member=member)
         return ok_response("report", campaign=campaign, job=job, report=text)
 
     def _op_alerts(self, conn: _Connection, request: dict[str, Any]) -> dict[str, Any]:
         campaign = self._campaign_arg(request)
-        cursor = int(request.get("since", 0))
+        cursor = self._number_arg(request, "since", 0, integer=True)
         entries, next_cursor = self.hub.alerts_since(campaign, cursor)
         return ok_response(
             "alerts",
@@ -347,6 +370,8 @@ class OpsServer:
 
     def _op_unsubscribe(self, conn: _Connection, request: dict[str, Any]) -> dict[str, Any]:
         campaign = request.get("campaign", "*")
+        if not isinstance(campaign, str):
+            raise ValueError("'campaign' must be a string (or omitted for all)")
         conn.subscriptions.discard(campaign)
         return ok_response(
             "unsubscribe", campaign=campaign, subscriptions=sorted(conn.subscriptions)

@@ -274,7 +274,6 @@ async def _serve(args: argparse.Namespace) -> int:
     hub = CampaignHub(
         max_campaigns=args.max_campaigns,
         store_capacity=args.store_capacity,
-        max_series=args.max_series,
     )
     server = await OpsServer.start(hub, host=args.host, port=args.port)
     print(
@@ -493,12 +492,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=positive_int,
         default=None,
         help="per-metric ring capacity",
-    )
-    p_serve.add_argument(
-        "--max-series",
-        type=positive_int,
-        default=None,
-        help="per-store series cap (least-recently-appended eviction)",
     )
     p_serve.set_defaults(func=cmd_serve, standalone=True)
 

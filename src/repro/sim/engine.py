@@ -10,7 +10,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -18,20 +18,20 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.tracing.tracer import Tracer
 
 
-@dataclass(order=True)
+@dataclass(eq=False, slots=True)
 class Event:
-    """One scheduled callback.
+    """One scheduled callback: the handle a caller cancels.
 
-    Ordering is (time, sequence) so simultaneous events fire in the order
-    they were scheduled — important for prologue-before-sample semantics
-    at interval boundaries.
+    The queue orders events by (time, sequence) so simultaneous events
+    fire in the order they were scheduled — important for
+    prologue-before-sample semantics at interval boundaries.
     """
 
     time: float
     seq: int
-    handler: Callable[["Simulator"], None] = field(compare=False)
-    name: str = field(default="", compare=False)
-    cancelled: bool = field(default=False, compare=False)
+    handler: Callable[["Simulator"], None]
+    name: str = ""
+    cancelled: bool = False
 
     def cancel(self) -> None:
         """Mark the event dead; it is skipped when popped."""
@@ -59,7 +59,9 @@ class Simulator:
 
     def __init__(self, *, label: str = "") -> None:
         self.clock = SimClock()
-        self._queue: list[Event] = []
+        #: Heap of ``(time, seq, event)``: ``seq`` is unique, so heapq
+        #: orders entries by comparing two numbers in C, never an event.
+        self._queue: list[tuple[float, int, Event]] = []
         self._seq = itertools.count()
         self.events_processed = 0
         #: Diagnostic name for this simulator instance; sharded campaigns
@@ -97,8 +99,9 @@ class Simulator:
         """Schedule ``handler`` at an absolute simulated time."""
         if time < self.now:
             raise ValueError(f"cannot schedule into the past ({time} < {self.now})")
-        ev = Event(time=time, seq=next(self._seq), handler=handler, name=name)
-        heapq.heappush(self._queue, ev)
+        seq = next(self._seq)
+        ev = Event(time, seq, handler, name)
+        heapq.heappush(self._queue, (time, seq, ev))
         return ev
 
     def every(
@@ -131,21 +134,23 @@ class Simulator:
         reference goes — callers that still hold an event (a periodic
         task, a running job) keep only the inert event.
         """
-        for ev in self._queue:
+        for _, _, ev in self._queue:
             ev.cancelled = True
             ev.handler = None
         self._queue.clear()
 
     def peek(self) -> Optional[float]:
         """Time of the next live event, or ``None`` if the queue is empty."""
-        while self._queue and self._queue[0].cancelled:
-            heapq.heappop(self._queue)
-        return self._queue[0].time if self._queue else None
+        queue = self._queue
+        while queue and queue[0][2].cancelled:
+            heapq.heappop(queue)
+        return queue[0][0] if queue else None
 
     def step(self) -> bool:
         """Run the next event.  Returns ``False`` when the queue is empty."""
-        while self._queue:
-            ev = heapq.heappop(self._queue)
+        queue = self._queue
+        while queue:
+            ev = heapq.heappop(queue)[2]
             if ev.cancelled:
                 continue
             self.clock._advance(ev.time)

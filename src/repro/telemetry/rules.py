@@ -22,7 +22,7 @@ a multi-hour paging episode produces a handful of alerts, not hundreds.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable, Iterator, NamedTuple
 
 from repro.hpm.derived import DerivedRates
 
@@ -30,9 +30,9 @@ from repro.hpm.derived import DerivedRates
 SEVERITIES = ("info", "warning", "critical")
 
 
-@dataclass(frozen=True)
-class Observation:
-    """One 15-minute interval as seen by the rules."""
+class Observation(NamedTuple):
+    """One 15-minute interval as seen by the rules (a named tuple: one is
+    built per interval)."""
 
     time: float
     rates: DerivedRates
@@ -211,6 +211,8 @@ class NodeGapRule(Rule):
         self._down: set[int] = set()
 
     def evaluate(self, obs: Observation) -> Iterator[tuple[str, str, float]]:
+        if not obs.missing and not self._down:
+            return  # the common interval: every node answered, and did before
         now_missing = set(obs.missing)
         for node in sorted(now_missing - self._down):
             yield (f"node-{node}", f"node {node} daemon unreachable", float(node))

@@ -4,7 +4,8 @@ One :class:`TelemetryService` subscribes to the campaign's event bus and
 maintains, *while the simulation runs*:
 
 * the metric store (:mod:`repro.telemetry.store`) — one point per
-  15-minute interval for every metric in :data:`METRIC_CATALOG`;
+  15-minute interval for every metric in :data:`METRIC_CATALOG`, written
+  as one row (plus ``fpu.ratio``'s own point while FPU1 issues);
 * the anomaly engine (:mod:`repro.telemetry.rules`) — evaluated on each
   interval as it closes;
 * the per-job rollup table (:mod:`repro.telemetry.rollup`) — finalized
@@ -13,8 +14,9 @@ maintains, *while the simulation runs*:
 The per-sample path is incremental: the collector differences each new
 sample as it takes it and publishes the interval on the sample's
 :class:`~repro.telemetry.bus.SampleTaken` event, and the service derives
-its rates once, from the interval's int64 row, so the online layer
-costs O(metrics) per sample regardless of campaign length.
+its rates once, from the interval's int64 row, and hands the store and
+the rules that one record, so the online layer costs O(metrics) per
+sample regardless of campaign length.
 
 ``replay`` rebuilds a service from recorded samples and job records —
 the offline path ``sp2-ops`` uses on an already-run dataset, and the
@@ -26,7 +28,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from repro.hpm.collector import SystemSample, sample_delta
-from repro.hpm.derived import DerivedRates, row_rates
+from repro.hpm.derived import row_rates
 from repro.pbs.job import JobRecord
 from repro.telemetry.bus import (
     TOPIC_COLLECTOR_GAP,
@@ -116,12 +118,35 @@ class TelemetryService:
     # Bus handlers
     # ------------------------------------------------------------------
     def _on_sample(self, ev: SampleTaken) -> None:
+        """One interval: its rates derived once from the row, one store
+        row for the metrics every interval carries, and the rules on the
+        same rates."""
         self.samples_seen += 1
         iv = ev.interval
         if iv is None or iv.seconds <= 0 or iv.n_nodes <= 0:
             return
-        rates = row_rates(iv.sums, iv.seconds, iv.n_nodes)
-        self._record_interval(ev.sample.time, rates, iv.n_nodes, ev.sample.missing)
+        self.intervals_seen += 1
+        time, nodes = ev.time, iv.n_nodes
+        rates = row_rates(iv.sums, iv.seconds, nodes)
+        self.store.append(
+            time,
+            {
+                "gflops.system": rates.gflops_system(),
+                "mflops.node": rates.mflops_total,
+                "fxu.sys_user_ratio": rates.system_user_fxu_ratio,
+                "fxu.user_mips": rates.mips_fxu_total,
+                "tlb.miss_rate": rates.tlb_miss_rate,
+                "dcache.miss_rate": rates.dcache_miss_rate,
+                "dma.mb_per_node": rates.dma_bytes_per_s / 1e6,
+                "cycles.user_fraction": rates.user_cycle_fraction,
+                "nodes.reporting": float(nodes),
+                "jobs.active": float(len(self.rollups.active)),
+            },
+        )
+        # The FPU ratio exists only while FPU1 issues: its own ring.
+        if rates.mips_fp_unit1 > 0:
+            self.store.append(time, {"fpu.ratio": rates.fpu_ratio})
+        self.engine.observe(Observation(time, rates, nodes, ev.sample.missing))
 
     def _on_job_end(self, ev: JobEnded) -> None:
         self.rollups.on_end(ev)
@@ -157,36 +182,6 @@ class TelemetryService:
         span = ev.span
         if span.category == "pbs.job":
             self.job_span_ids[int(span.args.get("job_id", 0))] = span.span_id
-
-    def _record_interval(
-        self,
-        time: float,
-        rates: DerivedRates,
-        nodes_reporting: int,
-        missing: tuple[int, ...],
-    ) -> None:
-        self.intervals_seen += 1
-        s = self.store
-        s.append("gflops.system", time, rates.gflops_system())
-        s.append("mflops.node", time, rates.mflops_total)
-        s.append("fxu.sys_user_ratio", time, rates.system_user_fxu_ratio)
-        s.append("fxu.user_mips", time, rates.mips_fxu_total)
-        if rates.mips_fp_unit1 > 0:
-            s.append("fpu.ratio", time, rates.fpu_ratio)
-        s.append("tlb.miss_rate", time, rates.tlb_miss_rate)
-        s.append("dcache.miss_rate", time, rates.dcache_miss_rate)
-        s.append("dma.mb_per_node", time, rates.dma_bytes_per_s / 1e6)
-        s.append("cycles.user_fraction", time, rates.user_cycle_fraction)
-        s.append("nodes.reporting", time, float(nodes_reporting))
-        s.append("jobs.active", time, float(len(self.rollups.active)))
-        self.engine.observe(
-            Observation(
-                time=time,
-                rates=rates,
-                nodes_reporting=nodes_reporting,
-                missing=missing,
-            )
-        )
 
     # ------------------------------------------------------------------
     # Views

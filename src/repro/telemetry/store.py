@@ -3,40 +3,41 @@
 Design constraints, in order:
 
 * **cheap append** — the store sits on the 15-minute sample path of a
-  campaign that may be scaled far past the paper's 144 nodes;
-* **bounded memory** — raw points live in a fixed-capacity ring per
-  metric (columnar ``float64`` time/value arrays), so a nine-month
-  campaign cannot grow the operator view without bound;
+  campaign that may be scaled far past the paper's 144 nodes.  One
+  :meth:`MetricStore.append` takes one interval's points at once, and
+  the names appended together share one ring, so an interval costs one
+  row write however many metrics it carries;
+* **bounded memory** — raw points live in fixed-capacity rings
+  (a ``float64`` time column and a ``(capacity, k)`` ``float64`` value
+  block for the ``k`` names of a group), so a nine-month campaign cannot
+  grow the operator view without bound;
 * **whole-campaign aggregates survive eviction** — EWMA, running
   min/max, and P² quantile sketches (:mod:`repro.telemetry.sketch`)
   never forget, so ``sp2-ops query`` reports campaign-wide statistics
   even after the ring has wrapped.  An append only writes the ring; the
-  aggregates fold its points in, oldest first, when read or just before
-  an append would overwrite a point not folded yet, so they are bitwise
-  what updating them on every append gives.
+  aggregates fold its points in, column by column and oldest first,
+  when read or just before an append would overwrite a point not
+  folded yet, so they are bitwise what updating them on every append
+  gives.
 
-Windowed queries return chronological ``(times, values)`` arrays over
-whatever raw points the ring still holds.
+Reads are per name and do not see the groups: windowed queries return
+chronological ``(times, values)`` arrays over whatever raw points the
+ring still holds.
 
-The long-running service layer (:mod:`repro.ops`) adds two demands the
-one-shot CLI never had, both served here:
-
-* **snapshot isolation** — a query handler that awaits between reads
-  must see one consistent view of a series even while the ingest side
-  keeps appending.  :meth:`MetricSeries.snapshot` freezes the ring and
-  every aggregate into an immutable :class:`SeriesSnapshot`;
-  :meth:`MetricStore.snapshot` does it store-wide.  A read folds, so
-  reads and appends share one thread (the hub's loop).
-* **bounded series count** — fleet federation multiplies the namespace
-  (``fleet.<member>.<metric>``), so a hub store accepts an optional
-  ``max_series`` cap and evicts the least-recently-appended series,
-  counting what it dropped (``series_evicted``) so served catalogs can
-  say so instead of silently forgetting.
+The long-running service layer (:mod:`repro.ops`) adds one demand the
+one-shot CLI never had: **snapshot isolation** — a query handler that
+awaits between reads must see one consistent view of a series even
+while the ingest side keeps appending.  :meth:`MetricSeries.snapshot`
+freezes one name's column and every aggregate into an immutable
+:class:`SeriesSnapshot`; :meth:`MetricStore.snapshot` does it
+store-wide.  A read folds, so reads and appends share one thread (the
+hub's loop).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Mapping
 
 import numpy as np
 
@@ -47,6 +48,9 @@ DEFAULT_CAPACITY = 4096
 
 #: Default EWMA smoothing factor (≈ a 2.5-hour memory at 15-minute cadence).
 DEFAULT_EWMA_ALPHA = 0.1
+
+#: The streaming quantiles every metric tracks.
+QUANTILES = (0.5, 0.9, 0.99)
 
 
 @dataclass(frozen=True)
@@ -65,7 +69,7 @@ class MetricSummary:
 
 @dataclass(frozen=True)
 class SeriesSnapshot:
-    """An immutable point-in-time view of one :class:`MetricSeries`.
+    """An immutable point-in-time view of one metric.
 
     Holds chronological copies of the retained ring plus every streaming
     aggregate, so a reader can mix raw-window math and campaign-wide
@@ -125,8 +129,6 @@ class StoreSnapshot:
     """Immutable view of a whole store (or a named subset of it)."""
 
     series: dict[str, SeriesSnapshot]
-    #: Series the store evicted over its lifetime (count, not names).
-    series_evicted: int = 0
 
     def names(self) -> list[str]:
         return sorted(self.series)
@@ -143,80 +145,86 @@ class StoreSnapshot:
         return sum(s.dropped for s in self.series.values())
 
 
-class MetricSeries:
-    """One metric's ring of raw points plus its aggregates, folded from
-    the ring when :meth:`snapshot` reads them or an append would evict
-    a point they have not seen."""
+class _Ring:
+    """The ring shared by one group of names, the names of one append:
+    a time column, a ``(capacity, k)`` value block with one column per
+    name, and each column's aggregates, folded from the ring when read
+    or when an append would evict a point they have not seen."""
 
-    def __init__(
-        self,
-        name: str,
-        *,
-        capacity: int = DEFAULT_CAPACITY,
-        ewma_alpha: float = DEFAULT_EWMA_ALPHA,
-        quantiles: tuple[float, ...] = (0.5, 0.9, 0.99),
-    ) -> None:
-        if capacity <= 0:
-            raise ValueError(f"capacity must be positive, got {capacity}")
-        if not 0.0 < ewma_alpha <= 1.0:
-            raise ValueError(f"ewma_alpha must be in (0, 1], got {ewma_alpha}")
-        self.name = name
+    __slots__ = (
+        "names", "capacity", "times", "values", "head", "count", "folded",
+        "last_time", "alpha", "ewma", "min", "max", "sketches",
+    )
+
+    def __init__(self, names: tuple[str, ...], capacity: int, alpha: float) -> None:
+        k = len(names)
+        self.names = names
         self.capacity = capacity
-        self._times = np.empty(capacity, dtype=np.float64)
-        self._values = np.empty(capacity, dtype=np.float64)
-        self._head = 0  # next write slot
-        self.count = 0  # total points ever appended
-        self._folded = 0  # points the aggregates have seen
-        self._alpha = ewma_alpha
-        self._ewma: float | None = None
-        self._min = float("inf")
-        self._max = float("-inf")
-        self._sketch = QuantileSet(quantiles)
-        self._last_time = float("-inf")
+        self.times = np.empty(capacity, dtype=np.float64)
+        self.values = np.empty((capacity, k), dtype=np.float64)
+        self.head = 0  # next write slot
+        self.count = 0  # rows ever written
+        self.folded = 0  # rows the aggregates have seen
+        self.last_time = float("-inf")
+        self.alpha = alpha
+        self.ewma: list[float | None] = [None] * k
+        self.min = [float("inf")] * k
+        self.max = [float("-inf")] * k
+        self.sketches = [QuantileSet(QUANTILES) for _ in names]
 
-    # ------------------------------------------------------------------
-    # Append path
-    # ------------------------------------------------------------------
-    def append(self, time: float, value: float) -> None:
-        """O(1) amortized: write one point into the ring."""
-        if time < self._last_time:
+    def write(self, time: float, row: tuple) -> None:
+        """O(1) amortized: write one row into the ring."""
+        if time < self.last_time:
             raise ValueError(
-                f"{self.name}: appends must be time-ordered "
-                f"({time} < {self._last_time})"
+                f"{', '.join(self.names)}: appends must be time-ordered "
+                f"({time} < {self.last_time})"
             )
-        if self.count - self._folded == self.capacity:
-            self._fold()  # the slot about to be overwritten is unfolded
-        self._last_time = time
-        self._times[self._head] = time
-        self._values[self._head] = value
-        self._head = (self._head + 1) % self.capacity
+        if self.count - self.folded == self.capacity:
+            self.fold()  # the row about to be overwritten is unfolded
+        head = self.head
+        self.values[head] = row
+        self.times[head] = self.last_time = time
+        self.head = (head + 1) % self.capacity
         self.count += 1
 
-    def _fold(self) -> None:
-        """Fold the points not folded yet into the aggregates, oldest first."""
-        pending = self.count - self._folded
+    def fold(self) -> None:
+        """Fold the rows not folded yet into every column's aggregates,
+        oldest first."""
+        pending = self.count - self.folded
         if not pending:
             return
-        new = self._values[np.arange(self._head - pending, self._head)].tolist()
-        ewma, alpha = self._ewma, self._alpha
-        for v in new:
-            ewma = v if ewma is None else alpha * v + (1 - alpha) * ewma
-            self._sketch.add(v)
-        self._ewma, self._folded = ewma, self.count
-        self._min, self._max = min(self._min, *new), max(self._max, *new)
+        block = self.values[np.arange(self.head - pending, self.head)]
+        alpha = self.alpha
+        for j, new in enumerate(block.T.tolist()):
+            ewma, sketch = self.ewma[j], self.sketches[j]
+            for v in new:
+                ewma = v if ewma is None else alpha * v + (1 - alpha) * ewma
+                sketch.add(v)
+            self.ewma[j] = ewma
+            self.min[j], self.max[j] = min(self.min[j], *new), max(self.max[j], *new)
+        self.folded = self.count
 
-    # ------------------------------------------------------------------
-    # Queries
-    # ------------------------------------------------------------------
+
+class MetricSeries:
+    """One metric: its name's column of the ring it shares, read as a
+    series of its own."""
+
+    __slots__ = ("name", "_ring", "_column")
+
+    def __init__(self, name: str, ring: _Ring, column: int) -> None:
+        self.name = name
+        self._ring = ring
+        self._column = column
+
     @property
     def size(self) -> int:
         """Raw points currently retained."""
-        return min(self.count, self.capacity)
+        return min(self._ring.count, self._ring.capacity)
 
     @property
     def dropped(self) -> int:
         """Raw points evicted by the ring."""
-        return self.count - self.size
+        return self._ring.count - self.size
 
     def window(
         self, t0: float | None = None, t1: float | None = None
@@ -225,77 +233,83 @@ class MetricSeries:
         return self.snapshot().window(t0, t1)
 
     def latest(self) -> tuple[float, float] | None:
-        if self.count == 0:
+        ring = self._ring
+        if ring.count == 0:
             return None
-        i = (self._head - 1) % self.capacity
-        return float(self._times[i]), float(self._values[i])
+        i = (ring.head - 1) % ring.capacity
+        return float(ring.times[i]), float(ring.values[i, self._column])
 
     def summary(self) -> MetricSummary:
         return self.snapshot().summary()
 
     def snapshot(self) -> SeriesSnapshot:
-        """Freeze the ring and every aggregate into an immutable view."""
-        self._fold()
-        order = np.arange(self._head - self.size, self._head)
+        """Freeze the column and its aggregates into an immutable view."""
+        ring, j = self._ring, self._column
+        ring.fold()
+        count = ring.count
+        order = np.arange(ring.head - self.size, ring.head)
         return SeriesSnapshot(
             name=self.name,
-            count=self.count,
+            count=count,
             dropped=self.dropped,
-            ewma=self._ewma if self.count else 0.0,
-            min=self._min if self.count else 0.0,
-            max=self._max if self.count else 0.0,
-            quantiles=self._sketch.values(),
-            times=self._times[order],
-            values=self._values[order],
+            ewma=ring.ewma[j] if count else 0.0,
+            min=ring.min[j] if count else 0.0,
+            max=ring.max[j] if count else 0.0,
+            quantiles=ring.sketches[j].values(),
+            times=ring.times[order],
+            values=ring.values[order, j],
         )
 
 
 class MetricStore:
-    """Named metric series, created lazily on first append.
+    """Named metric series, created on their first append.
 
-    ``max_series`` bounds how many series the store retains; creating
-    one past the cap evicts the least-recently-appended series (and
-    counts it in :attr:`series_evicted`).  The default (``None``) keeps
-    every series forever — the single-campaign behaviour the golden
-    files pin.
+    The names of one :meth:`append` form a group that shares one ring;
+    a name belongs to its first append's group for the store's life, so
+    every later append that carries it must carry exactly that group's
+    names, in the same order.
     """
 
     def __init__(
-        self,
-        *,
-        capacity: int = DEFAULT_CAPACITY,
-        ewma_alpha: float = DEFAULT_EWMA_ALPHA,
-        max_series: int | None = None,
+        self, *, capacity: int = DEFAULT_CAPACITY, ewma_alpha: float = DEFAULT_EWMA_ALPHA
     ) -> None:
-        if max_series is not None and max_series <= 0:
-            raise ValueError(f"max_series must be positive, got {max_series}")
+        if capacity <= 0:
+            raise ValueError(f"capacity must be positive, got {capacity}")
+        if not 0.0 < ewma_alpha <= 1.0:
+            raise ValueError(f"ewma_alpha must be in (0, 1], got {ewma_alpha}")
         self.capacity = capacity
         self.ewma_alpha = ewma_alpha
-        self.max_series = max_series
+        #: Group (the names of one append, in order) → its ring.
+        self._rings: dict[tuple[str, ...], _Ring] = {}
         self._series: dict[str, MetricSeries] = {}
-        #: Monotone append clock driving least-recently-appended eviction.
-        self._clock = 0
-        self._touched: dict[str, int] = {}
-        #: Series evicted by the ``max_series`` cap over the lifetime.
-        self.series_evicted = 0
+
+    def append(self, time: float, points: Mapping[str, float]) -> None:
+        """Write one instant's ``{name: value}`` points as one row of
+        the ring their names share."""
+        names = tuple(points)
+        ring = self._rings.get(names)
+        if ring is None:
+            ring = self._new_ring(names)
+        ring.write(time, tuple(points.values()))
+
+    def _new_ring(self, names: tuple[str, ...]) -> _Ring:
+        if not names:
+            raise ValueError("an append needs at least one point")
+        for name in names:
+            if name in self._series:
+                raise ValueError(
+                    f"{name!r} is appended with {list(self._series[name]._ring.names)}; "
+                    "a name's points always come with the same names, in the same order"
+                )
+        ring = self._rings[names] = _Ring(names, self.capacity, self.ewma_alpha)
+        for column, name in enumerate(names):
+            self._series[name] = MetricSeries(name, ring, column)
+        return ring
 
     def series(self, name: str) -> MetricSeries:
-        s = self._series.get(name)
-        if s is None:
-            if self.max_series is not None and len(self._series) >= self.max_series:
-                coldest = min(self._touched, key=self._touched.__getitem__)
-                del self._series[coldest]
-                del self._touched[coldest]
-                self.series_evicted += 1
-            s = MetricSeries(name, capacity=self.capacity, ewma_alpha=self.ewma_alpha)
-            self._series[name] = s
-            self._touched[name] = self._clock
-        return s
-
-    def append(self, name: str, time: float, value: float) -> None:
-        self.series(name).append(time, value)
-        self._clock += 1
-        self._touched[name] = self._clock
+        if name not in self._series:
+            raise KeyError(f"unknown metric {name!r}; have {self.names()}")
+        return self._series[name]
 
     def names(self) -> list[str]:
         return sorted(self._series)
@@ -306,14 +320,11 @@ class MetricStore:
         picked = self._series if names is None else {
             n: self._series[n] for n in names if n in self._series
         }
-        return StoreSnapshot(
-            series={n: s.snapshot() for n, s in picked.items()},
-            series_evicted=self.series_evicted,
-        )
+        return StoreSnapshot(series={n: s.snapshot() for n, s in picked.items()})
 
     @property
     def points_dropped(self) -> int:
-        """Raw points evicted by the rings, summed over retained series."""
+        """Raw points evicted by the rings, summed over every series."""
         return sum(s.dropped for s in self._series.values())
 
     def __contains__(self, name: str) -> bool:
@@ -331,6 +342,4 @@ class MetricStore:
         return s.latest() if s else None
 
     def summary(self, name: str) -> MetricSummary:
-        if name not in self._series:
-            raise KeyError(f"unknown metric {name!r}; have {self.names()}")
-        return self._series[name].summary()
+        return self.series(name).summary()

@@ -1,7 +1,5 @@
 """Derived-metric algebra — the arithmetic behind Tables 2-4."""
 
-from dataclasses import fields
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -163,9 +161,9 @@ NODES = st.integers(1, 144)
 
 
 def assert_fields_equal(a: DerivedRates, b: DerivedRates) -> None:
-    for f in fields(DerivedRates):
-        x, y = getattr(a, f.name), getattr(b, f.name)
-        assert type(x) is type(y) and x == y, (f.name, x, y)
+    for name in DerivedRates._fields:
+        x, y = getattr(a, name), getattr(b, name)
+        assert type(x) is type(y) and x == y, (name, x, y)
 
 
 class TestRowForm:
@@ -187,10 +185,10 @@ class TestRowForm:
         columns = column_rates(table, seconds, nodes)
         for k, (counts, s) in enumerate(blocks):
             one = row_rates(table[k], s, nodes)
-            for f in fields(DerivedRates):
-                got = getattr(columns, f.name)
-                value = got if f.name == "n_nodes" else got[k]
-                assert value == getattr(one, f.name), f.name
+            for name in DerivedRates._fields:
+                got = getattr(columns, name)
+                value = got if name == "n_nodes" else got[k]
+                assert value == getattr(one, name), name
 
     def test_nonpositive_seconds_rejected_in_every_form(self):
         row = np.zeros(len(FLAT_NAMES), dtype=np.int64)

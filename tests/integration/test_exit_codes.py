@@ -153,6 +153,8 @@ MATRIX = [
     pytest.param(sweep, ["run", "--spec", "{spec}", "--workers", "0"], 2, None,
                  id="sweep-workers-0"),
     pytest.param(sweep, ["run", "--spec", "{page_kb_3_sweep}"], 2, None, id="sweep-page-kb-3"),
+    # Exit 2, a removed flag that the parser took before.
+    pytest.param(ops, ["serve", "--max-series", "4"], 2, None, id="ops-serve-max-series"),
     # Exit 1 in one line, was a ShardExecutionError traceback.
     pytest.param(ops, ["alerts", *TINY, "--shard-days", "1"], 1, "0", id="ops-shard-crash"),
     pytest.param(study, ["repeat", *TINY, "--seeds", "0", "--shard-days", "1"], 1, "0",

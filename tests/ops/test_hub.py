@@ -5,6 +5,7 @@ import pytest
 
 from repro.ops.hub import CampaignHub, HubFull, UnknownCampaign, UnknownJob, UnknownMetric
 from repro.ops.ingest import replay_into_hub
+from repro.telemetry.service import METRIC_CATALOG
 
 
 @pytest.fixture(scope="module")
@@ -78,9 +79,11 @@ class TestQuerySurface:
         replay_into_hub(hub, "iso", tiny_dataset)
         snap = hub.series_snapshot("iso", "gflops.system")
         before = snap.values.copy()
-        # The campaign keeps streaming after the snapshot was taken.
+        # The campaign keeps streaming after the snapshot was taken: one
+        # more interval row (every catalog metric but fpu.ratio).
         store = hub.handle("iso").service(None).store
-        store.append("gflops.system", snap.times[-1] + 900.0, 1e9)
+        row = {name: 1e9 for name in METRIC_CATALOG if name != "fpu.ratio"}
+        store.append(snap.times[-1] + 900.0, row)
         assert np.array_equal(snap.values, before)
         assert hub.series_snapshot("iso", "gflops.system").count == snap.count + 1
 

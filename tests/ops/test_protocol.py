@@ -63,7 +63,7 @@ class TestSeriesPayload:
     def snap(self):
         store = MetricStore()
         for i in range(10):
-            store.append("m", float(i * 900), float(i))
+            store.append(float(i * 900), {"m": float(i)})
         return store.series("m").snapshot()
 
     def test_summary_only_by_default(self, snap):
@@ -88,7 +88,7 @@ class TestSeriesPayload:
     def test_dropped_surfaced(self):
         store = MetricStore(capacity=4)
         for i in range(10):
-            store.append("m", float(i), float(i))
+            store.append(float(i), {"m": float(i)})
         payload = series_to_json(store.series("m").snapshot())
         assert payload["dropped"] == 6
         assert np.array_equal(store.series("m").snapshot().values, [6, 7, 8, 9])

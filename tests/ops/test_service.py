@@ -65,6 +65,7 @@ class TestRoundTrips:
                     ("query", {"campaign": "ghost", "metric": "x"}, "unknown-campaign"),
                     ("query", {"campaign": "camp", "metric": "x"}, "unknown-metric"),
                     ("report", {"campaign": "camp", "job": 10**9}, "unknown-job"),
+                    ("jobs", {"campaign": "camp", "limit": float("inf")}, "bad-request"),
                 ):
                     with pytest.raises(OpsServiceError) as err:
                         await client.request(op, **operands)
@@ -157,13 +158,6 @@ class TestHubIsBounded:
         assert entry["points_dropped"] > 0
         snap = hub.store_snapshot("tight")
         assert all(snap[n].size <= 8 for n in snap.names())
-
-    def test_series_cap_applies_to_hub_services(self, tiny_dataset):
-        hub = CampaignHub(max_series=4)
-        hub.register("tight")
-        replay_into_hub(hub, "tight", tiny_dataset)
-        assert hub.catalog()["campaigns"][0]["series_evicted"] > 0
-        assert len(hub.store_snapshot("tight").names()) <= 4
 
 
 def test_tiny_campaign_fires_alerts(tiny_dataset):

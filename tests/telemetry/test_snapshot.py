@@ -1,7 +1,6 @@
-"""Snapshot isolation and bounded-series eviction (PR 7 store growth)."""
+"""Snapshot isolation: frozen views of one series or a whole store."""
 
 import numpy as np
-import pytest
 
 from repro.telemetry.store import MetricStore
 
@@ -10,9 +9,9 @@ class TestSeriesSnapshot:
     def test_snapshot_frozen_against_later_appends(self):
         store = MetricStore()
         for i in range(5):
-            store.append("m", float(i), float(i))
+            store.append(float(i), {"m": float(i)})
         snap = store.series("m").snapshot()
-        store.append("m", 5.0, 99.0)
+        store.append(5.0, {"m": 99.0})
         assert snap.count == 5
         assert snap.latest() == (4.0, 4.0)
         assert np.array_equal(snap.values, [0, 1, 2, 3, 4])
@@ -20,20 +19,20 @@ class TestSeriesSnapshot:
     def test_snapshot_summary_matches_live_summary(self):
         store = MetricStore()
         for i in range(20):
-            store.append("m", float(i), float(i % 7))
+            store.append(float(i), {"m": float(i % 7)})
         assert store.series("m").snapshot().summary() == store.summary("m")
 
     def test_snapshot_window_halfopen(self):
         store = MetricStore()
         for i in range(10):
-            store.append("m", float(i * 900), float(i))
+            store.append(float(i * 900), {"m": float(i)})
         _, values = store.series("m").snapshot().window(900.0, 2700.0)
         assert np.array_equal(values, [1.0, 2.0])
 
     def test_snapshot_carries_ring_eviction_count(self):
         store = MetricStore(capacity=3)
         for i in range(8):
-            store.append("m", float(i), float(i))
+            store.append(float(i), {"m": float(i)})
         snap = store.series("m").snapshot()
         assert snap.dropped == 5
         assert snap.count == 8
@@ -43,46 +42,31 @@ class TestSeriesSnapshot:
 class TestStoreSnapshot:
     def test_whole_store_one_instant(self):
         store = MetricStore()
-        store.append("a", 0.0, 1.0)
-        store.append("b", 0.0, 2.0)
+        store.append(0.0, {"a": 1.0})
+        store.append(0.0, {"b": 2.0})
         snap = store.snapshot()
-        store.append("a", 1.0, 10.0)
+        store.append(1.0, {"a": 10.0})
         assert snap.names() == ["a", "b"]
         assert "a" in snap
         assert snap["a"].count == 1
 
     def test_subset_snapshot_skips_unknown(self):
         store = MetricStore()
-        store.append("a", 0.0, 1.0)
+        store.append(0.0, {"a": 1.0})
         snap = store.snapshot(names=["a", "ghost"])
         assert snap.names() == ["a"]
 
     def test_points_dropped_sums_series(self):
         store = MetricStore(capacity=2)
         for i in range(5):
-            store.append("a", float(i), 0.0)
-            store.append("b", float(i), 0.0)
+            store.append(float(i), {"a": 0.0, "b": 0.0})
         assert store.points_dropped == 6
         assert store.snapshot().points_dropped == 6
 
 
 class TestBoundedSeries:
-    def test_max_series_evicts_least_recently_appended(self):
-        store = MetricStore(max_series=2)
-        store.append("old", 0.0, 1.0)
-        store.append("warm", 1.0, 1.0)
-        store.append("warm", 2.0, 1.0)
-        store.append("new", 3.0, 1.0)  # evicts "old" (coldest append)
-        assert store.names() == ["new", "warm"]
-        assert store.series_evicted == 1
-
-    def test_invalid_max_series_rejected(self):
-        with pytest.raises(ValueError, match="max_series"):
-            MetricStore(max_series=0)
-
     def test_unbounded_by_default(self):
         store = MetricStore()
         for i in range(50):
-            store.append(f"m{i}", 0.0, 0.0)
+            store.append(0.0, {f"m{i}": 0.0})
         assert len(store.names()) == 50
-        assert store.series_evicted == 0
