@@ -140,11 +140,14 @@ def _read_json(path: str) -> Any:
 
 def read_input(path: str | pathlib.Path, read: Callable[[str], Any] = _read_json) -> Any:
     """``read(path)`` (JSON by default); a missing, unreadable or
-    malformed input file is a usage error."""
+    malformed input file is a usage error, and so is one nested deeper
+    than the decoder can recurse."""
     try:
         return read(path)
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise UsageError(f"cannot read {str(path)!r}: {exc}") from None
+    except RecursionError:
+        raise UsageError(f"cannot read {str(path)!r}: nested too deeply") from None
 
 
 def entry_point(command: Callable[[list[str] | None], int]) -> Callable[..., int]:

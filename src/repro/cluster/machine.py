@@ -7,7 +7,7 @@ Node allocation here is pure bookkeeping (which nodes are free); the
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -15,7 +15,7 @@ from repro.cluster.filesystem import NFSFilesystem
 from repro.cluster.switch import HighPerformanceSwitch
 from repro.power2.batch import CounterStore
 from repro.power2.config import MachineConfig, POWER2_590, SwitchConfig
-from repro.power2.node import Node, PhaseKind, WorkPhase
+from repro.power2.node import Node
 
 #: The NAS SP2 size.
 NAS_NODE_COUNT = 144
@@ -104,9 +104,6 @@ class SP2Machine:
         self._free.update(n for n in nodes if n not in self._down)
         return nodes
 
-    def allocation_nodes(self, alloc_id: int) -> tuple[int, ...]:
-        return self._allocations[alloc_id]
-
     def busy_node_ids(self) -> set[int]:
         return set(range(self.n_nodes)) - self._free - self._down
 
@@ -150,7 +147,8 @@ class SP2Machine:
         sweep of the store plus one gather.  Nodes not listed are
         neither synced nor read.  Every node in node order (the cron pass
         when every daemon answers) sweeps and reads the whole store, with
-        no slot array and no gather.
+        no slot array and no gather.  ``node_ids`` may already be the
+        slot index array (slot i is node i), as PBS passes a job's.
         """
         if len(node_ids) == len(self._all_ids) and tuple(node_ids) == self._all_ids:
             self.store.sync_slots(node_ids, now)
@@ -159,8 +157,3 @@ class SP2Machine:
         self.store.sync_slots(slots, now)
         return self.store.snapshot_matrix(slots)
 
-    def idle_all(self, seconds: float, node_ids: Iterable[int] | None = None) -> None:
-        """Advance idle time on the given nodes (default: the free ones)."""
-        ids = self._free if node_ids is None else node_ids
-        for i in ids:
-            self.nodes[i].run_phase(WorkPhase(kind=PhaseKind.IDLE, seconds=seconds))

@@ -495,9 +495,9 @@ class WorkloadStudy:
         else:
             self.sim.run(until=trace.horizon_seconds)
 
-        # Final sync so trailing partial intervals are consistent.
-        for node in self.machine.nodes:
-            node.sync(trace.horizon_seconds)
+        # Final sync so trailing partial intervals are consistent: one
+        # sweep of every node's store slot.
+        self.machine.store.sync_slots(range(self.machine.n_nodes), trace.horizon_seconds)
         # The campaign is over: events past the horizon never fire, and
         # dropping them lets the dataset's memory go with the dataset.
         self.sim.clear()

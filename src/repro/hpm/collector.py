@@ -16,7 +16,9 @@ campaign takes ~26k samples × 144 nodes, so the per-sample path must be
 vectorized (profiled: the dict-based path was 30× slower).  A pass is
 one :meth:`~repro.cluster.machine.SP2Machine.read_counters` call over
 the nodes whose daemon answers — the same read the PBS prologue and
-epilogue make.
+epilogue make.  Which daemons answer is one set of node ids the daemons
+keep up to date, so the common pass (everyone answers) is one test of
+that set.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from __future__ import annotations
 import dataclasses
 import functools
 from dataclasses import dataclass
-from operator import attrgetter
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -41,10 +42,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 #: The paper's sampling cadence.
 SAMPLE_INTERVAL_SECONDS = 15 * 60.0
-
-#: ``all(map(_answers, daemons))`` checks every daemon without running
-#: Python bytecode per daemon (the common pass: everyone answers).
-_answers = attrgetter("available")
 
 
 @dataclass(frozen=True)
@@ -174,8 +171,9 @@ class SystemCollector(SampleSeries):
     """Collects and stores system-wide samples on the simulation clock.
 
     One :class:`~repro.hpm.daemon.NodeDaemon` per machine node decides
-    which nodes a pass reaches (:attr:`daemons`, in node order); the
-    counters themselves come from one machine-level read.
+    which nodes a pass reaches (:attr:`daemons`, in node order; a down
+    daemon's node id is in their shared reachability set); the counters
+    themselves come from one machine-level read.
     """
 
     def __init__(
@@ -188,7 +186,10 @@ class SystemCollector(SampleSeries):
     ) -> None:
         super().__init__(cadence=interval)
         self.machine = machine
-        self.daemons = [NodeDaemon.for_node(n) for n in machine.nodes]
+        #: Node ids whose daemon does not answer, kept by the daemons'
+        #: ``mark_down``/``mark_up``.
+        self._unreachable: set[int] = set()
+        self.daemons = [NodeDaemon.for_node(n, self._unreachable) for n in machine.nodes]
         #: Every node, for the common pass where all daemons answer.
         self._all_ids = tuple(d.node_id for d in self.daemons)
         self.interval = interval
@@ -251,12 +252,13 @@ class SystemCollector(SampleSeries):
         backend: advancing a down node's clock in two steps instead of
         one would change its accumulators bitwise.
         """
-        if all(map(_answers, self.daemons)):
+        unreachable = self._unreachable
+        if not unreachable:
             ids: tuple[int, ...] = self._all_ids
             missing: tuple[int, ...] = ()
         else:
-            ids = tuple(d.node_id for d in self.daemons if d.available)
-            missing = tuple(d.node_id for d in self.daemons if not d.available)
+            ids = tuple(i for i in self._all_ids if i not in unreachable)
+            missing = tuple(sorted(unreachable))
         sample = SystemSample(
             time=now,
             node_ids=ids,

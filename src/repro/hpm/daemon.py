@@ -11,11 +11,16 @@ daemon-shaped behaviour that matters:
 * it is individually unreachable when its node is down — the collector
   must tolerate missing nodes (§3 samples "all the SP2 nodes which are
   available").
+
+Reachability is one set of node ids per collector, shared by its
+daemons: :meth:`NodeDaemon.mark_down` and :meth:`NodeDaemon.mark_up`
+add and remove the daemon's node, so a cron pass tests one set instead
+of asking every daemon.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.hpm.monitor_api import MonitorInterface, MonitorReading
 from repro.power2.node import Node
@@ -30,15 +35,24 @@ class NodeDaemon:
     """One node's snapshot server."""
 
     interface: MonitorInterface
-    available: bool = True
+    #: Ids of the nodes whose daemon does not answer: shared by every
+    #: daemon of one collector, private to a daemon built on its own.
+    unreachable: set[int] = field(default_factory=set, repr=False)
 
     @classmethod
-    def for_node(cls, node: Node) -> "NodeDaemon":
-        return cls(interface=MonitorInterface(node))
+    def for_node(cls, node: Node, unreachable: set[int] | None = None) -> "NodeDaemon":
+        return cls(
+            interface=MonitorInterface(node),
+            unreachable=set() if unreachable is None else unreachable,
+        )
 
     @property
     def node_id(self) -> int:
         return self.interface.node.node_id
+
+    @property
+    def available(self) -> bool:
+        return self.node_id not in self.unreachable
 
     def request_snapshot(self, now: float) -> MonitorReading:
         """Serve a counter snapshot (the collector's TCP request)."""
@@ -47,7 +61,7 @@ class NodeDaemon:
         return self.interface.read(now)
 
     def mark_down(self) -> None:
-        self.available = False
+        self.unreachable.add(self.node_id)
 
     def mark_up(self) -> None:
-        self.available = True
+        self.unreachable.discard(self.node_id)

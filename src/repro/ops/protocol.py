@@ -70,6 +70,8 @@ def decode_message(line: bytes) -> dict[str, Any]:
         obj = json.loads(line)
     except json.JSONDecodeError as exc:
         raise ProtocolError(f"frame is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise ProtocolError("frame is nested too deeply") from None
     if not isinstance(obj, dict):
         raise ProtocolError(f"frame must be a JSON object, got {type(obj).__name__}")
     return obj

@@ -55,8 +55,8 @@ def merge_samples(results: list[ShardResult]) -> list[SystemSample]:
     base: dict[int, np.ndarray] = {}
     for k, res in enumerate(results):
         offset = res.shard.start_seconds
-        last: dict[int, np.ndarray] = {}
         base_rows: dict[tuple[int, ...], np.ndarray] = {}
+        matrices: list[np.ndarray] = []
         for i, sample in enumerate(res.samples):
             if not base or not sample.node_ids:
                 rebased = sample.matrix
@@ -67,8 +67,7 @@ def merge_samples(results: list[ShardResult]) -> list[SystemSample]:
                     rows = np.stack([base.get(nid, zero) for nid in sample.node_ids])
                     base_rows[sample.node_ids] = rows
                 rebased = sample.matrix + rows
-            for row, nid in zip(rebased, sample.node_ids):
-                last[nid] = row
+            matrices.append(rebased)
             if k > 0 and i == 0:
                 # The shard's t=0 baseline duplicates the previous
                 # shard's horizon sample (local counters are all zero at
@@ -82,8 +81,27 @@ def merge_samples(results: list[ShardResult]) -> list[SystemSample]:
                     missing=sample.missing,
                 )
             )
-        base.update(last)
+        base.update(_last_rows(res.samples, matrices))
     return merged
+
+
+def _last_rows(
+    samples: list[SystemSample], matrices: list[np.ndarray]
+) -> dict[int, np.ndarray]:
+    """Each node's row of ``matrices`` (the rebased ``samples``, oldest
+    first) in the newest sample that holds the node.  The walk goes back
+    from the newest sample only until every node of the machine is
+    found: one sample, unless a node was down at the end."""
+    last: dict[int, np.ndarray] = {}
+    if not samples:
+        return last
+    n_nodes = len(samples[-1].node_ids) + len(samples[-1].missing)
+    for sample, matrix in zip(reversed(samples), reversed(matrices)):
+        for nid, row in zip(sample.node_ids, matrix):
+            last.setdefault(nid, row)
+        if len(last) == n_nodes:
+            break
+    return last
 
 
 def merge_records(results: list[ShardResult]) -> list[JobRecord]:

@@ -11,6 +11,12 @@ Drives jobs through the machine on the simulation clock:
 * job end = read the same nodes again (*epilogue*), diff the two reads,
   release nodes and memory, append the accounting record, reschedule.
 
+Each transition touches the counter store a fixed number of times,
+whatever the job's width: the prologue or epilogue read syncs the job's
+slots, and one :meth:`~repro.power2.batch.CounterStore.install` over
+the job's slot array changes their rates (a kill, which reads nothing,
+syncs them with one ``sync_slots`` first).
+
 Paging is applied here, not in the profile: the job's per-node memory
 demand is compared against node memory, and an oversubscribed job has
 its rates transformed (user progress slowed, system-mode fault work
@@ -118,6 +124,8 @@ class RunningJob:
     job: JobSpec
     alloc_id: int
     node_ids: tuple[int, ...]
+    #: ``node_ids`` as a counter-store index array (slot i is node i).
+    slots: np.ndarray
     start_time: float
     #: Prologue counter read (§3): ``(len(node_ids), 44)`` int64, one
     #: row per node in ``node_ids`` order.
@@ -262,17 +270,20 @@ class PBSServer:
                 user = user / slow
                 walltime *= slow
 
-        # Prologue: read the allocated nodes' counters (§3).
-        prologue = self.machine.read_counters(node_ids, now)
+        # Prologue: read the allocated nodes' counters (§3); the read
+        # syncs them, so the job's rates go in without another sync.
+        slots = np.asarray(node_ids, dtype=np.intp)
+        prologue = self.machine.read_counters(slots, now)
+        self.machine.store.install(slots, user, system, busy=True)
+        nodes = self.machine.nodes
         for nid in node_ids:
-            node = self.machine.node(nid)
-            node.assign_memory(demand)
-            node.install_rates(now, user, system, busy=True)
+            nodes[nid].assign_memory(demand)
 
         running = RunningJob(
             job=job,
             alloc_id=alloc_id,
             node_ids=node_ids,
+            slots=slots,
             start_time=now,
             prologue=prologue,
             memory_per_node=demand,
@@ -318,7 +329,7 @@ class PBSServer:
         job.state = JobState.EXITED
 
         # Epilogue: read the same nodes again, diff against the prologue (§3).
-        epilogue = self.machine.read_counters(node_ids, now)
+        epilogue = self.machine.read_counters(rj.slots, now)
         deltas = epilogue - prologue
         if (deltas < 0).any():
             row, col = np.argwhere(deltas < 0)[0]
@@ -326,10 +337,10 @@ class PBSServer:
                 f"job {job_id}: node {node_ids[row]} counter {FLAT_NAMES[col]} "
                 f"went backwards ({prologue[row, col]} -> {epilogue[row, col]})"
             )
+        self.machine.store.install(rj.slots, None, None, busy=False)  # idle again
+        nodes = self.machine.nodes
         for nid in node_ids:
-            node = self.machine.node(nid)
-            node.release_memory(rj.memory_per_node)
-            node.install_rates(now)  # back to idle background
+            nodes[nid].release_memory(rj.memory_per_node)
 
         self.machine.release(alloc_id)
         record = JobRecord(
@@ -407,11 +418,12 @@ class PBSServer:
         # like the real failed runs the §6 logs never captured.  Nodes
         # are synced and returned to idle; the crashed node itself is
         # withheld from the free pool by the machine.
+        store = self.machine.store
+        store.sync_slots(rj.slots, now)
+        store.install(rj.slots, None, None, busy=False)
+        nodes = self.machine.nodes
         for nid in rj.node_ids:
-            node = self.machine.node(nid)
-            node.sync(now)
-            node.release_memory(rj.memory_per_node)
-            node.install_rates(now)
+            nodes[nid].release_memory(rj.memory_per_node)
         self.machine.release(rj.alloc_id)
         self.jobs_killed += 1
 

@@ -94,25 +94,21 @@ class CounterStore:
 
     def install(
         self,
-        slot: int,
+        slots: int | np.ndarray,
         user: Sequence[float] | None,
         system: Sequence[float] | None,
         *,
         busy: bool,
     ) -> None:
-        """Replace a slot's rate rows (``None`` user = zeros, ``None``
-        system = the slot's background).  Callers sync first, as
-        :meth:`~repro.power2.node.Node.install_rates` does."""
-        row = self._rates[slot]
-        if user is None:
-            row[:BANK_SIZE] = 0.0
-        else:
-            row[:BANK_SIZE] = user
-        if system is None:
-            row[BANK_SIZE:] = self._background[slot]
-        else:
-            row[BANK_SIZE:] = system
-        self._busy_flag[slot] = 1.0 if busy else 0.0
+        """Give one slot, or every slot of an index array, the same rate
+        rows (``None`` user = zeros, ``None`` system = each slot's own
+        background).  Callers sync first: a node syncs its slot
+        (:meth:`~repro.power2.node.Node.install_rates`), and a job
+        transition's counter read has just synced the job's slots."""
+        rates = self._rates
+        rates[slots, :BANK_SIZE] = 0.0 if user is None else user
+        rates[slots, BANK_SIZE:] = self._background[slots] if system is None else system
+        self._busy_flag[slots] = 1.0 if busy else 0.0
 
     def halt(self, slot: int) -> None:
         """Freeze a slot's counters (crash): all rates to zero."""

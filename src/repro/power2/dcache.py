@@ -11,10 +11,12 @@ This is the *reference* model of the POWER2 data cache: 256 kB, 4-way,
   ("occurs when the D-cache destination for incoming data currently
   contains data which has been modified", Table 1).
 
-Access streams are NumPy arrays of byte addresses; the walk itself is a
-Python loop over the stream (the streams used for derivation are small —
-profiling per the hpc-parallel guide showed this is nowhere near the
-campaign's critical path, which is fully analytic).
+Access streams are NumPy arrays of byte addresses; the walk is a Python
+loop over the stream, and each set is a Python list of the lines it
+holds, least recently used first, so an access is a few list and set
+operations (no campaign runs it: the campaign model is fully analytic).
+A numpy walk over per-set tag, age and dirty rows is its differential
+oracle (``tests/power2/cache_reference.py``).
 """
 
 from __future__ import annotations
@@ -55,7 +57,12 @@ class CacheStats:
 
 
 class SetAssociativeCache:
-    """True-LRU, write-back, write-allocate set-associative cache."""
+    """True-LRU, write-back, write-allocate set-associative cache.
+
+    Each set is a list of the line numbers it holds, least recently used
+    first, never longer than the associativity; the modified lines are
+    one set of line numbers.
+    """
 
     def __init__(self, geometry: CacheGeometry | None = None) -> None:
         self.geometry = geometry or CacheGeometry()
@@ -65,11 +72,8 @@ class SetAssociativeCache:
         self._line_shift = int(g.line_bytes).bit_length() - 1
         if (1 << self._line_shift) != g.line_bytes:
             raise ValueError("line size must be a power of two")
-        # tags[set, way] = line tag (-1 empty); lru[set, way] = age rank
-        # (0 = most recent); dirty[set, way] marks modified lines.
-        self._tags = np.full((self._n_sets, self._assoc), -1, dtype=np.int64)
-        self._lru = np.tile(np.arange(self._assoc), (self._n_sets, 1))
-        self._dirty = np.zeros((self._n_sets, self._assoc), dtype=bool)
+        self._sets: list[list[int]] = [[] for _ in range(self._n_sets)]
+        self._dirty: set[int] = set()
         self.stats = CacheStats()
 
     def reset_stats(self) -> None:
@@ -77,49 +81,41 @@ class SetAssociativeCache:
 
     def flush(self) -> int:
         """Invalidate everything; returns the number of dirty lines flushed."""
-        dirty = int(self._dirty.sum())
-        self._tags.fill(-1)
-        self._dirty.fill(False)
-        self._lru = np.tile(np.arange(self._assoc), (self._n_sets, 1))
+        dirty = len(self._dirty)
+        self._sets = [[] for _ in range(self._n_sets)]
+        self._dirty = set()
         return dirty
 
-    def _touch(self, set_idx: int, way: int) -> None:
-        """Promote ``way`` to most-recently-used within its set."""
-        age = self._lru[set_idx, way]
-        older = self._lru[set_idx] < age
-        self._lru[set_idx, older] += 1
-        self._lru[set_idx, way] = 0
+    def _line(self, address: int) -> int:
+        line = int(address) >> self._line_shift
+        if line < 0:
+            raise ValueError(f"byte address must be non-negative, got {address}")
+        return line
 
     def access(self, address: int, *, write: bool = False) -> bool:
         """One byte-address access; returns ``True`` on a hit."""
-        line = int(address) >> self._line_shift
-        set_idx = line % self._n_sets
-        tag = line // self._n_sets
-        ways = self._tags[set_idx]
-        self.stats.accesses += 1
-        hit_ways = np.nonzero(ways == tag)[0]
-        if hit_ways.size:
-            way = int(hit_ways[0])
-            self.stats.hits += 1
-            self._touch(set_idx, way)
+        line = self._line(address)
+        ways = self._sets[line % self._n_sets]
+        stats = self.stats
+        stats.accesses += 1
+        if line in ways:
+            stats.hits += 1
+            if ways[-1] != line:
+                ways.remove(line)
+                ways.append(line)
             if write:
-                self._dirty[set_idx, way] = True
+                self._dirty.add(line)
             return True
-        # Miss: evict the LRU way (or fill an empty one — empty ways were
-        # initialized with distinct ages so argmax picks them first only
-        # if they are oldest; prefer empties explicitly).
-        self.stats.misses += 1
-        self.stats.reloads += 1
-        empty = np.nonzero(ways == -1)[0]
-        if empty.size:
-            way = int(empty[0])
-        else:
-            way = int(np.argmax(self._lru[set_idx]))
-            if self._dirty[set_idx, way]:
-                self.stats.writebacks += 1
-        self._tags[set_idx, way] = tag
-        self._dirty[set_idx, way] = bool(write)
-        self._touch(set_idx, way)
+        stats.misses += 1
+        stats.reloads += 1
+        if len(ways) == self._assoc:
+            victim = ways.pop(0)
+            if victim in self._dirty:
+                self._dirty.remove(victim)
+                stats.writebacks += 1
+        ways.append(line)
+        if write:
+            self._dirty.add(line)
         return False
 
     def run(self, addresses: np.ndarray, writes: np.ndarray | None = None) -> CacheStats:
@@ -131,18 +127,17 @@ class SetAssociativeCache:
             w = np.asarray(writes, dtype=bool)
             if w.shape != addrs.shape:
                 raise ValueError("writes mask must match the address stream")
+        access = self.access
         for a, is_w in zip(addrs.tolist(), w.tolist()):
-            self.access(a, write=is_w)
+            access(a, write=is_w)
         return self.stats
 
     # ------------------------------------------------------------------
     # Analytic helpers
     # ------------------------------------------------------------------
     def contains(self, address: int) -> bool:
-        line = int(address) >> self._line_shift
-        set_idx = line % self._n_sets
-        tag = line // self._n_sets
-        return bool((self._tags[set_idx] == tag).any())
+        line = self._line(address)
+        return line in self._sets[line % self._n_sets]
 
     @staticmethod
     def sequential_miss_ratio(geometry: CacheGeometry, element_bytes: int = 8) -> float:

@@ -4,7 +4,9 @@ Same role as :mod:`repro.power2.dcache` but for address translation; it
 derives the analytic TLB miss ratios (Table 4: 0.1% workload, 0.2%
 sequential, 0.06% NPB BT) and supports the §5 observation that "we might
 expect high TLB miss rates from programs accessing data with large
-memory strides".
+memory strides".  As in the cache, each set is a Python list of the
+pages it translates, least recently used first; a numpy walk is its
+differential oracle (``tests/power2/cache_reference.py``).
 """
 
 from __future__ import annotations
@@ -28,7 +30,11 @@ class TLBStats:
 
 
 class TLB:
-    """Set-associative, LRU translation lookaside buffer."""
+    """Set-associative, LRU translation lookaside buffer.
+
+    Each set is a list of the page numbers it translates, least recently
+    used first, never longer than the associativity.
+    """
 
     def __init__(self, geometry: TLBGeometry | None = None) -> None:
         self.geometry = geometry or TLBGeometry()
@@ -36,8 +42,7 @@ class TLB:
         self._page_shift = g.page_bytes.bit_length() - 1
         self._n_sets = g.n_sets
         self._assoc = g.associativity
-        self._tags = np.full((self._n_sets, self._assoc), -1, dtype=np.int64)
-        self._lru = np.tile(np.arange(self._assoc), (self._n_sets, 1))
+        self._sets: list[list[int]] = [[] for _ in range(self._n_sets)]
         self.stats = TLBStats()
 
     def reset_stats(self) -> None:
@@ -45,33 +50,32 @@ class TLB:
 
     def flush(self) -> None:
         """Invalidate all translations (context switch)."""
-        self._tags.fill(-1)
-        self._lru = np.tile(np.arange(self._assoc), (self._n_sets, 1))
+        self._sets = [[] for _ in range(self._n_sets)]
 
     def access(self, address: int) -> bool:
         """Translate one byte address; returns ``True`` on a TLB hit."""
         page = int(address) >> self._page_shift
-        set_idx = page % self._n_sets
-        tag = page // self._n_sets
-        self.stats.accesses += 1
-        ways = self._tags[set_idx]
-        hit_ways = np.nonzero(ways == tag)[0]
-        if hit_ways.size:
-            way = int(hit_ways[0])
-            self.stats.hits += 1
-        else:
-            self.stats.misses += 1
-            empty = np.nonzero(ways == -1)[0]
-            way = int(empty[0]) if empty.size else int(np.argmax(self._lru[set_idx]))
-            self._tags[set_idx, way] = tag
-        age = self._lru[set_idx, way]
-        self._lru[set_idx, self._lru[set_idx] < age] += 1
-        self._lru[set_idx, way] = 0
-        return bool(hit_ways.size)
+        if page < 0:
+            raise ValueError(f"byte address must be non-negative, got {address}")
+        ways = self._sets[page % self._n_sets]
+        stats = self.stats
+        stats.accesses += 1
+        if page in ways:
+            stats.hits += 1
+            if ways[-1] != page:
+                ways.remove(page)
+                ways.append(page)
+            return True
+        stats.misses += 1
+        if len(ways) == self._assoc:
+            del ways[0]
+        ways.append(page)
+        return False
 
     def run(self, addresses: np.ndarray) -> TLBStats:
+        access = self.access
         for a in np.asarray(addresses, dtype=np.int64).tolist():
-            self.access(a)
+            access(a)
         return self.stats
 
     @staticmethod

@@ -245,9 +245,12 @@ def load_spec_file(path: str) -> SweepSpec:
     except OSError as exc:
         raise ValueError(f"cannot read sweep spec {path!r}: {exc}") from None
     try:
-        data = json.loads(text)
-    except json.JSONDecodeError:
-        data = parse_simple_yaml(text)
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError:
+            data = parse_simple_yaml(text)
+    except RecursionError:
+        raise ValueError(f"sweep spec {path!r} is nested too deeply") from None
     if not isinstance(data, dict):
         raise ValueError(f"sweep spec {path!r} is not a mapping")
     return SweepSpec.from_dict(data)

@@ -12,6 +12,8 @@ harness relies on:
 
 from __future__ import annotations
 
+from bisect import bisect_right
+
 import numpy as np
 
 
@@ -100,6 +102,29 @@ def spawn_stream(
     if shard_id < 0:
         raise ValueError(f"shard_id must be non-negative, got {shard_id}")
     return RngStreams(seed, spawn_key=(*namespace, _SHARD_TAG, int(shard_id)))
+
+
+def choice_cdf(p) -> list[float]:
+    """The cumulative table ``Generator.choice(a, p=p)`` searches.
+
+    numpy builds it on every call: ``p`` as float64, ``cumsum``, divided
+    by its last element.  A caller that draws from one fixed ``p`` many
+    times builds it once and draws with :func:`choice_index`.
+    """
+    cdf = np.cumsum(np.asarray(p, dtype=np.float64))
+    cdf /= cdf[-1]
+    return cdf.tolist()
+
+
+def choice_index(cdf: list[float], rng: np.random.Generator) -> int:
+    """The index ``rng.choice(a, p=p)`` picks, given ``choice_cdf(p)``.
+
+    It is numpy's own algorithm written out (one ``rng.random()`` and a
+    right-side search of the table), so the pick and the generator state
+    after it are exactly ``choice``'s, without its per-call argument
+    handling.
+    """
+    return bisect_right(cdf, rng.random())
 
 
 def member_key(name: str) -> tuple[int, int]:

@@ -15,13 +15,14 @@ without per-figure tuning.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
 from repro.power2.config import MachineConfig
 from repro.power2.pipeline import DependencyProfile
+from repro.util.rng import choice_cdf, choice_index
 from repro.workload.kernels import KernelSpec, kernel
 from repro.workload.profile import CommPattern, IOPattern, JobProfile, build_job_profile
 
@@ -96,6 +97,7 @@ class ApplicationTemplate:
     ilp_jitter: float = 0.04
     mem_ratio_jitter: float = 0.15
     fma_jitter: float = 0.06
+    _node_cdf: list[float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.node_choices) != len(self.node_weights):
@@ -103,19 +105,20 @@ class ApplicationTemplate:
         if not self.node_choices:
             raise ValueError(f"{self.name}: needs node choices")
         kernel(self.kernel_name)  # validate reference
+        w = np.asarray(self.node_weights, dtype=float)
+        object.__setattr__(self, "_node_cdf", choice_cdf(w / w.sum()))
 
     # ------------------------------------------------------------------
     def sample_nodes(self, rng: np.random.Generator) -> int:
-        w = np.asarray(self.node_weights, dtype=float)
-        return int(rng.choice(self.node_choices, p=w / w.sum()))
+        """``rng.choice(node_choices, p=normalised node_weights)``, drawn
+        from the prebuilt table."""
+        return self.node_choices[choice_index(self._node_cdf, rng)]
 
     def _jittered_kernel(self, rng: np.random.Generator) -> KernelSpec:
         base = kernel(self.kernel_name)
-        ilp = float(np.clip(base.deps.ilp + rng.normal(0, self.ilp_jitter), 0.05, 0.995))
+        ilp = min(max(base.deps.ilp + rng.normal(0, self.ilp_jitter), 0.05), 0.995)
         mem_scale = float(np.exp(rng.normal(0, self.mem_ratio_jitter)))
-        fma = float(
-            np.clip(base.fma_flop_fraction + rng.normal(0, self.fma_jitter), 0.0, 0.99)
-        )
+        fma = min(max(base.fma_flop_fraction + rng.normal(0, self.fma_jitter), 0.0), 0.99)
         return base.with_(
             deps=DependencyProfile(ilp=ilp, load_use_fraction=base.deps.load_use_fraction),
             mem_insts_per_flop=base.mem_insts_per_flop * mem_scale,
@@ -144,7 +147,7 @@ class ApplicationTemplate:
             self.flops_per_iter_log10_mean, self.flops_per_iter_log10_sigma
         )
         walltime = 10.0 ** rng.normal(self.walltime_log10_mean, self.walltime_log10_sigma)
-        walltime = float(np.clip(walltime, 60.0, 3.0 * 86400.0))
+        walltime = min(max(walltime, 60.0), 3.0 * 86400.0)
         memory = rng.uniform(self.memory_min, self.memory_max)
         lo, hi = self.serial_fraction_range
         serial = float(rng.uniform(lo, hi)) if hi > lo else lo

@@ -12,10 +12,11 @@ the paper observed: no improvement trend over time).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.util.rng import choice_cdf, choice_index
 from repro.workload.apps import popularity_weights
 
 
@@ -26,9 +27,15 @@ class UserProfile:
     user_id: int
     app_names: tuple[str, ...]
     app_weights: np.ndarray
+    _app_cdf: list[float] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_app_cdf", choice_cdf(self.app_weights))
 
     def pick_app(self, rng: np.random.Generator) -> str:
-        return str(rng.choice(self.app_names, p=self.app_weights))
+        """``rng.choice(app_names, p=app_weights)``, drawn from the
+        prebuilt table."""
+        return self.app_names[choice_index(self._app_cdf, rng)]
 
 
 class UserPopulation:
@@ -96,5 +103,5 @@ class DemandModel:
         if rng.random() < 0.65:
             # Work-hours bulge centred mid-afternoon.
             t = rng.normal(14.5 * 3600.0, 3.2 * 3600.0)
-            return float(np.clip(t, 0.0, 86399.0))
+            return min(max(t, 0.0), 86399.0)
         return float(rng.uniform(0.0, 86400.0))

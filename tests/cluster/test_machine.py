@@ -3,7 +3,6 @@
 import pytest
 
 from repro.cluster.machine import NAS_NODE_COUNT, SP2Machine
-from repro.power2.counters import Mode
 
 
 class TestAssembly:
@@ -66,21 +65,3 @@ class TestAllocation:
     def test_zero_node_allocation_rejected(self):
         with pytest.raises(ValueError):
             SP2Machine(8).allocate(0)
-
-    def test_allocation_nodes_lookup(self):
-        m = SP2Machine(8)
-        alloc, nodes = m.allocate(2)
-        assert m.allocation_nodes(alloc) == nodes
-
-
-class TestIdle:
-    def test_idle_all_defaults_to_free_nodes(self):
-        m = SP2Machine(4)
-        _, busy = m.allocate(2)
-        m.idle_all(100.0)
-        for n in m.nodes:
-            sys_fxu = n.monitor.banks[Mode.SYSTEM].read("fxu0")
-            if n.node_id in busy:
-                assert sys_fxu == 0
-            else:
-                assert sys_fxu > 0

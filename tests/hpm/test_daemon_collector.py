@@ -84,6 +84,21 @@ class TestCollector:
         col.collect(200.0)
         assert col.intervals()[1].n_nodes == 1  # down in 'before' sample
 
+    def test_reachability_is_one_set_the_daemons_share(self):
+        """Marking daemons down in any order fills one set, and a pass
+        lists the nodes it missed in node order."""
+        col = SystemCollector(make_machine(n=4))
+        col.daemons[3].mark_down()
+        col.daemons[0].mark_down()
+        assert all(d.unreachable is col.daemons[0].unreachable for d in col.daemons)
+        assert col.daemons[0].unreachable == {0, 3}
+        assert [d.available for d in col.daemons] == [False, True, True, False]
+        sample = col.collect(10.0)
+        assert (sample.node_ids, sample.missing) == ((1, 2), (0, 3))
+        col.daemons[0].mark_up()
+        col.daemons[3].mark_up()
+        assert col.collect(20.0).node_ids == (0, 1, 2, 3)
+
     def test_needs_daemons(self):
         """One daemon per node, and a machine has at least one node."""
         assert len(SystemCollector(make_machine(n=3)).daemons) == 3

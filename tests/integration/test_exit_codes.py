@@ -140,6 +140,10 @@ MATRIX = [
                  id="trace-export-missing"),
     pytest.param(trace, ["critical-path", MISSING], 2, None, id="trace-critical-path-missing"),
     pytest.param(fleet, ["run", "--spec", "{tlb_511_fleet}"], 2, None, id="fleet-tlb-entries-511"),
+    # Exit 2, was a RecursionError traceback.
+    pytest.param(sweep, ["plan", "--spec", "{deep_json}"], 2, None, id="sweep-spec-deep-json"),
+    pytest.param(fleet, ["run", "--spec", "{deep_json}"], 2, None, id="fleet-spec-deep-json"),
+    pytest.param(sweep, ["plan", "--spec", "{deep_yaml}"], 2, None, id="sweep-spec-deep-yaml"),
     # Exit 2, was exit 1 through SystemExit("error: ...").
     pytest.param(study, ["repeat", *TINY, "--seeds", "1,x"], 2, None, id="repeat-seeds-bad"),
     pytest.param(fleet, ["report", MISSING], 2, None, id="fleet-report-missing"),
@@ -165,14 +169,18 @@ MATRIX = [
 
 
 #: Input files the matrix names: a valid one-cell sweep spec, the same
-#: cell on 3 kB pages, and a fleet whose member has an odd TLB entry
-#: count for a 2-way TLB.
+#: cell on 3 kB pages, a fleet whose member has an odd TLB entry count
+#: for a 2-way TLB, and documents nested deeper than a decoder can
+#: recurse (100,000 JSON arrays; 3,000 YAML-subset mappings, each one
+#: space deeper than its parent).
 CELL = "name: s\nbase:\n  n_days: 1\n  n_nodes: 8\n  n_users: 2\n"
 INPUTS = {
     "spec": CELL,
     "page_kb_3_sweep": CELL + "  page_kb: 3\n",
     "tlb_511_fleet": '{"n_days": 1, "n_users": 2, "members": '
     '[{"name": "a", "n_nodes": 8, "tlb_entries": 511}]}',
+    "deep_json": "[" * 100_000 + "]" * 100_000,
+    "deep_yaml": "".join(f"{' ' * depth}k{depth}:\n" for depth in range(3000)),
 }
 
 
@@ -182,6 +190,8 @@ def test_bad_request_is_one_error_line(main, argv, code, crash, tmp_path, capsys
     from repro.parallel.worker import CRASH_ENV_VAR
 
     for name, text in INPUTS.items():
+        if "{" + name + "}" not in argv:
+            continue
         path = tmp_path / name
         path.write_text(text)
         argv = [arg.replace("{" + name + "}", str(path)) for arg in argv]

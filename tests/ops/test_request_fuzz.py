@@ -4,6 +4,7 @@ well-typed request keeps its answer."""
 
 from __future__ import annotations
 
+import asyncio
 import json
 import types
 
@@ -13,7 +14,8 @@ from hypothesis import strategies as st
 
 from repro.ops import CampaignHub, OpsServer
 from repro.ops.ingest import replay_into_hub
-from repro.ops.protocol import encode_message
+from repro.ops.protocol import MAX_LINE_BYTES, ProtocolError, decode_message, encode_message
+from repro.ops.server import _Connection
 
 #: The requests CI's ops-service smoke sends (``sp2-ops ask`` with the
 #: smoke's flags), plus the verbs it does not round-trip.
@@ -126,3 +128,27 @@ class TestWellTypedOperandsKeepTheirAnswers:
         base = {"op": "query", "campaign": "smoke", "metric": "gflops.system"}
         assert ask(server, {**base, "t0": None, "t1": None, "last": None}) == ask(server, base)
         assert ask(server, {"op": "jobs", "campaign": "smoke", "member": None})["ok"]
+
+
+#: A request line under ``MAX_LINE_BYTES`` nested deeper than the JSON
+#: decoder can recurse.
+DEEP_FRAME = b'{"op": "query", "campaign": ' + b"[" * 200_000 + b"]" * 200_000 + b"}\n"
+
+
+def test_deeply_nested_frame_is_a_bad_request():
+    """The server answers the frame with ``bad-request`` before it
+    closes the connection, as for any other malformed frame."""
+    server = OpsServer(CampaignHub())
+    assert len(DEEP_FRAME) < MAX_LINE_BYTES
+    with pytest.raises(ProtocolError, match="nested too deeply"):
+        decode_message(DEEP_FRAME)
+
+    async def answers() -> list[dict]:
+        reader = asyncio.StreamReader(limit=MAX_LINE_BYTES)
+        reader.feed_data(DEEP_FRAME)
+        reader.feed_eof()
+        conn = _Connection(reader, writer=None)
+        await server._read_loop(conn)
+        return [decode_message(conn.queue.get_nowait()) for _ in range(conn.queue.qsize())]
+
+    assert [a["error"] for a in asyncio.run(answers())] == ["bad-request"]

@@ -138,6 +138,48 @@ class TestCounterCapture:
         assert all(n.memory_used == 0.0 for n in s.machine.nodes)
 
 
+class TestTransitionStoreCalls:
+    """Whatever the job's width, a job start and a job end each touch
+    the counter store with one ``sync_slots`` (the prologue or epilogue
+    read) and one ``install`` over the job's slots, and a kill with one
+    ``sync_slots`` and one ``install``: never a per-node ``sync_one``."""
+
+    @staticmethod
+    def spy(monkeypatch, store) -> list[str]:
+        calls: list[str] = []
+        for name in ("sync_one", "sync_slots", "install"):
+            original = getattr(store, name)
+
+            def spy(*args, _name=name, _original=original, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(store, name, spy)
+        return calls
+
+    @pytest.mark.parametrize("width", [1, 5, 16])
+    def test_start_and_end(self, monkeypatch, width):
+        s = server()
+        calls = self.spy(monkeypatch, s.machine.store)
+        s.submit(0, "app", width, Profile(walltime=500.0))
+        assert calls == ["sync_slots", "install"]
+        calls.clear()
+        s.sim.run()
+        assert calls == ["sync_slots", "install"]
+        assert len(s.accounting) == 1
+
+    def test_kill(self, monkeypatch):
+        s = server()
+        job = s.submit(0, "app", 5, Profile(walltime=500.0))
+        s.sim.run(until=100.0)
+        victim = s.running[job.job_id].node_ids[2]
+        s.machine.crash_node(victim)
+        s.max_retries = 0
+        calls = self.spy(monkeypatch, s.machine.store)
+        assert s.kill_jobs_on_node(victim) == [job]
+        assert calls == ["sync_slots", "install"]
+
+
 class TestPagingTransform:
     def test_no_paging_within_memory(self):
         user = rates_vector({"fpu0": 1e6})

@@ -129,8 +129,10 @@ class ReferenceStore:
     def configure_slot(self, slot: int, background) -> None:
         self._nodes[slot] = ReferenceNode(background)
 
-    def install(self, slot: int, user, system, *, busy: bool) -> None:
-        self._nodes[slot].install(user, system, busy)
+    def install(self, slots, user, system, *, busy: bool) -> None:
+        """One slot, or each slot of an index array, in turn."""
+        for slot in np.atleast_1d(slots).tolist():
+            self._nodes[slot].install(user, system, busy)
 
     def halt(self, slot: int) -> None:
         self._nodes[slot].install(np.zeros(BANK_SIZE), np.zeros(BANK_SIZE), False)

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.util.rng import RngStreams, _stable_hash, spawn_stream
+from repro.util.rng import RngStreams, _stable_hash, choice_cdf, choice_index, spawn_stream
 
 
 class TestStreamIdentity:
@@ -100,3 +102,30 @@ class TestSpawnStream:
         s3 = spawn_stream(9, 3).get("x").random(8)
         assert not np.array_equal(root, s2)
         assert not np.array_equal(s2, s3)
+
+
+class TestChoiceDraw:
+    """``choice_index`` over ``choice_cdf(p)`` is ``Generator.choice(a, p=p)``."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        weights=st.lists(
+            st.floats(min_value=0.0, max_value=1e6, allow_subnormal=False), min_size=1, max_size=12
+        ).filter(lambda w: sum(w) > 0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_same_pick_and_same_generator_state(self, weights, seed):
+        p = np.asarray(weights) / np.sum(weights)
+        a = tuple(range(100, 100 + len(p)))
+        ours, numpy_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        cdf = choice_cdf(p)
+        for _ in range(5):
+            assert a[choice_index(cdf, ours)] == numpy_rng.choice(a, p=p)
+            assert ours.bit_generator.state == numpy_rng.bit_generator.state
+
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_one_element_population(self, seed):
+        ours, numpy_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert choice_index(choice_cdf([1.0]), ours) == 0
+        assert numpy_rng.choice((49,), p=[1.0]) == 49
+        assert ours.bit_generator.state == numpy_rng.bit_generator.state
