@@ -40,7 +40,9 @@ class SP2Machine:
             raise ValueError("machine needs at least one node")
         self.config = config or POWER2_590
         self.nodes: list[Node] = [Node(i, self.config) for i in range(n_nodes)]
-        self._all_ids = tuple(range(n_nodes))
+        #: Every node id in node order: the cron pass's id tuple when
+        #: every daemon answers (:meth:`read_counters` tests it by identity).
+        self.node_ids = tuple(range(n_nodes))
         self.store = CounterStore(n_nodes)
         for node in self.nodes:
             node.attach_store(self.store, node.node_id)
@@ -146,12 +148,14 @@ class SP2Machine:
         collector's cron pass and the PBS prologue/epilogue: one masked
         sweep of the store plus one gather.  Nodes not listed are
         neither synced nor read.  Every node in node order (the cron pass
-        when every daemon answers) sweeps and reads the whole store, with
-        no slot array and no gather.  ``node_ids`` may already be the
-        slot index array (slot i is node i), as PBS passes a job's.
+        when every daemon answers, which passes :attr:`node_ids` itself)
+        sweeps and reads the whole store, with no slot array and no
+        gather.  ``node_ids`` may already be the slot index array (slot i
+        is node i), as PBS passes a job's.
         """
-        if len(node_ids) == len(self._all_ids) and tuple(node_ids) == self._all_ids:
-            self.store.sync_slots(node_ids, now)
+        all_ids = self.node_ids
+        if node_ids is all_ids or (len(node_ids) == len(all_ids) and tuple(node_ids) == all_ids):
+            self.store.sync_slots(all_ids, now)
             return self.store.snapshot_matrix()
         slots = np.asarray(node_ids, dtype=np.intp)  # slot i is node i
         self.store.sync_slots(slots, now)

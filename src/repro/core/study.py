@@ -29,7 +29,7 @@ from repro.sim.engine import Simulator
 from repro.telemetry.bus import EventBus
 from repro.telemetry.service import TelemetryService
 from repro.tracing.tracer import Tracer
-from repro.util.checks import check_number
+from repro.util.checks import check_number, describe
 from repro.util.rng import RngStreams
 from repro.workload.traces import SECONDS_PER_DAY, CampaignTrace, generate_trace
 
@@ -139,10 +139,10 @@ class AxisDef:
                 positive=self.positive,
             )
         elif not isinstance(value, str):
-            raise ValueError(f"{where} {self.name!r} value {value!r} is not a string")
+            raise ValueError(f"{where} {self.name!r} value {describe(value)} is not a string")
         if self.choices is not None and value not in self.choices:
             raise ValueError(
-                f"{where} {self.name!r} value {value!r} is not one of: "
+                f"{where} {self.name!r} value {describe(value)} is not one of: "
                 f"{', '.join(str(c) for c in self.choices)}"
             )
 
@@ -190,7 +190,7 @@ def axis_def(name: str, kind: str = "setting") -> AxisDef:
         return AXES[name]
     except KeyError:
         raise ValueError(
-            f"unknown {kind} {name!r}; known axes: {', '.join(sorted(AXES))}"
+            f"unknown {kind} {describe(name)}; known axes: {', '.join(sorted(AXES))}"
         ) from None
 
 

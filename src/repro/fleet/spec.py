@@ -25,6 +25,7 @@ from dataclasses import dataclass, fields
 from typing import Any, Mapping
 
 from repro.core.study import AXES, StudyConfig, resolve_config
+from repro.util.checks import describe, describe_names
 
 #: Routing policies :mod:`repro.fleet.routing` implements.
 ROUTING_POLICIES = ("home-center", "least-loaded", "round-robin")
@@ -55,9 +56,11 @@ class MemberSpec:
 
     def __post_init__(self) -> None:
         if not isinstance(self.name, str) or not self.name.strip():
-            raise ValueError(f"member name cannot be empty or a non-string, got {self.name!r}")
+            raise ValueError(
+                f"member name cannot be empty or a non-string, got {describe(self.name)}"
+            )
         for key, value in self.settings().items():
-            AXES[key].check(value, where=f"member {self.name!r} setting")
+            AXES[key].check(value, where=f"member {describe(self.name)} setting")
 
     def settings(self) -> dict[str, Any]:
         """The node count and every setting that differs from the NAS
@@ -74,11 +77,13 @@ class MemberSpec:
     @classmethod
     def from_dict(cls, data: dict) -> "MemberSpec":
         if not isinstance(data, Mapping) or not {"name", "n_nodes"} <= set(data):
-            raise ValueError(f"a fleet member must map 'name' and 'n_nodes', got {data!r}")
+            raise ValueError(
+                f"a fleet member must map 'name' and 'n_nodes', got {describe(data)}"
+            )
         unknown = set(data) - set(cls.__dataclass_fields__)
         if unknown:
             raise ValueError(
-                f"unknown member spec keys: {', '.join(sorted(unknown))}"
+                f"unknown member spec keys: {describe_names(sorted(unknown))}"
             )
         return cls(**data)
 
@@ -106,9 +111,11 @@ class FleetSpec:
         names = [m.name for m in self.members]
         if len(set(names)) != len(names):
             dupes = sorted({n for n in names if names.count(n) > 1})
-            raise ValueError(f"duplicate member names: {', '.join(dupes)}")
+            raise ValueError(f"duplicate member names: {describe_names(dupes)}")
         if not isinstance(self.name, str) or not self.name.strip():
-            raise ValueError(f"fleet name cannot be empty or a non-string, got {self.name!r}")
+            raise ValueError(
+                f"fleet name cannot be empty or a non-string, got {describe(self.name)}"
+            )
         # The fleet-wide settings are axes too, checked as a sweep's base
         # checks them (demand_mean may be left unset).
         for key in ("seed", "n_days", "n_users", "demand_mean"):
@@ -117,7 +124,7 @@ class FleetSpec:
                 AXES[key].check(value, where="fleet setting")
         if self.routing not in ROUTING_POLICIES:
             raise ValueError(
-                f"unknown routing policy {self.routing!r}; available: "
+                f"unknown routing policy {describe(self.routing)}; available: "
                 f"{', '.join(ROUTING_POLICIES)}"
             )
         # A member the machine model cannot build is refused here, at
@@ -126,7 +133,7 @@ class FleetSpec:
             try:
                 self.member_config(member)
             except ValueError as err:
-                raise ValueError(f"member {member.name!r}: {err}") from None
+                raise ValueError(f"member {describe(member.name)}: {err}") from None
 
     @property
     def total_nodes(self) -> int:
@@ -179,7 +186,7 @@ class FleetSpec:
             raise ValueError(f"fleet spec must be a mapping, got {type(data).__name__}")
         unknown = set(data) - set(cls.__dataclass_fields__)
         if unknown:
-            raise ValueError(f"unknown fleet spec keys: {', '.join(sorted(unknown))}")
+            raise ValueError(f"unknown fleet spec keys: {describe_names(sorted(unknown))}")
         payload = dict(data)
         members = payload.pop("members", None)
         if not isinstance(members, (list, tuple)) or not members:

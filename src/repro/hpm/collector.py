@@ -23,10 +23,8 @@ that set.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -44,9 +42,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 SAMPLE_INTERVAL_SECONDS = 15 * 60.0
 
 
-@dataclass(frozen=True)
-class SystemSample:
-    """One cron pass: per-node counter snapshots at one instant."""
+class SystemSample(NamedTuple):
+    """One cron pass: per-node counter snapshots at one instant.
+
+    A named tuple, built positionally: the collector makes one per pass."""
 
     time: float
     node_ids: tuple[int, ...]
@@ -56,14 +55,14 @@ class SystemSample:
     missing: tuple[int, ...] = ()
 
 
-@dataclass(frozen=True, eq=False)
-class IntervalCounts:
+class IntervalCounts(NamedTuple):
     """Summed counter deltas between two consecutive samples.
 
     ``sums`` is the interval's one node-wide record: the ``(44,)`` int64
     column sums of the per-node deltas, in
     :data:`~repro.power2.counters.FLAT_NAMES` order.  Every rate is
-    derived from it (:func:`repro.hpm.derived.row_rates`).
+    derived from it (:func:`repro.hpm.derived.row_rates`).  A named
+    tuple, built positionally: the collector makes one per pass.
     """
 
     start: float
@@ -80,20 +79,20 @@ class IntervalCounts:
     def seconds(self) -> float:
         return self.end - self.start
 
-    @property
-    def totals(self) -> dict[str, int]:
-        """``{name: int}`` view of the non-zero :attr:`sums`, built on
-        every read."""
-        return {name: v for name, v in zip(FLAT_NAMES, self.sums.tolist()) if v}
-
     def __eq__(self, other: object) -> bool:
-        """Every field; ``sums`` by dtype and values."""
+        """Every field; ``sums`` by dtype and values.  Only another
+        interval is equal: tuple equality would compare ``sums``
+        elementwise."""
         if other.__class__ is not self.__class__:
-            return NotImplemented
+            return False
         a, b = self.sums, other.sums
         return (self.start, self.end, self.n_nodes, self.interpolated) == (
             other.start, other.end, other.n_nodes, other.interpolated
         ) and (a.dtype == b.dtype and np.array_equal(a, b))
+
+    def __ne__(self, other: object) -> bool:
+        # A named tuple inherits tuple.__ne__, not the inverse of __eq__.
+        return not self.__eq__(other)
 
 
 def sample_delta(before: SystemSample, after: SystemSample) -> IntervalCounts:
@@ -102,23 +101,22 @@ def sample_delta(before: SystemSample, after: SystemSample) -> IntervalCounts:
     had to do), as one int64 row.  A counter that went backwards is a
     one-line ``ValueError``.  Used by :class:`SampleSeries` and telemetry
     replay."""
-    if before.node_ids == after.node_ids:
-        ids, b, a = after.node_ids, before.matrix, after.matrix
+    before_ids, ids = before.node_ids, after.node_ids
+    if before_ids is ids or before_ids == ids:
+        b, a = before.matrix, after.matrix
     else:
         ids, bi, ai = np.intersect1d(
-            before.node_ids, after.node_ids, assume_unique=True, return_indices=True
+            before_ids, ids, assume_unique=True, return_indices=True
         )
         b, a = before.matrix[bi], after.matrix[ai]
     diff = a - b
-    if (diff < 0).any():
+    if diff.min(initial=0) < 0:
         row, col = np.argwhere(diff < 0)[0]
         raise ValueError(
             f"interval ending at {after.time} s: node {ids[row]} counter "
             f"{FLAT_NAMES[col]} went backwards ({b[row, col]} -> {a[row, col]})"
         )
-    return IntervalCounts(
-        start=before.time, end=after.time, sums=diff.sum(axis=0), n_nodes=len(ids)
-    )
+    return IntervalCounts(before.time, after.time, diff.sum(axis=0), len(ids))
 
 
 class SampleSeries:
@@ -158,7 +156,7 @@ class SampleSeries:
     def _difference(self, before: SystemSample, after: SystemSample) -> IntervalCounts:
         iv = sample_delta(before, after)
         if self.cadence is not None and iv.seconds > self.cadence * 1.5:
-            iv = dataclasses.replace(iv, interpolated=True)
+            iv = iv._replace(interpolated=True)
         self._intervals.append(iv)
         return iv
 
@@ -190,8 +188,9 @@ class SystemCollector(SampleSeries):
         #: ``mark_down``/``mark_up``.
         self._unreachable: set[int] = set()
         self.daemons = [NodeDaemon.for_node(n, self._unreachable) for n in machine.nodes]
-        #: Every node, for the common pass where all daemons answer.
-        self._all_ids = tuple(d.node_id for d in self.daemons)
+        #: Every node, for the common pass where all daemons answer: the
+        #: machine's own tuple, so its read tests it by identity.
+        self._all_ids = machine.node_ids
         self.interval = interval
         self.bus = bus
         #: Span tracer; each cron pass becomes one span on the machine
@@ -259,12 +258,7 @@ class SystemCollector(SampleSeries):
         else:
             ids = tuple(i for i in self._all_ids if i not in unreachable)
             missing = tuple(sorted(unreachable))
-        sample = SystemSample(
-            time=now,
-            node_ids=ids,
-            matrix=self.machine.read_counters(ids, now),
-            missing=missing,
-        )
+        sample = SystemSample(now, ids, self.machine.read_counters(ids, now), missing)
         interval = self._difference(self.samples[-1], sample) if self.samples else None
         self.samples.append(sample)
         self._publish(sample, interval)
@@ -278,7 +272,7 @@ class SystemCollector(SampleSeries):
         if bus is None:
             return
         events = _bus_events()
-        taken = events.SampleTaken(time=sample.time, sample=sample, interval=interval)
+        taken = events.SampleTaken(sample.time, sample, interval)
         if not sample.missing and not self._down:
             # The common pass: every node answered, now and before.
             bus.publish(events.TOPIC_SAMPLE, taken)

@@ -24,6 +24,7 @@ The flop algebra follows §3/§5 exactly:
 
 from __future__ import annotations
 
+import operator
 from typing import Mapping, NamedTuple
 
 import numpy as np
@@ -205,6 +206,28 @@ def _ratio(num, den):
     return num / den if den > 0 else 0.0
 
 
+#: The counts :func:`_derive` reads, picked out of a row (or a table's
+#: rows) in one call, in the order it unpacks them.
+_DERIVE_INPUTS = operator.itemgetter(
+    *(
+        FLAT_COLUMN[name]
+        for name in (
+            "user.fpu0_fp_add", "user.fpu1_fp_add",
+            "user.fpu0_fp_mul", "user.fpu1_fp_mul",
+            "user.fpu0_fp_div", "user.fpu1_fp_div",
+            "user.fpu0_fp_muladd", "user.fpu1_fp_muladd",
+            "user.fpu0", "user.fpu1",
+            "user.fxu0", "user.fxu1",
+            "system.fxu0", "system.fxu1",
+            "user.cycles", "system.cycles",
+            "user.icu0", "user.icu1",
+            "user.dcache_mis", "user.tlb_mis", "user.icache_reload",
+            "user.dma_read", "user.dma_write",
+        )
+    )
+)
+
+
 def _derive(c, seconds, n_nodes) -> DerivedRates:
     """The one computation of :class:`DerivedRates`' fields.
 
@@ -213,20 +236,21 @@ def _derive(c, seconds, n_nodes) -> DerivedRates:
     field comes out a column).  Integer counts are converted to float
     before any arithmetic, exactly once, by the caller.
     """
-    col = FLAT_COLUMN
+    (
+        add0, add1, mul0, mul1, div0, div1, fma0, fma1,
+        fpu0, fpu1, fxu0, fxu1, sys_fxu0, sys_fxu1, user_cycles, sys_cycles,
+        icu0, icu1, dcache_mis, tlb_mis, icache_reload, dma_read, dma_write,
+    ) = _DERIVE_INPUTS(c)
     per = 1.0 / (seconds * n_nodes * 1e6)  # counts → per-node M/s
 
-    fp_add = c[col["user.fpu0_fp_add"]] + c[col["user.fpu1_fp_add"]]
-    fp_mul = c[col["user.fpu0_fp_mul"]] + c[col["user.fpu1_fp_mul"]]
-    fp_div = c[col["user.fpu0_fp_div"]] + c[col["user.fpu1_fp_div"]]
-    fp_fma = c[col["user.fpu0_fp_muladd"]] + c[col["user.fpu1_fp_muladd"]]
+    fp_add = add0 + add1
+    fp_mul = mul0 + mul1
+    fp_div = div0 + div1
+    fp_fma = fma0 + fma1
 
-    fpu0, fpu1 = c[col["user.fpu0"]], c[col["user.fpu1"]]
-    fxu0, fxu1 = c[col["user.fxu0"]], c[col["user.fxu1"]]
     user_fxu = fxu0 + fxu1
-    system_fxu = c[col["system.fxu0"]] + c[col["system.fxu1"]]
-    user_cycles = c[col["user.cycles"]]
-    total_cycles = user_cycles + c[col["system.cycles"]]
+    system_fxu = sys_fxu0 + sys_fxu1
+    total_cycles = user_cycles + sys_cycles
 
     # Positional, in field order: the live path builds one per interval.
     return DerivedRates(
@@ -245,12 +269,12 @@ def _derive(c, seconds, n_nodes) -> DerivedRates:
         user_fxu * per,  # mips_fxu_total
         fxu0 * per,  # mips_fxu_unit0
         fxu1 * per,  # mips_fxu_unit1
-        (c[col["user.icu0"]] + c[col["user.icu1"]]) * per,  # mips_icu
-        c[col["user.dcache_mis"]] * per,  # dcache_miss_rate
-        c[col["user.tlb_mis"]] * per,  # tlb_miss_rate
-        c[col["user.icache_reload"]] * per,  # icache_miss_rate
-        c[col["user.dma_read"]] * per,  # dma_read_rate
-        c[col["user.dma_write"]] * per,  # dma_write_rate
+        (icu0 + icu1) * per,  # mips_icu
+        dcache_mis * per,  # dcache_miss_rate
+        tlb_mis * per,  # tlb_miss_rate
+        icache_reload * per,  # icache_miss_rate
+        dma_read * per,  # dma_read_rate
+        dma_write * per,  # dma_write_rate
         _ratio(system_fxu, user_fxu),  # system_user_fxu_ratio
         _ratio(user_cycles, total_cycles),  # user_cycle_fraction
     )

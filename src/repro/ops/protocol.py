@@ -57,7 +57,7 @@ ERR_SERVER = "server-error"
 
 
 class ProtocolError(Exception):
-    """A malformed frame (not valid JSON, not an object, or oversized)."""
+    """A malformed frame (not UTF-8 JSON, not an object, or oversized)."""
 
 
 def encode_message(obj: dict[str, Any]) -> bytes:
@@ -68,10 +68,12 @@ def encode_message(obj: dict[str, Any]) -> bytes:
 def decode_message(line: bytes) -> dict[str, Any]:
     try:
         obj = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise ProtocolError(f"frame is not valid JSON: {exc}") from None
     except RecursionError:
         raise ProtocolError("frame is nested too deeply") from None
+    except ValueError as exc:
+        # Bad JSON, bytes that are not UTF-8 (UnicodeDecodeError), or an
+        # integer literal past the interpreter's digit limit.
+        raise ProtocolError(f"frame is not valid JSON: {exc}") from None
     if not isinstance(obj, dict):
         raise ProtocolError(f"frame must be a JSON object, got {type(obj).__name__}")
     return obj

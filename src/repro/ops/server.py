@@ -48,7 +48,7 @@ from repro.ops.protocol import (
     series_to_json,
 )
 from repro.telemetry.rollup import JobRollup
-from repro.util.checks import check_number
+from repro.util.checks import check_number, describe
 
 #: Listen backlog — the load test opens ~1000 connections in a burst.
 DEFAULT_BACKLOG = 2048
@@ -230,7 +230,7 @@ class OpsServer:
         handler = getattr(self, f"_op_{op.replace('-', '_')}", None)
         if handler is None:
             return error_response(
-                op, ERR_UNKNOWN_OP, f"unknown op {op!r}; see protocol.REQUEST_OPS"
+                op, ERR_UNKNOWN_OP, f"unknown op {describe(op)}; see protocol.REQUEST_OPS"
             )
         try:
             return handler(conn, request)
@@ -268,13 +268,13 @@ class OpsServer:
         try:
             return float(value)
         except OverflowError:  # an integer past float range
-            raise ValueError(f"{key!r} must be finite, got {value}") from None
+            raise ValueError(f"{key!r} must be finite, got {describe(value)}") from None
 
     @staticmethod
     def _member_arg(request: dict[str, Any]) -> str | None:
         member = request.get("member")
         if member is not None and not isinstance(member, str):
-            raise ValueError(f"'member' must be a string or null, got {member!r}")
+            raise ValueError(f"'member' must be a string or null, got {describe(member)}")
         return member
 
     def _op_ping(self, conn: _Connection, request: dict[str, Any]) -> dict[str, Any]:
@@ -301,7 +301,7 @@ class OpsServer:
         last = self._number_arg(request, "last", integer=True)
         points = request.get("points", False)
         if not isinstance(points, bool):
-            raise ValueError(f"'points' must be true or false, got {points!r}")
+            raise ValueError(f"'points' must be true or false, got {describe(points)}")
         payload = series_to_json(snap, t0=t0, t1=t1, points=points, last=last)
         return ok_response("query", campaign=campaign, **payload)
 

@@ -26,7 +26,7 @@ from repro.parallel.worker import ShardResult
 
 #: Bump when the ShardResult layout changes incompatibly: old files are
 #: then fingerprint-mismatched and recomputed instead of mis-read.
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 def sha256_fingerprint(payload: str) -> str:

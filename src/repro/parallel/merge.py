@@ -74,12 +74,7 @@ def merge_samples(results: list[ShardResult]) -> list[SystemSample]:
                 # shard start); keep the cadence at one sample per point.
                 continue
             merged.append(
-                SystemSample(
-                    time=offset + sample.time,
-                    node_ids=sample.node_ids,
-                    matrix=rebased,
-                    missing=sample.missing,
-                )
+                SystemSample(offset + sample.time, sample.node_ids, rebased, sample.missing)
             )
         base.update(_last_rows(res.samples, matrices))
     return merged

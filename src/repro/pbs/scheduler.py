@@ -161,6 +161,8 @@ class PBSServer:
         #: queued/running states, phase attribution at epilogue).
         self.tracer = tracer
         self.running: dict[int, RunningJob] = {}
+        #: Nodes held by running jobs, kept as jobs start and stop.
+        self._busy_nodes = 0
         #: Open (root, state) spans per traced job id.
         self._job_spans: dict[int, tuple["Span", "Span"]] = {}
         self._next_job_id = 1
@@ -289,6 +291,7 @@ class PBSServer:
             memory_per_node=demand,
         )
         self.running[job.job_id] = running
+        self._busy_nodes += len(node_ids)
         if job.job_id in self._job_spans:
             from repro.tracing.span import CAT_JOB_SNAPSHOT, CAT_JOB_STATE
 
@@ -325,6 +328,7 @@ class PBSServer:
         now = self.sim.now
         rj = self.running.pop(job_id)
         job, alloc_id, node_ids = rj.job, rj.alloc_id, rj.node_ids
+        self._busy_nodes -= len(node_ids)
         start_time, prologue = rj.start_time, rj.prologue
         job.state = JobState.EXITED
 
@@ -411,6 +415,7 @@ class PBSServer:
     def _kill_job(self, job_id: int, node_id: int) -> JobSpec:
         now = self.sim.now
         rj = self.running.pop(job_id)
+        self._busy_nodes -= len(rj.node_ids)
         job = rj.job
         if rj.end_event is not None:
             rj.end_event.cancel()
@@ -469,4 +474,5 @@ class PBSServer:
         return len(self.running)
 
     def busy_node_count(self) -> int:
-        return sum(len(rj.node_ids) for rj in self.running.values())
+        """Nodes held by running jobs."""
+        return self._busy_nodes

@@ -2,10 +2,12 @@
 
 A 270-day campaign integrates 44 counters on 144 nodes across ~26k
 collector passes plus every job start/stop.  :class:`CounterStore`
-keeps every node's accumulators as ``(n, 44)`` float64 matrices, so a
-collector pass is a single ``values += rates * dt`` sweep over the
-nodes it reads.  A node is one slot; :class:`StoreBankView` and
-:class:`StoreMonitor` are the per-node bank and monitor API over it.
+keeps every node's accumulators as one ``(n, 46)`` float64 matrix: the
+44 counters, then wall seconds and busy seconds, whose rates are 1.0
+and the node's busy flag.  A collector pass is then a single
+``acc += rates * dt`` multiply-add over the nodes it reads.  A node is
+one slot; :class:`StoreBankView` and :class:`StoreMonitor` are the
+per-node bank and monitor API over it.
 
 **Bitwise reproducibility.** A sweep produces exactly what integrating
 each node on its own would, not merely something close, so goldens and
@@ -22,6 +24,9 @@ three IEEE-754 facts the implementation is built around:
    a per-node sync early-returns;
 3. ``int(float)`` and an int64 cast truncate toward zero identically,
    so dict snapshots and vector snapshots quantize the same way.
+
+Wall and busy seconds ride the same multiply-add: ``1.0 * dt`` is
+exactly ``dt``, and an idle node's ``0.0 * dt`` busy step is fact 2.
 
 The one *semantic* hazard is unreachable nodes: a collector never syncs
 a node whose daemon is down (``rate*dt1 + rate*dt2`` is not bitwise
@@ -51,6 +56,11 @@ from repro.power2.counters import (
 #: Width of one node's flat counter row (user bank then system bank).
 ROW_SIZE = 2 * BANK_SIZE
 
+#: Accumulator columns after the counters: wall seconds (rate 1.0) and
+#: busy seconds (rate = the busy flag).
+WALL = ROW_SIZE
+BUSY = ROW_SIZE + 1
+
 #: Flat row positions the hardware bug zeroes (both banks).
 _BROKEN_FLAT = np.array(BROKEN_INDICES + tuple(i + BANK_SIZE for i in BROKEN_INDICES))
 
@@ -59,38 +69,41 @@ _ZERO_BANK = (0.0,) * BANK_SIZE
 
 
 class CounterStore:
-    """Every node's counters as ``(n, 44)`` float64 matrices.
+    """Every node's counters, wall and busy seconds as one matrix.
 
     One *slot* holds one :class:`~repro.power2.node.Node`'s counter
-    state: a 44-wide accumulator row (user bank then system bank,
-    :data:`FLAT_NAMES` order), a 44-wide rate row, the node's idle
-    background system rates, the last-sync timestamp, wall/busy second
-    totals and the busy flag.  A collector pass is one array operation.
+    state: a 46-wide accumulator row (user bank then system bank in
+    :data:`FLAT_NAMES` order, then wall and busy seconds), the matching
+    rate row (1.0 for wall, the busy flag for busy), the node's idle
+    background system rates and the last-sync timestamp.  A collector
+    pass is one multiply-add into preallocated buffers.
     """
 
     def __init__(self, n_slots: int) -> None:
         if n_slots <= 0:
             raise ValueError("store needs at least one slot")
         self.n_slots = n_slots
-        self._values = np.zeros((n_slots, ROW_SIZE), dtype=np.float64)
-        self._rates = np.zeros((n_slots, ROW_SIZE), dtype=np.float64)
+        self._acc = np.zeros((n_slots, ROW_SIZE + 2), dtype=np.float64)
+        self._rates = np.zeros((n_slots, ROW_SIZE + 2), dtype=np.float64)
+        self._rates[:, WALL] = 1.0
+        #: The 44 counter columns of :attr:`_acc` (a view).
+        self._values = self._acc[:, :ROW_SIZE]
         self._background = np.zeros((n_slots, BANK_SIZE), dtype=np.float64)
         self._last_sync = np.zeros(n_slots, dtype=np.float64)
-        self._wall = np.zeros(n_slots, dtype=np.float64)
-        self._busy = np.zeros(n_slots, dtype=np.float64)
-        self._busy_flag = np.zeros(n_slots, dtype=np.float64)
+        # Full-sweep scratch: each slot's dt, as a column, and rates × dt.
+        self._dt = np.zeros(n_slots, dtype=np.float64)
+        self._dt_column = self._dt[:, None]
+        self._step = np.zeros_like(self._acc)
 
     # -- slot lifecycle -------------------------------------------------
     def configure_slot(self, slot: int, background: Sequence[float]) -> None:
         """Reset a slot and install its idle background system rates."""
-        self._values[slot] = 0.0
+        self._acc[slot] = 0.0
         self._rates[slot, :BANK_SIZE] = 0.0
         self._background[slot] = background
-        self._rates[slot, BANK_SIZE:] = self._background[slot]
+        self._rates[slot, BANK_SIZE:ROW_SIZE] = self._background[slot]
+        self._rates[slot, BUSY] = 0.0
         self._last_sync[slot] = 0.0
-        self._wall[slot] = 0.0
-        self._busy[slot] = 0.0
-        self._busy_flag[slot] = 0.0
 
     def install(
         self,
@@ -107,11 +120,12 @@ class CounterStore:
         transition's counter read has just synced the job's slots."""
         rates = self._rates
         rates[slots, :BANK_SIZE] = 0.0 if user is None else user
-        rates[slots, BANK_SIZE:] = self._background[slots] if system is None else system
-        self._busy_flag[slots] = 1.0 if busy else 0.0
+        rates[slots, BANK_SIZE:ROW_SIZE] = self._background[slots] if system is None else system
+        rates[slots, BUSY] = 1.0 if busy else 0.0
 
     def halt(self, slot: int) -> None:
-        """Freeze a slot's counters (crash): all rates to zero."""
+        """Freeze a slot's counters (crash): all counter rates to zero.
+        Its wall clock keeps running."""
         self.install(slot, _ZERO_BANK, _ZERO_BANK, busy=False)
 
     # -- time integration ----------------------------------------------
@@ -123,10 +137,7 @@ class CounterStore:
         self._last_sync[slot] = now
         if dt == 0.0:
             return
-        self._values[slot] += self._rates[slot] * dt
-        self._wall[slot] += dt
-        if self._busy_flag[slot]:
-            self._busy[slot] += dt
+        self._acc[slot] += self._rates[slot] * dt
 
     def sync_slots(self, slots: Sequence[int], now: float) -> None:
         """Integrate a *subset* of slots up to ``now`` in one sweep.
@@ -138,26 +149,27 @@ class CounterStore:
         """
         if not len(slots):
             return
+        last = self._last_sync
         if len(slots) == self.n_slots:
-            # Full sweep: no index gather, one fused pass.
-            last = self._last_sync
-            if now < last.max() - 1e-9:
-                raise ValueError(f"sync cannot run backwards (now={now})")
-            dt = np.maximum(0.0, now - last)
-            last[:] = now
-            self._values += self._rates * dt[:, None]
-            self._wall += dt
-            self._busy += dt * self._busy_flag
+            # Full sweep: no index gather, one multiply-add in place.
+            dt = self._dt
+            np.subtract(now, last, out=dt)
+            shortest = dt.min()
+            if shortest < 0.0:
+                if shortest < -1e-9:
+                    raise ValueError(f"sync cannot run backwards (now={now})")
+                np.maximum(0.0, dt, out=dt)  # float noise, as sync_one clamps it
+            last.fill(now)
+            np.multiply(self._rates, self._dt_column, out=self._step)
+            self._acc += self._step
             return
         idx = np.asarray(slots, dtype=np.intp)
-        last = self._last_sync[idx]
-        if now < last.max() - 1e-9:
+        before = last[idx]
+        if now < before.max() - 1e-9:
             raise ValueError(f"sync cannot run backwards (now={now})")
-        dt = np.maximum(0.0, now - last)
-        self._last_sync[idx] = now
-        self._values[idx] += self._rates[idx] * dt[:, None]
-        self._wall[idx] += dt
-        self._busy[idx] += dt * self._busy_flag[idx]
+        dt = np.maximum(0.0, now - before)
+        last[idx] = now
+        self._acc[idx] += self._rates[idx] * dt[:, None]
 
     # -- direct accrual (phase-execution path) --------------------------
     def add(self, slot: int, mode: Mode, name: str, amount: float) -> None:
@@ -216,7 +228,8 @@ class CounterStore:
 
     def snapshot_matrix(self, slots: Sequence[int] | None = None):
         """Int64 snapshot rows for many slots — the collector's pass.
-        ``None`` reads every slot in slot order, without a gather."""
+        ``None`` reads every slot in slot order, without a gather; either
+        way only the 44 counter columns are cast."""
         if slots is None:
             out = self._values.astype(np.int64)
         elif not len(slots):
@@ -228,16 +241,16 @@ class CounterStore:
 
     # -- per-slot scalars -----------------------------------------------
     def wall(self, slot: int) -> float:
-        return float(self._wall[slot])
+        return float(self._acc[slot, WALL])
 
     def set_wall(self, slot: int, value: float) -> None:
-        self._wall[slot] = value
+        self._acc[slot, WALL] = value
 
     def busy(self, slot: int) -> float:
-        return float(self._busy[slot])
+        return float(self._acc[slot, BUSY])
 
     def set_busy(self, slot: int, value: float) -> None:
-        self._busy[slot] = value
+        self._acc[slot, BUSY] = value
 
     def last_sync(self, slot: int) -> float:
         return float(self._last_sync[slot])

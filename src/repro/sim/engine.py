@@ -104,6 +104,21 @@ class Simulator:
         heapq.heappush(self._queue, (time, seq, ev))
         return ev
 
+    def rearm(self, event: Event, time: float) -> None:
+        """Queue a fired ``event`` again at an absolute time.
+
+        The event keeps its handler and name and takes a fresh sequence
+        number, so it orders among same-time events exactly as a new
+        :meth:`schedule_at` would; a periodic task re-queues its own
+        event this way instead of building one per firing.
+        """
+        if time < self.now:
+            raise ValueError(f"cannot schedule into the past ({time} < {self.now})")
+        seq = next(self._seq)
+        event.time = time
+        event.seq = seq
+        heapq.heappush(self._queue, (time, seq, event))
+
     def every(
         self,
         period: float,

@@ -42,7 +42,8 @@ class PeriodicTask:
         self.fired += 1
         self.callback(sim)
         if not self._stopped:
-            self._event = sim.schedule(self.period, self._fire, name=self.name)
+            # The event that just fired goes back in the queue.
+            sim.rearm(self._event, sim.now + self.period)
 
     def stop(self) -> None:
         """Stop firing; a pending event is cancelled."""

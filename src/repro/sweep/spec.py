@@ -28,7 +28,7 @@ from typing import Any, Mapping
 
 from repro.core.study import axis_def
 from repro.stats.metrics import DEFAULT_TARGET_METRIC
-from repro.util.checks import check_number
+from repro.util.checks import check_number, describe, describe_names
 
 
 #: Seed is special-cased: the repeat layer varies it, so a spec with a
@@ -83,7 +83,7 @@ class RepeatSpec:
         check_number(self.batch, "repeat.batch", integer=True)
         check_number(self.max_repeats, "repeat.max_repeats", integer=True)
         if not isinstance(self.metric, str):
-            raise ValueError(f"repeat.metric must be a string, got {self.metric!r}")
+            raise ValueError(f"repeat.metric must be a string, got {describe(self.metric)}")
 
     def as_dict(self) -> dict:
         out: dict = {}
@@ -107,12 +107,12 @@ class RepeatSpec:
     def from_dict(cls, data: Mapping) -> "RepeatSpec":
         unknown = set(data) - set(cls.__dataclass_fields__)
         if unknown:
-            raise ValueError(f"unknown repeat keys: {', '.join(sorted(unknown))}")
+            raise ValueError(f"unknown repeat keys: {describe_names(sorted(unknown))}")
         payload = dict(data)
         if "seeds" in payload and payload["seeds"] is not None:
             if not isinstance(payload["seeds"], (list, tuple)):
                 raise ValueError(
-                    f"repeat.seeds must be a list, got {payload['seeds']!r}"
+                    f"repeat.seeds must be a list, got {describe(payload['seeds'])}"
                 )
             payload["seeds"] = tuple(payload["seeds"])
         return cls(**payload)
@@ -144,7 +144,9 @@ class SweepSpec:
 
     def __post_init__(self) -> None:
         if not isinstance(self.name, str) or not self.name.strip():
-            raise ValueError(f"sweep name cannot be empty or a non-string, got {self.name!r}")
+            raise ValueError(
+                f"sweep name cannot be empty or a non-string, got {describe(self.name)}"
+            )
         for key, value in self.base.items():
             axis_def(key, "base setting").check(value, where="base setting")
         for axis, values in self.axes.items():
@@ -156,7 +158,7 @@ class SweepSpec:
                 )
             if not isinstance(values, (list, tuple)):
                 raise ValueError(
-                    f"axis {axis!r} must list its values, got {values!r}"
+                    f"axis {axis!r} must list its values, got {describe(values)}"
                 )
             if len(values) == 0:
                 raise ValueError(
@@ -166,7 +168,7 @@ class SweepSpec:
             for value in values:
                 definition.check(value, where="axis")
                 if value in seen:
-                    raise ValueError(f"axis {axis!r} lists duplicate value {value!r}")
+                    raise ValueError(f"axis {axis!r} lists duplicate value {describe(value)}")
                 seen.append(value)
         if self.repeat is not None and _SEED_AXIS in self.axes:
             raise ValueError(
@@ -176,13 +178,13 @@ class SweepSpec:
         for axis, value in self.baseline.items():
             if axis not in self.axes:
                 raise ValueError(
-                    f"baseline names {axis!r}, which is not a swept axis "
+                    f"baseline names {describe(axis)}, which is not a swept axis "
                     f"(axes: {', '.join(self.axes) or 'none'})"
                 )
             if value not in self.axes[axis]:
                 raise ValueError(
-                    f"baseline {axis!r} value {value!r} is not among that "
-                    f"axis's values {list(self.axes[axis])}"
+                    f"baseline {axis!r} value {describe(value)} is not among that "
+                    f"axis's values {describe(list(self.axes[axis]))}"
                 )
         if self.shard_days is not None:
             check_number(self.shard_days, "shard_days", integer=True)
@@ -222,17 +224,17 @@ class SweepSpec:
             raise ValueError(f"sweep spec must be a mapping, got {type(data).__name__}")
         unknown = set(data) - set(cls.__dataclass_fields__)
         if unknown:
-            raise ValueError(f"unknown sweep spec keys: {', '.join(sorted(unknown))}")
+            raise ValueError(f"unknown sweep spec keys: {describe_names(sorted(unknown))}")
         payload = dict(data)
         repeat = payload.pop("repeat", None)
         if repeat is not None:
             if not isinstance(repeat, Mapping):
-                raise ValueError(f"repeat must be a mapping, got {repeat!r}")
+                raise ValueError(f"repeat must be a mapping, got {describe(repeat)}")
             repeat = RepeatSpec.from_dict(repeat)
         for block in ("base", "axes", "baseline"):
             if block in payload and not isinstance(payload[block], Mapping):
                 raise ValueError(
-                    f"{block!r} must be a mapping, got {payload[block]!r}"
+                    f"{block!r} must be a mapping, got {describe(payload[block])}"
                 )
         return cls(repeat=repeat, **payload)
 
@@ -328,7 +330,7 @@ def parse_simple_yaml(text: str) -> Any:
     value, next_i = _parse_block(entries, 0, entries[0][0])
     if next_i != len(entries):
         indent, content, lineno = entries[next_i]
-        raise ValueError(f"line {lineno}: unexpected de-indented content {content!r}")
+        raise ValueError(f"line {lineno}: unexpected de-indented content {describe(content)}")
     return value
 
 
@@ -347,11 +349,11 @@ def _parse_block(
         if content.startswith("- "):
             raise ValueError(f"line {lineno}: list item in a mapping block")
         if ":" not in content:
-            raise ValueError(f"line {lineno}: expected 'key: value', got {content!r}")
+            raise ValueError(f"line {lineno}: expected 'key: value', got {describe(content)}")
         key_text, _, rest = content.partition(":")
         key = key_text.strip().strip("\"'")
         if key in mapping:
-            raise ValueError(f"line {lineno}: duplicate key {key!r}")
+            raise ValueError(f"line {lineno}: duplicate key {describe(key)}")
         rest = rest.strip()
         if rest:
             mapping[key] = _scalar(rest)

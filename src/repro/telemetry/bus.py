@@ -16,7 +16,7 @@ property the alert-reproducibility tests rely on.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 from repro.pbs.job import JobRecord
 
@@ -64,10 +64,11 @@ TOPICS = (
 # Event payloads
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SampleTaken:
+class SampleTaken(NamedTuple):
     """One collector pass; ``sample`` is the stored ``SystemSample`` and
-    ``interval`` the ``IntervalCounts`` it closes (None for the first)."""
+    ``interval`` the ``IntervalCounts`` it closes (None for the first).
+    A named tuple, built positionally: the collector publishes one per
+    pass."""
 
     time: float
     sample: Any  # repro.hpm.collector.SystemSample (kept untyped: no cycle)

@@ -322,7 +322,7 @@ def replay_events(
             si += 1
         interval = sample_delta(prev, sample) if prev is not None else None
         prev = sample
-        yield TOPIC_SAMPLE, SampleTaken(time=sample.time, sample=sample, interval=interval)
+        yield TOPIC_SAMPLE, SampleTaken(sample.time, sample, interval)
     for fe in fault_list[fi:]:
         yield TOPIC_FAULT, FaultInjected(time=fe.time, event=fe)
     for rec in ends[ei:]:

@@ -1,10 +1,40 @@
 """One-line ``ValueError`` checks for values read from spec files and
-service requests."""
+service requests, and the bounded echo of an offending value they use."""
 
 from __future__ import annotations
 
 import math
-from typing import Any
+import reprlib
+from typing import Any, Iterable
+
+#: Longest echo of an offending value in a one-line refusal.
+MAX_SHOWN = 80
+
+#: Reprs that stop at six levels, six items and 30-character strings, so
+#: a document-sized value is never rendered whole.
+_REPR = reprlib.Repr()
+
+
+def _cut(text: str) -> str:
+    return text if len(text) <= MAX_SHOWN else text[: MAX_SHOWN - 3] + "..."
+
+
+def describe(value: Any) -> str:
+    """An offending value as a refusal shows it: its repr, cut to at
+    most :data:`MAX_SHOWN` characters, after its type's name unless it
+    is a string (whose quotes say so).  A spec value can be a nested
+    list thousands of characters long."""
+    shown = _cut(_REPR.repr(value))
+    return shown if isinstance(value, str) else f"{type(value).__name__} {shown}"
+
+
+def describe_names(names: Iterable[Any]) -> str:
+    """Names (spec keys, member names) as a refusal lists them:
+    comma-separated, any name that is not printable text as its repr,
+    the whole cut to at most :data:`MAX_SHOWN` characters."""
+    return _cut(
+        ", ".join(n if isinstance(n, str) and n.isprintable() else repr(n) for n in names)
+    )
 
 
 def check_number(
@@ -18,8 +48,13 @@ def check_number(
     (``inf``) both read: the model has no infinite memory or fault
     limit."""
     if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
-        raise ValueError(f"{what} must be {'an integer' if integer else 'a number'}, got {value!r}")
+        raise ValueError(
+            f"{what} must be {'an integer' if integer else 'a number'}, got {describe(value)}"
+        )
     if isinstance(value, float) and not math.isfinite(value):
         raise ValueError(f"{what} must be finite, got {value}")
     if positive is not None and not (value > 0 if positive else value >= 0):
-        raise ValueError(f"{what} must be {'positive' if positive else 'non-negative'}, got {value}")
+        raise ValueError(
+            f"{what} must be {'positive' if positive else 'non-negative'}, "
+            f"got {_cut(_REPR.repr(value))}"
+        )

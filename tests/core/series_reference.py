@@ -18,6 +18,7 @@ from repro.core.study import StudyDataset
 from repro.hpm.derived import DerivedRates, workload_rates
 from repro.power2.node import DMA_TRANSFER_BYTES
 from repro.workload.traces import SECONDS_PER_DAY
+from tests.hpm.interval_totals import interval_totals
 
 
 def daily_rates(ds: StudyDataset) -> list[DerivedRates]:
@@ -33,7 +34,7 @@ def daily_rates(ds: StudyDataset) -> list[DerivedRates]:
             break
         totals: dict[str, int] = {}
         for iv in chunk:
-            for k, v in iv.totals.items():
+            for k, v in interval_totals(iv).items():
                 totals[k] = totals.get(k, 0) + v
         seconds = chunk[-1].end - chunk[0].start
         out.append(workload_rates(totals, seconds, ds.config.n_nodes))
@@ -46,7 +47,7 @@ def interval_gflops(ds: StudyDataset) -> tuple[np.ndarray, np.ndarray]:
     times = np.array([iv.end for iv in ivs])
     rates = np.empty(len(ivs))
     for i, iv in enumerate(ivs):
-        r = workload_rates(iv.totals, iv.seconds, ds.config.n_nodes)
+        r = workload_rates(interval_totals(iv), iv.seconds, ds.config.n_nodes)
         rates[i] = r.gflops_system()
     return times, rates
 
@@ -55,12 +56,12 @@ def interval_dma_bytes_per_node(ds: StudyDataset) -> tuple[np.ndarray, np.ndarra
     """(interval ends, per-node DMA bytes/s), one interval at a time."""
     ivs = ds.collector.intervals()
     times = np.array([iv.end for iv in ivs])
-    rates = np.array(
-        [
-            (iv.totals.get("user.dma_read", 0) + iv.totals.get("user.dma_write", 0))
+    rates = np.empty(len(ivs))
+    for i, iv in enumerate(ivs):
+        totals = interval_totals(iv)
+        rates[i] = (
+            (totals.get("user.dma_read", 0) + totals.get("user.dma_write", 0))
             * DMA_TRANSFER_BYTES
             / (iv.seconds * max(iv.n_nodes, 1))
-            for iv in ivs
-        ]
-    )
+        )
     return times, rates

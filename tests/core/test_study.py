@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.study import StudyConfig, WorkloadStudy, run_study
 from repro.workload.traces import generate_trace
+from tests.hpm.interval_totals import interval_totals
 
 
 class TestRun:
@@ -70,16 +71,17 @@ class TestConsistency:
     def test_system_gflops_consistent_with_job_flops(self, small_dataset):
         """Flops seen by the 15-min sampler ≈ flops accounted to jobs
         plus still-running work (jobs produce all user-mode flops)."""
-        ivs = small_dataset.collector.intervals()
-        sampled = sum(
-            iv.totals.get("user.fpu0_fp_add", 0)
-            + iv.totals.get("user.fpu1_fp_add", 0)
-            + iv.totals.get("user.fpu0_fp_mul", 0)
-            + iv.totals.get("user.fpu1_fp_mul", 0)
-            + 2 * iv.totals.get("user.fpu0_fp_muladd", 0)
-            + 2 * iv.totals.get("user.fpu1_fp_muladd", 0)
-            for iv in ivs
-        )
+        sampled = 0
+        for iv in small_dataset.collector.intervals():
+            totals = interval_totals(iv)
+            sampled += (
+                totals.get("user.fpu0_fp_add", 0)
+                + totals.get("user.fpu1_fp_add", 0)
+                + totals.get("user.fpu0_fp_mul", 0)
+                + totals.get("user.fpu1_fp_mul", 0)
+                + 2 * totals.get("user.fpu0_fp_muladd", 0)
+                + 2 * totals.get("user.fpu1_fp_muladd", 0)
+            )
         from repro.pbs.job import JobRecord
 
         accounted = sum(

@@ -12,11 +12,13 @@ catch-up sync (``rate*dt1 + rate*dt2 != rate*(dt1+dt2)`` bitwise).
 """
 
 import numpy as np
+import pytest
 
 from repro.cluster.machine import SP2Machine
 from repro.hpm.collector import SystemCollector
 from repro.power2.batch import CounterStore
 from repro.power2.counters import rates_vector
+from tests.hpm.interval_totals import interval_totals
 from tests.power2.accrual_reference import ReferenceStore, reference_accrual
 
 # Rates chosen so rate*dt accumulates rounding: per-interval syncs and a
@@ -101,7 +103,7 @@ class TestUnreachableNodeMasking:
         assert_samples_identical(scalar, batched)
         assert any(s.missing for s in scalar.samples)
         iv_a, iv_b = scalar.intervals(), batched.intervals()
-        assert [i.totals for i in iv_a] == [i.totals for i in iv_b]
+        assert [interval_totals(i) for i in iv_a] == [interval_totals(i) for i in iv_b]
         assert [i.n_nodes for i in iv_a] == [i.n_nodes for i in iv_b]
 
     def test_all_nodes_down_pass(self):
@@ -137,3 +139,47 @@ class TestFastPathGating:
         batched.collect(900.0)
         assert calls == ["sync_slots"]
         assert batched.samples[0].node_ids == (0, 1, 2)
+
+
+class TestCronPassStoreCalls:
+    """A cron pass touches the counter store exactly twice, whatever the
+    machine's width: one ``sync_slots`` sweep and one ``snapshot_matrix``
+    read.  Every public store method is spied on, so a pass that grows a
+    third call (a separate wall or busy update, a per-node read) fails."""
+
+    @staticmethod
+    def spy(monkeypatch, store) -> list[tuple[str, tuple]]:
+        calls: list[tuple[str, tuple]] = []
+        for name, value in vars(CounterStore).items():
+            if name.startswith("_") or not callable(value):
+                continue
+            original = getattr(store, name)
+
+            def spy(*args, _name=name, _original=original, **kwargs):
+                calls.append((_name, args))
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(store, name, spy)
+        return calls
+
+    @pytest.mark.parametrize("n", [1, 4, 32])
+    def test_healthy_pass(self, monkeypatch, n):
+        _, collector = make_stacks(n=n)
+        calls = self.spy(monkeypatch, collector.machine.store)
+        collector.collect(900.0)
+        assert [name for name, _ in calls] == ["sync_slots", "snapshot_matrix"]
+        (_, (swept, now)), (_, read) = calls
+        assert swept is collector.machine.node_ids and now == 900.0
+        assert read == ()  # every slot, in slot order, without a gather
+
+    def test_pass_with_a_node_down(self, monkeypatch):
+        _, collector = make_stacks(n=4)
+        collector.daemons[2].mark_down()
+        calls = self.spy(monkeypatch, collector.machine.store)
+        collector.collect(900.0)
+        assert [name for name, _ in calls] == ["sync_slots", "snapshot_matrix"]
+        (_, (swept, _)), (_, (read,)) = calls
+        for slots in (swept, read):
+            assert isinstance(slots, np.ndarray) and slots.dtype == np.intp
+            assert slots.tolist() == [0, 1, 3]
+        assert collector.samples[-1].missing == (2,)

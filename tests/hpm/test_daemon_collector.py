@@ -8,6 +8,7 @@ from repro.hpm.daemon import DaemonUnavailable, NodeDaemon
 from repro.power2.counters import FLAT_NAMES, rates_vector
 from repro.power2.node import Node
 from repro.sim.engine import Simulator
+from tests.hpm.interval_totals import interval_totals
 
 
 def make_machine(n=4, rate=1e6):
@@ -60,7 +61,7 @@ class TestCollector:
         col.collect(100.0)
         ivs = col.intervals()
         assert len(ivs) == 1
-        assert ivs[0].totals["user.fpu0_fp_add"] == pytest.approx(3 * 2e8, rel=1e-6)
+        assert interval_totals(ivs[0])["user.fpu0_fp_add"] == pytest.approx(3 * 2e8, rel=1e-6)
         assert ivs[0].n_nodes == 3
         assert ivs[0].seconds == 100.0
 

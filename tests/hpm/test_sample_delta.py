@@ -1,6 +1,5 @@
 """``sample_delta``: the common-node algebra and the rollback error."""
 
-import dataclasses
 from contextlib import nullcontext
 
 import numpy as np
@@ -11,6 +10,7 @@ from hypothesis import strategies as st
 from repro.cluster.machine import SP2Machine
 from repro.hpm.collector import IntervalCounts, SystemCollector, SystemSample, sample_delta
 from repro.power2.counters import FLAT_NAMES, Mode, counter_index, rates_vector
+from tests.hpm.interval_totals import interval_totals
 from tests.power2.accrual_reference import reference_accrual, served
 
 NODE_IDS = st.lists(st.integers(0, 15), unique=True, max_size=10)
@@ -50,30 +50,36 @@ def test_random_node_subsets_match_per_node_reference(before_ids, after_ids, see
     common = set(before_ids) & set(after_ids)
     assert iv.sums.dtype == np.int64 and iv.sums.shape == (len(FLAT_NAMES),)
     assert iv.sums.tolist() == [totals.get(name, 0) for name in FLAT_NAMES]
-    assert iv.totals.get(FLAT_NAMES[0], 0) == sum(1 << n for n in common)
+    assert interval_totals(iv).get(FLAT_NAMES[0], 0) == sum(1 << n for n in common)
     assert iv.n_nodes == n_nodes
-    assert iv.totals == totals
-    assert all(type(v) is int for v in iv.totals.values())
+    assert interval_totals(iv) == totals
+    assert all(type(v) is int for v in interval_totals(iv).values())
     assert (iv.start, iv.end, iv.interpolated) == (0.0, 900.0, False)
 
 
 def test_interval_equality_compares_the_row_by_value():
-    """``totals`` is a view of the row; ``==`` compares every field, the
-    row by dtype and values, as ``JobRecord`` compares its deltas."""
+    """``==`` and ``!=`` compare every field, the row by dtype and
+    values, as ``JobRecord`` compares its deltas; neither compares the
+    row elementwise, as a plain tuple would (and raise)."""
     sums = np.arange(len(FLAT_NAMES), dtype=np.int64) % 3
     iv = IntervalCounts(start=0.0, end=900.0, sums=sums, n_nodes=4)
-    assert iv.totals == {name: v for name, v in zip(FLAT_NAMES, sums.tolist()) if v}
-    assert iv == IntervalCounts(start=0.0, end=900.0, sums=sums.copy(), n_nodes=4)
+    assert interval_totals(iv) == {name: v for name, v in zip(FLAT_NAMES, sums.tolist()) if v}
+    same = IntervalCounts(start=0.0, end=900.0, sums=sums.copy(), n_nodes=4)
+    assert iv == same and not iv != same
+    plain = tuple(iv)
+    assert iv != plain and plain != iv and not iv == plain and not plain == iv
     bumped = sums.copy()
     bumped[0] += 1
     for other in (
-        dataclasses.replace(iv, sums=bumped),
-        dataclasses.replace(iv, sums=sums.astype(np.int32)),
-        dataclasses.replace(iv, interpolated=True),
-        dataclasses.replace(iv, n_nodes=3),
-        dataclasses.replace(iv, end=1800.0),
+        iv._replace(sums=bumped),
+        iv._replace(sums=sums.astype(np.int32)),
+        iv._replace(sums=sums.astype(np.float64)),
+        iv._replace(interpolated=True),
+        iv._replace(n_nodes=3),
+        iv._replace(end=1800.0),
     ):
-        assert other != iv
+        assert other != iv and iv != other
+        assert not other == iv and not iv == other
 
 
 @pytest.mark.parametrize("backend", ["scalar", "auto"])

@@ -7,6 +7,7 @@ from repro.analysis.figures import figure1, figure2, figure3, figure4, figure5
 from repro.analysis.report import headline_report
 from repro.analysis.tables import table2, table3, table4
 from repro.hpm.jobreport import parse_job_report, render_job_report
+from tests.hpm.interval_totals import interval_totals
 
 
 class TestFullPipeline:
@@ -59,7 +60,7 @@ class TestFullPipeline:
                 + 2 * d.get("user.fpu1_fp_muladd", 0)
             )
 
-        sampled = sum(flops(iv.totals) for iv in ivs)
+        sampled = sum(flops(interval_totals(iv)) for iv in ivs)
         from repro.pbs.job import JobRecord
 
         accounted = sum(

@@ -144,6 +144,11 @@ MATRIX = [
     pytest.param(sweep, ["plan", "--spec", "{deep_json}"], 2, None, id="sweep-spec-deep-json"),
     pytest.param(fleet, ["run", "--spec", "{deep_json}"], 2, None, id="fleet-spec-deep-json"),
     pytest.param(sweep, ["plan", "--spec", "{deep_yaml}"], 2, None, id="sweep-spec-deep-yaml"),
+    # Exit 2, was one error line of about 3,000 characters.
+    pytest.param(sweep, ["plan", "--spec", "{long_seed_sweep}"], 2, None,
+                 id="sweep-base-seed-long-list"),
+    pytest.param(fleet, ["run", "--spec", "{long_n_nodes_fleet}"], 2, None,
+                 id="fleet-member-n-nodes-long-list"),
     # Exit 2, was exit 1 through SystemExit("error: ...").
     pytest.param(study, ["repeat", *TINY, "--seeds", "1,x"], 2, None, id="repeat-seeds-bad"),
     pytest.param(fleet, ["report", MISSING], 2, None, id="fleet-report-missing"),
@@ -170,10 +175,12 @@ MATRIX = [
 
 #: Input files the matrix names: a valid one-cell sweep spec, the same
 #: cell on 3 kB pages, a fleet whose member has an odd TLB entry count
-#: for a 2-way TLB, and documents nested deeper than a decoder can
-#: recurse (100,000 JSON arrays; 3,000 YAML-subset mappings, each one
-#: space deeper than its parent).
+#: for a 2-way TLB, documents nested deeper than a decoder can recurse
+#: (100,000 JSON arrays; 3,000 YAML-subset mappings, each one space
+#: deeper than its parent), and a list of 1,000 numbers where one number
+#: belongs.
 CELL = "name: s\nbase:\n  n_days: 1\n  n_nodes: 8\n  n_users: 2\n"
+LONG_LIST = "[" + ", ".join(["0"] * 1000) + "]"
 INPUTS = {
     "spec": CELL,
     "page_kb_3_sweep": CELL + "  page_kb: 3\n",
@@ -181,7 +188,15 @@ INPUTS = {
     '[{"name": "a", "n_nodes": 8, "tlb_entries": 511}]}',
     "deep_json": "[" * 100_000 + "]" * 100_000,
     "deep_yaml": "".join(f"{' ' * depth}k{depth}:\n" for depth in range(3000)),
+    "long_seed_sweep": f'{{"name": "s", "base": {{"seed": {LONG_LIST}}}}}',
+    "long_n_nodes_fleet": '{"n_days": 1, "n_users": 2, "members": '
+    f'[{{"name": "a", "n_nodes": {LONG_LIST}}}]}}',
 }
+
+#: Longest refusal line the matrix accepts: a refusal names what was
+#: wrong and echoes at most 80 characters of the offending value
+#: (``repro.util.checks.describe``), never the whole value.
+MAX_ERROR_LINE = 200
 
 
 @pytest.mark.parametrize("main, argv, code, crash", MATRIX)
@@ -207,6 +222,7 @@ def test_bad_request_is_one_error_line(main, argv, code, crash, tmp_path, capsys
     assert "Traceback" not in err
     last = err.rstrip("\n").splitlines()[-1]
     assert re.match(r"(sp2-[a-z]+( [a-z-]+)?: )?error: ", last), last
+    assert len(last) <= MAX_ERROR_LINE, (len(last), last[:MAX_ERROR_LINE])
 
 
 def test_value_error_inside_a_run_is_not_a_usage_error(monkeypatch):

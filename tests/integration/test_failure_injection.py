@@ -11,6 +11,7 @@ import numpy as np
 
 from repro.core.study import StudyConfig, WorkloadStudy
 from repro.workload.traces import generate_trace
+from tests.hpm.interval_totals import interval_totals
 
 
 def run_with_outage(kill_fraction: float = 0.25, *, recover: bool = True):
@@ -71,7 +72,7 @@ class TestOutage:
         deltas (its software counters kept accumulating)."""
         dataset, _ = run_with_outage(recover=True)
         for iv in dataset.collector.intervals():
-            assert all(v >= 0 for v in iv.totals.values())
+            assert all(v >= 0 for v in interval_totals(iv).values())
 
     def test_jobs_unaffected_by_monitoring_outage(self):
         """RS2HPM is observational: daemons dying must not perturb PBS."""

@@ -135,20 +135,44 @@ class TestWellTypedOperandsKeepTheirAnswers:
 DEEP_FRAME = b'{"op": "query", "campaign": ' + b"[" * 200_000 + b"]" * 200_000 + b"}\n"
 
 
-def test_deeply_nested_frame_is_a_bad_request():
-    """The server answers the frame with ``bad-request`` before it
-    closes the connection, as for any other malformed frame."""
+def read_loop_answers(frame: bytes) -> list[dict]:
+    """What a fresh server sends back on a connection that sends
+    ``frame`` and closes."""
     server = OpsServer(CampaignHub())
-    assert len(DEEP_FRAME) < MAX_LINE_BYTES
-    with pytest.raises(ProtocolError, match="nested too deeply"):
-        decode_message(DEEP_FRAME)
 
     async def answers() -> list[dict]:
         reader = asyncio.StreamReader(limit=MAX_LINE_BYTES)
-        reader.feed_data(DEEP_FRAME)
+        reader.feed_data(frame)
         reader.feed_eof()
         conn = _Connection(reader, writer=None)
         await server._read_loop(conn)
         return [decode_message(conn.queue.get_nowait()) for _ in range(conn.queue.qsize())]
 
-    assert [a["error"] for a in asyncio.run(answers())] == ["bad-request"]
+    return asyncio.run(answers())
+
+
+def test_deeply_nested_frame_is_a_bad_request():
+    """The server answers the frame with ``bad-request`` before it
+    closes the connection, as for any other malformed frame."""
+    assert len(DEEP_FRAME) < MAX_LINE_BYTES
+    with pytest.raises(ProtocolError, match="nested too deeply"):
+        decode_message(DEEP_FRAME)
+    assert [a["error"] for a in read_loop_answers(DEEP_FRAME)] == ["bad-request"]
+
+
+@pytest.mark.parametrize(
+    "frame",
+    [
+        b'{"op": "\xff"}\n',
+        b"\xff{}\n",
+        b'{"op": "query", "limit": ' + b"1" * 5000 + b"}\n",
+    ],
+    ids=["not-utf8-inside", "not-utf8-first-byte", "int-past-digit-limit"],
+)
+def test_undecodable_frame_is_a_bad_request(frame):
+    """Bytes that are not UTF-8, and an integer literal longer than the
+    interpreter converts, are malformed frames like any other: the
+    client gets ``bad-request``, not a dropped connection."""
+    with pytest.raises(ProtocolError, match="frame is not valid JSON"):
+        decode_message(frame)
+    assert [a["error"] for a in read_loop_answers(frame)] == ["bad-request"]

@@ -1,10 +1,14 @@
 """Per-shard checkpoint files: fingerprints, atomicity, staleness."""
 
+import dataclasses
+import importlib
 import os
 import pickle
+import pickletools
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 
 from repro.core.study import StudyConfig
@@ -15,10 +19,11 @@ from repro.parallel.checkpoint import (
     config_fingerprint,
     load_shard_result,
     save_shard_result,
+    sha256_fingerprint,
     shard_path,
 )
 from repro.parallel.plan import Shard
-from repro.parallel.worker import ShardResult
+from repro.parallel.worker import ShardResult, run_shard
 from repro.pbs.job import JobRecord
 from repro.power2.counters import FLAT_NAMES
 from tests.spec_fuzz import damaged
@@ -28,7 +33,7 @@ CONFIG = StudyConfig(seed=3, n_days=4, n_nodes=16, n_users=6)
 #: ``config_fingerprint`` of the pathological 4-shard campaign pinned
 #: below.  It moves only when ``StudyConfig``'s repr or the checkpoint
 #: format version does.
-PINNED_FINGERPRINT = "724a4f65041d4fb1cd25acec34535572afab5eb303685e422c0e52f9eb0ffece"
+PINNED_FINGERPRINT = "f817fb541b8efb1f142c8c02affd237c179a7f78132c0c6cba037bdb8d558c34"
 
 
 def tiny_result(index: int = 0) -> ShardResult:
@@ -201,3 +206,140 @@ class TestCorruptedFiles:
         Path(shard_path(str(tmp_path), 0)).write_bytes(data)
         loaded = load_shard_result(str(tmp_path), "fp", 0)
         assert loaded is None or isinstance(loaded, ShardResult)
+
+
+# ----------------------------------------------------------------------
+# The pickled format, pinned per version
+# ----------------------------------------------------------------------
+_SHARD_RECORDS = {
+    "repro.faults.events:FaultEvent": ("dataclass", ("time", "kind", "target", "value")),
+    "repro.faults.events:FaultLog": (
+        "dataclass",
+        (
+            "events", "horizon_seconds", "n_nodes", "jobs_killed", "jobs_requeued",
+            "retries_exhausted", "passes_dropped", "node_down_seconds",
+            "switch_degraded_seconds", "storm_seconds",
+        ),
+    ),
+    "repro.parallel.plan:Shard": ("dataclass", ("index", "day_start", "day_end")),
+    "repro.parallel.worker:ShardResult": (
+        "dataclass",
+        (
+            "shard", "samples", "records", "utilization_probes", "submissions",
+            "demand_levels", "events_processed", "spans", "truncations", "faults",
+        ),
+    ),
+    "repro.pbs.job:JobRecord": (
+        "dataclass",
+        (
+            "job_id", "user", "app_name", "nodes_requested", "node_ids", "submit_time",
+            "start_time", "end_time", "deltas",
+        ),
+    ),
+    "repro.tracing.span:Span": (
+        "dataclass", ("span_id", "name", "category", "start", "end", "parent_id", "args")
+    ),
+    "repro.workload.profile:JobProfile": (
+        "dataclass",
+        (
+            "app_name", "kernel_name", "nodes", "walltime_seconds", "memory_bytes_per_node",
+            "user_rates", "system_rates", "mflops_per_node", "compute_fraction",
+            "comm_fraction", "io_fraction",
+        ),
+    ),
+    "repro.workload.traces:Submission": (
+        "dataclass", ("time", "user", "app_name", "nodes", "profile")
+    ),
+}
+_SAMPLE_FIELDS = ("time", "node_ids", "matrix", "missing")
+
+#: Every ``repro`` class a checkpoint of a one-day traced, faulted shard
+#: pickles, with its kind and field names, per ``CHECKPOINT_VERSION``.
+#: A record that changes shape needs a new version and a new entry
+#: here; an old version's entry never changes.  Version 3 made
+#: ``SystemSample`` a named tuple, which cannot unpickle the dataclass
+#: a version-2 file holds.
+CHECKPOINT_FORMATS = {
+    2: {**_SHARD_RECORDS, "repro.hpm.collector:SystemSample": ("dataclass", _SAMPLE_FIELDS)},
+    3: {**_SHARD_RECORDS, "repro.hpm.collector:SystemSample": ("namedtuple", _SAMPLE_FIELDS)},
+}
+
+_STRING_OPS = {"SHORT_BINUNICODE", "BINUNICODE", "BINUNICODE8", "UNICODE"}
+
+
+def pickled_classes(data: bytes) -> set[tuple[str, str]]:
+    """Every ``(module, qualname)`` a pickle names, read with pickletools.
+
+    Protocol 4 and later name a class with ``STACK_GLOBAL`` over the two
+    strings pushed just before it, each a literal or a memo get; a
+    ``MEMOIZE`` follows the push of the object it stores."""
+    pushed: list = []
+    memo: list = []
+    found: set[tuple[str, str]] = set()
+    last = None
+    for op, arg, _ in pickletools.genops(data):
+        if op.name in _STRING_OPS:
+            pushed.append(arg)
+            last = arg
+            continue
+        if op.name == "MEMOIZE":
+            memo.append(last)
+        elif op.name in ("BINGET", "LONG_BINGET"):
+            pushed.append(memo[arg])
+        elif op.name == "STACK_GLOBAL":
+            found.add((pushed[-2], pushed[-1]))
+        elif op.name == "GLOBAL":
+            module, name = arg.split(" ", 1)
+            found.add((module, name))
+        last = None
+    return found
+
+
+def record_shape(module: str, qualname: str) -> tuple[str, tuple[str, ...]]:
+    """A pickled class's kind and field names."""
+    cls = importlib.import_module(module)
+    for part in qualname.split("."):
+        cls = getattr(cls, part)
+    if dataclasses.is_dataclass(cls):
+        return "dataclass", tuple(f.name for f in dataclasses.fields(cls))
+    if issubclass(cls, tuple) and hasattr(cls, "_fields"):
+        return "namedtuple", cls._fields
+    return type(cls).__name__, ()
+
+
+class TestFormat:
+    @pytest.fixture(scope="class")
+    def checkpoint_bytes(self, tmp_path_factory) -> bytes:
+        config = StudyConfig(
+            seed=7, n_days=1, n_nodes=8, n_users=3, fault_profile=PROFILES["pathological"]
+        )
+        result = run_shard(config, Shard(index=0, day_start=0, day_end=1), 1, tracing=True)
+        assert result.samples and result.records and result.spans and result.faults.events
+        path = save_shard_result(str(tmp_path_factory.mktemp("ckpt")), "fp", result)
+        return Path(path).read_bytes()
+
+    def test_pickled_records_match_the_pinned_format(self, checkpoint_bytes):
+        """A pickled record that changes shape without a version bump
+        fails here."""
+        shapes = {
+            f"{module}:{name}": record_shape(module, name)
+            for module, name in pickled_classes(checkpoint_bytes)
+            if module.partition(".")[0] == "repro"
+        }
+        assert shapes == CHECKPOINT_FORMATS[CHECKPOINT_VERSION]
+
+    def test_version_2_file_is_a_miss(self, tmp_path):
+        """A file an older build wrote is recomputed, whichever
+        fingerprint it carries."""
+        assert CHECKPOINT_VERSION == 3
+        old_fingerprint = sha256_fingerprint(f"v2|shards=4|{CONFIG!r}")
+        for fingerprint in (old_fingerprint, config_fingerprint(CONFIG, 4)):
+            envelope = {
+                "version": 2,
+                "fingerprint": fingerprint,
+                "shard_index": 0,
+                "result": tiny_result(),
+            }
+            with open(shard_path(str(tmp_path), 0), "wb") as fh:
+                pickle.dump(envelope, fh, protocol=pickle.HIGHEST_PROTOCOL)
+            assert load_shard_result(str(tmp_path), fingerprint, 0) is None

@@ -20,6 +20,7 @@ from repro.analysis.opsreport import campaign_ops_digest, day_ops, render_day_re
 from repro.core.study import StudyConfig, run_study
 from repro.parallel import run_parallel_study
 from repro.tracing.export import spans_to_jsonl
+from tests.hpm.interval_totals import interval_totals
 
 CONFIG = StudyConfig(seed=3, n_days=6, n_nodes=32, n_users=10)
 SHARD_DAYS = 1  # 6 shards: enough to occupy every worker count under test
@@ -40,7 +41,7 @@ def _assert_same_intervals(a, b) -> None:
     assert len(ia) == len(ib)
     for x, y in zip(ia, ib):
         assert (x.start, x.end, x.n_nodes) == (y.start, y.end, y.n_nodes)
-        assert x.totals == y.totals
+        assert interval_totals(x) == interval_totals(y)
 
 
 @pytest.fixture(scope="module")

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from repro.core.study import StudyConfig
 from repro.hpm.derived import workload_rates
 from repro.parallel import run_parallel_study
+from tests.hpm.interval_totals import interval_totals
 
 SETTINGS = dict(
     max_examples=8,
@@ -54,7 +55,7 @@ def test_counters_monotone_and_rates_nonnegative(seed, n_days, shard_days):
     # interval deltas (the merged counter series) are non-negative
     for iv in ds.collector.intervals():
         assert iv.seconds > 0
-        assert all(v >= 0 for v in iv.totals.values())
+        assert all(v >= 0 for v in interval_totals(iv).values())
 
     daily = ds.daily_gflops()
     assert len(daily) == n_days
@@ -81,7 +82,7 @@ def test_derived_ratios_finite_and_plausible(seed, shard_days):
     for iv in ds.collector.intervals():
         if iv.n_nodes <= 0 or iv.seconds <= 0:
             continue
-        rates = workload_rates(iv.totals, iv.seconds, iv.n_nodes)
+        rates = workload_rates(interval_totals(iv), iv.seconds, iv.n_nodes)
         if rates.mips_fp_unit1 > 0:
             ratio = rates.fpu_ratio
             assert math.isfinite(ratio) and 0.0 < ratio < 20.0

@@ -356,6 +356,38 @@ class TestStoreSemantics:
             store.sync_slots([0], 50.0)
 
     @IMPLEMENTATIONS
+    def test_backwards_full_sweep_rejected(self, store_cls):
+        """A sweep of every slot refuses to run backwards and moves no
+        clock; one behind by float noise (under 1e-9 s) accrues nothing
+        and moves every clock to ``now``."""
+        store = store_cls(2)
+        for slot in (0, 1):
+            store.configure_slot(slot, [1e6] * BANK_SIZE)
+        store.sync_slots([0, 1], 100.0)
+        before = store.snapshot_matrix()
+        with pytest.raises(ValueError, match="^sync cannot run backwards"):
+            store.sync_slots([0, 1], 50.0)
+        assert store.last_sync(0) == store.last_sync(1) == 100.0
+        store.sync_slots([0, 1], 100.0 - 1e-10)
+        assert np.array_equal(store.snapshot_matrix(), before)
+        assert store.last_sync(0) == store.last_sync(1) == 100.0 - 1e-10
+        assert store.wall(0) == store.wall(1) == 100.0
+
+    @IMPLEMENTATIONS
+    def test_halted_slot_keeps_its_wall_clock(self, store_cls):
+        """A crash zeroes a slot's counter rates and its busy time stops;
+        its wall seconds keep counting."""
+        store = store_cls(1)
+        store.configure_slot(0, [1e6] * BANK_SIZE)
+        store.install(0, [1e6] * BANK_SIZE, None, busy=True)
+        store.sync_slots([0], 10.0)
+        store.halt(0)
+        frozen = store.snapshot_matrix()
+        store.sync_slots([0], 25.0)
+        assert np.array_equal(store.snapshot_matrix(), frozen)
+        assert (store.wall(0), store.busy(0)) == (25.0, 10.0)
+
+    @IMPLEMENTATIONS
     def test_negative_accrual_rejected(self, store_cls):
         store = store_cls(1)
         store.configure_slot(0, [0.0] * BANK_SIZE)

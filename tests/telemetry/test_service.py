@@ -5,6 +5,7 @@ import pytest
 
 from repro.hpm.derived import workload_rates
 from repro.telemetry.service import METRIC_CATALOG, TelemetryService
+from tests.hpm.interval_totals import interval_totals
 
 
 class TestLiveWiring:
@@ -32,7 +33,7 @@ class TestLiveWiring:
         _, online = t.store.window("fxu.sys_user_ratio")
         batch = np.array(
             [
-                workload_rates(iv.totals, iv.seconds, iv.n_nodes).system_user_fxu_ratio
+                workload_rates(interval_totals(iv), iv.seconds, iv.n_nodes).system_user_fxu_ratio
                 for iv in small_dataset.collector.intervals()
                 if iv.seconds > 0 and iv.n_nodes > 0
             ]
