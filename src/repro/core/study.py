@@ -276,7 +276,8 @@ class StudyDataset:
     #: (probe time, busy node count) pairs.
     utilization_probes: list[tuple[float, int]] = field(default_factory=list)
     #: The streaming observability view built while the campaign ran
-    #: (None for datasets assembled outside :class:`WorkloadStudy`).
+    #: (None when it ran with ``telemetry=False``, and for datasets
+    #: assembled outside :class:`WorkloadStudy`).
     telemetry: TelemetryService | None = None
     #: Simulator events dispatched during the campaign (attribution /
     #: truncation forensics; 0 for hand-assembled datasets).
@@ -382,6 +383,7 @@ class WorkloadStudy:
         *,
         tracer: Tracer | None = None,
         fault_streams: RngStreams | None = None,
+        telemetry: bool = True,
     ) -> None:
         self.config = config or StudyConfig()
         #: RNG tree the fault schedule is drawn from.  ``None`` defaults
@@ -397,8 +399,10 @@ class WorkloadStudy:
         )
         # One bus per campaign: the collector and PBS publish, the
         # telemetry service consumes — the streaming counterpart of §3's
-        # "stores this data for later analysis".
-        self.bus = EventBus()
+        # "stores this data for later analysis".  A campaign whose caller
+        # reads no telemetry (a repeat seed, a shard worker) builds
+        # neither: every publisher skips its publish when its bus is None.
+        self.bus: EventBus | None = EventBus() if telemetry else None
         # One tracer per campaign (optional): bound to the simulation
         # clock and threaded through every instrumented layer, spans
         # republished on the bus.
@@ -409,7 +413,7 @@ class WorkloadStudy:
                 tracer.bus = self.bus
         self.sim.tracer = tracer
         self.sim.bus = self.bus
-        self.telemetry = TelemetryService(bus=self.bus, tracer=tracer)
+        self.telemetry = TelemetryService(bus=self.bus, tracer=tracer) if telemetry else None
         # Queue policy from the config; the defaults build exactly the
         # queue PBSServer would build itself, so healthy campaigns stay
         # byte-identical to pre-sweep releases.
@@ -529,6 +533,7 @@ def run_study(
     trace: CampaignTrace | None = None,
     fault_namespace: tuple[int, ...] = (),
     bus_hook: Callable[[EventBus], None] | None = None,
+    telemetry: bool = True,
 ) -> StudyDataset:
     """Run one campaign, serially or as day-range shards.
 
@@ -547,8 +552,13 @@ def run_study(
     single-machine tree).  ``bus_hook`` receives the campaign's event
     bus before it runs, the seam live consumers tap; a sharded run
     rebuilds its telemetry at merge time, has no live bus, and refuses
-    the hook.
+    the hook.  ``telemetry=False`` builds no event bus and no telemetry
+    service (nor the sharded merge's replay), so ``dataset.telemetry``
+    is None: for callers that read only the measured data, such as a
+    repeat seed.
     """
+    if bus_hook is not None and not telemetry:
+        raise ValueError("bus_hook needs telemetry: a run with telemetry=False has no bus to tap")
     if shard_days is None:
         if checkpoint_dir is not None or resume:
             raise ValueError("checkpointing needs a shard plan; pass shard_days")
@@ -556,7 +566,10 @@ def run_study(
             RngStreams(config.seed, spawn_key=fault_namespace) if fault_namespace else None
         )
         study = WorkloadStudy(
-            config, tracer=Tracer() if tracing else None, fault_streams=fault_streams
+            config,
+            tracer=Tracer() if tracing else None,
+            fault_streams=fault_streams,
+            telemetry=telemetry,
         )
         if bus_hook is not None:
             bus_hook(study.bus)
@@ -578,4 +591,5 @@ def run_study(
         max_attempts=shard_attempts,
         trace=trace,
         fault_namespace=fault_namespace,
+        telemetry=telemetry,
     )

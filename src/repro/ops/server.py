@@ -48,7 +48,7 @@ from repro.ops.protocol import (
     series_to_json,
 )
 from repro.telemetry.rollup import JobRollup
-from repro.util.checks import check_number, describe
+from repro.util.checks import check_number, cut, describe
 
 #: Listen backlog — the load test opens ~1000 connections in a burst.
 DEFAULT_BACKLOG = 2048
@@ -229,8 +229,9 @@ class OpsServer:
             return error_response("?", ERR_BAD_REQUEST, "request needs an 'op' string")
         handler = getattr(self, f"_op_{op.replace('-', '_')}", None)
         if handler is None:
+            # The answer names the op, but never echoes a request whole.
             return error_response(
-                op, ERR_UNKNOWN_OP, f"unknown op {describe(op)}; see protocol.REQUEST_OPS"
+                cut(op), ERR_UNKNOWN_OP, f"unknown op {describe(op)}; see protocol.REQUEST_OPS"
             )
         try:
             return handler(conn, request)

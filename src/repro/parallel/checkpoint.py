@@ -11,8 +11,11 @@ property the resilience tests and the CI fault smoke assert.
 Checkpoints are guarded by a fingerprint of the campaign definition
 (config repr + shard count + format version): a stale file from a
 different seed, day count, fault profile, or shard plan is ignored, not
-trusted.  Writes are atomic (temp file + ``os.replace``) so a worker
-killed mid-write can never leave a torn checkpoint behind.
+trusted.  The envelope holds the result as pickled bytes next to their
+sha256, so a flipped byte that would still unpickle (a counter in a
+sample matrix, say) is a miss too.  Writes are atomic (temp file +
+``os.replace``) so a worker killed mid-write can never leave a torn
+checkpoint behind.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from repro.parallel.worker import ShardResult
 
 #: Bump when the ShardResult layout changes incompatibly: old files are
 #: then fingerprint-mismatched and recomputed instead of mis-read.
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 
 def sha256_fingerprint(payload: str) -> str:
@@ -60,11 +63,13 @@ def save_shard_result(
     """Atomically persist one finished shard; returns the file path."""
     os.makedirs(checkpoint_dir, exist_ok=True)
     path = shard_path(checkpoint_dir, result.shard.index)
+    payload = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
     envelope = {
         "version": CHECKPOINT_VERSION,
         "fingerprint": fingerprint,
         "shard_index": result.shard.index,
-        "result": result,
+        "sha256": hashlib.sha256(payload).hexdigest(),
+        "result": payload,
     }
     tmp = f"{path}.tmp.{os.getpid()}"
     with open(tmp, "wb") as fh:
@@ -80,25 +85,30 @@ def load_shard_result(
 
     Any defect — missing file, a pickle that fails to decode in any way
     (truncated, corrupted opcodes or protocol byte, bad lengths), version
-    or fingerprint mismatch, wrong shard index, no shard result inside —
-    returns None: the caller recomputes the shard, which is always safe.
+    or fingerprint mismatch, wrong shard index, result bytes that do not
+    match their checksum, no shard result inside — returns None: the
+    caller recomputes the shard, which is always safe.
     """
     path = shard_path(checkpoint_dir, index)
     try:
         with open(path, "rb") as fh:
             envelope = pickle.load(fh)
+        if not isinstance(envelope, dict):
+            return None
+        if envelope.get("version") != CHECKPOINT_VERSION:
+            return None
+        if envelope.get("fingerprint") != fingerprint:
+            return None
+        if envelope.get("shard_index") != index:
+            return None
+        payload = envelope.get("result")
+        if hashlib.sha256(payload).hexdigest() != envelope.get("sha256"):
+            return None
+        result = pickle.loads(payload)
     except Exception:
         # Corrupt pickle bytes surface as nearly any exception type
         # (ValueError, UnicodeDecodeError, MemoryError, OverflowError,
-        # TypeError, ...); every one of them means "recompute".
+        # TypeError, ...), and a payload that is not bytes fails the
+        # hash with TypeError; every one of them means "recompute".
         return None
-    if not isinstance(envelope, dict):
-        return None
-    if envelope.get("version") != CHECKPOINT_VERSION:
-        return None
-    if envelope.get("fingerprint") != fingerprint:
-        return None
-    if envelope.get("shard_index") != index:
-        return None
-    result = envelope.get("result")
     return result if isinstance(result, ShardResult) else None

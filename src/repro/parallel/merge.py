@@ -18,7 +18,9 @@ processed in index order):
   :meth:`repro.tracing.span.Span.rebase`.
 * **Telemetry** is rebuilt by :meth:`TelemetryService.replay` over the
   merged sample/record streams — deterministic by construction, and
-  identical no matter how many workers executed the shards.
+  identical no matter how many workers executed the shards.  It is a
+  sharded campaign's only telemetry (workers run with no bus), and it is
+  skipped when the caller asks for none.
 """
 
 from __future__ import annotations
@@ -205,8 +207,11 @@ def merge_shard_results(
     results: list[ShardResult],
     *,
     tracing: bool = False,
+    telemetry: bool = True,
 ) -> StudyDataset:
-    """Assemble the campaign dataset from shard results (index order)."""
+    """Assemble the campaign dataset from shard results (index order);
+    ``telemetry=False`` skips the telemetry replay
+    (``dataset.telemetry`` is None)."""
     results = sorted(results, key=lambda r: r.shard.index)
     expected_days = sum(r.shard.n_days for r in results)
     if expected_days != config.n_days:
@@ -222,24 +227,24 @@ def merge_shard_results(
         accounting.append(r)
 
     spans = merge_spans(results) if tracing else []
-    truncations = [n for res in results for n in res.truncations]
     faults = merge_faults(results)
 
-    from repro.telemetry.service import TelemetryService
+    service = None
+    if telemetry:
+        from repro.telemetry.service import TelemetryService
 
-    service = TelemetryService.replay(
-        samples,
-        records,
-        spans=spans,
-        truncations=truncations,
-        faults=faults.events if faults is not None else (),
-    )
-    if faults is not None:
-        # Replay sees fault *events* but not the live side effects
-        # (kill notices, dropped passes); carry the counters over so the
-        # merged summary matches the live view.
-        service.jobs_killed_seen = faults.jobs_killed
-        service.collector_gaps_seen = faults.passes_dropped
+        service = TelemetryService.replay(
+            samples,
+            records,
+            spans=spans,
+            faults=faults.events if faults is not None else (),
+        )
+        if faults is not None:
+            # Replay sees fault *events* but not the live side effects
+            # (kill notices, dropped passes); carry the counters over so
+            # the merged summary matches the live view.
+            service.jobs_killed_seen = faults.jobs_killed
+            service.collector_gaps_seen = faults.passes_dropped
 
     tracer = None
     if tracing:

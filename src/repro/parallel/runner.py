@@ -215,6 +215,7 @@ def run_parallel_study(
     backoff_seconds: float = 1.0,
     trace: "CampaignTrace | None" = None,
     fault_namespace: tuple[int, ...] = (),
+    telemetry: bool = True,
 ) -> StudyDataset:
     """Run a campaign as independent day-range shards and merge.
 
@@ -248,6 +249,10 @@ def run_parallel_study(
         RNG spawn-key prefix for fault schedules (fleet members pass
         :func:`repro.util.rng.member_key`; the empty default is the
         single-machine tree).
+    telemetry:
+        Rebuild the campaign's telemetry by replaying the merged samples
+        (``False``: no replay, ``dataset.telemetry`` is None).  Shard
+        workers run with no bus either way.
     """
     config = config or StudyConfig()
     shards = plan_shards(config.n_days, shard_days)
@@ -273,4 +278,4 @@ def run_parallel_study(
         traces=traces,
         fault_namespace=fault_namespace,
     )
-    return merge_shard_results(config, results, tracing=tracing)
+    return merge_shard_results(config, results, tracing=tracing, telemetry=telemetry)

@@ -5,7 +5,9 @@ builds the shard's submission trace from shard-spawned RNG streams,
 runs a private simulator/machine/PBS/collector stack over the shard's
 day range on a local clock, and reduces the result to a picklable
 :class:`ShardResult` — everything the merge layer needs and nothing it
-doesn't (no buses, no live services, no closures).
+doesn't (no buses, no live services, no closures).  The stack runs
+with no event bus at all: the merge rebuilds a sharded campaign's
+telemetry by replaying the merged samples, so nothing reads a worker's.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from repro.faults.events import FaultLog
 from repro.hpm.collector import SystemSample
 from repro.parallel.plan import Shard
 from repro.pbs.job import JobRecord
-from repro.telemetry.bus import SimTruncated
 from repro.util.rng import RngStreams, spawn_stream
 from repro.workload.traces import (
     CampaignTrace,
@@ -62,8 +63,6 @@ class ShardResult:
     events_processed: int
     #: Spans recorded by the shard's tracer (empty when tracing is off).
     spans: "list[Span]" = field(default_factory=list)
-    #: ``sim.truncated`` notices (normally empty).
-    truncations: list[SimTruncated] = field(default_factory=list)
     #: The shard's finalized fault log (None on healthy campaigns).
     faults: FaultLog | None = None
 
@@ -139,7 +138,9 @@ def run_shard(
             )
         elif fault_namespace:
             fault_streams = RngStreams(config.seed, spawn_key=fault_namespace)
-    study = WorkloadStudy(shard_config, tracer=tracer, fault_streams=fault_streams)
+    study = WorkloadStudy(
+        shard_config, tracer=tracer, fault_streams=fault_streams, telemetry=False
+    )
     study.sim.label = f"shard{shard.index}[{shard.day_start}:{shard.day_end}]"
     dataset = study.run(trace)
     return ShardResult(
@@ -151,9 +152,6 @@ def run_shard(
         demand_levels=trace.demand_levels,
         events_processed=dataset.events_processed,
         spans=list(tracer.spans) if tracer is not None else [],
-        truncations=(
-            list(dataset.telemetry.truncations) if dataset.telemetry is not None else []
-        ),
         faults=dataset.faults,
     )
 

@@ -7,7 +7,9 @@ scheduler policy, fault profile) plus the shard plan, minus the seed.
 fans a batch of seeds across worker processes (the same pool context
 policy as :mod:`repro.parallel.runner`); because each repeat is a pure
 function of its seed, the collected samples are identical whatever
-worker count executed them.
+worker count executed them.  A repeat keeps only its metric dict, which
+reads no telemetry, so its campaign runs with none (no event bus, no
+telemetry service, no sharded replay).
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ class ConfigRepeatSpec:
             if seed == self.config.seed
             else dataclasses.replace(self.config, seed=seed)
         )
-        return collect_metrics(run_study(cfg, shard_days=self.shard_days))
+        return collect_metrics(run_study(cfg, shard_days=self.shard_days, telemetry=False))
 
 
 def _config_repeat_task(payload: tuple[ConfigRepeatSpec, int]) -> dict[str, float]:

@@ -231,7 +231,6 @@ class TelemetryService:
         records: Iterable[JobRecord] = (),
         *,
         spans: Iterable = (),  # repro.tracing.span.Span (kept untyped: no cycle)
-        truncations: Iterable[SimTruncated] = (),
         faults: Iterable = (),  # repro.faults.events.FaultEvent (kept untyped)
     ) -> "TelemetryService":
         """Rebuild the live view from recorded samples and job records.
@@ -245,11 +244,11 @@ class TelemetryService:
         assert.
 
         ``spans`` (recorded :class:`~repro.tracing.span.Span` objects)
-        and ``truncations`` let callers that *do* hold the tracing side
-        of a finished campaign — the sharded runner's merge — carry it
-        into the replayed view; they are republished after the sample
-        stream (offline replay cannot interleave them exactly as the
-        live bus did, but the counters and job→span index match).
+        let callers that *do* hold the tracing side of a finished
+        campaign — the sharded runner's merge — carry it into the
+        replayed view; they are republished after the sample stream
+        (offline replay cannot interleave them exactly as the live bus
+        did, but the counters and job→span index match).
 
         ``faults`` (recorded ``FaultEvent`` objects, e.g. a merged
         ``FaultLog``'s events) are interleaved with the sample stream by
@@ -257,13 +256,7 @@ class TelemetryService:
         the live service produced.
         """
         service = cls()
-        for topic, event in replay_events(
-            samples,
-            records,
-            spans=spans,
-            truncations=truncations,
-            faults=faults,
-        ):
+        for topic, event in replay_events(samples, records, spans=spans, faults=faults):
             service.bus.publish(topic, event)
         return service
 

@@ -15,7 +15,9 @@ MAX_SHOWN = 80
 _REPR = reprlib.Repr()
 
 
-def _cut(text: str) -> str:
+def cut(text: str) -> str:
+    """``text`` whole, or its first :data:`MAX_SHOWN` characters with
+    the last three replaced by ``...``."""
     return text if len(text) <= MAX_SHOWN else text[: MAX_SHOWN - 3] + "..."
 
 
@@ -24,7 +26,7 @@ def describe(value: Any) -> str:
     most :data:`MAX_SHOWN` characters, after its type's name unless it
     is a string (whose quotes say so).  A spec value can be a nested
     list thousands of characters long."""
-    shown = _cut(_REPR.repr(value))
+    shown = cut(_REPR.repr(value))
     return shown if isinstance(value, str) else f"{type(value).__name__} {shown}"
 
 
@@ -32,7 +34,7 @@ def describe_names(names: Iterable[Any]) -> str:
     """Names (spec keys, member names) as a refusal lists them:
     comma-separated, any name that is not printable text as its repr,
     the whole cut to at most :data:`MAX_SHOWN` characters."""
-    return _cut(
+    return cut(
         ", ".join(n if isinstance(n, str) and n.isprintable() else repr(n) for n in names)
     )
 
@@ -56,5 +58,5 @@ def check_number(
     if positive is not None and not (value > 0 if positive else value >= 0):
         raise ValueError(
             f"{what} must be {'positive' if positive else 'non-negative'}, "
-            f"got {_cut(_REPR.repr(value))}"
+            f"got {cut(_REPR.repr(value))}"
         )

@@ -40,6 +40,17 @@ class TestAlerts:
         assert "paging" in out
         assert "likely paging" in out
 
+    def test_sharded_run_lists_the_replayed_alerts(self, capsys):
+        """Shard workers run with no bus; the merge's replay is the
+        sharded campaign's telemetry, and the verb lists its alerts."""
+        rc = main(["alerts", "--days", "3", "--seed", "1", "--shard-days", "1"])
+        assert rc == 0
+        out = capsys.readouterr().out
+        shown = [line for line in out.splitlines() if line.startswith("d0")]
+        assert shown and any("likely paging" in line for line in shown)
+        assert f"-- {len(shown)} alert(s) shown" in out
+        assert "288 intervals watched" in out
+
     def test_rule_filter(self, capsys):
         rc = main(["alerts", "--rule", "paging"] + SMALL)
         assert rc == 0

@@ -16,6 +16,7 @@ from repro.ops import CampaignHub, OpsServer
 from repro.ops.ingest import replay_into_hub
 from repro.ops.protocol import MAX_LINE_BYTES, ProtocolError, decode_message, encode_message
 from repro.ops.server import _Connection
+from repro.util.checks import MAX_SHOWN
 
 #: The requests CI's ops-service smoke sends (``sp2-ops ask`` with the
 #: smoke's flags), plus the verbs it does not round-trip.
@@ -176,3 +177,15 @@ def test_undecodable_frame_is_a_bad_request(frame):
     with pytest.raises(ProtocolError, match="frame is not valid JSON"):
         decode_message(frame)
     assert [a["error"] for a in read_loop_answers(frame)] == ["bad-request"]
+
+
+@pytest.mark.parametrize("length", [12, MAX_SHOWN, MAX_SHOWN + 1, 100_000])
+def test_unknown_op_echo_is_bounded(length):
+    """An unknown op comes back in the answer, but at most
+    ``MAX_SHOWN`` characters of it, cut the way ``describe`` cuts: a
+    100,000-character op once came back as a 100,122-byte frame."""
+    op = "x" * length
+    answer = ask(OpsServer(CampaignHub()), {"op": op})
+    assert answer["error"] == "unknown-op"
+    assert answer["op"] == (op if length <= MAX_SHOWN else op[: MAX_SHOWN - 3] + "...")
+    assert len(encode_message(answer)) <= 300

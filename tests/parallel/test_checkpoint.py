@@ -1,6 +1,7 @@
 """Per-shard checkpoint files: fingerprints, atomicity, staleness."""
 
 import dataclasses
+import hashlib
 import importlib
 import os
 import pickle
@@ -11,7 +12,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from repro.core.study import StudyConfig
+from repro.analysis.export import dataset_to_json
+from repro.core.study import StudyConfig, run_study
 from repro.faults.profile import PROFILES
 from repro.hpm.collector import SystemSample
 from repro.parallel.checkpoint import (
@@ -33,7 +35,7 @@ CONFIG = StudyConfig(seed=3, n_days=4, n_nodes=16, n_users=6)
 #: ``config_fingerprint`` of the pathological 4-shard campaign pinned
 #: below.  It moves only when ``StudyConfig``'s repr or the checkpoint
 #: format version does.
-PINNED_FINGERPRINT = "f817fb541b8efb1f142c8c02affd237c179a7f78132c0c6cba037bdb8d558c34"
+PINNED_FINGERPRINT = "7fdf30192d3d6627159f0a5ecda563d8d0242833b79764e693de53adba80e3eb"
 
 
 def tiny_result(index: int = 0) -> ShardResult:
@@ -167,11 +169,21 @@ def rich_result() -> ShardResult:
     )
 
 
+def envelope(result: object) -> dict:
+    """The envelope :func:`save_shard_result` writes for shard 0 under
+    fingerprint ``"fp"``: the result as pickled bytes and their sha256."""
+    payload = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
+    return {
+        "version": CHECKPOINT_VERSION,
+        "fingerprint": "fp",
+        "shard_index": 0,
+        "sha256": hashlib.sha256(payload).hexdigest(),
+        "result": payload,
+    }
+
+
 #: What :func:`save_shard_result` writes for :func:`rich_result`.
-VALID_CHECKPOINT = pickle.dumps(
-    {"version": CHECKPOINT_VERSION, "fingerprint": "fp", "shard_index": 0, "result": rich_result()},
-    protocol=pickle.HIGHEST_PROTOCOL,
-)
+VALID_CHECKPOINT = pickle.dumps(envelope(rich_result()), protocol=pickle.HIGHEST_PROTOCOL)
 
 
 class TestCorruptedFiles:
@@ -192,11 +204,31 @@ class TestCorruptedFiles:
         assert load_shard_result(str(tmp_path), "fp", 0) is None
 
     def test_envelope_without_a_shard_result_is_a_miss(self, tmp_path):
-        envelope = {"version": CHECKPOINT_VERSION, "fingerprint": "fp", "shard_index": 0}
+        header = {"version": CHECKPOINT_VERSION, "fingerprint": "fp", "shard_index": 0}
         for result in ({}, None, "result"):
             with open(shard_path(str(tmp_path), 0), "wb") as fh:
-                pickle.dump({**envelope, "result": result}, fh)
+                pickle.dump({**header, "result": result}, fh)
             assert load_shard_result(str(tmp_path), "fp", 0) is None
+
+    def test_checksummed_payload_that_is_not_a_shard_result_is_a_miss(self, tmp_path):
+        for result in ({}, None, "result", tiny_result().shard):
+            with open(shard_path(str(tmp_path), 0), "wb") as fh:
+                pickle.dump(envelope(result), fh)
+            assert load_shard_result(str(tmp_path), "fp", 0) is None
+
+    def test_a_payload_that_fails_its_checksum_is_a_miss(self, tmp_path):
+        """The envelope's sha256 covers the result's bytes; bytes that
+        still unpickle but were not the ones saved are not trusted."""
+        good = envelope(tiny_result())
+        other = envelope(dataclasses.replace(tiny_result(), events_processed=8))
+        for swapped in ({**good, "sha256": other["sha256"]}, {**good, "result": other["result"]},
+                        {**good, "sha256": None}, {**good, "result": "not bytes"}):
+            with open(shard_path(str(tmp_path), 0), "wb") as fh:
+                pickle.dump(swapped, fh)
+            assert load_shard_result(str(tmp_path), "fp", 0) is None
+        with open(shard_path(str(tmp_path), 0), "wb") as fh:
+            pickle.dump(good, fh)
+        assert load_shard_result(str(tmp_path), "fp", 0).events_processed == 7
 
     @settings(
         max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
@@ -222,13 +254,6 @@ _SHARD_RECORDS = {
         ),
     ),
     "repro.parallel.plan:Shard": ("dataclass", ("index", "day_start", "day_end")),
-    "repro.parallel.worker:ShardResult": (
-        "dataclass",
-        (
-            "shard", "samples", "records", "utilization_probes", "submissions",
-            "demand_levels", "events_processed", "spans", "truncations", "faults",
-        ),
-    ),
     "repro.pbs.job:JobRecord": (
         "dataclass",
         (
@@ -252,16 +277,38 @@ _SHARD_RECORDS = {
     ),
 }
 _SAMPLE_FIELDS = ("time", "node_ids", "matrix", "missing")
+_RESULT_FIELDS = (
+    "shard", "samples", "records", "utilization_probes", "submissions",
+    "demand_levels", "events_processed", "spans", "faults",
+)
+#: ``ShardResult`` up to version 3, with the ``sim.truncated`` notices
+#: a worker's live telemetry service collected.
+_RESULT_V3 = ("dataclass", _RESULT_FIELDS[:-1] + ("truncations", "faults"))
 
 #: Every ``repro`` class a checkpoint of a one-day traced, faulted shard
 #: pickles, with its kind and field names, per ``CHECKPOINT_VERSION``.
 #: A record that changes shape needs a new version and a new entry
 #: here; an old version's entry never changes.  Version 3 made
 #: ``SystemSample`` a named tuple, which cannot unpickle the dataclass
-#: a version-2 file holds.
+#: a version-2 file holds.  Version 4 dropped ``ShardResult.truncations``
+#: (shard workers run with no telemetry) and keeps the result as
+#: checksummed bytes inside the envelope.
 CHECKPOINT_FORMATS = {
-    2: {**_SHARD_RECORDS, "repro.hpm.collector:SystemSample": ("dataclass", _SAMPLE_FIELDS)},
-    3: {**_SHARD_RECORDS, "repro.hpm.collector:SystemSample": ("namedtuple", _SAMPLE_FIELDS)},
+    2: {
+        **_SHARD_RECORDS,
+        "repro.hpm.collector:SystemSample": ("dataclass", _SAMPLE_FIELDS),
+        "repro.parallel.worker:ShardResult": _RESULT_V3,
+    },
+    3: {
+        **_SHARD_RECORDS,
+        "repro.hpm.collector:SystemSample": ("namedtuple", _SAMPLE_FIELDS),
+        "repro.parallel.worker:ShardResult": _RESULT_V3,
+    },
+    4: {
+        **_SHARD_RECORDS,
+        "repro.hpm.collector:SystemSample": ("namedtuple", _SAMPLE_FIELDS),
+        "repro.parallel.worker:ShardResult": ("dataclass", _RESULT_FIELDS),
+    },
 }
 
 _STRING_OPS = {"SHORT_BINUNICODE", "BINUNICODE", "BINUNICODE8", "UNICODE"}
@@ -320,26 +367,81 @@ class TestFormat:
 
     def test_pickled_records_match_the_pinned_format(self, checkpoint_bytes):
         """A pickled record that changes shape without a version bump
-        fails here."""
+        fails here.  The envelope itself names no class: the records are
+        all inside the checksummed result bytes."""
+        assert pickled_classes(checkpoint_bytes) == set()
+        payload = pickle.loads(checkpoint_bytes)["result"]
         shapes = {
             f"{module}:{name}": record_shape(module, name)
-            for module, name in pickled_classes(checkpoint_bytes)
+            for module, name in pickled_classes(payload)
             if module.partition(".")[0] == "repro"
         }
         assert shapes == CHECKPOINT_FORMATS[CHECKPOINT_VERSION]
 
-    def test_version_2_file_is_a_miss(self, tmp_path):
-        """A file an older build wrote is recomputed, whichever
-        fingerprint it carries."""
-        assert CHECKPOINT_VERSION == 3
-        old_fingerprint = sha256_fingerprint(f"v2|shards=4|{CONFIG!r}")
+    @staticmethod
+    def assert_old_file_is_a_miss(tmp_path, version: int) -> None:
+        """A file an older build wrote (the result pickled inside the
+        envelope, no checksum) is recomputed, whichever fingerprint it
+        carries."""
+        assert CHECKPOINT_VERSION == 4
+        old_fingerprint = sha256_fingerprint(f"v{version}|shards=4|{CONFIG!r}")
         for fingerprint in (old_fingerprint, config_fingerprint(CONFIG, 4)):
-            envelope = {
-                "version": 2,
+            old = {
+                "version": version,
                 "fingerprint": fingerprint,
                 "shard_index": 0,
                 "result": tiny_result(),
             }
             with open(shard_path(str(tmp_path), 0), "wb") as fh:
-                pickle.dump(envelope, fh, protocol=pickle.HIGHEST_PROTOCOL)
+                pickle.dump(old, fh, protocol=pickle.HIGHEST_PROTOCOL)
             assert load_shard_result(str(tmp_path), fingerprint, 0) is None
+
+    def test_version_2_file_is_a_miss(self, tmp_path):
+        self.assert_old_file_is_a_miss(tmp_path, 2)
+
+    def test_version_3_file_is_a_miss(self, tmp_path):
+        self.assert_old_file_is_a_miss(tmp_path, 3)
+
+
+class TestChecksum:
+    CONFIG = StudyConfig(
+        seed=7, n_days=2, n_nodes=8, n_users=3, fault_profile=PROFILES["pathological"]
+    )
+
+    def test_a_flipped_counter_byte_is_a_miss_and_resume_recomputes(self, tmp_path, monkeypatch):
+        """One flipped bit in a sample matrix still unpickles, to a
+        counter that was never measured; the checksum turns it into a
+        miss, and a resume recomputes that shard alone, byte-identical
+        to the uninterrupted run."""
+        ckpt = str(tmp_path)
+        reference = dataset_to_json(run_study(self.CONFIG, shard_days=1, checkpoint_dir=ckpt))
+        fingerprint = config_fingerprint(self.CONFIG, 2)
+        saved = load_shard_result(ckpt, fingerprint, 1)
+        matrix = saved.samples[-1].matrix
+        path = Path(shard_path(ckpt, 1))
+        data = bytearray(path.read_bytes())
+        at = data.find(matrix.tobytes())
+        assert at > 0
+        data[at + matrix.nbytes // 2] ^= 0x01
+        path.write_bytes(bytes(data))
+
+        flipped = pickle.loads(pickle.loads(bytes(data))["result"])
+        assert isinstance(flipped, ShardResult)
+        assert not np.array_equal(flipped.samples[-1].matrix, matrix)
+        assert load_shard_result(ckpt, fingerprint, 1) is None
+        assert load_shard_result(ckpt, fingerprint, 0) is not None
+
+        import repro.parallel.worker as worker
+
+        ran = []
+        original = worker.run_shard
+
+        def counting(config, shard, *args, **kwargs):
+            ran.append(shard.index)
+            return original(config, shard, *args, **kwargs)
+
+        monkeypatch.setattr(worker, "run_shard", counting)
+        resumed = run_study(self.CONFIG, shard_days=1, checkpoint_dir=ckpt, resume=True)
+        assert ran == [1]
+        assert dataset_to_json(resumed) == reference
+        assert load_shard_result(ckpt, fingerprint, 1) is not None
