@@ -4,14 +4,15 @@ The merge is pure bookkeeping — no randomness, no dependence on which
 worker produced which shard, no dependence on arrival order (shards are
 processed in index order):
 
-* **Counter samples** are *rebased*: each node's cumulative counter
-  vector from the previous shards is added to the shard's local
-  snapshots, so the concatenated series is monotone per node and
+* **Counter samples** are *rebased* in place: each node's cumulative
+  counter vector from the previous shards is added into the shard's
+  local snapshots, so the concatenated series is monotone per node and
   differencing it yields exactly the concatenation of the shards'
   interval series.  Each shard's ``t=0`` baseline snapshot (all zeros by
   construction — nothing has run at shard-local time zero) duplicates
   the previous shard's horizon sample and is dropped, keeping one sample
-  per cadence point, exactly like a serial run.
+  per cadence point, exactly like a serial run.  The merge consumes the
+  shard results' samples: the campaign holds one copy of them.
 * **Job records** move onto the campaign clock and into per-shard id
   ranges (``job_id + index × JOB_ID_STRIDE``).
 * **Spans** likewise (``s<n>`` → ``s<n + index × SPAN_ID_STRIDE>``), via
@@ -33,7 +34,7 @@ from repro.hpm.collector import SampleSeries, SystemSample
 from repro.parallel.worker import ShardResult
 from repro.pbs.accounting import AccountingLog
 from repro.pbs.job import JobRecord
-from repro.workload.traces import SECONDS_PER_DAY, CampaignTrace
+from repro.workload.traces import CampaignTrace
 
 #: Shard *k*'s jobs are numbered ``k×STRIDE + local_id``.  Wide enough
 #: that no shard can overflow into the next range (a shard day submits
@@ -51,50 +52,47 @@ class MergedSampleSeries(SampleSeries):
 
 
 def merge_samples(results: list[ShardResult]) -> list[SystemSample]:
-    """Concatenate shard samples onto the campaign clock, rebased so the
-    per-node cumulative counters stay monotone across shard boundaries."""
+    """Concatenate shard samples onto the campaign clock, rebased in place
+    so per-node counters stay monotone across shards (consumes ``results``)."""
+    for res in results:
+        if not res.samples:
+            raise ValueError(f"shard {res.shard.index} has no samples (merged already?)")
     merged: list[SystemSample] = []
     base: dict[int, np.ndarray] = {}
     for k, res in enumerate(results):
+        samples, res.samples = res.samples, []
         offset = res.shard.start_seconds
         base_rows: dict[tuple[int, ...], np.ndarray] = {}
-        matrices: list[np.ndarray] = []
-        for i, sample in enumerate(res.samples):
-            if not base or not sample.node_ids:
-                rebased = sample.matrix
-            else:
+        for i, sample in enumerate(samples):
+            matrix = sample.matrix
+            if base and sample.node_ids:
                 rows = base_rows.get(sample.node_ids)
                 if rows is None:
-                    zero = np.zeros(sample.matrix.shape[1], dtype=np.int64)
+                    zero = np.zeros(matrix.shape[1], dtype=np.int64)
                     rows = np.stack([base.get(nid, zero) for nid in sample.node_ids])
                     base_rows[sample.node_ids] = rows
-                rebased = sample.matrix + rows
-            matrices.append(rebased)
+                matrix += rows
             if k > 0 and i == 0:
                 # The shard's t=0 baseline duplicates the previous
                 # shard's horizon sample (local counters are all zero at
                 # shard start); keep the cadence at one sample per point.
                 continue
             merged.append(
-                SystemSample(offset + sample.time, sample.node_ids, rebased, sample.missing)
+                SystemSample(offset + sample.time, sample.node_ids, matrix, sample.missing)
             )
-        base.update(_last_rows(res.samples, matrices))
+        base.update(_last_rows(samples))
     return merged
 
 
-def _last_rows(
-    samples: list[SystemSample], matrices: list[np.ndarray]
-) -> dict[int, np.ndarray]:
-    """Each node's row of ``matrices`` (the rebased ``samples``, oldest
-    first) in the newest sample that holds the node.  The walk goes back
-    from the newest sample only until every node of the machine is
-    found: one sample, unless a node was down at the end."""
+def _last_rows(samples: list[SystemSample]) -> dict[int, np.ndarray]:
+    """Each node's row in the newest of the rebased ``samples`` (oldest
+    first) that holds the node.  The walk goes back from the newest
+    sample only until every node of the machine is found: one sample,
+    unless a node was down at the end."""
     last: dict[int, np.ndarray] = {}
-    if not samples:
-        return last
     n_nodes = len(samples[-1].node_ids) + len(samples[-1].missing)
-    for sample, matrix in zip(reversed(samples), reversed(matrices)):
-        for nid, row in zip(sample.node_ids, matrix):
+    for sample in reversed(samples):
+        for nid, row in zip(sample.node_ids, sample.matrix):
             last.setdefault(nid, row)
         if len(last) == n_nodes:
             break
@@ -211,7 +209,12 @@ def merge_shard_results(
 ) -> StudyDataset:
     """Assemble the campaign dataset from shard results (index order);
     ``telemetry=False`` skips the telemetry replay
-    (``dataset.telemetry`` is None)."""
+    (``dataset.telemetry`` is None).
+
+    Consumes ``results``: their counter samples are rebased in place into
+    the dataset and each ``res.samples`` is left empty, so merging the
+    same list again raises ``ValueError``.
+    """
     results = sorted(results, key=lambda r: r.shard.index)
     expected_days = sum(r.shard.n_days for r in results)
     if expected_days != config.n_days:

@@ -8,7 +8,7 @@ model (vectorized over nodes and intervals), so the event queue stays
 small even for a 270-day, 144-node campaign.
 """
 
-from repro.sim.engine import Event, SimClock, Simulator
+from repro.sim.engine import Event, Simulator
 from repro.sim.periodic import PeriodicTask
 
-__all__ = ["Event", "SimClock", "Simulator", "PeriodicTask"]
+__all__ = ["Event", "Simulator", "PeriodicTask"]

@@ -38,27 +38,13 @@ class Event:
         self.cancelled = True
 
 
-class SimClock:
-    """Monotonic simulated clock owned by the :class:`Simulator`."""
-
-    def __init__(self) -> None:
-        self._now = 0.0
-
-    @property
-    def now(self) -> float:
-        return self._now
-
-    def _advance(self, t: float) -> None:
-        if t < self._now:
-            raise ValueError(f"clock cannot run backwards: {t} < {self._now}")
-        self._now = t
-
-
 class Simulator:
     """Priority-queue discrete-event simulator."""
 
     def __init__(self, *, label: str = "") -> None:
-        self.clock = SimClock()
+        #: The simulated clock; only :meth:`step` and :meth:`run` move
+        #: it, and never backwards.
+        self.now = 0.0
         #: Heap of ``(time, seq, event)``: ``seq`` is unique, so heapq
         #: orders entries by comparing two numbers in C, never an event.
         self._queue: list[tuple[float, int, Event]] = []
@@ -72,10 +58,6 @@ class Simulator:
         self.tracer: "Tracer | None" = None
         #: Optional telemetry bus for engine-level notices (truncation).
         self.bus: "EventBus | None" = None
-
-    @property
-    def now(self) -> float:
-        return self.clock.now
 
     def schedule(
         self,
@@ -168,7 +150,9 @@ class Simulator:
             ev = heapq.heappop(queue)[2]
             if ev.cancelled:
                 continue
-            self.clock._advance(ev.time)
+            if ev.time < self.now:
+                raise ValueError(f"clock cannot run backwards: {ev.time} < {self.now}")
+            self.now = ev.time
             self.events_processed += 1
             tracer = self.tracer
             if tracer is not None and tracer.enabled:
@@ -229,4 +213,4 @@ class Simulator:
                     ),
                 )
         if until is not None and until > self.now:
-            self.clock._advance(until)
+            self.now = until

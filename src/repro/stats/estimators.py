@@ -15,6 +15,7 @@ Guarantees (pinned by ``tests/stats/test_calibration.py``):
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -89,12 +90,14 @@ def t_cdf(t: float, df: float) -> float:
     return 1.0 - tail if t > 0 else tail
 
 
+@functools.lru_cache(maxsize=256)
 def t_ppf(p: float, df: float) -> float:
     """Quantile of Student's t: the inverse of :func:`t_cdf`.
 
     Bisection on the CDF with an expanding bracket — df=1 at p=0.975 is
     12.7, so the bracket has to grow before it can shrink.  Accurate to
     ~1e-9, plenty below the Monte-Carlo noise any caller can resolve.
+    Memoized: every interval over one sample size asks for one quantile.
     """
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must be in (0, 1), got {p}")

@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
-import numpy as np
+import tracemalloc
 
+import numpy as np
+import pytest
+
+from repro.core.study import StudyConfig
+from repro.faults import PROFILES
 from repro.hpm.collector import SystemSample
 from repro.parallel.merge import (
     JOB_ID_STRIDE,
@@ -11,9 +16,11 @@ from repro.parallel.merge import (
     merge_probes,
     merge_records,
     merge_samples,
+    merge_shard_results,
     merge_spans,
 )
-from repro.parallel.plan import Shard
+from repro.parallel.plan import Shard, plan_shards
+from repro.parallel.runner import execute_shards
 from repro.parallel.worker import ShardResult
 from repro.pbs.job import JobRecord
 from repro.tracing.span import Span
@@ -82,6 +89,63 @@ class TestMergeSamples:
         assert last.node_ids == (0, 1)
         assert last.matrix[0, 0] == 5 + 1  # node 0: final base 5
         assert last.matrix[1, 0] == 6 + 1  # node 1: last-seen base 6
+
+    def test_rebase_is_in_place_and_takes_the_samples(self):
+        day = SECONDS_PER_DAY
+        r0 = _result(0, 0, 1, samples=[_sample(0.0, [0, 0]), _sample(day, [5, 7])])
+        r1 = _result(
+            1, 1, 2, samples=[_sample(0.0, [0, 0]), _sample(day / 2, [1, 2]), _sample(day, [3, 4])]
+        )
+        own = [s.matrix for s in r0.samples + r1.samples[1:]]
+        merged = merge_samples([r0, r1])
+        assert len(merged) == len(own)
+        assert all(m.matrix is mine for m, mine in zip(merged, own))
+        assert merged[-1].matrix[1, 1] == (7 + 4) * 2  # rebased into the shard's array
+        assert r0.samples == [] and r1.samples == []
+
+    def test_merging_twice_is_refused(self):
+        day = SECONDS_PER_DAY
+        results = [
+            _result(0, 0, 1, samples=[_sample(0.0, [0]), _sample(day, [5])]),
+            _result(1, 1, 2, samples=[_sample(0.0, [0]), _sample(day, [3])]),
+        ]
+        merged = merge_samples(results)
+        with pytest.raises(ValueError, match=r"^shard 0 has no samples \(merged already\?\)$"):
+            merge_samples(results)
+        assert merged[-1].matrix[0, 0] == 5 + 3  # not rebased a second time
+
+    def test_refusal_rebases_nothing(self):
+        day = SECONDS_PER_DAY
+        fresh = _result(1, 1, 2, samples=[_sample(0.0, [0]), _sample(day, [3])])
+        spent = _result(0, 0, 1)
+        with pytest.raises(ValueError, match="^shard 0 has no samples"):
+            merge_samples([spent, fresh])
+        assert len(fresh.samples) == 2 and fresh.samples[1].matrix[0, 0] == 3
+
+
+@pytest.mark.parametrize("profile", [None, "pathological"])
+def test_merge_keeps_one_copy_of_the_samples(profile):
+    """The merge allocates no second copy of the counter samples: its
+    traced peak stays a small fraction of the bytes the shards hold (a
+    rebased copy of every later shard's samples read about 0.8 of them)."""
+    config = StudyConfig(
+        seed=5,
+        n_days=4,
+        n_nodes=16,
+        n_users=6,
+        fault_profile=PROFILES[profile] if profile else None,
+    )
+    results = execute_shards(config, plan_shards(config.n_days, 1))
+    sample_bytes = sum(s.matrix.nbytes for r in results for s in r.samples)
+    n_merged = sum(len(r.samples) for r in results) - (len(results) - 1)
+    tracemalloc.start()
+    try:
+        dataset = merge_shard_results(config, results, telemetry=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(dataset.collector.samples) == n_merged
+    assert peak < 0.25 * sample_bytes, (peak, sample_bytes)
 
 
 class TestMergeRecords:

@@ -56,6 +56,16 @@ class TestScheduling:
         with pytest.raises(ValueError):
             sim.schedule_at(0.5, lambda s: None)
 
+    def test_clock_never_runs_backwards(self):
+        sim = Simulator()
+        fired = []
+        ev = sim.schedule(5.0, lambda s: fired.append(s.now))
+        sim.run(until=2.0)
+        ev.time = 1.0  # behind the clock, past schedule_at's check
+        with pytest.raises(ValueError, match=r"^clock cannot run backwards: 1\.0 < 2\.0$"):
+            sim.step()
+        assert sim.now == 2.0 and fired == []
+
 
 class TestCancellation:
     def test_cancelled_event_does_not_fire(self):

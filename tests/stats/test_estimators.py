@@ -57,6 +57,26 @@ class TestStudentT:
         with pytest.raises(ValueError):
             t_cdf(1.0, -2)
 
+    def test_memoized_quantile_is_the_bisection_bitwise(self):
+        for p, df in ((0.975, 9), (0.025, 9), (0.9, 29)):
+            t_ppf.cache_clear()
+            fresh = t_ppf.__wrapped__(p, df)  # the bisection, not the cache
+            first = t_ppf(p, df)
+            hits = t_ppf.cache_info().hits
+            again = t_ppf(p, df)
+            assert t_ppf.cache_info().hits == hits + 1
+            assert first.hex() == fresh.hex() == again.hex()
+
+    def test_memoized_quantile_still_refuses_bad_arguments(self):
+        t_ppf(0.975, 5)
+        for _ in range(2):  # a refusal is never cached as an answer
+            with pytest.raises(ValueError, match="p must be"):
+                t_ppf(1.0, 5)
+            with pytest.raises(ValueError, match="df must be"):
+                t_ppf(0.975, 0)
+            with pytest.raises(ValueError, match="df must be"):
+                t_ppf(0.975, -1.5)
+
 
 class TestMeanCI:
     def test_known_interval(self):
