@@ -35,7 +35,6 @@ def main() -> None:
     sim.tracer = tracer
     machine = SP2Machine(16)
     machine.switch.tracer = tracer
-    machine.filesystem.tracer = tracer
     pbs = PBSServer(sim, machine, tracer=tracer)
 
     # One concrete job from the workload's majority family (§4).

@@ -19,7 +19,7 @@ setup(
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     python_requires=">=3.10",
-    install_requires=["numpy>=1.23", "networkx"],
+    install_requires=["numpy>=1.23"],
     entry_points={
         "console_scripts": [
             "sp2-study = repro.cli:main",

@@ -3,10 +3,10 @@
 input files, and the exit-code contract (CONTRIBUTING.md).
 
 Exit codes: 0 success; 1 operational failure (the command ran but
-measured, served or captured nothing, or shard retries ran out); 2 usage
-error (bad flags, an unreadable input, unknown names).  Every failure a
-command foresees ends in one ``error:`` line on stderr; :func:`entry_point`
-maps them onto the codes.
+measured, served or captured nothing, or shard or seed retries ran out);
+2 usage error (bad flags, an unreadable input, unknown names).  Every
+failure a command foresees ends in one ``error:`` line on stderr;
+:func:`entry_point` maps them onto the codes.
 """
 
 from __future__ import annotations
@@ -153,11 +153,12 @@ def read_input(path: str | pathlib.Path, read: Callable[[str], Any] = _read_json
 def entry_point(command: Callable[[list[str] | None], int]) -> Callable[..., int]:
     """``command`` as a console script's ``main``, its failures as exit codes.
 
-    A :class:`UsageError` is one ``error:`` line and exit 2.  Shard
-    retries that ran out are one line and exit 1, with a ``--resume``
-    hint when the run kept checkpoints.  A closed stdout (``| head``)
-    exits 0.  argparse's own exits pass through, and so does every other
-    exception: a ``ValueError`` inside a run is a fault, not bad usage.
+    A :class:`UsageError` is one ``error:`` line and exit 2.  Shard or
+    seed retries that ran out are one line and exit 1, with a
+    ``--resume`` hint when the run kept checkpoints.  A closed stdout
+    (``| head``) exits 0.  argparse's own exits pass through, and so
+    does every other exception: a ``ValueError`` inside a run is a
+    fault, not bad usage.
     """
 
     @functools.wraps(command)
@@ -174,13 +175,15 @@ def entry_point(command: Callable[[list[str] | None], int]) -> Callable[..., int
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
             return EXIT_OK
         except RuntimeError as err:
-            # Only a loaded shard runner can have raised its error, so
+            # Only a loaded task runner can have raised its errors, so
             # this never imports it (``--help`` stays cheap).
             runner = sys.modules.get("repro.parallel.runner")
-            if runner is None or not isinstance(err, runner.ShardExecutionError):
+            if runner is None or not isinstance(
+                err, (runner.ShardExecutionError, runner.WorkerCrashError)
+            ):
                 raise
             print(f"error: {err}", file=sys.stderr)
-            if err.checkpoint_dir is not None:
+            if getattr(err, "checkpoint_dir", None) is not None:
                 print(
                     f"hint: rerun with --checkpoint-dir {err.checkpoint_dir} "
                     "--resume to pick up from the completed shards",

@@ -1,4 +1,4 @@
-"""The assembled SP2: 144 nodes, one switch, the NFS home filesystems.
+"""The assembled SP2: 144 nodes and one switch.
 
 This is the object PBS schedules onto and the RS2HPM collector samples.
 Node allocation here is pure bookkeeping (which nodes are free); the
@@ -11,7 +11,6 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.cluster.filesystem import NFSFilesystem
 from repro.cluster.switch import HighPerformanceSwitch
 from repro.power2.batch import CounterStore
 from repro.power2.config import MachineConfig, POWER2_590, SwitchConfig
@@ -47,7 +46,6 @@ class SP2Machine:
         for node in self.nodes:
             node.attach_store(self.store, node.node_id)
         self.switch = HighPerformanceSwitch(switch_config)
-        self.filesystem = NFSFilesystem(self.switch)
         self._free: set[int] = set(range(n_nodes))
         self._allocations: dict[int, tuple[int, ...]] = {}
         self._next_alloc_id = 0

@@ -427,7 +427,6 @@ class WorkloadStudy:
             self.sim, self.machine, queue=queue, bus=self.bus, tracer=tracer
         )
         self.machine.switch.tracer = tracer
-        self.machine.filesystem.tracer = tracer
         self.collector = SystemCollector(
             self.machine,
             interval=self.config.sample_interval,

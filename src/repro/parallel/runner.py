@@ -1,10 +1,17 @@
-"""The sharded campaign runner: plan → execute → merge.
+"""One task runner, and the sharded campaign on it: plan → execute → merge.
+
+:func:`run_tasks` runs picklable tasks on at most ``workers`` forked
+processes and returns their results in task order.  Sharded campaigns,
+fleet members, ``sp2-study repeat`` seeds and sweep repeat cells all run
+on it, so they share one crash policy: a dead worker costs only the task
+it was running, that task is retried after a backoff, and an exception a
+task raises reaches the caller as it is.
 
 ``run_parallel_study`` is the parallel counterpart of
 :meth:`repro.core.study.WorkloadStudy.run`.  Determinism contract:
 
 * the merged dataset is a pure function of ``(config, shard_days)`` —
-  the ``workers`` count and the pool's scheduling order never change a
+  the ``workers`` count and the order tasks finish in never change a
   byte of the output (the differential tests assert this);
 * a single-shard plan (``shard_days >= n_days``) is byte-identical to
   the serial path (same trace streams, zero offsets);
@@ -14,23 +21,22 @@
   shard boundaries (see docs/PARALLEL.md for the boundary semantics).
 
 Resilience (docs/FAULTS.md): with a ``checkpoint_dir``, each worker
-persists its shard result the moment it finishes; a worker crash mid
-campaign loses only the in-flight shards.  The runner detects the broken
-pool, backs off exponentially, reloads whatever the dead batch managed
-to checkpoint, and retries the remainder — and because shard results are
-pure functions of ``(config, shard, n_shards)``, an interrupted-then
-resumed campaign merges to output byte-identical to an uninterrupted
-one.
+persists its shard result the moment it finishes, so a crash loses only
+the shard in flight, and a resume recomputes only the shards that never
+finished.  Because shard results are pure functions of ``(config, shard,
+n_shards)``, an interrupted-then-resumed campaign merges to output
+byte-identical to an uninterrupted one.
 """
 
 from __future__ import annotations
 
+import contextlib
 import multiprocessing
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
-from typing import TYPE_CHECKING
+import traceback
+from multiprocessing.connection import Connection, wait
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from repro.core.study import StudyConfig, StudyDataset
 
@@ -40,6 +46,33 @@ from repro.parallel.checkpoint import config_fingerprint, load_shard_result
 from repro.parallel.merge import merge_shard_results
 from repro.parallel.plan import Shard, plan_shards
 from repro.parallel.worker import ShardResult, SimulatedWorkerCrash, _run_shard_task
+
+#: Wait before the first retry; each later attempt waits twice as long.
+BACKOFF_SECONDS = 1.0
+
+#: Fork where available: a worker inherits the loaded modules, and tasks
+#: read only their payload, so forking is cheap and deterministic here.
+_CONTEXT = multiprocessing.get_context(
+    "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
+)
+
+
+class WorkerCrashError(RuntimeError):
+    """Tasks whose worker process died on every attempt.  ``failed``
+    names them: task positions, or what the caller calls them."""
+
+    def __init__(self, failed: list, attempts: int, what: str = "tasks") -> None:
+        self.failed = failed
+        self.attempts = attempts
+        super().__init__(f"{what} {failed} failed after {attempts} attempt(s)")
+
+
+class RemoteTraceback(Exception):
+    """Where in the worker a task's exception was raised: the cause the
+    runner attaches to the exception it re-raises."""
+
+    def __str__(self) -> str:
+        return self.args[0]
 
 
 class ShardExecutionError(RuntimeError):
@@ -52,49 +85,144 @@ class ShardExecutionError(RuntimeError):
         self.shard_indices = shard_indices
         self.attempts = attempts
         self.checkpoint_dir = checkpoint_dir
-        super().__init__(
-            f"shards {shard_indices} failed after {attempts} attempt(s); "
-            "completed shards are checkpointed — fix the cause and rerun "
-            "with resume"
-        )
+        message = f"shards {shard_indices} failed after {attempts} attempt(s)"
+        if checkpoint_dir is not None:
+            message += "; completed shards are checkpointed — fix the cause and rerun with resume"
+        super().__init__(message)
 
 
-def _pool_context() -> multiprocessing.context.BaseContext:
-    """Fork where available (cheap, deterministic here: workers only read
-    the pickled payload), else spawn.  ``REPRO_MP_START`` overrides the
-    choice for portability tests and operational tuning."""
-    start_method = os.environ.get("REPRO_MP_START")
-    if start_method is None:
-        methods = multiprocessing.get_all_start_methods()
-        start_method = "fork" if "fork" in methods else "spawn"
-    return multiprocessing.get_context(start_method)
+def _serve(task: Callable, conn: Connection, parent_end: Connection) -> None:
+    """A worker: run each payload the parent sends, until ``None``.
 
-
-def _run_batch(payloads: list[tuple], *, workers: int) -> "list[ShardResult | None]":
-    """One attempt over a batch of shard payloads, index-aligned.
-
-    A crashed worker (``os._exit`` → ``BrokenProcessPool``) or an
-    in-process simulated crash yields ``None`` in that slot; completed
-    slots keep their results, so one dying worker doesn't discard its
-    siblings' finished work.
+    Forked siblings inherit the parent's end of this worker's pipe, so
+    the parent stops workers with the ``None`` sentinel, never by
+    closing pipes.  The worker closes its own copy of the parent's end,
+    so that it exits, at its next read or reply, if the parent dies.
     """
-    results: "list[ShardResult | None]" = [None] * len(payloads)
-    n_procs = min(workers, len(payloads))
-    if n_procs <= 1:
-        for i, payload in enumerate(payloads):
-            try:
-                results[i] = _run_shard_task(payload)
-            except SimulatedWorkerCrash:
-                results[i] = None
-        return results
-    with ProcessPoolExecutor(max_workers=n_procs, mp_context=_pool_context()) as pool:
-        futures = [pool.submit(_run_shard_task, payload) for payload in payloads]
-        for i, future in enumerate(futures):
-            try:
-                results[i] = future.result()
-            except (BrokenProcessPool, SimulatedWorkerCrash):
-                results[i] = None
-    return results
+    parent_end.close()
+    while True:
+        try:
+            payload = conn.recv()
+        except EOFError:
+            return
+        if payload is None:
+            return
+        try:
+            reply = (True, task(payload))
+        except Exception as exc:  # noqa: BLE001 - the caller re-raises it
+            reply = (False, (exc, traceback.format_exc()))
+        # Hold neither the payload nor the result while idle.
+        payload = None
+        try:
+            conn.send(reply)
+        except OSError:
+            return
+        except Exception as exc:  # noqa: BLE001 - the reply does not pickle
+            conn.send((False, (exc, traceback.format_exc())))
+        reply = None
+
+
+def _run_here(task: Callable, payloads: Sequence, indices: list[int], results: list) -> list[int]:
+    """One attempt in this process; returns the tasks that crashed."""
+    crashed = []
+    for i in indices:
+        try:
+            results[i] = task(payloads[i])
+        except SimulatedWorkerCrash:
+            crashed.append(i)
+    return crashed
+
+
+def _run_forked(
+    task: Callable, payloads: Sequence, indices: list[int], results: list, workers: int
+) -> list[int]:
+    """One attempt on ``min(workers, len(indices))`` forked workers.
+
+    Each worker takes one task at a time over its own pipe.  A worker
+    that dies costs only its task in flight, and is replaced only while
+    tasks remain.  Returns the tasks whose worker died.
+    """
+    queue = indices[::-1]  # pop() hands tasks out in order
+    crashed: list[int] = []
+    live: dict[Connection, Any] = {}  # a worker's pipe end → its process
+    busy: dict[Connection, int] = {}  # → the task it is running
+
+    def fork() -> None:
+        conn, child = _CONTEXT.Pipe()
+        proc = _CONTEXT.Process(target=_serve, args=(task, child, conn))
+        proc.start()
+        child.close()
+        live[conn] = proc
+
+    try:
+        for _ in range(min(workers, len(queue))):
+            fork()
+        while queue or busy:
+            for conn in live:
+                if queue and conn not in busy:
+                    busy[conn] = i = queue.pop()
+                    with contextlib.suppress(OSError):  # dead: wait() reads its EOF
+                        conn.send(payloads[i])
+            for conn in wait(list(busy)):
+                i = busy.pop(conn)
+                try:
+                    ok, value = conn.recv()
+                except (EOFError, OSError):
+                    crashed.append(i)
+                    live.pop(conn).join()
+                    conn.close()
+                    if queue:
+                        fork()
+                    continue
+                if not ok:
+                    exc, where = value
+                    raise exc from RemoteTraceback(where)
+                results[i] = value
+    finally:
+        for conn, proc in live.items():
+            if conn in busy:
+                proc.terminate()
+            else:
+                with contextlib.suppress(OSError):
+                    conn.send(None)
+        for conn, proc in live.items():
+            proc.join()
+            conn.close()
+    return crashed
+
+
+def run_tasks(
+    task: Callable[[Any], Any],
+    payloads: Sequence[Any],
+    *,
+    workers: int = 1,
+    max_attempts: int = 3,
+) -> list:
+    """``[task(p) for p in payloads]`` on at most ``workers`` processes.
+
+    Results come back in task order.  A task whose worker process dies
+    is run again on the next attempt, after ``BACKOFF_SECONDS ×
+    2^(attempt-2)``; tasks still dying after ``max_attempts`` raise
+    :class:`WorkerCrashError`.  An exception a task raises reaches the
+    caller with its type, and costs no retry.  One worker, or one task
+    left, runs in this process, where :class:`SimulatedWorkerCrash`
+    stands for a dead worker.  Payloads must pickle and not be ``None``;
+    ``task`` must pickle by name where fork is unavailable.
+    """
+    if max_attempts < 1:
+        raise ValueError(f"max_attempts must be at least 1, got {max_attempts}")
+    results: list = [None] * len(payloads)
+    pending = list(range(len(payloads)))
+    for attempt in range(1, max_attempts + 1):
+        if attempt > 1:
+            time.sleep(BACKOFF_SECONDS * 2 ** (attempt - 2))
+        if min(workers, len(pending)) <= 1:
+            pending = _run_here(task, payloads, pending, results)
+        else:
+            pending = _run_forked(task, payloads, pending, results, workers)
+        if not pending:
+            return results
+    raise WorkerCrashError(pending, max_attempts)
 
 
 def execute_shards(
@@ -106,27 +234,23 @@ def execute_shards(
     checkpoint_dir: str | None = None,
     resume: bool = False,
     max_attempts: int = 3,
-    backoff_seconds: float = 1.0,
     traces: "list | None" = None,
     fault_namespace: tuple[int, ...] = (),
 ) -> list[ShardResult]:
-    """Run every shard, in-process or across a worker pool.
+    """Run every shard, in-process or on :func:`run_tasks`' workers.
 
     Results come back in shard-index order regardless of completion
     order, so the merge sees the same sequence either way.  With a
     ``checkpoint_dir``, finished shards are persisted worker-side and —
-    when ``resume`` is set — loaded instead of recomputed.  Failed
-    shards are retried up to ``max_attempts`` times total, sleeping
-    ``backoff_seconds × 2^(attempt-1)`` between attempts; shards still
-    failing then raise :class:`ShardExecutionError`.
+    when ``resume`` is set — loaded instead of recomputed.  A shard
+    whose worker dies is retried up to ``max_attempts`` times total;
+    shards still failing then raise :class:`ShardExecutionError`.
 
     ``traces`` (shard-index-aligned, shard-local clocks) injects
     pre-built submission streams instead of per-shard generation — the
     fleet runner's path.  Checkpoints identify a shard by config alone,
     so injected traces and checkpointing are mutually exclusive.
     """
-    if max_attempts < 1:
-        raise ValueError(f"max_attempts must be at least 1, got {max_attempts}")
     if resume and checkpoint_dir is None:
         raise ValueError("resume requires a checkpoint_dir")
     if traces is not None:
@@ -153,53 +277,18 @@ def execute_shards(
                 done[shard.index] = cached
 
     pending = [s for s in shards if s.index not in done]
-    attempt = 0
-    while pending:
-        attempt += 1
-        if attempt > 1:
-            delay = backoff_seconds * 2 ** (attempt - 2)
-            if delay > 0:
-                time.sleep(delay)
-        by_index = (
-            {shard.index: trace for shard, trace in zip(shards, traces)}
-            if traces is not None
-            else {}
-        )
-        payloads = [
-            (
-                config,
-                shard,
-                n_shards,
-                tracing,
-                checkpoint_dir if checkpoint_dir is not None else None,
-                fingerprint,
-                by_index.get(shard.index),
-                fault_namespace,
-            )
-            for shard in pending
-        ]
-        batch = _run_batch(payloads, workers=workers)
-        failed: list[Shard] = []
-        for shard, result in zip(pending, batch):
-            if result is not None:
-                done[shard.index] = result
-            else:
-                failed.append(shard)
-        if failed and checkpoint_dir is not None:
-            # A broken pool loses every still-queued future, but workers
-            # checkpoint results themselves — harvest what the dead
-            # batch actually finished before recomputing.
-            still_failed = []
-            for shard in failed:
-                cached = load_shard_result(checkpoint_dir, fingerprint, shard.index)
-                if cached is not None:
-                    done[shard.index] = cached
-                else:
-                    still_failed.append(shard)
-            failed = still_failed
-        pending = failed
-        if pending and attempt >= max_attempts:
-            raise ShardExecutionError([s.index for s in pending], attempt, checkpoint_dir)
+    shard_traces = traces if traces is not None else [None] * n_shards
+    payloads = [
+        (config, s, n_shards, tracing, checkpoint_dir, fingerprint, t, fault_namespace)
+        for s, t in zip(shards, shard_traces)
+        if s.index not in done
+    ]
+    try:
+        results = run_tasks(_run_shard_task, payloads, workers=workers, max_attempts=max_attempts)
+    except WorkerCrashError as err:
+        failed = [pending[i].index for i in err.failed]
+        raise ShardExecutionError(failed, err.attempts, checkpoint_dir) from None
+    done.update((shard.index, result) for shard, result in zip(pending, results))
     return [done[s.index] for s in shards]
 
 
@@ -212,7 +301,6 @@ def run_parallel_study(
     checkpoint_dir: str | None = None,
     resume: bool = False,
     max_attempts: int = 3,
-    backoff_seconds: float = 1.0,
     trace: "CampaignTrace | None" = None,
     fault_namespace: tuple[int, ...] = (),
     telemetry: bool = True,
@@ -237,8 +325,8 @@ def run_parallel_study(
     resume:
         Load valid checkpoints from ``checkpoint_dir`` instead of
         recomputing those shards.
-    max_attempts / backoff_seconds:
-        Retry policy for crashed shard workers (exponential backoff).
+    max_attempts:
+        Attempts per shard whose worker dies (:func:`run_tasks`).
     trace:
         A pre-built campaign trace to replay instead of per-shard
         generation (fleet members route a shared demand stream here).
@@ -274,7 +362,6 @@ def run_parallel_study(
         checkpoint_dir=checkpoint_dir,
         resume=resume,
         max_attempts=max_attempts,
-        backoff_seconds=backoff_seconds,
         traces=traces,
         fault_namespace=fault_namespace,
     )

@@ -163,7 +163,7 @@ def _maybe_simulated_crash(shard_index: int, checkpoint_dir: str | None) -> None
     that the crash already happened so the retry succeeds — modelling a
     transient node loss.  Without one, the crash repeats every attempt
     (a hard-down worker).  In a subprocess the death is ``os._exit``,
-    which the executor surfaces as a broken pool — exactly what a
+    which the task runner sees as a dead worker — exactly what a
     SIGKILLed worker looks like; in-process it raises instead.
     """
     target = os.environ.get(CRASH_ENV_VAR)
@@ -182,7 +182,7 @@ def _maybe_simulated_crash(shard_index: int, checkpoint_dir: str | None) -> None
 
 
 def _run_shard_task(payload: tuple) -> ShardResult:
-    """Top-level pool entry point (must be picklable by name).
+    """Top-level task-runner entry point (must be picklable by name).
 
     Writes the shard's checkpoint *in the worker* the moment the shard
     finishes, so completed work survives even if the parent (or a

@@ -4,8 +4,9 @@
 whole resolved :class:`StudyConfig` (machine geometry, switch fabric,
 scheduler policy, fault profile) plus the shard plan, minus the seed.
 ``sp2-study repeat`` and sweep cells both build one.  The batch runner
-fans a batch of seeds across worker processes (the same pool context
-policy as :mod:`repro.parallel.runner`); because each repeat is a pure
+fans a batch of seeds across worker processes on
+:func:`repro.parallel.runner.run_tasks`, so a seed whose worker dies is
+retried the way a crashed shard is; because each repeat is a pure
 function of its seed, the collected samples are identical whatever
 worker count executed them.  A repeat keeps only its metric dict, which
 reads no telemetry, so its campaign runs with none (no event bus, no
@@ -15,12 +16,11 @@ telemetry service, no sharded replay).
 from __future__ import annotations
 
 import dataclasses
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from repro.core.study import StudyConfig, run_study
-from repro.parallel.runner import _pool_context
+from repro.parallel.runner import WorkerCrashError, run_tasks
 from repro.stats.metrics import collect_metrics
 
 
@@ -29,7 +29,7 @@ class ConfigRepeatSpec:
     """One repeat over a resolved :class:`StudyConfig`.
 
     The spec is picklable (all nested configs are frozen dataclasses of
-    plain values), so batches fan across the worker pool.
+    plain values), so batches fan across worker processes.
     """
 
     config: StudyConfig
@@ -53,14 +53,16 @@ def _config_repeat_task(payload: tuple[ConfigRepeatSpec, int]) -> dict[str, floa
 def make_config_batch_runner(
     spec: ConfigRepeatSpec, *, workers: int = 1
 ) -> Callable[[Sequence[int]], list[dict[str, float]]]:
-    """A batch executor mapping seeds → metric dicts, order preserved."""
+    """A batch executor mapping seeds → metric dicts, order preserved.
+
+    Seeds whose worker dies on every attempt raise
+    :class:`~repro.parallel.runner.WorkerCrashError` naming them."""
 
     def run_batch(seeds: Sequence[int]) -> list[dict[str, float]]:
-        payloads = [(spec, int(s)) for s in seeds]
-        n_procs = min(workers, len(payloads))
-        if n_procs <= 1:
-            return [_config_repeat_task(p) for p in payloads]
-        with ProcessPoolExecutor(max_workers=n_procs, mp_context=_pool_context()) as pool:
-            return list(pool.map(_config_repeat_task, payloads))
+        seeds = [int(s) for s in seeds]
+        try:
+            return run_tasks(_config_repeat_task, [(spec, s) for s in seeds], workers=workers)
+        except WorkerCrashError as err:
+            raise WorkerCrashError([seeds[i] for i in err.failed], err.attempts, "seeds") from None
 
     return run_batch

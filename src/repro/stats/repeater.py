@@ -42,7 +42,7 @@ from repro.stats.stopping import (
 #: One repeat: seed in, flat ``{metric: value}`` out.
 MetricFn = Callable[[int], dict[str, float]]
 #: Optional batch executor: seeds in, per-seed metric dicts out, order
-#: preserved (the campaign layer supplies a process-pool implementation).
+#: preserved (the campaign layer supplies one on worker processes).
 BatchRunner = Callable[[Sequence[int]], list[dict[str, float]]]
 
 
@@ -99,7 +99,7 @@ class Repeater:
     fires names the stop.  ``max_repeats`` is enforced as an implicit
     final :class:`MaxRepeatsRule` so the loop always terminates.
     ``batch_runner`` overrides how a batch of seeds is executed (the
-    campaign layer plugs the worker pool in here); the default maps
+    campaign layer plugs its worker processes in here); the default maps
     serially in-process.
     """
 

@@ -34,8 +34,6 @@ CAT_JOB_PHASE = "job.phase"
 CAT_HPM = "hpm.collect"
 #: Switch messages / exchanges (modeled duration).
 CAT_SWITCH = "switch"
-#: NFS home-filesystem transfers (modeled duration).
-CAT_FS = "fs"
 #: Node-level work phases (the phase-execution path).
 CAT_NODE_PHASE = "node.phase"
 

@@ -15,7 +15,7 @@ Three ways to open a span:
 * ``@tracer.trace("name", CAT)`` — decorator sugar over ``span``.
 
 ``tracer.record(...)`` appends an already-closed span with a *modeled*
-duration — how the switch/filesystem/node cost models report intervals
+duration — how the switch and node cost models report intervals
 without advancing the clock.
 
 Disabled tracers (``enabled=False``) allocate nothing and record

@@ -170,6 +170,9 @@ MATRIX = [
                  id="repeat-shard-crash"),
     pytest.param(fleet, ["run", "--days", "2", "--shard-days", "1"], 1, "0",
                  id="fleet-shard-crash"),
+    # Exit 1 in one line, was a BrokenProcessPool traceback.
+    pytest.param(study, ["repeat", *TINY, "--seeds", "0,1", "--shard-days", "1",
+                         "--workers", "2"], 1, "0", id="repeat-workers-2-shard-crash"),
 ]
 
 

@@ -14,9 +14,13 @@ the same knob the CI fault-smoke job uses.
 
 from __future__ import annotations
 
+import multiprocessing
+
 import numpy as np
 import pytest
 
+import repro.parallel.runner as runner
+import repro.parallel.worker as worker
 from repro.analysis.export import dataset_to_json
 from repro.analysis.opsreport import campaign_ops_digest
 from repro.core.study import StudyConfig
@@ -76,20 +80,62 @@ class TestCrashRecovery:
     def test_crashed_worker_is_retried_to_identical_output(
         self, reference, tmp_path, monkeypatch
     ):
-        """One worker dies mid-campaign; the runner detects the broken
-        pool, retries, and the merged output matches the uninterrupted
-        run byte for byte."""
+        """One worker dies mid-campaign; the runner sees the dead
+        worker, retries its shard, and the merged output matches the
+        uninterrupted run byte for byte."""
         monkeypatch.setenv(CRASH_ENV_VAR, "1")
+        monkeypatch.setattr(runner.time, "sleep", lambda seconds: None)
         recovered = run_parallel_study(
             CONFIG,
             workers=2,
             shard_days=SHARD_DAYS,
             checkpoint_dir=str(tmp_path),
-            backoff_seconds=0.0,
         )
         # The crash actually happened (the marker proves the death).
         assert (tmp_path / ".crashed-1").exists()
         assert_identical(reference, recovered)
+        assert multiprocessing.active_children() == []
+
+    def test_a_dead_worker_costs_only_its_own_shard(self, reference, tmp_path, monkeypatch):
+        """Shard 1's worker dies with retries disabled: the error names
+        shard 1 alone, its three siblings are checkpointed, and the
+        resume recomputes shard 1 alone, to byte-identical output."""
+        monkeypatch.setenv(CRASH_ENV_VAR, "1")
+        with pytest.raises(ShardExecutionError) as err:
+            run_parallel_study(
+                CONFIG,
+                workers=2,
+                shard_days=SHARD_DAYS,
+                checkpoint_dir=str(tmp_path),
+                max_attempts=1,
+            )
+        assert err.value.shard_indices == [1]
+        assert "shards [1] failed" in str(err.value)
+        assert sorted(p.name for p in tmp_path.glob("shard-*.pkl")) == [
+            "shard-0000.pkl",
+            "shard-0002.pkl",
+            "shard-0003.pkl",
+        ]
+        assert multiprocessing.active_children() == []
+
+        monkeypatch.delenv(CRASH_ENV_VAR)
+        computed = []
+        run_shard = worker.run_shard
+
+        def spy(config, shard, *args, **kwargs):
+            computed.append(shard.index)
+            return run_shard(config, shard, *args, **kwargs)
+
+        monkeypatch.setattr(worker, "run_shard", spy)
+        resumed = run_parallel_study(
+            CONFIG,
+            workers=1,
+            shard_days=SHARD_DAYS,
+            checkpoint_dir=str(tmp_path),
+            resume=True,
+        )
+        assert computed == [1]
+        assert_identical(reference, resumed)
 
     def test_kill_then_resume_is_byte_identical(self, reference, tmp_path, monkeypatch):
         """With retries disabled the campaign hard-fails; a --resume run

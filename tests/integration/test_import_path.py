@@ -1,10 +1,9 @@
 """A campaign does not need networkx.
 
-networkx is declared in the package dependencies, but only
-:mod:`repro.cluster.topology` (the switch fabric's structure) uses it.
-``import repro``, a campaign and the ``sp2-study`` CLI must work in an
-interpreter where it cannot be imported, so the campaign import path
-stays as small as the package's numpy core.
+The package declares numpy as its only dependency.  ``import repro``, a
+campaign and the ``sp2-study`` CLI must work in an interpreter where
+networkx cannot be imported, so the campaign import path stays as small
+as the package's numpy core.
 """
 
 from __future__ import annotations

@@ -1,0 +1,181 @@
+"""The task runner every parallel path shares (:func:`run_tasks`).
+
+Results come back in task order; a dead worker costs only the task it
+was running; an exception a task raises keeps its type; and no worker
+process outlives a run, however it ends.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import multiprocessing
+import os
+import pathlib
+import select
+import signal
+import subprocess
+import sys
+import threading
+import time
+
+import pytest
+
+import repro.parallel.runner as runner
+from repro.parallel.runner import ShardExecutionError, WorkerCrashError, run_tasks
+from repro.parallel.worker import SimulatedWorkerCrash
+
+
+def _die() -> None:
+    """What a crashed worker looks like: ``os._exit`` in a worker, the
+    runner's in-process stand-in otherwise."""
+    if multiprocessing.parent_process() is not None:
+        os._exit(3)
+    raise SimulatedWorkerCrash("in process")
+
+
+def _square(x: int) -> int:
+    return x * x
+
+
+def _logged(payload: tuple[str, int, str]) -> int:
+    """Square ``x``, appending to ``x``'s run log first; ``mode`` says
+    whether ``x`` dies never, on its first run only, or on every run."""
+    log_dir, x, mode = payload
+    log = pathlib.Path(log_dir, f"ran-{x}")
+    first = not log.exists()
+    with open(log, "a") as fh:
+        fh.write(f"{os.getpid()}\n")
+    if mode == "always" or (mode == "once" and first):
+        _die()
+    return x * x
+
+
+def _runs(log_dir: pathlib.Path, x: int) -> int:
+    return len((log_dir / f"ran-{x}").read_text().splitlines())
+
+
+def _raise_or_sleep(x: int) -> int:
+    if x == 1:
+        raise KeyError(x)
+    time.sleep(30)
+    return x
+
+
+def _unpicklable(x: int) -> threading.Lock:
+    return threading.Lock()
+
+
+@pytest.fixture
+def no_backoff(monkeypatch) -> list[float]:
+    """Skip the retry backoff; the list collects the waits asked for."""
+    waits: list[float] = []
+    monkeypatch.setattr(runner.time, "sleep", waits.append)
+    return waits
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_results_come_back_in_task_order(workers):
+    assert run_tasks(_square, list(range(7)), workers=workers) == [x * x for x in range(7)]
+    assert multiprocessing.active_children() == []
+
+
+def test_no_tasks_is_no_results():
+    assert run_tasks(_square, [], workers=2) == []
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_dead_worker_costs_only_its_task(workers, tmp_path, no_backoff):
+    payloads = [(str(tmp_path), x, "once" if x == 1 else "never") for x in range(4)]
+    assert run_tasks(_logged, payloads, workers=workers) == [0, 1, 4, 9]
+    assert [_runs(tmp_path, x) for x in range(4)] == [1, 2, 1, 1]
+    assert no_backoff == [runner.BACKOFF_SECONDS]
+    assert multiprocessing.active_children() == []
+
+
+def test_a_task_dying_on_every_attempt_names_itself(tmp_path, no_backoff):
+    payloads = [(str(tmp_path), x, "always" if x == 2 else "never") for x in range(4)]
+    with pytest.raises(WorkerCrashError) as err:
+        run_tasks(_logged, payloads, workers=2, max_attempts=3)
+    assert (err.value.failed, err.value.attempts) == ([2], 3)
+    assert str(err.value) == "tasks [2] failed after 3 attempt(s)"
+    assert [_runs(tmp_path, x) for x in range(4)] == [1, 1, 3, 1]
+    assert no_backoff == [runner.BACKOFF_SECONDS, 2 * runner.BACKOFF_SECONDS]
+    assert multiprocessing.active_children() == []
+
+
+def test_a_raising_task_keeps_its_type_and_stops_its_siblings():
+    start = time.monotonic()
+    with pytest.raises(KeyError) as err:
+        run_tasks(_raise_or_sleep, [0, 1, 2], workers=2)
+    assert time.monotonic() - start < 20  # the sleeping sibling was stopped
+    assert multiprocessing.active_children() == []
+    # The worker's traceback is the cause: it names the raising line.
+    assert "raise KeyError(x)" in str(err.value.__cause__)
+
+
+def test_a_raising_task_in_process_is_not_retried(no_backoff):
+    with pytest.raises(KeyError):
+        run_tasks(_raise_or_sleep, [1], workers=1)
+    assert no_backoff == []
+
+
+def test_a_result_that_does_not_pickle_is_an_error_not_a_crash(no_backoff):
+    with pytest.raises(TypeError, match="pickle"):
+        run_tasks(_unpicklable, [0, 1], workers=2)
+    assert no_backoff == []
+    assert multiprocessing.active_children() == []
+
+
+def test_attempts_must_be_positive():
+    with pytest.raises(ValueError, match="max_attempts"):
+        run_tasks(_square, [1], max_attempts=0)
+
+
+def test_shard_error_points_at_resume_only_with_checkpoints():
+    assert str(ShardExecutionError([1], 3)) == "shards [1] failed after 3 attempt(s)"
+    assert str(ShardExecutionError([1], 3, "ckpt")).endswith("rerun with resume")
+
+
+#: A parent that starts two workers: one finishes its task at once and
+#: waits for the next, the other is still busy when the parent dies.
+ORPHANS = """
+import os, time
+from repro.parallel.runner import run_tasks
+
+def task(x):
+    print(os.getpid(), flush=True)
+    time.sleep(x)
+    return x
+
+run_tasks(task, [0, 1], workers=2)
+"""
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(), reason="workers are spawned"
+)
+def test_workers_exit_when_the_parent_dies():
+    """Killed parent: the idle worker reads EOF, the busy one fails to
+    reply, and both exit.  They share the parent's stdout, so the pipe
+    reads EOF once every worker is gone."""
+    src = str(pathlib.Path(runner.__file__).resolve().parents[2])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.Popen([sys.executable, "-c", ORPHANS], stdout=subprocess.PIPE, env=env)
+    pids: list[int] = []
+    try:
+        for _ in range(2):
+            pids.append(int(proc.stdout.readline()))
+        proc.kill()
+        proc.wait()
+        fd = proc.stdout.fileno()
+        deadline = time.monotonic() + 20
+        while select.select([fd], [], [], max(0.0, deadline - time.monotonic()))[0]:
+            if not os.read(fd, 4096):
+                return
+        pytest.fail("a worker outlived its parent by 20 s")
+    finally:
+        proc.kill()
+        proc.stdout.close()
+        for pid in pids:
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)

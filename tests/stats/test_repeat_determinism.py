@@ -9,9 +9,15 @@ are recorded as execution metadata, which is the only field allowed to
 differ)."""
 
 import json
+import multiprocessing
+import os
+import pathlib
 
 import pytest
 
+import repro.parallel.runner as runner
+import repro.stats.campaign as campaign
+from repro.core.study import StudyConfig
 from repro.stats.cli import repeat_main
 
 #: Tiny campaigns: 3 seeds x 2 days x 16 nodes keep the test under a
@@ -64,3 +70,33 @@ class TestFixedSeedSemantics:
         assert payload["repeat"]["n"] == 3
         for est in payload["campaign"].values():
             assert est["n"] == 3
+
+
+#: Marker file that records seed 1's worker death (set by the test).
+_DIED: pathlib.Path | None = None
+
+
+def _seed_1_dies_once(payload: tuple[campaign.ConfigRepeatSpec, int]) -> dict[str, float]:
+    spec, seed = payload
+    if seed == 1 and not _DIED.exists() and multiprocessing.parent_process() is not None:
+        _DIED.write_text("seed 1's worker died\n")
+        os._exit(3)
+    return spec.run_one(seed)
+
+
+class TestDeadSeedWorker:
+    def test_repeat_survives_a_dead_seed_worker(self, tmp_path, monkeypatch):
+        """Seed 1's worker dies once: the seed is retried and the
+        batch's metric dicts match a one-worker run's."""
+        spec = campaign.ConfigRepeatSpec(
+            config=StudyConfig(seed=0, n_days=2, n_nodes=16, n_users=6)
+        )
+        seeds = [0, 1, 2]
+        serial = campaign.make_config_batch_runner(spec, workers=1)(seeds)
+        monkeypatch.setattr(f"{__name__}._DIED", tmp_path / "died")
+        monkeypatch.setattr(campaign, "_config_repeat_task", _seed_1_dies_once)
+        monkeypatch.setattr(runner.time, "sleep", lambda seconds: None)
+        parallel = campaign.make_config_batch_runner(spec, workers=2)(seeds)
+        assert (tmp_path / "died").exists()
+        assert parallel == serial
+        assert multiprocessing.active_children() == []

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.analysis.opsreport import campaign_ops_digest, day_ops, render_day_report
-from repro.cluster.filesystem import NFSFilesystem
 from repro.cluster.switch import HighPerformanceSwitch
 from repro.core.study import StudyConfig, WorkloadStudy
 from repro.hpm.derived import workload_rates
@@ -11,7 +10,6 @@ from repro.telemetry.rules import AnomalyEngine, Observation, PagingRule
 from repro.tracing import Tracer, span_index, spans_to_jsonl
 from repro.tracing.span import (
     CAT_CAMPAIGN,
-    CAT_FS,
     CAT_JOB_PHASE,
     CAT_JOB_STATE,
     CAT_SWITCH,
@@ -143,16 +141,6 @@ class TestCostModelSpans:
         assert span.category == CAT_SWITCH
         assert span.duration == pytest.approx(cost.seconds)
         assert span.args["bytes"] == 1e6
-
-    def test_filesystem_records_io_spans(self):
-        tracer = Tracer()
-        fs = NFSFilesystem(HighPerformanceSwitch(), tracer=tracer)
-        seconds = fs.read(owner=3, nbytes=2e6)
-        fs.write(owner=3, nbytes=1e6)
-        read_span, write_span = tracer.spans
-        assert (read_span.name, write_span.name) == ("read", "write")
-        assert read_span.category == write_span.category == CAT_FS
-        assert read_span.duration == pytest.approx(seconds)
 
 
 class TestOverheadIsZero:
