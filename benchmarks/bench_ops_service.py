@@ -31,8 +31,7 @@ import time
 from dataclasses import dataclass
 
 from repro.core.study import StudyConfig, run_study
-from repro.ops import CampaignHub, OpsClient, OpsServer
-from repro.ops.ingest import replay_into_hub
+from repro.ops import BusTap, CampaignHub, OpsClient, OpsServer
 from repro.stats.estimators import mean_ci
 from repro.stats.gate import ci_overlap_gate, render_gate
 from repro.telemetry.sketch import QuantileSet
@@ -78,10 +77,10 @@ def _raise_fd_limit(needed: int) -> None:
 def build_hub(*, seed: int = 5, n_days: int = 2, n_nodes: int = 32) -> CampaignHub:
     """A completed campaign for the service to answer questions about."""
     config = StudyConfig(seed=seed, n_days=n_days, n_nodes=n_nodes, n_users=8)
-    dataset = run_study(config)
     hub = CampaignHub()
     hub.register("bench", kind="single", meta={"seed": seed})
-    replay_into_hub(hub, "bench", dataset)
+    tap = BusTap(lambda topic, event: hub.feed("bench", topic, event))
+    dataset = run_study(config, bus_hook=tap.attach)
     hub.complete("bench", {"jobs": len(dataset.accounting)})
     return hub
 

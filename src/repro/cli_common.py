@@ -114,12 +114,13 @@ def shard_plan(args: argparse.Namespace, checkpoint_dir: object = None) -> dict:
 
 
 def run_campaign(
-    args: argparse.Namespace, *, tracing: bool = False, **checkpoints: Any
+    args: argparse.Namespace, *, tracing: bool = False, **options: Any
 ) -> StudyDataset:
     """Run the campaign the flags describe between a start and a "done
-    in" line on stderr; ``checkpoints`` go to :func:`run_study`."""
+    in" line on stderr; ``options`` (checkpoint keywords, a
+    ``bus_hook``) go to :func:`run_study`."""
     config = study_config(args)
-    plan = shard_plan(args, checkpoints.get("checkpoint_dir"))
+    plan = shard_plan(args, options.get("checkpoint_dir"))
     how = f", {plan['workers']} workers" if plan["shard_days"] is not None else ""
     faulty = f", faults={args.fault_profile}" if args.fault_profile else ""
     traced = ", traced" if tracing else ""
@@ -129,7 +130,7 @@ def run_campaign(
         file=sys.stderr,
     )
     t0 = time.time()
-    dataset = run_study(config, tracing=tracing, **plan, **checkpoints)
+    dataset = run_study(config, tracing=tracing, **plan, **options)
     print(f"Campaign done in {time.time() - t0:.1f}s.", file=sys.stderr)
     return dataset
 

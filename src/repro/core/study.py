@@ -375,7 +375,13 @@ class StudyDataset:
 
 
 class WorkloadStudy:
-    """Wires machine, PBS, collector and trace together and runs them."""
+    """Wires machine, PBS, collector and trace together and runs them.
+
+    ``telemetry=False`` builds no event bus and no telemetry service.
+    The dataset keeps the collector's intervals; ``keep_samples=True``
+    also keeps every pass in ``collector.samples``, which only a shard
+    worker asks for (the merge rebases and replays them).
+    """
 
     def __init__(
         self,
@@ -384,6 +390,7 @@ class WorkloadStudy:
         tracer: Tracer | None = None,
         fault_streams: RngStreams | None = None,
         telemetry: bool = True,
+        keep_samples: bool = False,
     ) -> None:
         self.config = config or StudyConfig()
         #: RNG tree the fault schedule is drawn from.  ``None`` defaults
@@ -432,6 +439,7 @@ class WorkloadStudy:
             interval=self.config.sample_interval,
             bus=self.bus,
             tracer=tracer,
+            keep_samples=keep_samples,
         )
         self.daemons = self.collector.daemons
         self._utilization_probes: list[tuple[float, int]] = []

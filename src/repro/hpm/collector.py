@@ -3,19 +3,24 @@
 §3: "At 15-minute intervals, the cron daemon runs a script to collect
 data from all the SP2 nodes which are available for user jobs and stores
 this data for later analysis."  The collector polls every node daemon,
-stores one :class:`SystemSample` per interval and differences it against
-the previous one as it takes it, into one int64 row of column sums
+takes one :class:`SystemSample` per interval and differences it against
+the one before it as it takes it, into one int64 row of column sums
 (:class:`IntervalCounts`).  The telemetry service (through the
 sample's bus event) and the analysis layer (the daily/15-minute rate
 series behind Figure 1 and the 5.7 Gflops 15-minute maximum) both read
 those intervals.
 
-Storage is an ``(n_nodes, 44)`` int64 matrix per sample (user bank then
-system bank, see :data:`repro.power2.counters.FLAT_NAMES`); a 270-day
-campaign takes ~26k samples × 144 nodes, so the per-sample path must be
-vectorized (profiled: the dict-based path was 30× slower).  A pass is
-one :meth:`~repro.cluster.machine.SP2Machine.read_counters` call over
-the nodes whose daemon answers — the same read the PBS prologue and
+A sample is an ``(n_nodes, 44)`` int64 matrix (user bank then system
+bank, see :data:`repro.power2.counters.FLAT_NAMES`).  A 270-day campaign
+takes ~26k passes × 144 nodes, so the per-pass path must be vectorized
+(profiled: the dict-based path was 30× slower), and keeping every
+pass's matrix would hold 1.25 GB.  So the collector holds only the
+latest sample, and what the campaign keeps is its interval rows (44
+int64 each); ``samples`` keeps every pass only when asked
+(``keep_samples``: the shard worker, whose merge rebases and replays
+them).  A pass is one
+:meth:`~repro.cluster.machine.SP2Machine.read_counters` call over the
+nodes whose daemon answers — the same read the PBS prologue and
 epilogue make.  Which daemons answer is one set of node ids the daemons
 keep up to date, so the common pass (everyone answers) is one test of
 that set.
@@ -123,9 +128,10 @@ class SampleSeries:
     """Interval algebra over an ordered run of :class:`SystemSample`.
 
     Base of :class:`SystemCollector` (which *produces* samples on the
-    simulation clock) and of the parallel runner's merged series (which
-    *concatenates* rebased shard samples) — both expose the same
-    ``samples`` / ``intervals()`` surface the analysis layer consumes.
+    simulation clock and differences each as it takes it) and of the
+    parallel runner's merged series (which *concatenates* rebased shard
+    samples) — both expose the same ``intervals()`` surface the analysis
+    layer consumes.  ``samples`` is the run, where it is kept.
     """
 
     def __init__(
@@ -147,7 +153,9 @@ class SampleSeries:
         nodes present in both (a node missing from either is skipped for
         that interval, as the real scripts had to do).  With a known
         cadence, intervals spanning a collector gap carry
-        ``interpolated=True``.  Each sample is differenced once."""
+        ``interpolated=True``.  Each sample is differenced once; a
+        collector differences each pass as it takes it, so its list is
+        whole whether or not it keeps the samples."""
         samples = self.samples
         for i in range(len(self._intervals) + 1, len(samples)):
             self._difference(samples[i - 1], samples[i])
@@ -166,12 +174,15 @@ class SampleSeries:
 
 
 class SystemCollector(SampleSeries):
-    """Collects and stores system-wide samples on the simulation clock.
+    """Collects system-wide samples on the simulation clock and
+    differences each against the one before it.
 
     One :class:`~repro.hpm.daemon.NodeDaemon` per machine node decides
     which nodes a pass reaches (:attr:`daemons`, in node order; a down
     daemon's node id is in their shared reachability set); the counters
-    themselves come from one machine-level read.
+    themselves come from one machine-level read.  The collector holds
+    the latest sample (:attr:`last_sample`); ``samples`` stays empty
+    unless ``keep_samples`` asks for every pass.
     """
 
     def __init__(
@@ -181,9 +192,15 @@ class SystemCollector(SampleSeries):
         interval: float = SAMPLE_INTERVAL_SECONDS,
         bus: "EventBus | None" = None,
         tracer: "Tracer | None" = None,
+        keep_samples: bool = False,
     ) -> None:
         super().__init__(cadence=interval)
         self.machine = machine
+        self.keep_samples = keep_samples
+        #: The latest pass taken (None before the baseline): the next
+        #: interval starts here.  A dropped pass leaves it in place, so
+        #: the next interval spans the gap.
+        self.last_sample: SystemSample | None = None
         #: Node ids whose daemon does not answer, kept by the daemons'
         #: ``mark_down``/``mark_up``.
         self._unreachable: set[int] = set()
@@ -201,7 +218,7 @@ class SystemCollector(SampleSeries):
         #: for the node.down / node.up bus topics).
         self._down: set[int] = set()
         #: Fault-injection hook: when set, the next cron pass is lost
-        #: (no sample stored) — the §3 pipeline's missing data files.
+        #: (no sample taken) — the §3 pipeline's missing data files.
         self._drop_next = False
         self.passes_dropped = 0
 
@@ -217,7 +234,7 @@ class SystemCollector(SampleSeries):
     def collect(self, now: float) -> SystemSample | None:
         """One cron pass over all node daemons.
 
-        Returns ``None`` (and stores nothing) when the pass was dropped
+        Returns ``None`` (and takes nothing) when the pass was dropped
         by fault injection; the next successful pass's interval then
         spans the gap and is flagged interpolated.
         """
@@ -259,8 +276,11 @@ class SystemCollector(SampleSeries):
             ids = tuple(i for i in self._all_ids if i not in unreachable)
             missing = tuple(sorted(unreachable))
         sample = SystemSample(now, ids, self.machine.read_counters(ids, now), missing)
-        interval = self._difference(self.samples[-1], sample) if self.samples else None
-        self.samples.append(sample)
+        last = self.last_sample
+        interval = self._difference(last, sample) if last is not None else None
+        self.last_sample = sample
+        if self.keep_samples:
+            self.samples.append(sample)
         self._publish(sample, interval)
         return sample
 

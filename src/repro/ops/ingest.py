@@ -9,7 +9,8 @@ Two paths feed a :class:`~repro.ops.hub.CampaignHub`:
   Taps only *add* subscribers, and the bus delivers in subscription
   order, so a tapped campaign's own output is byte-identical to an
   untapped one (the integration tests diff the JSON exports);
-* **replay** — an already-run dataset streams through the canonical
+* **replay** — an already-run dataset that kept its samples (a sharded
+  campaign's merged dataset) streams through the canonical
   :func:`repro.telemetry.service.replay_events` ordering, so hub state
   after replay equals :meth:`TelemetryService.replay` state by
   construction.
@@ -87,7 +88,16 @@ def replay_into_hub(
     *,
     member: str | None = None,
 ) -> None:
-    """Feed one recorded dataset through the canonical replay ordering."""
+    """Feed one recorded dataset through the canonical replay ordering.
+
+    The dataset must hold its samples: a sharded campaign's merged
+    dataset does; a serial one keeps only its intervals, and streams
+    live through a :class:`BusTap` instead."""
+    if not dataset.collector.samples and dataset.collector.intervals():
+        raise ValueError(
+            "dataset keeps no samples to replay: a serial campaign keeps only "
+            "its intervals (feed it live through a BusTap)"
+        )
     spans = dataset.tracer.spans if dataset.tracer is not None else ()
     truncations = (
         dataset.telemetry.truncations if dataset.telemetry is not None else ()

@@ -63,10 +63,10 @@ def _add_campaign_args(p: argparse.ArgumentParser) -> None:
 
 
 def _no_samples(dataset: StudyDataset) -> bool:
-    """A campaign with zero samples watched nothing: exiting 0 would let
-    a broken collector read as "all healthy" (exit-code convention:
-    operational failure, 1)."""
-    if len(dataset.collector.samples) > 0:
+    """A campaign whose collector closed no interval watched nothing:
+    exiting 0 would let a broken collector read as "all healthy"
+    (exit-code convention: operational failure, 1)."""
+    if dataset.collector.intervals():
         return False
     print(
         "error: campaign produced zero collector samples — nothing was "
@@ -225,23 +225,28 @@ def cmd_jobs(dataset: StudyDataset, args: argparse.Namespace) -> int:
 # ----------------------------------------------------------------------
 
 def cmd_report(args: argparse.Namespace) -> int:
-    """One job's performance page, from a replayed campaign."""
-    from repro.ops import CampaignHub, UnknownJob
+    """One job's performance page, from a campaign fed into a hub: live
+    through a bus tap when it runs serially, replayed after the merge
+    when it runs sharded (a sharded run has no live bus)."""
+    from repro.ops import BusTap, CampaignHub, UnknownJob
     from repro.ops.ingest import replay_into_hub
 
     if args.trace and (args.workers or args.shard_days):
         raise UsageError("--trace needs the serial runner (drop --workers/--shard-days)")
-    dataset = run_campaign(args, tracing=args.trace)
+    hub = CampaignHub()
+    hub.register("campaign", kind="single")
+    if shard_plan(args)["shard_days"] is None:
+        tap = BusTap(lambda topic, event: hub.feed("campaign", topic, event))
+        dataset = run_campaign(args, tracing=args.trace, bus_hook=tap.attach)
+    else:
+        dataset = run_campaign(args, tracing=args.trace)
+        replay_into_hub(hub, "campaign", dataset)
     if len(dataset.accounting) == 0:
         print(
             "error: campaign finished zero jobs — nothing to report on",
             file=sys.stderr,
         )
         return EXIT_OPERATIONAL
-
-    hub = CampaignHub()
-    hub.register("campaign", kind="single")
-    replay_into_hub(hub, "campaign", dataset)
     try:
         print(hub.job_report("campaign", args.job))
     except UnknownJob as exc:

@@ -53,50 +53,57 @@ class MergedSampleSeries(SampleSeries):
 
 def merge_samples(results: list[ShardResult]) -> list[SystemSample]:
     """Concatenate shard samples onto the campaign clock, rebased in place
-    so per-node counters stay monotone across shards (consumes ``results``)."""
+    so per-node counters stay monotone across shards (consumes ``results``).
+
+    The base is one ``(n_nodes, 44)`` int64 array: row ``i`` holds node
+    ``i``'s counters at the end of the shards merged so far, and each
+    sample of a later shard adds the rows of its own node ids."""
     for res in results:
         if not res.samples:
             raise ValueError(f"shard {res.shard.index} has no samples (merged already?)")
     merged: list[SystemSample] = []
-    base: dict[int, np.ndarray] = {}
+    if not results:
+        return merged
+    first = results[0].samples[0]
+    n_nodes = len(first.node_ids) + len(first.missing)
+    base = np.zeros((n_nodes, first.matrix.shape[1]), dtype=np.int64)
     for k, res in enumerate(results):
         samples, res.samples = res.samples, []
         offset = res.shard.start_seconds
-        base_rows: dict[tuple[int, ...], np.ndarray] = {}
         for i, sample in enumerate(samples):
             matrix = sample.matrix
-            if base and sample.node_ids:
-                rows = base_rows.get(sample.node_ids)
-                if rows is None:
-                    zero = np.zeros(matrix.shape[1], dtype=np.int64)
-                    rows = np.stack([base.get(nid, zero) for nid in sample.node_ids])
-                    base_rows[sample.node_ids] = rows
-                matrix += rows
-            if k > 0 and i == 0:
-                # The shard's t=0 baseline duplicates the previous
-                # shard's horizon sample (local counters are all zero at
-                # shard start); keep the cadence at one sample per point.
-                continue
+            if k > 0:
+                # Node ids are ascending, so a sample of every node takes
+                # the base whole.
+                ids = sample.node_ids
+                matrix += base if len(ids) == n_nodes else base.take(ids, axis=0)
+                if i == 0:
+                    # The shard's t=0 baseline duplicates the previous
+                    # shard's horizon sample (local counters are all zero
+                    # at shard start); keep the cadence at one sample per
+                    # point.
+                    continue
             merged.append(
                 SystemSample(offset + sample.time, sample.node_ids, matrix, sample.missing)
             )
-        base.update(_last_rows(samples))
+        _take_last_rows(samples, base)
     return merged
 
 
-def _last_rows(samples: list[SystemSample]) -> dict[int, np.ndarray]:
-    """Each node's row in the newest of the rebased ``samples`` (oldest
-    first) that holds the node.  The walk goes back from the newest
-    sample only until every node of the machine is found: one sample,
-    unless a node was down at the end."""
-    last: dict[int, np.ndarray] = {}
-    n_nodes = len(samples[-1].node_ids) + len(samples[-1].missing)
+def _take_last_rows(samples: list[SystemSample], base: np.ndarray) -> None:
+    """Copy into ``base`` each node's row in the newest of the rebased
+    ``samples`` (oldest first) that holds the node; a node in none of
+    them keeps its row.  The walk goes back from the newest sample only
+    until every node is found: one sample, unless a node was down at
+    the end."""
+    found = np.zeros(len(base), dtype=bool)
     for sample in reversed(samples):
-        for nid, row in zip(sample.node_ids, sample.matrix):
-            last.setdefault(nid, row)
-        if len(last) == n_nodes:
+        ids = np.asarray(sample.node_ids, dtype=np.intp)
+        new = ~found[ids]
+        base[ids[new]] = sample.matrix[new]
+        found[ids[new]] = True
+        if found.all():
             break
-    return last
 
 
 def merge_records(results: list[ShardResult]) -> list[JobRecord]:

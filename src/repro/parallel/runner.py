@@ -204,10 +204,12 @@ def run_tasks(
     is run again on the next attempt, after ``BACKOFF_SECONDS ×
     2^(attempt-2)``; tasks still dying after ``max_attempts`` raise
     :class:`WorkerCrashError`.  An exception a task raises reaches the
-    caller with its type, and costs no retry.  One worker, or one task
-    left, runs in this process, where :class:`SimulatedWorkerCrash`
-    stands for a dead worker.  Payloads must pickle and not be ``None``;
-    ``task`` must pickle by name where fork is unavailable.
+    caller with its type, and costs no retry.  One worker runs every
+    attempt in this process, where :class:`SimulatedWorkerCrash` stands
+    for a dead worker; more fork workers on every attempt, retries
+    included, so a task that kills its process never takes this one
+    down.  Payloads must pickle and not be ``None``; ``task`` must
+    pickle by name where fork is unavailable.
     """
     if max_attempts < 1:
         raise ValueError(f"max_attempts must be at least 1, got {max_attempts}")
@@ -216,7 +218,7 @@ def run_tasks(
     for attempt in range(1, max_attempts + 1):
         if attempt > 1:
             time.sleep(BACKOFF_SECONDS * 2 ** (attempt - 2))
-        if min(workers, len(pending)) <= 1:
+        if workers <= 1:
             pending = _run_here(task, payloads, pending, results)
         else:
             pending = _run_forked(task, payloads, pending, results, workers)

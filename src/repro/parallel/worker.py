@@ -8,6 +8,7 @@ day range on a local clock, and reduces the result to a picklable
 doesn't (no buses, no live services, no closures).  The stack runs
 with no event bus at all: the merge rebuilds a sharded campaign's
 telemetry by replaying the merged samples, so nothing reads a worker's.
+It is the one campaign that keeps its counter samples, for that merge.
 """
 
 from __future__ import annotations
@@ -139,7 +140,11 @@ def run_shard(
         elif fault_namespace:
             fault_streams = RngStreams(config.seed, spawn_key=fault_namespace)
     study = WorkloadStudy(
-        shard_config, tracer=tracer, fault_streams=fault_streams, telemetry=False
+        shard_config,
+        tracer=tracer,
+        fault_streams=fault_streams,
+        telemetry=False,
+        keep_samples=True,
     )
     study.sim.label = f"shard{shard.index}[{shard.day_start}:{shard.day_end}]"
     dataset = study.run(trace)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import pathlib
+import re
 from typing import Any, Iterable
 
 from repro.tracing.span import (
@@ -29,6 +30,10 @@ from repro.tracing.span import (
     Span,
     span_index,
 )
+from repro.util.checks import check_number, cut, describe, describe_names
+
+#: A span id: ``s`` and a number (the exporters sort by the number).
+_SPAN_ID = re.compile(r"s[0-9]+")
 
 #: Machine-track thread ids by category (pid 0).
 _MACHINE_TIDS = {CAT_HPM: 1, CAT_SWITCH: 2, CAT_NODE_PHASE: 2}
@@ -56,11 +61,89 @@ def write_jsonl(spans: Iterable[Span], path: str | pathlib.Path) -> pathlib.Path
 
 
 def read_jsonl(path: str | pathlib.Path) -> list[Span]:
-    spans = []
-    for line in pathlib.Path(path).read_text().splitlines():
-        if line.strip():
-            spans.append(Span.from_dict(json.loads(line)))
+    """The spans of a JSONL trace, checked as they load.
+
+    Every line is a span object with an ``s<n>`` id no other line has, a
+    string name and category, a finite ``start`` and an ``end`` no
+    earlier than it (``null``: still open), integer ids on a job root,
+    and parent links never loop back.  Anything else is a one-line
+    ``ValueError`` naming the line, before an exporter or analysis walks
+    the spans (a parent cycle would walk forever)."""
+    spans: list[Span] = []
+    line_of: dict[str, int] = {}
+    for lineno, line in enumerate(pathlib.Path(path).read_text().splitlines(), start=1):
+        if not line.strip():
+            continue
+        where = f"line {lineno}"
+        try:
+            row = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{where}: not JSON ({exc.msg})") from None
+        span = _checked_span(row, where)
+        if span.span_id in line_of:
+            raise ValueError(
+                f"{where}: span id {describe(span.span_id)} is already on line "
+                f"{line_of[span.span_id]}"
+            )
+        line_of[span.span_id] = lineno
+        spans.append(span)
+    _refuse_parent_cycles(spans, line_of)
     return spans
+
+
+def _checked_span(row: Any, where: str) -> Span:
+    """``row`` as a span, or a one-line ``ValueError`` saying what is
+    wrong with it."""
+    if not isinstance(row, dict):
+        raise ValueError(f"{where}: a span is a JSON object, got {describe(row)}")
+    missing = [key for key in ("id", "name", "cat", "start", "end") if key not in row]
+    if missing:
+        raise ValueError(f"{where}: span has no {describe_names(missing)}")
+    span_id = row["id"]
+    if not (isinstance(span_id, str) and _SPAN_ID.fullmatch(span_id)):
+        raise ValueError(f"{where}: span id must be 's' and a number, got {describe(span_id)}")
+    for key in ("name", "cat"):
+        if not isinstance(row[key], str):
+            raise ValueError(f"{where}: span {key} must be a string, got {describe(row[key])}")
+    parent, args = row.get("parent"), row.get("args")
+    if parent is not None and not isinstance(parent, str):
+        raise ValueError(f"{where}: span parent must be a span id, got {describe(parent)}")
+    if args is not None and not isinstance(args, dict):
+        raise ValueError(f"{where}: span args must be an object, got {describe(args)}")
+    if row["cat"] == CAT_JOB:
+        # The exporters and analyses read a job root's ids as integers.
+        for key in ("job_id", "nodes"):
+            if args and key in args:
+                check_number(args[key], f"{where}: job span {key}", integer=True, positive=None)
+    start, end = row["start"], row["end"]
+    check_number(start, f"{where}: span start", positive=None)
+    if end is not None:
+        check_number(end, f"{where}: span end", positive=None)
+        if end < start:
+            raise ValueError(
+                f"{where}: span ends before it starts ({cut(repr(start))} -> {cut(repr(end))})"
+            )
+    return Span.from_dict(row)
+
+
+def _refuse_parent_cycles(spans: list[Span], line_of: dict[str, int]) -> None:
+    """A ``ValueError`` naming a span whose parent links lead back to it.
+    Each span's ancestry is walked once: a walk stops at a span already
+    known to reach a root, or at a parent the trace does not hold."""
+    parent_of = {span.span_id: span.parent_id for span in spans}
+    rooted: set[str] = set()
+    for span in spans:
+        chain: set[str] = set()
+        node = span.span_id
+        while node in parent_of and node not in rooted:
+            if node in chain:
+                raise ValueError(
+                    f"line {line_of[node]}: span {describe(node)} is its own ancestor "
+                    "(its parent links form a cycle)"
+                )
+            chain.add(node)
+            node = parent_of[node]
+        rooted.update(chain)
 
 
 # ----------------------------------------------------------------------

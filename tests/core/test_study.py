@@ -10,14 +10,15 @@ from tests.hpm.interval_totals import interval_totals
 
 class TestRun:
     def test_run_produces_dataset(self, small_dataset):
-        assert len(small_dataset.collector.samples) > 0
+        assert len(small_dataset.collector.intervals()) > 0
         assert len(small_dataset.accounting) > 0
         assert len(small_dataset.utilization_probes) > 0
 
     def test_sample_count_matches_cadence(self, small_dataset):
         cfg = small_dataset.config
         expected = int(cfg.n_days * 86400 / cfg.sample_interval) + 1  # + baseline
-        assert len(small_dataset.collector.samples) == expected
+        # One interval per sample after the baseline.
+        assert len(small_dataset.collector.intervals()) == expected - 1
 
     def test_daily_series_lengths(self, small_dataset):
         cfg = small_dataset.config
@@ -64,8 +65,12 @@ class TestConfigValidation:
 
 class TestConsistency:
     def test_counters_monotonic_across_samples(self, small_dataset):
-        samples = small_dataset.collector.samples
-        for before, after in zip(samples[:100], samples[1:101]):
+        """Per node, on the same campaign run keeping its samples."""
+        kept = WorkloadStudy(small_dataset.config, keep_samples=True).run()
+        assert kept.collector.intervals() == small_dataset.collector.intervals()
+        samples = kept.collector.samples
+        assert len(samples) == len(kept.collector.intervals()) + 1
+        for before, after in zip(samples, samples[1:]):
             assert (after.matrix - before.matrix >= 0).all()
 
     def test_system_gflops_consistent_with_job_flops(self, small_dataset):
@@ -139,7 +144,7 @@ class TestDerivedSeriesCache:
         assert (ds.interval_gflops()[1] >= 0).all()
         np.testing.assert_array_equal(ds.interval_gflops()[0], first_times)
 
-        ds.collector.collect(ds.collector.samples[-1].time + ds.config.sample_interval)
+        ds.collector.collect(ds.collector.last_sample.time + ds.config.sample_interval)
         times, _ = ds.interval_gflops()
         assert len(times) == len(first_times) + 1
         assert calls["columns"] == 2 and calls["column_rates"] == 2

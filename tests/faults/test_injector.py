@@ -20,8 +20,10 @@ STORMY = FaultProfile(
 
 @pytest.fixture(scope="module")
 def faulted():
+    """Keeps its samples: the monotonicity test follows each node's
+    counters across its outages, which no interval shows."""
     cfg = StudyConfig(seed=5, n_days=4, n_nodes=16, n_users=6, fault_profile=STORMY)
-    return WorkloadStudy(cfg).run()
+    return WorkloadStudy(cfg, keep_samples=True).run()
 
 
 class TestConsequences:
@@ -52,6 +54,7 @@ class TestConsequences:
         # Samples are fewer than the gap-free cadence would produce.
         expected_full = 4 * 96 + 1  # 15-minute passes plus the baseline
         assert len(faulted.collector.samples) == expected_full - faulted.collector.passes_dropped
+        assert len(faulted.collector.intervals()) == len(faulted.collector.samples) - 1
 
     def test_counters_stay_monotone_through_crashes(self, faulted):
         """Halted nodes freeze their counters but never lose them, so the
@@ -85,10 +88,11 @@ class TestHealthyPathUnchanged:
         null = StudyConfig(
             seed=11, n_days=2, n_nodes=16, n_users=6, fault_profile=PROFILES["none"]
         )
-        a = WorkloadStudy(base).run()
-        b = WorkloadStudy(null).run()
+        a = WorkloadStudy(base, keep_samples=True).run()
+        b = WorkloadStudy(null, keep_samples=True).run()
         assert b.faults is None
-        assert len(a.collector.samples) == len(b.collector.samples)
+        assert a.collector.intervals() == b.collector.intervals()
+        assert len(a.collector.samples) == len(b.collector.samples) > 0
         for x, y in zip(a.collector.samples, b.collector.samples):
             assert x.time == y.time
             assert np.array_equal(x.matrix, y.matrix)

@@ -130,15 +130,18 @@ class TestTelemetrySummaries:
         store, and a replay of the same campaign into 256-point rings.
         Those rings wrap about 11 times over the month's 2,880
         intervals, so aggregates that must outlive eviction are pinned
-        too."""
+        too.  The replayed samples come from the same campaign run
+        keeping them (the fixture's keeps only its intervals)."""
+        from repro.core.study import WorkloadStudy
         from repro.telemetry.service import METRIC_CATALOG, TelemetryService, replay_events
         from repro.telemetry.store import MetricStore
 
+        kept = WorkloadStudy(default_month.config, keep_samples=True).run()
+        assert kept.collector.intervals() == default_month.collector.intervals()
         replayed = TelemetryService(store=MetricStore(capacity=256))
-        for topic, event in replay_events(
-            default_month.collector.samples, default_month.accounting.records
-        ):
+        for topic, event in replay_events(kept.collector.samples, kept.accounting.records):
             replayed.bus.publish(topic, event)
+        del kept
         lines = ["# metric count dropped last ewma min max p50 p90 p99"]
         for label, store in (
             ("live", default_month.telemetry.store),

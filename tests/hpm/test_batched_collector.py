@@ -28,14 +28,15 @@ RATES = {"fpu0_fp_add": 1.1e6 / 3.0, "fpu0": 0.7e6 / 3.0, "cycles": 6.65e7 / 3.0
 
 
 def make_stacks(n=4):
-    """Parallel reference and store-backed collector stacks over n nodes."""
+    """Parallel reference and store-backed collector stacks over n nodes,
+    each keeping every sample so the two can be compared pass by pass."""
     with reference_accrual():
         reference = SP2Machine(n)
     cols = []
     for machine in (reference, SP2Machine(n)):
         for node in machine.nodes:
             node.install_rates(0.0, rates_vector(RATES), busy=True)
-        cols.append(SystemCollector(machine))
+        cols.append(SystemCollector(machine, keep_samples=True))
     scalar_col, batched_col = cols
     assert isinstance(batched_col.machine.store, CounterStore)  # the sweep engaged
     assert isinstance(scalar_col.machine.store, ReferenceStore)
@@ -45,7 +46,7 @@ def make_stacks(n=4):
 def assert_samples_identical(a: SystemCollector, b: SystemCollector):
     """Same samples; ``a``'s were read through the reference."""
     assert a.machine.store.reads
-    assert len(a.samples) == len(b.samples)
+    assert len(a.samples) == len(b.samples) > 0
     for x, y in zip(a.samples, b.samples):
         assert x.time == y.time
         assert x.node_ids == y.node_ids

@@ -53,7 +53,37 @@ class TestCollector:
         col = SystemCollector(make_machine())
         col.attach(sim)
         sim.run(until=3 * 900.0)
-        assert len(col.samples) == 4  # baseline + 3
+        assert len(col.intervals()) == 3  # baseline + 3 passes
+        assert col.last_sample.time == 3 * 900.0
+
+    def test_keeps_only_the_latest_sample_unless_asked(self):
+        lean = SystemCollector(make_machine(n=2))
+        kept = SystemCollector(make_machine(n=2), keep_samples=True)
+        for col in (lean, kept):
+            for t in (0.0, 900.0, 1800.0):
+                taken = col.collect(t)
+            assert col.last_sample is taken and taken.time == 1800.0
+        assert lean.samples == []
+        assert [s.time for s in kept.samples] == [0.0, 900.0, 1800.0]
+        assert lean.intervals() == kept.intervals()
+
+    @pytest.mark.parametrize("keep_samples", [False, True])
+    def test_dropped_pass_keeps_the_held_sample(self, keep_samples):
+        """A lost pass takes nothing: the next interval starts at the
+        last pass taken and is flagged interpolated."""
+        col = SystemCollector(make_machine(n=2), keep_samples=keep_samples)
+        col.collect(0.0)
+        col.drop_next_pass()
+        assert col.collect(900.0) is None
+        assert col.last_sample.time == 0.0
+        col.collect(1800.0)
+        col.collect(2700.0)
+        ivs = col.intervals()
+        assert [(iv.start, iv.end, iv.interpolated) for iv in ivs] == [
+            (0.0, 1800.0, True),
+            (1800.0, 2700.0, False),
+        ]
+        assert len(col.samples) == (3 if keep_samples else 0)
 
     def test_interval_totals_sum_nodes(self):
         col = SystemCollector(make_machine(n=3, rate=2e6))
@@ -70,8 +100,7 @@ class TestCollector:
         daemons = col.daemons
         col.collect(0.0)
         daemons[1].mark_down()
-        col.collect(100.0)
-        assert col.samples[1].missing == (1,)
+        assert col.collect(100.0).missing == (1,)
         ivs = col.intervals()
         assert ivs[0].n_nodes == 1
 

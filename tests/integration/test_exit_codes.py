@@ -3,9 +3,11 @@ uniformly across every sp2-* entry point."""
 
 from __future__ import annotations
 
+import contextlib
 import os
 import pathlib
 import re
+import signal
 import subprocess
 import sys
 
@@ -140,6 +142,9 @@ MATRIX = [
                  id="trace-export-missing"),
     pytest.param(trace, ["critical-path", MISSING], 2, None, id="trace-critical-path-missing"),
     pytest.param(fleet, ["run", "--spec", "{tlb_511_fleet}"], 2, None, id="fleet-tlb-entries-511"),
+    # Exit 2, was a hang: the Chrome exporter walked the parent cycle.
+    pytest.param(trace, ["export", "{trace_cycle}", "--out", MISSING], 2, None,
+                 id="trace-export-parent-cycle"),
     # Exit 2, was a RecursionError traceback.
     pytest.param(sweep, ["plan", "--spec", "{deep_json}"], 2, None, id="sweep-spec-deep-json"),
     pytest.param(fleet, ["run", "--spec", "{deep_json}"], 2, None, id="fleet-spec-deep-json"),
@@ -184,7 +189,9 @@ MATRIX = [
 #: belongs.
 CELL = "name: s\nbase:\n  n_days: 1\n  n_nodes: 8\n  n_users: 2\n"
 LONG_LIST = "[" + ", ".join(["0"] * 1000) + "]"
+SPAN = '{{"id": "{}", "parent": "{}", "name": "a", "cat": "pbs.state", "start": 0.0, "end": 1.0}}\n'
 INPUTS = {
+    "trace_cycle": SPAN.format("s1", "s2") + SPAN.format("s2", "s1"),
     "spec": CELL,
     "page_kb_3_sweep": CELL + "  page_kb: 3\n",
     "tlb_511_fleet": '{"n_days": 1, "n_users": 2, "members": '
@@ -200,6 +207,30 @@ INPUTS = {
 #: wrong and echoes at most 80 characters of the offending value
 #: (``repro.util.checks.describe``), never the whole value.
 MAX_ERROR_LINE = 200
+
+#: Seconds a matrix case may run: a refusal that hangs fails instead of
+#: stalling the suite.
+CASE_TIMEOUT = 60
+
+
+class CaseTimedOut(BaseException):
+    """Raised into a matrix case that outran :data:`CASE_TIMEOUT` (a
+    BaseException, so no ``except Exception`` in the code under test
+    swallows it)."""
+
+
+@contextlib.contextmanager
+def time_limit(seconds: float):
+    def expire(signum, frame):
+        raise CaseTimedOut(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.mark.parametrize("main, argv, code, crash", MATRIX)
@@ -217,7 +248,8 @@ def test_bad_request_is_one_error_line(main, argv, code, crash, tmp_path, capsys
         monkeypatch.setenv(CRASH_ENV_VAR, crash)
         monkeypatch.setattr(runner.time, "sleep", lambda seconds: None)
     try:
-        rc = main(argv)
+        with time_limit(CASE_TIMEOUT):
+            rc = main(argv)
     except SystemExit as exc:  # argparse's own refusal
         rc = exc.code
     err = capsys.readouterr().err

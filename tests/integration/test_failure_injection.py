@@ -14,11 +14,13 @@ from repro.workload.traces import generate_trace
 from tests.hpm.interval_totals import interval_totals
 
 
-def run_with_outage(kill_fraction: float = 0.25, *, recover: bool = True):
+def run_with_outage(
+    kill_fraction: float = 0.25, *, recover: bool = True, keep_samples: bool = False
+):
     """A 4-day campaign where some daemons die on day 2 (and optionally
     come back on day 3)."""
     cfg = StudyConfig(seed=13, n_days=4, n_nodes=32, n_users=8)
-    study = WorkloadStudy(cfg)
+    study = WorkloadStudy(cfg, keep_samples=keep_samples)
     victims = study.daemons[: int(kill_fraction * cfg.n_nodes)]
 
     def kill(sim):
@@ -38,7 +40,7 @@ def run_with_outage(kill_fraction: float = 0.25, *, recover: bool = True):
 
 class TestOutage:
     def test_samples_record_missing_nodes(self):
-        dataset, victims = run_with_outage()
+        dataset, victims = run_with_outage(keep_samples=True)
         downs = [s for s in dataset.collector.samples if s.missing]
         assert downs, "outage never visible in samples"
         assert set(downs[0].missing) == set(victims)
@@ -52,12 +54,12 @@ class TestOutage:
 
     def test_recovery_restores_full_coverage(self):
         dataset, _ = run_with_outage(recover=True)
-        last = dataset.collector.samples[-1]
+        last = dataset.collector.last_sample
         assert last.missing == ()
 
     def test_permanent_outage_persists(self):
         dataset, victims = run_with_outage(recover=False)
-        last = dataset.collector.samples[-1]
+        last = dataset.collector.last_sample
         assert set(last.missing) == set(victims)
 
     def test_analysis_survives_outage(self):

@@ -36,6 +36,7 @@ SHARD_DAYS = 1  # 4 shards: enough to occupy every worker count under test
 
 def assert_identical(a, b) -> None:
     """Byte-level equality of everything an operator can observe."""
+    assert a.collector.intervals() == b.collector.intervals()
     sa, sb = a.collector.samples, b.collector.samples
     assert len(sa) == len(sb)
     for x, y in zip(sa, sb):

@@ -34,6 +34,7 @@ SOLO = dict(seed=3, n_days=4, n_users=20)
 
 
 def _assert_same_dataset(a, b) -> None:
+    assert a.collector.intervals() == b.collector.intervals()
     sa, sb = a.collector.samples, b.collector.samples
     assert len(sa) == len(sb)
     for x, y in zip(sa, sb):

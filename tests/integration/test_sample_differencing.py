@@ -38,11 +38,13 @@ def test_each_sample_is_differenced_once(monkeypatch, profile):
     for table in (table2, table3, table4):
         table(ds).render()
 
-    samples = ds.collector.samples
     intervals = ds.collector.intervals()
-    assert len(calls) == len(samples) - 1 == len(intervals)
+    assert len(calls) == len(events) - 1 == len(intervals)
     assert calls == [iv.end for iv in intervals]
-    assert [ev.sample for ev in events] == samples
+    # One event per pass taken, each closing the interval that ends at
+    # its sample; the collector holds the last one.
+    assert [ev.sample.time for ev in events] == [intervals[0].start] + calls
+    assert events[-1].sample is ds.collector.last_sample
     assert events[0].interval is None
     for i, ev in enumerate(events[1:], start=1):
         assert ev.interval is intervals[i - 1]

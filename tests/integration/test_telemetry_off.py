@@ -121,8 +121,8 @@ def test_every_pass_is_differenced_without_telemetry(monkeypatch):
 
     monkeypatch.setattr(collector, "sample_delta", counting)
     dataset = run_study(TINY, telemetry=False)
-    samples = dataset.collector.samples
-    assert calls == [s.time for s in samples[1:]]
+    assert calls == [iv.end for iv in dataset.collector.intervals()]
+    assert len(calls) == TINY.n_days * 96  # every 15-minute pass
 
 
 class TestReadersKeepTheirTelemetry:

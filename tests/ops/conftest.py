@@ -34,8 +34,9 @@ def tiny_config(**overrides) -> StudyConfig:
 
 @pytest.fixture(scope="session")
 def tiny_dataset() -> StudyDataset:
-    """A 2-day traced faulted campaign: jobs, spans, samples, alerts."""
-    return WorkloadStudy(tiny_config(), tracer=Tracer()).run()
+    """A 2-day traced faulted campaign: jobs, spans, samples, alerts.
+    It keeps its samples, so the hub tests can replay it."""
+    return WorkloadStudy(tiny_config(), tracer=Tracer(), keep_samples=True).run()
 
 
 @pytest.fixture(scope="session")

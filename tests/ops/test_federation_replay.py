@@ -4,9 +4,11 @@ the federated ``fleet.*`` namespace.
 
 Live path: ``ingest_fleet`` taps each member's bus as it runs (serial
 member path).  Replay path: an *independent* ``run_fleet`` of the same
-spec, streamed through ``replay_fleet_into_hub`` — the canonical
-``replay_events`` ordering.  Both hubs must agree on everything the
-query API serves from samples and records.
+spec on a single-shard plan (byte-identical to the serial member path,
+and its members keep their samples), streamed through
+``replay_fleet_into_hub`` — the canonical ``replay_events`` ordering.
+Both hubs must agree on everything the query API serves from samples
+and records.
 """
 
 import asyncio
@@ -38,7 +40,7 @@ def live_hub(tiny_fleet_spec):
 
 @pytest.fixture(scope="module")
 def replay_hub(tiny_fleet_spec):
-    fleet = run_fleet(tiny_fleet_spec)
+    fleet = run_fleet(tiny_fleet_spec, shard_days=tiny_fleet_spec.n_days)
     hub = CampaignHub()
     hub.register(
         "fed",

@@ -55,11 +55,13 @@ class TestHubEqualsReplay:
     )
 
     @pytest.fixture(scope="class")
-    def replayed(self, ingested):
-        _, dataset = ingested
+    def replayed(self, tiny_dataset):
+        """The same campaign, replayed: the ingest's own dataset keeps no
+        samples, and ``tiny_dataset`` is byte-identical to it (see
+        :class:`TestTapInvisibility`) and keeps them."""
         hub = CampaignHub()
         hub.register("replayed")
-        replay_into_hub(hub, "replayed", dataset)
+        replay_into_hub(hub, "replayed", tiny_dataset)
         return hub
 
     def test_metric_series_match(self, ingested, replayed):

@@ -17,7 +17,7 @@ import pytest
 
 from repro.analysis.export import dataset_summary, dataset_to_json
 from repro.analysis.opsreport import campaign_ops_digest, day_ops, render_day_report
-from repro.core.study import StudyConfig, run_study
+from repro.core.study import StudyConfig, WorkloadStudy
 from repro.parallel import run_parallel_study
 from repro.tracing.export import spans_to_jsonl
 from tests.hpm.interval_totals import interval_totals
@@ -28,7 +28,7 @@ SHARD_DAYS = 1  # 6 shards: enough to occupy every worker count under test
 
 def _assert_same_samples(a, b) -> None:
     sa, sb = a.collector.samples, b.collector.samples
-    assert len(sa) == len(sb)
+    assert len(sa) == len(sb) > 0
     for x, y in zip(sa, sb):
         assert x.time == y.time
         assert x.node_ids == y.node_ids
@@ -82,8 +82,9 @@ def test_parallel_matches_serial(serial, workers):
 
 def test_single_shard_plan_is_byte_identical_to_serial_path():
     """``shard_days >= n_days`` degenerates to the exact serial study:
-    same trace streams, same samples, same reports."""
-    legacy = run_study(CONFIG)
+    same trace streams, same samples, same reports.  The serial side
+    keeps its samples to be compared sample by sample."""
+    legacy = WorkloadStudy(CONFIG, keep_samples=True).run()
     sharded = run_parallel_study(CONFIG, workers=2, shard_days=CONFIG.n_days)
 
     _assert_same_samples(legacy, sharded)

@@ -90,6 +90,26 @@ class TestMergeSamples:
         assert last.matrix[0, 0] == 5 + 1  # node 0: final base 5
         assert last.matrix[1, 0] == 6 + 1  # node 1: last-seen base 6
 
+    def test_a_later_shard_sample_missing_a_node_takes_its_nodes_rows(self):
+        day = SECONDS_PER_DAY
+        # Node 0 is down for shard 1 after its baseline: that sample
+        # takes node 1's base row alone, and node 0's base comes from
+        # the shard's rebased baseline.
+        only_1 = SystemSample(
+            time=day / 2,
+            node_ids=(1,),
+            matrix=np.array([[4, 8]], dtype=np.int64),
+            missing=(0,),
+        )
+        r0 = _result(0, 0, 1, samples=[_sample(0.0, [0, 0]), _sample(day, [5, 7])])
+        r1 = _result(1, 1, 2, samples=[_sample(0.0, [0, 0]), only_1])
+        r2 = _result(2, 2, 3, samples=[_sample(0.0, [0, 0]), _sample(day, [1, 1])])
+        merged = merge_samples([r0, r1, r2])
+        assert [s.time for s in merged] == [0.0, day, 1.5 * day, 3 * day]
+        assert merged[2].node_ids == (1,)
+        assert merged[2].matrix.tolist() == [[7 + 4, 14 + 8]]
+        assert merged[3].matrix.tolist() == [[5 + 1, 10 + 2], [11 + 1, 22 + 2]]
+
     def test_rebase_is_in_place_and_takes_the_samples(self):
         day = SECONDS_PER_DAY
         r0 = _result(0, 0, 1, samples=[_sample(0.0, [0, 0]), _sample(day, [5, 7])])

@@ -99,6 +99,10 @@ def test_a_task_dying_on_every_attempt_names_itself(tmp_path, no_backoff):
     assert (err.value.failed, err.value.attempts) == ([2], 3)
     assert str(err.value) == "tasks [2] failed after 3 attempt(s)"
     assert [_runs(tmp_path, x) for x in range(4)] == [1, 1, 3, 1]
+    # Every attempt ran in a worker, the lone retries too: a real death
+    # never reaches this process.
+    pids = (tmp_path / "ran-2").read_text().split()
+    assert len(pids) == 3 and str(os.getpid()) not in pids
     assert no_backoff == [runner.BACKOFF_SECONDS, 2 * runner.BACKOFF_SECONDS]
     assert multiprocessing.active_children() == []
 

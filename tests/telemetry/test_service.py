@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.study import WorkloadStudy
 from repro.hpm.derived import workload_rates
 from repro.telemetry.service import METRIC_CATALOG, TelemetryService
 from tests.hpm.interval_totals import interval_totals
@@ -13,7 +14,7 @@ class TestLiveWiring:
         t = small_dataset.telemetry
         assert t is not None
         # One interval per sample pair.
-        assert t.samples_seen == len(small_dataset.collector.samples)
+        assert t.intervals_seen == len(small_dataset.collector.intervals())
         assert t.intervals_seen == t.samples_seen - 1
         times, values = t.store.window("gflops.system")
         assert len(times) == min(t.intervals_seen, t.store.capacity)
@@ -76,18 +77,19 @@ class TestLiveWiring:
         from repro.telemetry.bus import TOPIC_JOB_END, TOPIC_SAMPLE
 
         bus = small_dataset.telemetry.bus
-        assert bus.published[TOPIC_SAMPLE] == len(small_dataset.collector.samples)
+        # One sample event per pass: the baseline, then one per interval.
+        assert bus.published[TOPIC_SAMPLE] == len(small_dataset.collector.intervals()) + 1
         assert bus.published[TOPIC_JOB_END] == len(small_dataset.accounting)
 
 
 class TestReplay:
     def test_replay_matches_online(self, small_dataset):
         """Offline replay of the recorded samples + records must produce
-        the same alerts and the same metric series as the live run."""
+        the same alerts and the same metric series as the live run.  The
+        samples come from the same campaign run keeping them."""
         t = small_dataset.telemetry
-        r = TelemetryService.replay(
-            small_dataset.collector.samples, small_dataset.accounting.records
-        )
+        kept = WorkloadStudy(small_dataset.config, keep_samples=True).run()
+        r = TelemetryService.replay(kept.collector.samples, kept.accounting.records)
         assert r.engine.alerts == t.engine.alerts
         assert r.engine.suppressed == t.engine.suppressed
         for name in ("gflops.system", "fxu.sys_user_ratio", "tlb.miss_rate"):
