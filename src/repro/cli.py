@@ -35,6 +35,7 @@ from repro.cli_common import (
     entry_point,
     positive_int,
     run_campaign,
+    write_output,
 )
 
 
@@ -144,17 +145,14 @@ def main(argv: list[str] | None = None) -> int:
             print(fig.render())
 
     if args.csv_dir is not None:
-        args.csv_dir.mkdir(parents=True, exist_ok=True)
         for fig in figures:
-            path = args.csv_dir / f"{fig.name}.csv"
-            path.write_text(fig.csv())
+            path = write_output(args.csv_dir / f"{fig.name}.csv", fig.csv())
             print(f"wrote {path}", file=sys.stderr)
 
     if args.json is not None:
         from repro.analysis.export import dataset_to_json
 
-        args.json.parent.mkdir(parents=True, exist_ok=True)
-        args.json.write_text(dataset_to_json(dataset))
+        write_output(args.json, dataset_to_json(dataset))
         print(f"wrote {args.json}", file=sys.stderr)
 
     return EXIT_OK

@@ -135,6 +135,14 @@ def run_campaign(
     return dataset
 
 
+def write_output(path: str | pathlib.Path, text: str) -> pathlib.Path:
+    """Write ``text`` to ``path``, creating its directory first."""
+    path = pathlib.Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text)
+    return path
+
+
 def _read_json(path: str) -> Any:
     return json.loads(pathlib.Path(path).read_text())
 

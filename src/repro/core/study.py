@@ -556,13 +556,13 @@ def run_study(
     replays a pre-built submission stream instead of generating one
     (fleet members).  ``fault_namespace`` prefixes the fault schedule's
     RNG spawn key (:func:`repro.util.rng.member_key`; ``()`` is the
-    single-machine tree).  ``bus_hook`` receives the campaign's event
-    bus before it runs, the seam live consumers tap; a sharded run
-    rebuilds its telemetry at merge time, has no live bus, and refuses
-    the hook.  ``telemetry=False`` builds no event bus and no telemetry
-    service (nor the sharded merge's replay), so ``dataset.telemetry``
-    is None: for callers that read only the measured data, such as a
-    repeat seed.
+    single-machine tree).  ``bus_hook`` receives the bus the campaign's
+    telemetry is published on before the first event, the seam live
+    consumers tap: the live bus of a serial run, the merge's replay bus
+    of a sharded one.  ``telemetry=False`` builds no event bus and no
+    telemetry service (nor the sharded merge's replay), so
+    ``dataset.telemetry`` is None: for callers that read only the
+    measured data, such as a repeat seed.
     """
     if bus_hook is not None and not telemetry:
         raise ValueError("bus_hook needs telemetry: a run with telemetry=False has no bus to tap")
@@ -581,11 +581,6 @@ def run_study(
         if bus_hook is not None:
             bus_hook(study.bus)
         return study.run(trace)
-    if bus_hook is not None:
-        raise ValueError(
-            "bus_hook needs the serial runner: a sharded campaign replays its "
-            "telemetry at merge time, so there is no live bus to tap"
-        )
     from repro.parallel.runner import run_parallel_study
 
     return run_parallel_study(
@@ -599,4 +594,5 @@ def run_study(
         trace=trace,
         fault_namespace=fault_namespace,
         telemetry=telemetry,
+        bus_hook=bus_hook,
     )

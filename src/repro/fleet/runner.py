@@ -80,11 +80,10 @@ def run_fleet(
     single-machine campaigns.
 
     ``member_hook`` is called with ``(member_spec, bus)`` before each
-    member campaign runs — the seam the ops service uses to tap member
-    buses for live federation (taps only subscribe extra consumers, so
-    hooked runs stay byte-identical).  Sharded member campaigns have no
-    live bus to tap, so :func:`~repro.core.study.run_study` refuses the
-    hook there rather than silently skipping it.
+    member campaign publishes its first event — the seam the ops service
+    uses to tap member buses for federation (taps only subscribe extra
+    consumers, so hooked runs stay byte-identical).  A sharded member's
+    bus is its merge's replay bus (:func:`~repro.core.study.run_study`).
     """
     trace = generate_fleet_trace(spec)
     results: list[MemberResult] = []

@@ -31,6 +31,7 @@ from repro.cli_common import (
     read_input,
     shard_plan,
     usage_errors,
+    write_output,
 )
 from repro.fleet.analysis import compare_fleets, fleet_summary, render_fleet_report
 from repro.fleet.runner import run_fleet
@@ -77,9 +78,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     print(f"Fleet campaign done in {time.time() - t0:.1f}s.", file=sys.stderr)
     document = {"spec": spec.to_dict(), **fleet_summary(fleet)}
     if args.out is not None:
-        with open(args.out, "w") as fh:
-            json.dump(document, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_output(args.out, json.dumps(document, indent=2, sort_keys=True) + "\n")
         print(f"Saved fleet summary to {args.out}.", file=sys.stderr)
     if args.json:
         print(json.dumps(document, indent=2, sort_keys=True))

@@ -27,13 +27,7 @@ from repro.ops.hub import (
     UnknownJob,
     UnknownMetric,
 )
-from repro.ops.ingest import (
-    BusTap,
-    ingest_fleet,
-    ingest_study,
-    replay_fleet_into_hub,
-    replay_into_hub,
-)
+from repro.ops.ingest import BusTap, ingest_fleet, ingest_study
 from repro.ops.protocol import PROTOCOL_VERSION, ProtocolError
 from repro.ops.report import render_performance_report
 from repro.ops.server import OpsServer
@@ -61,7 +55,5 @@ __all__ = [
     "member_metric",
     "parse_fleet_metric",
     "render_performance_report",
-    "replay_fleet_into_hub",
-    "replay_into_hub",
     "rollup_metric",
 ]

@@ -1,10 +1,10 @@
 """The shared online metric store behind the ops service.
 
 A :class:`CampaignHub` holds the live state of *many* campaigns at once
-— serial studies, sharded replays, and fleets — each as one or more
+— serial or sharded studies, and fleets — each as one or more
 :class:`~repro.telemetry.service.TelemetryService` instances fed from
-recorded or live bus events.  Everything the query API serves comes out
-of the hub:
+tapped bus events (:mod:`repro.ops.ingest`).  Everything the query API
+serves comes out of the hub:
 
 * **bounded memory** — each hub store holds the fixed metric catalog
   in rings of the hub's capacity (:mod:`repro.telemetry.store`), and
@@ -22,7 +22,7 @@ of the hub:
 The hub is deliberately synchronous and single-threaded: all mutation
 happens on the event loop thread (the ingest layer marshals events from
 campaign worker threads), which is what makes the isolation story
-simple and the ``hub state == replay()`` determinism testable.
+simple and ``hub state == the campaign's own service`` testable.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from repro.ops.report import job_critical_path, render_performance_report
 from repro.telemetry.bus import TOPIC_SPAN
 from repro.telemetry.rules import Alert
 from repro.telemetry.service import TelemetryService
-from repro.telemetry.store import MetricStore, SeriesSnapshot, StoreSnapshot
+from repro.telemetry.store import MetricStore, SeriesSnapshot
 from repro.tracing.span import CAT_JOB, CAT_JOB_PHASE, CAT_JOB_STATE
 
 #: Span categories retained for per-job report attribution; everything
@@ -333,11 +333,6 @@ class CampaignHub:
                 f"no member of {name!r} has a metric {base!r}"
             )
         return federate_series(base, per_member, handle.node_weights)
-
-    def store_snapshot(
-        self, name: str, *, member: str | None = None
-    ) -> StoreSnapshot:
-        return self.handle(name).service(member).store.snapshot()
 
     def alerts_since(
         self, name: str, cursor: int = 0

@@ -1,28 +1,24 @@
-"""Streaming campaigns into the hub — live taps and offline replay.
+"""Streaming campaigns into the hub through one tap.
 
-Two paths feed a :class:`~repro.ops.hub.CampaignHub`:
-
-* **live** — the campaign runs in a worker thread (the simulator is
-  synchronous, CPU-bound Python) with a :class:`BusTap` subscribed to
-  its event bus; every tapped event is marshalled onto the event loop
-  with ``call_soon_threadsafe`` and applied by :func:`drain_into_hub`.
-  Taps only *add* subscribers, and the bus delivers in subscription
-  order, so a tapped campaign's own output is byte-identical to an
-  untapped one (the integration tests diff the JSON exports);
-* **replay** — an already-run dataset that kept its samples (a sharded
-  campaign's merged dataset) streams through the canonical
-  :func:`repro.telemetry.service.replay_events` ordering, so hub state
-  after replay equals :meth:`TelemetryService.replay` state by
-  construction.
-
-Sharded campaigns have no live bus, so they run out first and replay
-the merged dataset — same end state, no mid-run visibility.  Serial
-fleets stream live, one tap per member via ``run_fleet(member_hook=...)``.
+A campaign runs in a worker thread (the simulator is synchronous,
+CPU-bound Python) with a :class:`BusTap` subscribed to the bus its
+telemetry is published on: the live bus of a serial run, the merge's
+replay bus of a sharded one (``run_study(bus_hook=...)``), and one bus
+per fleet member (``run_fleet(member_hook=...)``).  Every tapped event
+is marshalled onto the event loop with ``call_soon_threadsafe`` and
+applied by :func:`drain_into_hub`, so hub state is built from exactly
+the stream the campaign's own :class:`TelemetryService` consumed.
+Taps only *add* subscribers, and the bus delivers in subscription
+order, so a tapped campaign's own output is byte-identical to an
+untapped one (the integration tests diff the JSON exports).  A sharded
+campaign reaches the hub only after its shards finish, when the merge
+replays it.
 """
 
 from __future__ import annotations
 
 import asyncio
+import functools
 from typing import Any, Callable
 
 from repro.core.study import StudyConfig, StudyDataset, run_study
@@ -40,7 +36,6 @@ from repro.telemetry.bus import (
     TOPIC_SPAN,
     EventBus,
 )
-from repro.telemetry.service import replay_events
 
 #: Topics forwarded into the hub (everything its services consume).
 TAPPED_TOPICS = (
@@ -67,58 +62,10 @@ class BusTap:
 
     def __init__(self, emit: Callable[[str, Any], None]) -> None:
         self.emit = emit
-        self.forwarded = 0
 
     def attach(self, bus: EventBus) -> None:
         for topic in TAPPED_TOPICS:
-            bus.subscribe(topic, self._handler(topic))
-
-    def _handler(self, topic: str):
-        def forward(event: Any) -> None:
-            self.forwarded += 1
-            self.emit(topic, event)
-
-        return forward
-
-
-def replay_into_hub(
-    hub: CampaignHub,
-    name: str,
-    dataset: StudyDataset,
-    *,
-    member: str | None = None,
-) -> None:
-    """Feed one recorded dataset through the canonical replay ordering.
-
-    The dataset must hold its samples: a sharded campaign's merged
-    dataset does; a serial one keeps only its intervals, and streams
-    live through a :class:`BusTap` instead."""
-    if not dataset.collector.samples and dataset.collector.intervals():
-        raise ValueError(
-            "dataset keeps no samples to replay: a serial campaign keeps only "
-            "its intervals (feed it live through a BusTap)"
-        )
-    spans = dataset.tracer.spans if dataset.tracer is not None else ()
-    truncations = (
-        dataset.telemetry.truncations if dataset.telemetry is not None else ()
-    )
-    faults = dataset.faults.events if dataset.faults is not None else ()
-    for topic, event in replay_events(
-        dataset.collector.samples,
-        dataset.accounting.records,
-        spans=spans,
-        truncations=truncations,
-        faults=faults,
-    ):
-        hub.feed(name, topic, event, member=member)
-
-
-def replay_fleet_into_hub(
-    hub: CampaignHub, name: str, fleet: FleetDataset
-) -> None:
-    """Replay every member dataset under its federated namespace."""
-    for result in fleet.members:
-        replay_into_hub(hub, name, result.dataset, member=result.spec.name)
+            bus.subscribe(topic, functools.partial(self.emit, topic))
 
 
 async def drain_into_hub(
@@ -147,21 +94,13 @@ def _loop_emitter(
 TapFn = Callable[..., None]
 
 
-async def _ingest(
-    hub: CampaignHub,
-    name: str,
-    run: Callable[[TapFn | None], Any],
-    *,
-    live: bool,
-    replay: Callable[[Any], None],
-) -> Any:
+async def _ingest(hub: CampaignHub, name: str, run: Callable[[TapFn], Any]) -> Any:
     """Run ``run(tap)`` in a worker thread and feed the hub.
 
-    Live runs get a ``tap`` that streams each bus they are handed into
-    the hub as events happen.  Otherwise ``tap`` is None and ``replay``
-    feeds the finished result after the run.  Either way a failed run
-    completes the campaign with an error flag instead of pinning a
-    "running" slot (running campaigns are exempt from hub eviction).
+    ``tap`` streams each bus it is handed into the hub as events are
+    published.  A failed run completes the campaign with an error flag
+    instead of pinning a "running" slot (running campaigns are exempt
+    from hub eviction).
     """
     loop = asyncio.get_running_loop()
     queue: asyncio.Queue = asyncio.Queue()
@@ -169,17 +108,14 @@ async def _ingest(
     def tap(bus: EventBus, member: str | None = None) -> None:
         BusTap(_loop_emitter(loop, queue, member)).attach(bus)
 
-    runner = asyncio.ensure_future(asyncio.to_thread(run, tap if live else None))
+    runner = asyncio.ensure_future(asyncio.to_thread(run, tap))
     runner.add_done_callback(lambda _: queue.put_nowait(_DONE))
     await drain_into_hub(hub, name, queue)
     try:
-        result = await runner
+        return await runner
     except BaseException:
         hub.complete(name, {"error": True})
         raise
-    if not live:
-        replay(result)
-    return result
 
 
 async def ingest_study(
@@ -191,13 +127,10 @@ async def ingest_study(
     shard_days: int | None = None,
     workers: int = 1,
 ) -> StudyDataset:
-    """Run one single-machine campaign into the hub.
-
-    A serial campaign streams live; a sharded one (``shard_days``) runs
-    first and replays after the merge — the sharded runner rebuilds
-    telemetry at merge time, so there is no live bus to tap mid-flight.
-    Returns the campaign's own dataset — whose output is byte-identical
-    to a run without the hub attached (the tap is read-only).
+    """Run one single-machine campaign into the hub, serial or sharded
+    (``shard_days``).  Returns the campaign's own dataset — whose output
+    is byte-identical to a run without the hub attached (the tap is
+    read-only).
     """
     hub.register(
         name,
@@ -210,18 +143,12 @@ async def ingest_study(
         },
     )
 
-    def run(tap: TapFn | None) -> StudyDataset:
+    def run(tap: TapFn) -> StudyDataset:
         return run_study(
             config, shard_days=shard_days, workers=workers, tracing=trace, bus_hook=tap
         )
 
-    dataset = await _ingest(
-        hub,
-        name,
-        run,
-        live=shard_days is None,
-        replay=lambda ds: replay_into_hub(hub, name, ds),
-    )
+    dataset = await _ingest(hub, name, run)
     hub.complete(name, {"jobs": len(dataset.accounting)})
     return dataset
 
@@ -234,12 +161,8 @@ async def ingest_fleet(
     shard_days: int | None = None,
     workers: int = 1,
 ) -> FleetDataset:
-    """Run a fleet campaign into the hub under federated namespaces.
-
-    Serial fleets stream live (member by member, as they run); sharded
-    fleets run first and replay after the merge, as
-    :func:`ingest_study` does.
-    """
+    """Run a fleet campaign into the hub under federated namespaces,
+    member by member, one tap per member bus."""
     members = tuple(m.name for m in spec.members)
     hub.register(
         name,
@@ -249,24 +172,13 @@ async def ingest_fleet(
         meta={"seed": spec.seed, "n_days": spec.n_days, "routing": spec.routing},
     )
 
-    def run(tap: TapFn | None) -> FleetDataset:
+    def run(tap: TapFn) -> FleetDataset:
         def hook(member: MemberSpec, bus: EventBus) -> None:
             tap(bus, member.name)
 
-        return run_fleet(
-            spec,
-            shard_days=shard_days,
-            workers=workers,
-            member_hook=hook if tap is not None else None,
-        )
+        return run_fleet(spec, shard_days=shard_days, workers=workers, member_hook=hook)
 
-    fleet = await _ingest(
-        hub,
-        name,
-        run,
-        live=shard_days is None,
-        replay=lambda f: replay_fleet_into_hub(hub, name, f),
-    )
+    fleet = await _ingest(hub, name, run)
     hub.complete(
         name,
         {"jobs": sum(len(m.dataset.accounting) for m in fleet.members)},

@@ -44,6 +44,7 @@ from repro.cli_common import (
     shard_plan,
     study_config,
     usage_errors,
+    write_output,
 )
 from repro.core.study import StudyDataset
 from repro.telemetry.rules import render_alert, render_alerts
@@ -225,34 +226,30 @@ def cmd_jobs(dataset: StudyDataset, args: argparse.Namespace) -> int:
 # ----------------------------------------------------------------------
 
 def cmd_report(args: argparse.Namespace) -> int:
-    """One job's performance page, from a campaign fed into a hub: live
-    through a bus tap when it runs serially, replayed after the merge
-    when it runs sharded (a sharded run has no live bus)."""
-    from repro.ops import BusTap, CampaignHub, UnknownJob
-    from repro.ops.ingest import replay_into_hub
+    """One job's performance page, from the campaign's own telemetry
+    service, as the other one-shot verbs read it."""
+    from repro.ops.report import job_critical_path, render_performance_report
 
     if args.trace and (args.workers or args.shard_days):
         raise UsageError("--trace needs the serial runner (drop --workers/--shard-days)")
-    hub = CampaignHub()
-    hub.register("campaign", kind="single")
-    if shard_plan(args)["shard_days"] is None:
-        tap = BusTap(lambda topic, event: hub.feed("campaign", topic, event))
-        dataset = run_campaign(args, tracing=args.trace, bus_hook=tap.attach)
-    else:
-        dataset = run_campaign(args, tracing=args.trace)
-        replay_into_hub(hub, "campaign", dataset)
+    dataset = run_campaign(args, tracing=args.trace)
     if len(dataset.accounting) == 0:
         print(
             "error: campaign finished zero jobs — nothing to report on",
             file=sys.stderr,
         )
         return EXIT_OPERATIONAL
-    try:
-        print(hub.job_report("campaign", args.job))
-    except UnknownJob as exc:
+    rollups = dataset.telemetry.rollups
+    rollup = rollups.get(args.job)
+    if rollup is None:
         ids = sorted(r.job_id for r in dataset.accounting.records)
-        span = f"{ids[0]}..{ids[-1]}" if ids else "(none)"
-        raise UsageError(f"{exc} — finished job ids: {span}") from None
+        raise UsageError(
+            f"campaign 'campaign' has no finished job {args.job} ({len(rollups)} "
+            f"finished) — finished job ids: {ids[0]}..{ids[-1]}"
+        )
+    spans = dataset.tracer.spans if dataset.tracer is not None else ()
+    path = job_critical_path(spans, args.job)
+    print(render_performance_report(rollup, rollups, campaign="campaign", path=path))
     return EXIT_OK
 
 
@@ -287,7 +284,7 @@ async def _serve(args: argparse.Namespace) -> int:
     if args.port_file is not None:
         # Written after bind: waiting on this file is the race-free way
         # for scripts (and the CI smoke) to learn the ephemeral port.
-        pathlib.Path(args.port_file).write_text(f"{server.port}\n")
+        write_output(args.port_file, f"{server.port}\n")
 
     t0 = time.time()
     if fleet_spec is not None:
@@ -297,10 +294,7 @@ async def _serve(args: argparse.Namespace) -> int:
             from repro.fleet.analysis import fleet_summary
 
             document = {"spec": fleet_spec.to_dict(), **fleet_summary(fleet)}
-            args.json.parent.mkdir(parents=True, exist_ok=True)
-            args.json.write_text(
-                json.dumps(document, indent=2, sort_keys=True) + "\n"
-            )
+            write_output(args.json, json.dumps(document, indent=2, sort_keys=True) + "\n")
             print(f"wrote {args.json}", file=sys.stderr)
     else:
         dataset = await ingest_study(
@@ -329,8 +323,7 @@ def _write_dataset_json(args: argparse.Namespace, dataset: StudyDataset) -> None
     # campaign: the ingest tap is a pure bus subscriber (CI diffs them).
     from repro.analysis.export import dataset_to_json
 
-    args.json.parent.mkdir(parents=True, exist_ok=True)
-    args.json.write_text(dataset_to_json(dataset))
+    write_output(args.json, dataset_to_json(dataset))
     print(f"wrote {args.json}", file=sys.stderr)
 
 

@@ -20,11 +20,14 @@ processed in index order):
 * **Telemetry** is rebuilt by :meth:`TelemetryService.replay` over the
   merged sample/record streams — deterministic by construction, and
   identical no matter how many workers executed the shards.  It is a
-  sharded campaign's only telemetry (workers run with no bus), and it is
+  sharded campaign's only telemetry (workers run with no bus), it is
+  published on a bus the caller may tap (``bus_hook``), and it is
   skipped when the caller asks for none.
 """
 
 from __future__ import annotations
+
+from typing import Callable
 
 import numpy as np
 
@@ -34,6 +37,7 @@ from repro.hpm.collector import SampleSeries, SystemSample
 from repro.parallel.worker import ShardResult
 from repro.pbs.accounting import AccountingLog
 from repro.pbs.job import JobRecord
+from repro.telemetry.bus import EventBus
 from repro.workload.traces import CampaignTrace
 
 #: Shard *k*'s jobs are numbered ``k×STRIDE + local_id``.  Wide enough
@@ -213,10 +217,12 @@ def merge_shard_results(
     *,
     tracing: bool = False,
     telemetry: bool = True,
+    bus_hook: Callable[[EventBus], None] | None = None,
 ) -> StudyDataset:
     """Assemble the campaign dataset from shard results (index order);
     ``telemetry=False`` skips the telemetry replay
-    (``dataset.telemetry`` is None).
+    (``dataset.telemetry`` is None), and ``bus_hook`` receives the
+    replay's bus before its first event.
 
     Consumes ``results``: their counter samples are rebased in place into
     the dataset and each ``res.samples`` is left empty, so merging the
@@ -248,6 +254,7 @@ def merge_shard_results(
             records,
             spans=spans,
             faults=faults.events if faults is not None else (),
+            bus_hook=bus_hook,
         )
         if faults is not None:
             # Replay sees fault *events* but not the live side effects

@@ -41,6 +41,7 @@ from typing import TYPE_CHECKING, Any, Callable, Sequence
 from repro.core.study import StudyConfig, StudyDataset
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
+    from repro.telemetry.bus import EventBus
     from repro.workload.traces import CampaignTrace
 from repro.parallel.checkpoint import config_fingerprint, load_shard_result
 from repro.parallel.merge import merge_shard_results
@@ -306,6 +307,7 @@ def run_parallel_study(
     trace: "CampaignTrace | None" = None,
     fault_namespace: tuple[int, ...] = (),
     telemetry: bool = True,
+    bus_hook: Callable[[EventBus], None] | None = None,
 ) -> StudyDataset:
     """Run a campaign as independent day-range shards and merge.
 
@@ -343,6 +345,9 @@ def run_parallel_study(
         Rebuild the campaign's telemetry by replaying the merged samples
         (``False``: no replay, ``dataset.telemetry`` is None).  Shard
         workers run with no bus either way.
+    bus_hook:
+        Called with the replay's bus before its first event, so a live
+        consumer sees the merged campaign's stream.
     """
     config = config or StudyConfig()
     shards = plan_shards(config.n_days, shard_days)
@@ -367,4 +372,6 @@ def run_parallel_study(
         traces=traces,
         fault_namespace=fault_namespace,
     )
-    return merge_shard_results(config, results, tracing=tracing, telemetry=telemetry)
+    return merge_shard_results(
+        config, results, tracing=tracing, telemetry=telemetry, bus_hook=bus_hook
+    )

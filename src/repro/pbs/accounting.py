@@ -125,12 +125,3 @@ class AccountingLog:
         if not bins:
             raise ValueError("no accounted jobs")
         return max(bins, key=lambda b: b.total_walltime_seconds).nodes
-
-    def paging_scatter(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per-job (system/user FXU ratio, Mflops-per-node) pairs — the
-        job-level analogue of Figure 5."""
-        recs = self.filtered()
-        x = np.array([r.system_user_fxu_ratio for r in recs])
-        y = np.array([r.mflops_per_node for r in recs])
-        finite = np.isfinite(x)
-        return x[finite], y[finite]

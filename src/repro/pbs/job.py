@@ -126,11 +126,6 @@ class JobRecord:
                     raise ValueError(f"node {nid}: {name} = {value} overflows int64") from None
         return cls(deltas=deltas, **fields)
 
-    @property
-    def counter_deltas(self) -> dict[int, dict[str, int]]:
-        """``{node: {name: int}}`` view of :attr:`deltas`, built on every read."""
-        return {n: dict(zip(FLAT_NAMES, r)) for n, r in zip(self.node_ids, self.deltas.tolist())}
-
     def __eq__(self, other: object) -> bool:
         """Every field; ``deltas`` by shape, dtype and values."""
         if other.__class__ is not self.__class__:

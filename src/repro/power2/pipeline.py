@@ -114,11 +114,6 @@ class ExecutionResult:
         return self.mix.flops / self.seconds / 1e6 if self.seconds > 0 else 0.0
 
     @property
-    def cpi(self) -> float:
-        total = self.mix.total_insts
-        return self.cycles / total if total > 0 else 0.0
-
-    @property
     def flops_per_cycle(self) -> float:
         return self.mix.flops / self.cycles if self.cycles > 0 else 0.0
 

@@ -23,6 +23,7 @@ from repro.cli_common import (
     add_shard_args,
     positive_int,
     study_config,
+    write_output,
 )
 from repro.stats.annotate import (
     format_estimate,
@@ -200,7 +201,6 @@ def repeat_main(argv: list[str] | None = None) -> int:
             "shard_days": args.shard_days,
         }
         payload = repeat_summary(result, config=block)
-        args.json.parent.mkdir(parents=True, exist_ok=True)
-        args.json.write_text(json.dumps(payload, indent=2) + "\n")
+        write_output(args.json, json.dumps(payload, indent=2) + "\n")
         print(f"wrote {args.json}", file=sys.stderr)
     return EXIT_OK

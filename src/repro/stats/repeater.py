@@ -82,14 +82,6 @@ class RepeatResult:
     def shape(self, metric: str | None = None) -> DistributionShape:
         return classify_distribution(self.samples[metric or self.target_metric])
 
-    def convergence_trace(self) -> list[int]:
-        """Cumulative repeat counts at each batch boundary."""
-        out, total = [], 0
-        for size in self.batch_sizes:
-            total += size
-            out.append(total)
-        return out
-
 
 @dataclass
 class Repeater:

@@ -35,6 +35,7 @@ from repro.cli_common import (
     positive_int,
     read_input,
     usage_errors,
+    write_output,
 )
 from repro.sweep.cache import load_cell
 from repro.sweep.executor import run_sweep
@@ -140,18 +141,17 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     document = result.document()
     if args.out is not None:
-        args.out.parent.mkdir(parents=True, exist_ok=True)
-        args.out.write_text(json.dumps(document, indent=2) + "\n")
+        write_output(args.out, json.dumps(document, indent=2) + "\n")
         print(f"wrote {args.out}", file=sys.stderr)
     if args.out_dir is not None:
-        args.out_dir.mkdir(parents=True, exist_ok=True)
         for r in result.results:
-            path = args.out_dir / f"{r.cell.name}.json"
             # A single-run cell file is byte-identical to what
             # `sp2-study --json` writes at the same settings (the
             # degeneracy contract); repeat cells save the full document.
             payload = r.summary if r.summary is not None else r.document
-            path.write_text(json.dumps(payload, indent=2) + "\n")
+            path = write_output(
+                args.out_dir / f"{r.cell.name}.json", json.dumps(payload, indent=2) + "\n"
+            )
             print(f"wrote {path}", file=sys.stderr)
 
     if args.json:

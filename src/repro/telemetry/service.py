@@ -18,14 +18,15 @@ its rates once, from the interval's int64 row, and hands the store and
 the rules that one record, so the online layer costs O(metrics) per
 sample regardless of campaign length.
 
-``replay`` rebuilds a service from recorded samples and job records —
-the offline path ``sp2-ops`` uses on an already-run dataset, and the
-determinism check (online == replay) in the integration tests.
+``replay`` rebuilds a service from recorded samples and job records:
+a sharded campaign's only telemetry, published on a bus the caller may
+tap (``bus_hook``), and the determinism check (online == replay) in
+the integration tests.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Callable, Iterable
 
 from repro.hpm.collector import SystemSample, sample_delta
 from repro.hpm.derived import row_rates
@@ -232,6 +233,7 @@ class TelemetryService:
         *,
         spans: Iterable = (),  # repro.tracing.span.Span (kept untyped: no cycle)
         faults: Iterable = (),  # repro.faults.events.FaultEvent (kept untyped)
+        bus_hook: Callable[[EventBus], None] | None = None,
     ) -> "TelemetryService":
         """Rebuild the live view from recorded samples and job records.
 
@@ -254,8 +256,14 @@ class TelemetryService:
         ``FaultLog``'s events) are interleaved with the sample stream by
         time, so the replayed alert list carries the same fault alerts
         the live service produced.
+
+        ``bus_hook`` receives the new service's bus before the first
+        event is published: the sharded runner's seam for live
+        consumers, which then see the replay's exact stream.
         """
         service = cls()
+        if bus_hook is not None:
+            bus_hook(service.bus)
         for topic, event in replay_events(samples, records, spans=spans, faults=faults):
             service.bus.publish(topic, event)
         return service
@@ -266,24 +274,20 @@ def replay_events(
     records: Iterable[JobRecord] = (),
     *,
     spans: Iterable = (),
-    truncations: Iterable[SimTruncated] = (),
     faults: Iterable = (),
 ) -> Iterable[tuple[str, object]]:
     """The canonical replay ordering, as ``(topic, event)`` pairs.
 
     This is the single definition of how a recorded campaign becomes an
     event stream again: faults, job ends and job starts are interleaved
-    with the sample stream by time, then trailing records, spans and
-    truncation notices follow; each sample event carries the interval
-    it closes, differenced here as the live collector does.
+    with the sample stream by time, then trailing records and spans
+    follow; each sample event carries the interval it closes,
+    differenced here as the live collector does.
     :meth:`TelemetryService.replay` publishes these pairs on a fresh
-    bus; the ops hub (:mod:`repro.ops.ingest`) feeds the identical
-    stream into its own per-campaign services, which is what makes
-    ``hub state == replay()`` a theorem rather than a hope (the
-    federation determinism tests assert it).
+    bus, and whatever taps that bus (the ops hub, through
+    :mod:`repro.ops.ingest`) sees the identical stream.
     """
     span_list = list(spans)
-    truncation_list = list(truncations)
     fault_list = sorted(faults, key=lambda f: f.time)
     recs = list(records)
     starts = sorted(recs, key=lambda r: (r.start_time, r.job_id))
@@ -322,5 +326,3 @@ def replay_events(
         yield TOPIC_JOB_END, JobEnded(time=rec.end_time, record=rec)
     for span in span_list:
         yield TOPIC_SPAN, SpanFinished(time=span.end or span.start, span=span)
-    for notice in truncation_list:
-        yield TOPIC_SIM_TRUNCATED, notice

@@ -28,6 +28,7 @@ from repro.cli_common import (
     entry_point,
     read_input,
     run_campaign,
+    write_output,
 )
 from repro.tracing import (
     analyze_jobs,
@@ -36,10 +37,9 @@ from repro.tracing import (
     render_critical_path,
     render_trace_summary,
     spans_to_chrome,
+    spans_to_jsonl,
     trace_summary,
     validate_chrome_trace,
-    write_chrome_trace,
-    write_jsonl,
 )
 from repro.tracing.span import PHASE_KINDS
 
@@ -60,10 +60,12 @@ def cmd_record(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return EXIT_OPERATIONAL
-    out = write_jsonl(tracer.spans, args.out)
+    out = write_output(args.out, spans_to_jsonl(tracer.spans))
     print(f"wrote {len(tracer.spans)} spans to {out}")
     if args.chrome is not None:
-        chrome = write_chrome_trace(tracer.spans, args.chrome)
+        chrome = write_output(
+            args.chrome, json.dumps(spans_to_chrome(tracer.spans), sort_keys=True) + "\n"
+        )
         print(f"wrote Chrome trace to {chrome} (open in https://ui.perfetto.dev)")
     return EXIT_OK
 
@@ -80,14 +82,13 @@ def cmd_export(args: argparse.Namespace) -> int:
             for err in errors[:10]:
                 print(f"error: {err}", file=sys.stderr)
             return EXIT_OPERATIONAL
-        out = pathlib.Path(args.out)
-        out.write_text(json.dumps(obj, sort_keys=True) + "\n")
+        out = write_output(args.out, json.dumps(obj, sort_keys=True) + "\n")
         print(
             f"wrote {len(obj['traceEvents'])} trace events to {out} "
             "(valid trace-event JSON; open in https://ui.perfetto.dev)"
         )
     else:  # jsonl re-serialization (normalizes ordering)
-        out = write_jsonl(spans, args.out)
+        out = write_output(args.out, spans_to_jsonl(spans))
         print(f"wrote {len(spans)} spans to {out}")
     return EXIT_OK
 

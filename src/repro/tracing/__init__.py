@@ -25,7 +25,6 @@ from repro.tracing.export import (
     spans_to_jsonl,
     validate_chrome_trace,
     write_chrome_trace,
-    write_jsonl,
 )
 from repro.tracing.span import PHASE_KINDS, Span, span_index
 from repro.tracing.summary import render_trace_summary, trace_summary
@@ -44,7 +43,6 @@ __all__ = [
     "spans_to_chrome",
     "spans_to_jsonl",
     "write_chrome_trace",
-    "write_jsonl",
     "read_jsonl",
     "validate_chrome_trace",
     "trace_summary",

@@ -54,12 +54,6 @@ def spans_to_jsonl(spans: Iterable[Span]) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def write_jsonl(spans: Iterable[Span], path: str | pathlib.Path) -> pathlib.Path:
-    path = pathlib.Path(path)
-    path.write_text(spans_to_jsonl(spans))
-    return path
-
-
 def read_jsonl(path: str | pathlib.Path) -> list[Span]:
     """The spans of a JSONL trace, checked as they load.
 

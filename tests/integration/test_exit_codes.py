@@ -260,6 +260,31 @@ def test_bad_request_is_one_error_line(main, argv, code, crash, tmp_path, capsys
     assert len(last) <= MAX_ERROR_LINE, (len(last), last[:MAX_ERROR_LINE])
 
 
+@pytest.mark.parametrize(
+    "main, argv, outputs",
+    [
+        pytest.param(trace, ["record", *TINY, "--out", "{out}/t.jsonl", "--chrome", "{out}/c.json"],
+                     ["t.jsonl", "c.json"], id="trace-record"),
+        pytest.param(trace, ["export", "{trace}", "--out", "{out}/t.json"], ["t.json"],
+                     id="trace-export"),
+        pytest.param(trace, ["export", "{trace}", "--format", "jsonl", "--out", "{out}/t.jsonl"],
+                     ["t.jsonl"], id="trace-export-jsonl"),
+        pytest.param(fleet, ["run", "--days", "2", "--out", "{out}/run.json"], ["run.json"],
+                     id="fleet-run"),
+    ],
+)
+def test_output_into_a_missing_directory_is_written(
+    main, argv, outputs, recorded_trace, tmp_path, capsys
+):
+    """Every output path's directory is created, as ``sp2-study --json``
+    creates its own (this was a FileNotFoundError traceback)."""
+    out = tmp_path / "missing" / "dir"
+    argv = [arg.replace("{out}", str(out)).replace("{trace}", recorded_trace) for arg in argv]
+    assert main(argv) == 0, capsys.readouterr().err
+    for name in outputs:
+        assert (out / name).stat().st_size > 0, name
+
+
 def test_value_error_inside_a_run_is_not_a_usage_error(monkeypatch):
     """A fault inside a run (a counter running backwards, say) must stay
     a traceback: only the request-reading code maps ValueError to 2."""

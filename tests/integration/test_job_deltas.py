@@ -19,6 +19,7 @@ import pytest
 from repro.core.study import StudyConfig, run_study
 from repro.faults.profile import PROFILES
 from repro.power2.counters import FLAT_NAMES
+from tests.pbs.counter_deltas import counter_deltas
 from tests.power2.accrual_reference import reference_accrual, served
 
 SMALL = dict(seed=7, n_days=2, n_nodes=16, n_users=6)
@@ -35,7 +36,7 @@ def _records(fault_profile: str | None, shard_days: int | None):
 def _summed_from_scratch(record) -> dict[str, int]:
     total: dict[str, int] = {}
     for nid in record.node_ids:
-        for name, value in record.counter_deltas[nid].items():
+        for name, value in counter_deltas(record)[nid].items():
             total[name] = total.get(name, 0) + value
     return total
 
@@ -50,7 +51,7 @@ def test_job_deltas_match_across_backends_and_a_fresh_sum(fault_profile, shard_d
     assert len(scalar) == len(auto) > 0
     for a, b in zip(scalar, auto):
         assert a == b  # every field, the deltas matrix included
-        assert set(a.counter_deltas) == set(a.node_ids)
+        assert set(counter_deltas(a)) == set(a.node_ids)
         expected = _summed_from_scratch(a)
         for record in (a, b):
             totals = record.summed_deltas()

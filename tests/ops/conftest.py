@@ -1,20 +1,22 @@
 """Shared fixtures for the ops-service tests.
 
 Campaigns here are deliberately tiny (2 days, 16–32 nodes): every test
-in this package replays or serves them through the hub, and the suite
+in this package feeds or serves them through the hub, and the suite
 must stay fast.  The session-scoped fixtures run each campaign once.
 """
 
 from __future__ import annotations
 
 import dataclasses
+from typing import Any
 
 import pytest
 
-from repro.core.study import StudyConfig, StudyDataset, WorkloadStudy
+from repro.core.study import StudyConfig, StudyDataset, run_study
 from repro.faults.profile import FaultProfile
 from repro.fleet.spec import PRESETS, FleetSpec
-from repro.tracing.tracer import Tracer
+from repro.ops.hub import CampaignHub
+from repro.ops.ingest import BusTap
 
 
 def tiny_config(**overrides) -> StudyConfig:
@@ -34,9 +36,24 @@ def tiny_config(**overrides) -> StudyConfig:
 
 @pytest.fixture(scope="session")
 def tiny_dataset() -> StudyDataset:
-    """A 2-day traced faulted campaign: jobs, spans, samples, alerts.
-    It keeps its samples, so the hub tests can replay it."""
-    return WorkloadStudy(tiny_config(), tracer=Tracer(), keep_samples=True).run()
+    """A 2-day traced faulted campaign: jobs, spans, intervals, alerts."""
+    return run_study(tiny_config(), tracing=True)
+
+
+@pytest.fixture(scope="session")
+def tiny_stream() -> list[tuple[str, Any]]:
+    """The same campaign's tapped telemetry stream, recorded once: the
+    ``(topic, event)`` pairs an ingest tap forwards to the hub."""
+    stream: list[tuple[str, Any]] = []
+    tap = BusTap(lambda topic, event: stream.append((topic, event)))
+    run_study(tiny_config(), tracing=True, bus_hook=tap.attach)
+    return stream
+
+
+def feed(hub: CampaignHub, name: str, stream: list[tuple[str, Any]]) -> None:
+    """Apply a recorded stream to one hub campaign, as the ingest does."""
+    for topic, event in stream:
+        hub.feed(name, topic, event)
 
 
 @pytest.fixture(scope="session")

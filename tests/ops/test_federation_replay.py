@@ -1,14 +1,13 @@
 """Satellite determinism contract: for a two-member fleet campaign, the
-online service state must equal ``replay()`` state — per member AND for
-the federated ``fleet.*`` namespace.
+hub a serial fleet streams live into must equal the hub a sharded one
+feeds — per member AND for the federated ``fleet.*`` namespace.
 
 Live path: ``ingest_fleet`` taps each member's bus as it runs (serial
 member path).  Replay path: an *independent* ``run_fleet`` of the same
-spec on a single-shard plan (byte-identical to the serial member path,
-and its members keep their samples), streamed through
-``replay_fleet_into_hub`` — the canonical ``replay_events`` ordering.
-Both hubs must agree on everything the query API serves from samples
-and records.
+spec on a single-shard plan (byte-identical to the serial member path),
+whose ``member_hook`` taps each member's merge replay bus — the
+canonical ``replay_events`` ordering.  Both hubs must agree on
+everything the query API serves from samples and records.
 """
 
 import asyncio
@@ -17,8 +16,7 @@ import numpy as np
 import pytest
 
 from repro.fleet.runner import run_fleet
-from repro.ops import CampaignHub, ingest_fleet
-from repro.ops.ingest import replay_fleet_into_hub
+from repro.ops import BusTap, CampaignHub, ingest_fleet
 
 #: Series that replay reproduces exactly (jobs.active is documented to
 #: undercount in replay: only finished jobs leave accounting records).
@@ -40,7 +38,6 @@ def live_hub(tiny_fleet_spec):
 
 @pytest.fixture(scope="module")
 def replay_hub(tiny_fleet_spec):
-    fleet = run_fleet(tiny_fleet_spec, shard_days=tiny_fleet_spec.n_days)
     hub = CampaignHub()
     hub.register(
         "fed",
@@ -48,7 +45,11 @@ def replay_hub(tiny_fleet_spec):
         members=tuple(m.name for m in tiny_fleet_spec.members),
         node_weights={m.name: m.n_nodes for m in tiny_fleet_spec.members},
     )
-    replay_fleet_into_hub(hub, "fed", fleet)
+
+    def hook(member, bus):
+        BusTap(lambda topic, event: hub.feed("fed", topic, event, member=member.name)).attach(bus)
+
+    run_fleet(tiny_fleet_spec, shard_days=tiny_fleet_spec.n_days, member_hook=hook)
     hub.complete("fed")
     return hub
 

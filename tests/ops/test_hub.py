@@ -4,15 +4,16 @@ import numpy as np
 import pytest
 
 from repro.ops.hub import CampaignHub, HubFull, UnknownCampaign, UnknownJob, UnknownMetric
-from repro.ops.ingest import replay_into_hub
 from repro.telemetry.service import METRIC_CATALOG
+
+from .conftest import feed
 
 
 @pytest.fixture(scope="module")
-def loaded_hub(tiny_dataset):
+def loaded_hub(tiny_dataset, tiny_stream):
     hub = CampaignHub()
     hub.register("camp", kind="single", meta={"seed": 3})
-    replay_into_hub(hub, "camp", tiny_dataset)
+    feed(hub, "camp", tiny_stream)
     hub.complete("camp", {"jobs": len(tiny_dataset.accounting)})
     return hub
 
@@ -73,10 +74,10 @@ class TestQuerySurface:
         with pytest.raises(UnknownMetric):
             loaded_hub.series_snapshot("camp", "bogus.metric")
 
-    def test_snapshot_isolated_from_later_feeds(self, tiny_dataset):
+    def test_snapshot_isolated_from_later_feeds(self, tiny_stream):
         hub = CampaignHub()
         hub.register("iso")
-        replay_into_hub(hub, "iso", tiny_dataset)
+        feed(hub, "iso", tiny_stream)
         snap = hub.series_snapshot("iso", "gflops.system")
         before = snap.values.copy()
         # The campaign keeps streaming after the snapshot was taken: one
@@ -93,12 +94,12 @@ class TestQuerySurface:
         again, cursor2 = loaded_hub.alerts_since("camp", cursor)
         assert again == [] and cursor2 == cursor
 
-    def test_alert_listener_sees_fed_alerts(self, tiny_dataset):
+    def test_alert_listener_sees_fed_alerts(self, tiny_stream):
         hub = CampaignHub()
         hub.register("live")
         seen = []
         hub.add_alert_listener(lambda name, member, alert: seen.append((name, alert)))
-        replay_into_hub(hub, "live", tiny_dataset)
+        feed(hub, "live", tiny_stream)
         log, _ = hub.alerts_since("live", 0)
         assert [a for _, a in seen] == [a for _, a in log]
 

@@ -1,25 +1,41 @@
-"""Live ingest: taps are invisible, hub state equals replay state."""
+"""Ingest: taps are invisible, and a hub fed by one equals the
+campaign's own telemetry service, serial or sharded."""
 
 import asyncio
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from repro.analysis.export import dataset_to_json
-from repro.core.study import WorkloadStudy
+from repro.core.study import WorkloadStudy, run_study
 from repro.ops import CampaignHub, ingest_study
-from repro.ops.ingest import TAPPED_TOPICS, BusTap, replay_into_hub
+from repro.ops.ingest import TAPPED_TOPICS, BusTap
+from repro.ops.report import job_critical_path, render_performance_report
 from repro.tracing.tracer import Tracer
 
 from .conftest import tiny_config
 
 
+def _ingest(shard_days):
+    hub = CampaignHub()
+    dataset = asyncio.run(
+        ingest_study(hub, "live", tiny_config(), trace=True, shard_days=shard_days)
+    )
+    return hub, dataset
+
+
 @pytest.fixture(scope="module")
 def ingested(tiny_dataset):
     """One live ingest of the tiny campaign (hub + its own dataset)."""
-    hub = CampaignHub()
-    dataset = asyncio.run(ingest_study(hub, "live", tiny_config(), trace=True))
-    return hub, dataset
+    return _ingest(None)
+
+
+@pytest.fixture(scope="module")
+def ingested_sharded():
+    """The same campaign as one-day shards: the hub taps the merge's
+    replay bus."""
+    return _ingest(1)
 
 
 class TestTapInvisibility:
@@ -30,69 +46,66 @@ class TestTapInvisibility:
         # byte for byte (the PR's acceptance contract).
         assert dataset_to_json(attached) == dataset_to_json(tiny_dataset)
 
-    def test_tap_forwards_every_tapped_topic_event(self, tiny_dataset):
+    def test_sharded_attached_output_byte_identical_to_detached(self, ingested_sharded):
+        _, attached = ingested_sharded
+        detached = run_study(tiny_config(), tracing=True, shard_days=1)
+        assert dataset_to_json(attached) == dataset_to_json(detached)
+
+    def test_tap_forwards_every_tapped_topic_event(self):
         forwarded = []
         study = WorkloadStudy(tiny_config(), tracer=Tracer())
-        tap = BusTap(lambda topic, event: forwarded.append(topic))
-        tap.attach(study.bus)
+        BusTap(lambda topic, event: forwarded.append(topic)).attach(study.bus)
         study.run()
-        assert tap.forwarded == len(forwarded)
+        assert forwarded
         assert set(forwarded) <= set(TAPPED_TOPICS)
-        assert tap.forwarded > 0
+        published = study.bus.published
+        assert Counter(forwarded) == {t: published[t] for t in TAPPED_TOPICS if t in published}
 
 
 class TestHubEqualsReplay:
-    """The live-fed hub must equal a hub fed by ``replay_events`` — the
-    determinism theorem the shared generator makes true by construction
-    (modulo ``jobs.active``, which replay documents as undercounting
-    near the horizon: only finished jobs leave records)."""
-
-    DETERMINISTIC_SERIES = (
-        "gflops.system",
-        "fxu.sys_user_ratio",
-        "tlb.miss_rate",
-        "nodes.reporting",
-    )
+    """A hub fed by the ingest tap equals the campaign's own telemetry
+    service: the live service of a serial run, the merge's replay
+    (``TelemetryService.replay``) of a sharded one.  Both consumed the
+    one stream the tap forwarded, so every series matches, ``jobs.active``
+    included."""
 
     @pytest.fixture(scope="class")
-    def replayed(self, tiny_dataset):
-        """The same campaign, replayed: the ingest's own dataset keeps no
-        samples, and ``tiny_dataset`` is byte-identical to it (see
-        :class:`TestTapInvisibility`) and keeps them."""
-        hub = CampaignHub()
-        hub.register("replayed")
-        replay_into_hub(hub, "replayed", tiny_dataset)
-        return hub
+    def runs(self, ingested, ingested_sharded):
+        return {"serial": ingested, "sharded": ingested_sharded}
 
-    def test_metric_series_match(self, ingested, replayed):
-        live_hub, _ = ingested
-        for name in self.DETERMINISTIC_SERIES:
-            live = live_hub.series_snapshot("live", name)
-            rep = replayed.series_snapshot("replayed", name)
-            assert np.array_equal(live.times, rep.times), name
-            assert np.array_equal(live.values, rep.values), name
-            assert live.summary() == rep.summary(), name
+    def test_metric_series_match(self, runs):
+        for label, (hub, dataset) in runs.items():
+            own = dataset.telemetry.store
+            assert hub.metric_names("live") == own.names(), label
+            for name in own.names():
+                fed = hub.series_snapshot("live", name)
+                expected = own.series(name).snapshot()
+                assert np.array_equal(fed.times, expected.times), (label, name)
+                assert np.array_equal(fed.values, expected.values), (label, name)
+                assert fed.summary() == expected.summary(), (label, name)
 
-    def test_alert_logs_match(self, ingested, replayed):
-        live_hub, _ = ingested
-        live_log, _ = live_hub.alerts_since("live", 0)
-        rep_log, _ = replayed.alerts_since("replayed", 0)
-        assert [a for _, a in live_log] == [a for _, a in rep_log]
-        assert len(live_log) > 0
+    def test_alert_logs_match(self, runs):
+        for label, (hub, dataset) in runs.items():
+            log, _ = hub.alerts_since("live", 0)
+            assert [a for _, a in log] == dataset.telemetry.alerts, label
+            assert len(log) > 0, label
 
-    def test_finished_rollups_match(self, ingested, replayed):
-        live_hub, _ = ingested
-        live_ids = [r.job_id for _, r in live_hub.job_rollups("live")]
-        rep_ids = [r.job_id for _, r in replayed.job_rollups("replayed")]
-        assert live_ids == rep_ids
+    def test_finished_rollups_match(self, runs):
+        for label, (hub, dataset) in runs.items():
+            fed = [r.job_id for _, r in hub.job_rollups("live")]
+            own = [r.job_id for r in dataset.telemetry.rollups.finished]
+            assert fed == own and fed, label
 
-    def test_job_reports_match(self, ingested, replayed):
-        live_hub, dataset = ingested
-        job_id = dataset.accounting.records[0].job_id
-        live_text = live_hub.job_report("live", job_id)
-        rep_text = replayed.job_report("replayed", job_id)
-        # Reports name their campaign; normalize before comparing.
-        assert live_text.replace("live", "X") == rep_text.replace("replayed", "X")
+    def test_job_reports_match(self, runs):
+        """The hub's page for every job equals the one ``sp2-ops report``
+        renders from the campaign's own rollups and recorded spans."""
+        for label, (hub, dataset) in runs.items():
+            rollups = dataset.telemetry.rollups
+            for rollup in rollups.finished:
+                job_id = rollup.job_id
+                path = job_critical_path(dataset.tracer.spans, job_id)
+                expected = render_performance_report(rollup, rollups, campaign="live", path=path)
+                assert hub.job_report("live", job_id) == expected, (label, job_id)
 
 
 class TestIngestLifecycle:

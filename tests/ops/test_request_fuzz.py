@@ -13,10 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ops import CampaignHub, OpsServer
-from repro.ops.ingest import replay_into_hub
 from repro.ops.protocol import MAX_LINE_BYTES, ProtocolError, decode_message, encode_message
 from repro.ops.server import _Connection
 from repro.util.checks import MAX_SHOWN
+
+from .conftest import feed
 
 #: The requests CI's ops-service smoke sends (``sp2-ops ask`` with the
 #: smoke's flags), plus the verbs it does not round-trip.
@@ -55,10 +56,10 @@ JSON_VALUES = st.one_of(
 
 
 @pytest.fixture(scope="module")
-def server(tiny_dataset) -> OpsServer:
+def server(tiny_stream) -> OpsServer:
     hub = CampaignHub()
     hub.register("smoke", kind="single")
-    replay_into_hub(hub, "smoke", tiny_dataset)
+    feed(hub, "smoke", tiny_stream)
     hub.complete("smoke")
     return OpsServer(hub)
 

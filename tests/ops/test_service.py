@@ -5,7 +5,8 @@ import asyncio
 import pytest
 
 from repro.ops import CampaignHub, OpsClient, OpsServer, OpsServiceError
-from repro.ops.ingest import replay_into_hub
+
+from .conftest import feed
 
 
 def serve(test_coro_factory, *, hub=None):
@@ -23,10 +24,10 @@ def serve(test_coro_factory, *, hub=None):
 
 
 @pytest.fixture(scope="module")
-def served_hub(tiny_dataset):
+def served_hub(tiny_stream):
     hub = CampaignHub()
     hub.register("camp", kind="single")
-    replay_into_hub(hub, "camp", tiny_dataset)
+    feed(hub, "camp", tiny_stream)
     hub.complete("camp")
     return hub
 
@@ -91,13 +92,13 @@ class TestRoundTrips:
 
 
 class TestAlertPushes:
-    def test_subscribed_client_receives_live_alerts(self, tiny_dataset):
+    def test_subscribed_client_receives_live_alerts(self, tiny_stream):
         async def body(hub, server):
             hub.register("camp", kind="single")
             async with await OpsClient.connect("127.0.0.1", server.port) as client:
                 sub = await client.request("subscribe", campaign="camp")
                 assert sub["subscriptions"] == ["camp"]
-                replay_into_hub(hub, "camp", tiny_dataset)
+                feed(hub, "camp", tiny_stream)
                 expected, _ = hub.alerts_since("camp", 0)
                 assert expected, "tiny campaign fired no alerts (fixture too quiet)"
                 pushes = [
@@ -110,13 +111,13 @@ class TestAlertPushes:
 
         serve(body)
 
-    def test_unsubscribed_client_gets_no_pushes(self, tiny_dataset):
+    def test_unsubscribed_client_gets_no_pushes(self, tiny_stream):
         async def body(hub, server):
             hub.register("camp", kind="single")
             async with await OpsClient.connect("127.0.0.1", server.port) as client:
                 await client.request("subscribe", campaign="camp")
                 await client.request("unsubscribe", campaign="camp")
-                replay_into_hub(hub, "camp", tiny_dataset)
+                feed(hub, "camp", tiny_stream)
                 await client.request("ping")  # round-trip barrier
                 assert client.pushes.empty()
 
@@ -150,14 +151,14 @@ class TestShutdown:
 
 
 class TestHubIsBounded:
-    def test_ring_capacity_applies_to_hub_services(self, tiny_dataset):
+    def test_ring_capacity_applies_to_hub_services(self, tiny_stream):
         hub = CampaignHub(store_capacity=8)
         hub.register("tight")
-        replay_into_hub(hub, "tight", tiny_dataset)
+        feed(hub, "tight", tiny_stream)
         entry = hub.catalog()["campaigns"][0]
         assert entry["points_dropped"] > 0
-        snap = hub.store_snapshot("tight")
-        assert all(snap[n].size <= 8 for n in snap.names())
+        names = hub.metric_names("tight")
+        assert names and all(hub.series_snapshot("tight", n).size <= 8 for n in names)
 
 
 def test_tiny_campaign_fires_alerts(tiny_dataset):

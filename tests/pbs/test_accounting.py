@@ -1,6 +1,5 @@
 """Accounting log: §6's filters and figure queries."""
 
-import numpy as np
 import pytest
 
 from repro.pbs.accounting import AccountingLog
@@ -102,16 +101,6 @@ class TestAggregates:
         log.append(record(3, 8, 1000.0))
         hist = log.history_for_nodes(16)
         assert [r.job_id for r in hist] == [2, 5]
-
-    def test_paging_scatter_drops_infinite_ratios(self):
-        log = AccountingLog()
-        log.append(record(1, 4, 1000.0))
-        weird = record(2, 4, 1000.0)
-        weird.deltas[:, [FLAT_COLUMN["user.fxu0"], FLAT_COLUMN["user.fxu1"]]] = 0
-        log.append(weird)
-        x, y = log.paging_scatter()
-        assert np.isfinite(x).all()
-        assert len(x) == 1
 
 
 class TestRegisterReuseAggregates:

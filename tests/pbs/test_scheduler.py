@@ -10,6 +10,7 @@ from repro.pbs.scheduler import PBSServer, apply_paging_to_rates
 from repro.power2.config import POWER2_590
 from repro.power2.counters import Mode, counter_index, rates_vector
 from repro.sim.engine import Simulator
+from tests.pbs.counter_deltas import counter_deltas
 from tests.power2.accrual_reference import reference_accrual, served
 
 
@@ -82,8 +83,8 @@ class TestCounterCapture:
         s.submit(0, "app", 2, Profile(walltime=1000.0, fpu_rate=1e6))
         s.sim.run()
         rec = s.accounting.records[0]
-        assert set(rec.counter_deltas) == set(rec.node_ids)
-        for deltas in rec.counter_deltas.values():
+        assert set(counter_deltas(rec)) == set(rec.node_ids)
+        for deltas in counter_deltas(rec).values():
             assert deltas["user.fpu0"] == pytest.approx(1e9, rel=1e-6)
 
     def test_mflops_per_node_from_counters(self):
@@ -101,8 +102,8 @@ class TestCounterCapture:
         s.submit(0, "second", 2, Profile(walltime=100.0, fpu_rate=3e6))
         s.sim.run()
         first, second = s.accounting.records
-        assert first.counter_deltas[0]["user.fpu0"] == pytest.approx(1e8, rel=1e-6)
-        assert second.counter_deltas[0]["user.fpu0"] == pytest.approx(3e8, rel=1e-6)
+        assert counter_deltas(first)[0]["user.fpu0"] == pytest.approx(1e8, rel=1e-6)
+        assert counter_deltas(second)[0]["user.fpu0"] == pytest.approx(3e8, rel=1e-6)
 
     @pytest.mark.parametrize("backend", ["scalar", "auto"])
     def test_counter_rollback_fails_the_epilogue_in_one_line(self, backend):

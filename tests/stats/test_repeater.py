@@ -123,7 +123,7 @@ class TestResultAccessors:
         est = result.estimate("value")
         assert est.n == 8
         assert est.ci_low <= est.mean <= est.ci_high
-        assert result.convergence_trace() == [4, 8]
+        assert result.batch_sizes == [4, 4]
         assert "value" in result.metrics()
 
     def test_shape_defaults_to_target(self):

@@ -16,7 +16,6 @@ from repro.tracing import (
     trace_summary,
     validate_chrome_trace,
     write_chrome_trace,
-    write_jsonl,
 )
 from repro.tracing.span import CAT_HPM, CAT_JOB, CAT_JOB_STATE
 from tests.spec_fuzz import mutated
@@ -33,7 +32,8 @@ def _sample_spans():
 
 class TestJsonl:
     def test_roundtrip(self, tmp_path):
-        path = write_jsonl(_sample_spans(), tmp_path / "t.jsonl")
+        path = tmp_path / "t.jsonl"
+        path.write_text(spans_to_jsonl(_sample_spans()))
         assert read_jsonl(path) == _sample_spans()
 
     def test_one_sorted_json_object_per_line(self):
