@@ -16,7 +16,8 @@ processed in index order):
 * **Job records** move onto the campaign clock and into per-shard id
   ranges (``job_id + index × JOB_ID_STRIDE``).
 * **Spans** likewise (``s<n>`` → ``s<n + index × SPAN_ID_STRIDE>``), via
-  :meth:`repro.tracing.span.Span.rebase`.
+  :meth:`repro.tracing.span.Span.rebase`; a job's root span takes its
+  record's merged job id.
 * **Telemetry** is rebuilt by :meth:`TelemetryService.replay` over the
   merged sample/record streams — deterministic by construction, and
   identical no matter how many workers executed the shards.  It is a
@@ -38,6 +39,7 @@ from repro.parallel.worker import ShardResult
 from repro.pbs.accounting import AccountingLog
 from repro.pbs.job import JobRecord
 from repro.telemetry.bus import EventBus
+from repro.tracing.span import CAT_JOB
 from repro.workload.traces import CampaignTrace
 
 #: Shard *k*'s jobs are numbered ``k×STRIDE + local_id``.  Wide enough
@@ -152,7 +154,8 @@ def merge_spans(results: list[ShardResult]) -> list:
 
     Multi-shard merges tag each shard's campaign-root span with its
     shard index and day range, so a merged trace still reads as one
-    timeline per shard in the viewers.
+    timeline per shard in the viewers, and move each job's root span to
+    its record's merged id (:func:`merge_records`).
     """
     n_shards = len(results)
     merged = []
@@ -167,6 +170,10 @@ def merge_spans(results: list[ShardResult]) -> list:
             if span.category == "campaign":
                 out.args["shard"] = res.shard.index
                 out.args["day_start"] = res.shard.day_start
+            elif span.category == CAT_JOB:
+                job_id = span.args["job_id"] + res.shard.index * JOB_ID_STRIDE
+                out.args["job_id"] = job_id
+                out.name = f"job-{job_id}"
             merged.append(out)
     return merged
 

@@ -5,7 +5,9 @@ processes and returns their results in task order.  Sharded campaigns,
 fleet members, ``sp2-study repeat`` seeds and sweep repeat cells all run
 on it, so they share one crash policy: a dead worker costs only the task
 it was running, that task is retried after a backoff, and an exception a
-task raises reaches the caller as it is.
+task raises reaches the caller as it is.  Payloads and results cross a
+worker's pipe with their buffers (array data) out of band, so neither
+process holds a pickled copy of a result's arrays (:func:`_send`).
 
 ``run_parallel_study`` is the parallel counterpart of
 :meth:`repro.core.study.WorkloadStudy.run`.  Determinism contract:
@@ -33,8 +35,10 @@ from __future__ import annotations
 import contextlib
 import multiprocessing
 import os
+import pickle
 import time
 import traceback
+from array import array
 from multiprocessing.connection import Connection, wait
 from typing import TYPE_CHECKING, Any, Callable, Sequence
 
@@ -92,6 +96,39 @@ class ShardExecutionError(RuntimeError):
         super().__init__(message)
 
 
+def _send(conn: Connection, obj: Any) -> None:
+    """Send ``obj`` to :func:`_recv` with its buffers out of band.
+
+    Pickle protocol 5 hands each contiguous buffer it meets (an array's
+    data) to a callback instead of copying it into the stream.  The
+    buffer sizes go first, then the stream, then each buffer as its own
+    message, written straight from the memory that holds it.  Pickling
+    finishes before the first byte is written, so an object that does
+    not pickle sends nothing.
+    """
+    buffers: list[pickle.PickleBuffer] = []
+    stream = pickle.dumps(obj, protocol=5, buffer_callback=buffers.append)
+    views = [b.raw() for b in buffers]
+    conn.send_bytes(array("q", [v.nbytes for v in views]))
+    conn.send_bytes(stream)
+    for view in views:
+        conn.send_bytes(view)
+
+
+def _recv(conn: Connection) -> Any:
+    """What :func:`_send` sent.  Each buffer is read into a bytearray of
+    its announced size, which the unpickled array then owns: no message
+    is held whole beside the objects it becomes."""
+    sizes = memoryview(conn.recv_bytes()).cast("q")
+    stream = conn.recv_bytes()
+    buffers = []
+    for size in sizes:
+        buffer = bytearray(size)
+        conn.recv_bytes_into(buffer)
+        buffers.append(buffer)
+    return pickle.loads(stream, buffers=buffers)
+
+
 def _serve(task: Callable, conn: Connection, parent_end: Connection) -> None:
     """A worker: run each payload the parent sends, until ``None``.
 
@@ -103,7 +140,7 @@ def _serve(task: Callable, conn: Connection, parent_end: Connection) -> None:
     parent_end.close()
     while True:
         try:
-            payload = conn.recv()
+            payload = _recv(conn)
         except EOFError:
             return
         if payload is None:
@@ -115,11 +152,11 @@ def _serve(task: Callable, conn: Connection, parent_end: Connection) -> None:
         # Hold neither the payload nor the result while idle.
         payload = None
         try:
-            conn.send(reply)
+            _send(conn, reply)
         except OSError:
             return
         except Exception as exc:  # noqa: BLE001 - the reply does not pickle
-            conn.send((False, (exc, traceback.format_exc())))
+            _send(conn, (False, (exc, traceback.format_exc())))
         reply = None
 
 
@@ -163,11 +200,11 @@ def _run_forked(
                 if queue and conn not in busy:
                     busy[conn] = i = queue.pop()
                     with contextlib.suppress(OSError):  # dead: wait() reads its EOF
-                        conn.send(payloads[i])
+                        _send(conn, payloads[i])
             for conn in wait(list(busy)):
                 i = busy.pop(conn)
                 try:
-                    ok, value = conn.recv()
+                    ok, value = _recv(conn)
                 except (EOFError, OSError):
                     crashed.append(i)
                     live.pop(conn).join()
@@ -185,7 +222,7 @@ def _run_forked(
                 proc.terminate()
             else:
                 with contextlib.suppress(OSError):
-                    conn.send(None)
+                    _send(conn, None)
         for conn, proc in live.items():
             proc.join()
             conn.close()

@@ -15,9 +15,13 @@ just-finished run and on a ``run --out`` file from last week.
 
 from __future__ import annotations
 
+import json
+import pathlib
 from typing import Any
 
 from repro.analysis.report import PAPER_CLAIMS
+from repro.sweep.cache import CELL_FIELDS
+from repro.util.checks import describe, describe_names
 from repro.util.tables import Table
 
 #: The per-axis sensitivity columns: (metric key, column header).
@@ -31,6 +35,32 @@ SENSITIVITY_METRICS = (
 
 #: The compare flag for a delta whose CIs don't overlap.
 FLAG = "*"
+
+
+def read_sweep_document(path: str | pathlib.Path) -> dict[str, Any]:
+    """The document of a ``sp2-sweep run --out`` file, checked as it loads.
+
+    Its ``sweep.cells`` is a list of cell objects, each holding every
+    field a cell is saved with (:data:`~repro.sweep.cache.CELL_FIELDS`)
+    and a ``metrics`` object.  Anything else is a one-line
+    ``ValueError`` naming the cell, before a report or comparison reads
+    it."""
+    document = json.loads(pathlib.Path(path).read_text())
+    cells = _cells(document)
+    if not isinstance(cells, list):
+        raise ValueError(f"sweep.cells must be a list, got {describe(cells)}")
+    for i, cell in enumerate(cells):
+        where = f"sweep.cells[{i}]"
+        if not isinstance(cell, dict):
+            raise ValueError(f"{where} must be an object, got {describe(cell)}")
+        missing = CELL_FIELDS - cell.keys()
+        if missing:
+            raise ValueError(f"{where} lacks {describe_names(sorted(missing))}")
+        if not isinstance(cell["metrics"], dict):
+            raise ValueError(
+                f"{where}.metrics must be an object, got {describe(cell['metrics'])}"
+            )
+    return document
 
 
 def _cells(document: dict[str, Any]) -> list[dict[str, Any]]:

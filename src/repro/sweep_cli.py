@@ -47,6 +47,7 @@ from repro.sweep.planner import (
     plan_sweep,
 )
 from repro.sweep.report import (
+    read_sweep_document,
     render_compare,
     render_plan_table,
     render_sweep_report,
@@ -176,9 +177,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    document = read_input(args.summary)
-    with usage_errors():
-        print(render_sweep_report(document))
+    print(render_sweep_report(read_input(args.summary, read_sweep_document)))
     return EXIT_OK
 
 
@@ -196,7 +195,7 @@ def _resolve_name(document: dict, text: str) -> str:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    document = read_input(args.summary)
+    document = read_input(args.summary, read_sweep_document)
     with usage_errors():
         a = _resolve_name(document, args.a)
         b = _resolve_name(document, args.b)

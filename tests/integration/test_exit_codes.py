@@ -4,6 +4,7 @@ uniformly across every sp2-* entry point."""
 from __future__ import annotations
 
 import contextlib
+import json
 import os
 import pathlib
 import re
@@ -19,6 +20,7 @@ import repro.ops_cli
 import repro.sweep_cli
 import repro.trace_cli
 from repro.core.study import StudyConfig
+from repro.sweep.cache import CELL_FIELDS
 
 #: Every installed console entry point (pyproject [project.scripts]).
 ENTRY_POINTS = [
@@ -145,6 +147,10 @@ MATRIX = [
     # Exit 2, was a hang: the Chrome exporter walked the parent cycle.
     pytest.param(trace, ["export", "{trace_cycle}", "--out", MISSING], 2, None,
                  id="trace-export-parent-cycle"),
+    # Exit 2, was an AttributeError traceback.
+    pytest.param(sweep, ["report", "{sweep_cell_string}"], 2, None, id="sweep-report-cell-string"),
+    pytest.param(sweep, ["compare", "{sweep_cell_string}", "base", "base"], 2, None,
+                 id="sweep-compare-cell-string"),
     # Exit 2, was a RecursionError traceback.
     pytest.param(sweep, ["plan", "--spec", "{deep_json}"], 2, None, id="sweep-spec-deep-json"),
     pytest.param(fleet, ["run", "--spec", "{deep_json}"], 2, None, id="fleet-spec-deep-json"),
@@ -167,6 +173,10 @@ MATRIX = [
     pytest.param(sweep, ["run", "--spec", "{spec}", "--workers", "0"], 2, None,
                  id="sweep-workers-0"),
     pytest.param(sweep, ["run", "--spec", "{page_kb_3_sweep}"], 2, None, id="sweep-page-kb-3"),
+    pytest.param(sweep, ["report", "{sweep_cell_no_metrics}"], 2, None,
+                 id="sweep-report-cell-no-metrics"),
+    pytest.param(sweep, ["compare", "{sweep_cell_no_metrics}", "base", "base"], 2, None,
+                 id="sweep-compare-cell-no-metrics"),
     # Exit 2, a removed flag that the parser took before.
     pytest.param(ops, ["serve", "--max-series", "4"], 2, None, id="ops-serve-max-series"),
     # Exit 1 in one line, was a ShardExecutionError traceback.
@@ -185,10 +195,20 @@ MATRIX = [
 #: cell on 3 kB pages, a fleet whose member has an odd TLB entry count
 #: for a 2-way TLB, documents nested deeper than a decoder can recurse
 #: (100,000 JSON arrays; 3,000 YAML-subset mappings, each one space
-#: deeper than its parent), and a list of 1,000 numbers where one number
-#: belongs.
+#: deeper than its parent), a list of 1,000 numbers where one number
+#: belongs, and saved sweep documents whose one cell is a string or
+#: lacks its metrics.
 CELL = "name: s\nbase:\n  n_days: 1\n  n_nodes: 8\n  n_users: 2\n"
 LONG_LIST = "[" + ", ".join(["0"] * 1000) + "]"
+SAVED_CELL = {**dict.fromkeys(CELL_FIELDS), "name": "base", "overrides": {}, "metrics": {}}
+
+
+def sweep_document(cell) -> str:
+    """A ``sp2-sweep run --out`` document holding the one ``cell``."""
+    sweep = {"name": "s", "cells": [cell], "executed": 1, "reused": 0}
+    return json.dumps({"spec": {"name": "s", "axes": {}}, "sweep": sweep})
+
+
 SPAN = '{{"id": "{}", "parent": "{}", "name": "a", "cat": "pbs.state", "start": 0.0, "end": 1.0}}\n'
 INPUTS = {
     "trace_cycle": SPAN.format("s1", "s2") + SPAN.format("s2", "s1"),
@@ -201,6 +221,10 @@ INPUTS = {
     "long_seed_sweep": f'{{"name": "s", "base": {{"seed": {LONG_LIST}}}}}',
     "long_n_nodes_fleet": '{"n_days": 1, "n_users": 2, "members": '
     f'[{{"name": "a", "n_nodes": {LONG_LIST}}}]}}',
+    "sweep_cell_string": sweep_document("oops"),
+    "sweep_cell_no_metrics": sweep_document(
+        {k: v for k, v in SAVED_CELL.items() if k != "metrics"}
+    ),
 }
 
 #: Longest refusal line the matrix accepts: a refusal names what was

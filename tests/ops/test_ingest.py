@@ -98,12 +98,14 @@ class TestHubEqualsReplay:
 
     def test_job_reports_match(self, runs):
         """The hub's page for every job equals the one ``sp2-ops report``
-        renders from the campaign's own rollups and recorded spans."""
+        renders from the campaign's own rollups and recorded spans, and
+        every page has the job's span tree, a later shard's jobs too."""
         for label, (hub, dataset) in runs.items():
             rollups = dataset.telemetry.rollups
             for rollup in rollups.finished:
                 job_id = rollup.job_id
                 path = job_critical_path(dataset.tracer.spans, job_id)
+                assert path is not None, (label, job_id)
                 expected = render_performance_report(rollup, rollups, campaign="live", path=path)
                 assert hub.job_report("live", job_id) == expected, (label, job_id)
 

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro.core.study import StudyConfig
+from repro.core.study import StudyConfig, run_study
 from repro.faults import PROFILES
 from repro.hpm.collector import SystemSample
 from repro.parallel.merge import (
@@ -23,7 +23,8 @@ from repro.parallel.plan import Shard, plan_shards
 from repro.parallel.runner import execute_shards
 from repro.parallel.worker import ShardResult
 from repro.pbs.job import JobRecord
-from repro.tracing.span import Span
+from repro.ops.report import job_critical_path
+from repro.tracing.span import CAT_JOB, Span
 from repro.workload.traces import SECONDS_PER_DAY
 
 
@@ -227,6 +228,24 @@ class TestMergeSpans:
         # shard roots are tagged in multi-shard merges
         assert merged[1].args["shard"] == 1
         assert merged[0].args["shard"] == 0
+
+    def test_job_roots_take_their_records_ids(self):
+        """Shard 1's job 1 is record 1000001, and its span tree says so:
+        its root no longer shadows shard 0's job 1."""
+        dataset = run_study(
+            StudyConfig(seed=5, n_days=2, n_nodes=16, n_users=8), shard_days=1, tracing=True
+        )
+        spans = dataset.tracer.spans
+        roots = [s for s in spans if s.category == CAT_JOB]
+        records = [r.job_id for r in dataset.accounting.records]
+        assert JOB_ID_STRIDE + 1 in records
+        for job_id in records:
+            [root] = [s for s in roots if s.args["job_id"] == job_id]
+            assert root.name == f"job-{job_id}"
+        assert job_critical_path(spans, JOB_ID_STRIDE + 1) is not None
+        span_ids = dataset.telemetry.job_span_ids
+        assert int(span_ids[1][1:]) < SPAN_ID_STRIDE  # shard 0's job 1
+        assert int(span_ids[JOB_ID_STRIDE + 1][1:]) > SPAN_ID_STRIDE
 
     def test_single_shard_untouched(self):
         span = Span(span_id="s9", name="campaign", category="campaign", start=0.0, end=1.0)

@@ -1,8 +1,10 @@
 """The task runner every parallel path shares (:func:`run_tasks`).
 
 Results come back in task order; a dead worker costs only the task it
-was running; an exception a task raises keeps its type; and no worker
-process outlives a run, however it ends.
+was running, even when it dies partway through its reply; what crosses
+a worker's pipe arrives as pickle would rebuild it; an exception a task
+raises keeps its type; and no worker process outlives a run, however it
+ends.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ import contextlib
 import multiprocessing
 import os
 import pathlib
+import pickle
 import select
 import signal
 import subprocess
@@ -18,6 +21,7 @@ import sys
 import threading
 import time
 
+import numpy as np
 import pytest
 
 import repro.parallel.runner as runner
@@ -37,17 +41,68 @@ def _square(x: int) -> int:
     return x * x
 
 
-def _logged(payload: tuple[str, int, str]) -> int:
-    """Square ``x``, appending to ``x``'s run log first; ``mode`` says
-    whether ``x`` dies never, on its first run only, or on every run."""
+def _dies_this_run(payload: tuple[str, int, str]) -> bool:
+    """Append this process to ``x``'s run log; ``mode`` says whether
+    ``x`` dies never, on its first run only, or on every run."""
     log_dir, x, mode = payload
     log = pathlib.Path(log_dir, f"ran-{x}")
     first = not log.exists()
     with open(log, "a") as fh:
         fh.write(f"{os.getpid()}\n")
-    if mode == "always" or (mode == "once" and first):
+    return mode == "always" or (mode == "once" and first)
+
+
+def _logged(payload: tuple[str, int, str]) -> int:
+    """Square ``x``, dying first as ``_dies_this_run`` says."""
+    if _dies_this_run(payload):
         _die()
-    return x * x
+    return payload[1] ** 2
+
+
+#: Each array of a :func:`_arrays` reply: its bytes go out as one buffer.
+ARRAY_BYTES = 8 * 1000
+
+
+class _ExitAfterFirstBuffer:
+    """A worker's pipe end that ends its process once the first array
+    buffer of a reply has been written: a death partway through it."""
+
+    def __init__(self, conn) -> None:
+        self.conn = conn
+
+    def send_bytes(self, data) -> None:
+        self.conn.send_bytes(data)
+        if memoryview(data).nbytes == ARRAY_BYTES:
+            os._exit(3)
+
+
+def _arrays(payload: tuple[str, int, str]) -> list[np.ndarray]:
+    """Several arrays of ``x``; a run that dies does so after the first
+    array of its reply is on the pipe, by patching its own process's
+    send helper."""
+    if _dies_this_run(payload):
+        send = runner._send
+        runner._send = lambda conn, obj: send(_ExitAfterFirstBuffer(conn), obj)
+    return [np.full(ARRAY_BYTES // 8, payload[1] + k, dtype=np.int64) for k in range(4)]
+
+
+def _odd_arrays() -> list[np.ndarray]:
+    """Arrays whose buffers pickle out of band, in band, or not at all."""
+    read_only = np.arange(6.0)
+    read_only.setflags(write=False)
+    grid = np.arange(24, dtype=np.int32).reshape(4, 6)
+    return [
+        np.zeros((0, 44), dtype=np.int64),
+        grid[:, ::2],  # not contiguous: pickled in band
+        np.asfortranarray(grid),
+        read_only,
+        np.array([1, "two", None], dtype=object),  # no buffer at all
+    ]
+
+
+def _echo(arrays: list[np.ndarray]) -> tuple[list[np.ndarray], list[bool]]:
+    """The payload back, with whether each array arrived writable."""
+    return arrays, [a.flags.writeable for a in arrays]
 
 
 def _runs(log_dir: pathlib.Path, x: int) -> int:
@@ -61,8 +116,9 @@ def _raise_or_sleep(x: int) -> int:
     return x
 
 
-def _unpicklable(x: int) -> threading.Lock:
-    return threading.Lock()
+def _unpicklable(x: int) -> tuple[np.ndarray, threading.Lock]:
+    """A reply whose pickling fails after it has met an array buffer."""
+    return np.arange(1000), threading.Lock()
 
 
 @pytest.fixture
@@ -105,6 +161,41 @@ def test_a_task_dying_on_every_attempt_names_itself(tmp_path, no_backoff):
     assert len(pids) == 3 and str(os.getpid()) not in pids
     assert no_backoff == [runner.BACKOFF_SECONDS, 2 * runner.BACKOFF_SECONDS]
     assert multiprocessing.active_children() == []
+
+
+def test_a_worker_dying_partway_through_its_reply_is_retried(tmp_path, no_backoff):
+    payloads = [(str(tmp_path), x, "once" if x == 1 else "never") for x in range(3)]
+    results = run_tasks(_arrays, payloads, workers=2)
+    for x, arrays in enumerate(results):
+        assert [a.tolist() for a in arrays] == [[x + k] * 1000 for k in range(4)]
+    assert [_runs(tmp_path, x) for x in range(3)] == [1, 2, 1]
+    assert no_backoff == [runner.BACKOFF_SECONDS]
+    assert multiprocessing.active_children() == []
+
+
+def test_a_worker_dying_partway_through_every_reply_names_its_task(tmp_path, no_backoff):
+    payloads = [(str(tmp_path), x, "always" if x == 2 else "never") for x in range(4)]
+    with pytest.raises(WorkerCrashError) as err:
+        run_tasks(_arrays, payloads, workers=2, max_attempts=3)
+    assert (err.value.failed, err.value.attempts) == ([2], 3)
+    assert [_runs(tmp_path, x) for x in range(4)] == [1, 1, 3, 1]
+    assert multiprocessing.active_children() == []
+
+
+def test_arrays_cross_the_pipe_as_pickle_rebuilds_them():
+    """Both ways: as a payload to the worker, and back in its reply.
+    Each array also keeps whether it can be written to, which an
+    in-band pickle does not keep for a read-only one."""
+    sent = _odd_arrays()
+    [(back, writable_there)] = run_tasks(_echo, [sent], workers=2)
+    expected = pickle.loads(pickle.dumps(sent))
+    assert len(back) == len(expected)
+    for got, want, original in zip(back, expected, sent):
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert np.array_equal(got, want)
+        assert got.flags.f_contiguous == want.flags.f_contiguous
+        assert got.flags.writeable == original.flags.writeable
+    assert writable_there == [a.flags.writeable for a in sent]
 
 
 def test_a_raising_task_keeps_its_type_and_stops_its_siblings():
