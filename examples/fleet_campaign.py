@@ -4,10 +4,10 @@
 The paper measured one 144-node machine; its modern descendants (XDMoD,
 the Blue Waters workload report) compare workloads *across* centers.
 This example builds a three-machine fleet — a memory-starved 64-node
-center on a slow fabric, the NAS reference 144-node machine, and a
-256-node center with a fast fabric but an unreliable first year — routes
-one shared user population across it, and prints the cross-center
-comparison: utilization, job-size distribution and application mix.
+center, the NAS reference 144-node machine, and a 256-node center with
+roomy nodes but an unreliable first year — routes one shared user
+population across it, and prints the cross-center comparison:
+utilization, job-size distribution and application mix.
 
 Run::
 
@@ -32,23 +32,10 @@ def main() -> None:
     spec = FleetSpec(
         name="tour",
         members=(
-            MemberSpec(
-                name="lewis",
-                n_nodes=64,
-                memory_mb=64,
-                switch_latency_us=90.0,
-                switch_bandwidth_mb_s=17.0,
-                fault_profile="mild",
-            ),
+            MemberSpec(name="lewis", n_nodes=64, memory_mb=64, fault_profile="mild"),
             MemberSpec(name="ames", n_nodes=144),
             MemberSpec(
-                name="langley",
-                n_nodes=256,
-                memory_mb=256,
-                tlb_entries=1024,
-                switch_latency_us=30.0,
-                switch_bandwidth_mb_s=68.0,
-                fault_profile="pathological",
+                name="langley", n_nodes=256, memory_mb=256, fault_profile="pathological"
             ),
         ),
         seed=seed,

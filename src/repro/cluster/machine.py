@@ -13,7 +13,7 @@ import numpy as np
 
 from repro.cluster.switch import HighPerformanceSwitch
 from repro.power2.batch import CounterStore
-from repro.power2.config import MachineConfig, POWER2_590, SwitchConfig
+from repro.power2.config import MachineConfig, POWER2_590
 from repro.power2.node import Node
 
 #: The NAS SP2 size.
@@ -28,13 +28,7 @@ class SP2Machine:
     so collector passes and job transitions run as flat array sweeps.
     """
 
-    def __init__(
-        self,
-        n_nodes: int = NAS_NODE_COUNT,
-        config: MachineConfig | None = None,
-        *,
-        switch_config: SwitchConfig | None = None,
-    ) -> None:
+    def __init__(self, n_nodes: int = NAS_NODE_COUNT, config: MachineConfig | None = None) -> None:
         if n_nodes <= 0:
             raise ValueError("machine needs at least one node")
         self.config = config or POWER2_590
@@ -45,7 +39,7 @@ class SP2Machine:
         self.store = CounterStore(n_nodes)
         for node in self.nodes:
             node.attach_store(self.store, node.node_id)
-        self.switch = HighPerformanceSwitch(switch_config)
+        self.switch = HighPerformanceSwitch()
         self._free: set[int] = set(range(n_nodes))
         self._allocations: dict[int, tuple[int, ...]] = {}
         self._next_alloc_id = 0

@@ -18,7 +18,7 @@ import numpy as np
 from repro.cluster.machine import SP2Machine
 from repro.faults.events import FaultLog
 from repro.faults.profile import PROFILES, FaultProfile
-from repro.power2.config import POWER2_590, SP2_SWITCH, MachineConfig, SwitchConfig
+from repro.power2.config import POWER2_590, MachineConfig
 from repro.power2.counters import FLAT_COLUMN, FLAT_NAMES
 from repro.power2.node import DMA_TRANSFER_BYTES
 from repro.hpm.collector import SAMPLE_INTERVAL_SECONDS, IntervalCounts, SystemCollector
@@ -45,24 +45,23 @@ class StudyConfig:
     n_days: int = 270
     n_nodes: int = 144
     n_users: int = 60
-    sample_interval: float = SAMPLE_INTERVAL_SECONDS
-    #: Cadence of the utilization probe (how often we record how many
-    #: nodes are servicing PBS jobs).
-    utilization_probe_interval: float = SAMPLE_INTERVAL_SECONDS
+    #: Not settings, like ``accrual_backend`` below: the collector and
+    #: the utilization probe both run at §3's 15-minute cadence.
+    sample_interval: float = field(default=SAMPLE_INTERVAL_SECONDS, init=False)
+    utilization_probe_interval: float = field(default=SAMPLE_INTERVAL_SECONDS, init=False)
     #: Per-node hardware constants (None = the POWER2/590 defaults).
     machine_config: MachineConfig | None = None
-    #: Switch fabric characteristics (None = the SP2 High Performance
-    #: Switch defaults) — fleet members override this per machine.
-    switch_config: SwitchConfig | None = None
+    #: Not a setting: every machine has the SP2 switch (§2).
+    switch_config: None = field(default=None, init=False)
     #: Override the demand model's mean target load (None = default).
     demand_mean: float | None = None
     #: Fault-injection profile (None or a null profile = healthy run;
     #: healthy campaigns are byte-identical to pre-fault releases).
     fault_profile: FaultProfile | None = None
     #: Not a setting: counters always accrue in one
-    #: :class:`~repro.power2.batch.CounterStore`.  The constant stays a
-    #: field because sweep-cell and checkpoint fingerprints hash this
-    #: dataclass's repr, which includes it.
+    #: :class:`~repro.power2.batch.CounterStore`.  This constant and the
+    #: three above stay fields because sweep-cell and checkpoint
+    #: fingerprints hash this dataclass's repr, which includes them.
     accrual_backend: str = field(default="auto", init=False)
     #: PBS queue policy: ``backfill`` is NAS's drain-for-wide-jobs
     #: conditional backfill (the paper's setup, §6); ``fifo`` disables
@@ -84,15 +83,6 @@ class StudyConfig:
             raise ValueError(f"n_nodes must be positive, got {self.n_nodes}")
         if self.n_users <= 0:
             raise ValueError(f"n_users must be positive, got {self.n_users}")
-        if self.sample_interval <= 0:
-            raise ValueError(
-                f"sample_interval must be positive, got {self.sample_interval}"
-            )
-        if self.utilization_probe_interval <= 0:
-            raise ValueError(
-                "utilization_probe_interval must be positive, got "
-                f"{self.utilization_probe_interval}"
-            )
         if self.demand_mean is not None and self.demand_mean <= 0:
             raise ValueError(f"demand_mean must be positive, got {self.demand_mean}")
         if self.scheduler_policy not in SCHEDULER_POLICIES:
@@ -173,12 +163,9 @@ AXES: dict[str, AxisDef] = {
             choices=tuple(SCHEDULER_POLICIES),
         ),
         AxisDef("scheduler_wide_threshold", "int", "drain threshold in nodes"),
-        AxisDef("tlb_entries", "int", "TLB entries per node"),
         AxisDef("page_kb", "int", "page size in kB (a power of two)"),
         AxisDef("memory_mb", "int", "per-node memory in MB"),
         AxisDef("paging_fault_limit", "float", "paging-disk hard faults served per second"),
-        AxisDef("switch_latency_us", "float", "switch latency in microseconds"),
-        AxisDef("switch_bandwidth_mb_s", "float", "switch bandwidth in MB/s"),
     )
 }
 
@@ -211,8 +198,6 @@ def resolve_config(settings: Mapping[str, Any]) -> StudyConfig:
     given = {k: v for k, v in settings.items() if v is not None}
 
     tlb: dict[str, Any] = {}
-    if "tlb_entries" in given:
-        tlb["entries"] = int(given["tlb_entries"])
     if "page_kb" in given:
         tlb["page_bytes"] = int(given["page_kb"]) * KB
     node: dict[str, Any] = {}
@@ -220,11 +205,6 @@ def resolve_config(settings: Mapping[str, Any]) -> StudyConfig:
         node["memory_bytes"] = int(given["memory_mb"]) * MB
     if "paging_fault_limit" in given:
         node["paging_fault_limit"] = float(given["paging_fault_limit"])
-    switch: dict[str, Any] = {}
-    if "switch_latency_us" in given:
-        switch["latency_seconds"] = float(given["switch_latency_us"]) * 1e-6
-    if "switch_bandwidth_mb_s" in given:
-        switch["bandwidth_bytes_per_s"] = float(given["switch_bandwidth_mb_s"]) * 1e6
 
     return StudyConfig(
         seed=int(given.get("seed", 0)),
@@ -236,7 +216,6 @@ def resolve_config(settings: Mapping[str, Any]) -> StudyConfig:
             if tlb or node
             else None
         ),
-        switch_config=replace(SP2_SWITCH, **switch) if switch else None,
         demand_mean=float(given["demand_mean"]) if "demand_mean" in given else None,
         fault_profile=FaultProfile.resolve(given.get("fault_profile")),
         scheduler_policy=given.get("scheduler_policy", "backfill"),
@@ -399,11 +378,7 @@ class WorkloadStudy:
         #: independent yet reproducible.
         self._fault_streams = fault_streams
         self.sim = Simulator()
-        self.machine = SP2Machine(
-            self.config.n_nodes,
-            self.config.machine_config,
-            switch_config=self.config.switch_config,
-        )
+        self.machine = SP2Machine(self.config.n_nodes, self.config.machine_config)
         # One bus per campaign: the collector and PBS publish, the
         # telemetry service consumes — the streaming counterpart of §3's
         # "stores this data for later analysis".  A campaign whose caller
@@ -433,7 +408,6 @@ class WorkloadStudy:
         self.pbs = PBSServer(
             self.sim, self.machine, queue=queue, bus=self.bus, tracer=tracer
         )
-        self.machine.switch.tracer = tracer
         self.collector = SystemCollector(
             self.machine,
             interval=self.config.sample_interval,

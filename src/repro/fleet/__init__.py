@@ -2,9 +2,9 @@
 
 The paper measured one 144-node SP2 for one month; this package scales
 that methodology across a *fleet* — N machines with heterogeneous node
-counts, memory, TLB and switch configurations and fault profiles, fed by
-a shared user population whose jobs are routed across centers, with
-XDMoD-style cross-machine analysis over the merged results.
+counts, memory sizes and fault profiles, fed by a shared user population
+whose jobs are routed across centers, with XDMoD-style cross-machine
+analysis over the merged results.
 
 Layers:
 

@@ -12,10 +12,13 @@ and live runs share one rendering path.
 
 from __future__ import annotations
 
+import json
+import pathlib
 from typing import Any
 
 from repro.fleet.runner import FleetDataset
 from repro.power2.config import POWER2_590
+from repro.util.checks import check_fields, check_number, describe
 from repro.util.tables import Table
 
 
@@ -91,14 +94,53 @@ def fleet_summary(fleet: FleetDataset) -> dict[str, Any]:
     }
 
 
-def _fleet_block(summary: dict[str, Any]) -> dict[str, Any]:
-    """Accept either the full ``--json`` document or the block itself."""
-    return summary.get("fleet", summary)
+#: The ``fleet`` block's keys, and the member fields the report and the
+#: comparison read, with the type each must have (``float``: a number).
+FLEET_FIELDS = {
+    "name": str, "routing": str, "members": list, "seed": int, "n_days": int, "n_users": int,
+    "n_members": int, "total_nodes": int, "total_submissions": int, "total_jobs_accounted": int,
+    "fleet_gflops_mean": float, "utilization_mean": float,
+}
+MEMBER_FIELDS = {
+    "name": str, "fault_profile": (str, type(None)), "n_nodes": int, "jobs_accounted": int,
+    "utilization_mean": float, "utilization_max": float, "daily_gflops_mean": float,
+    "efficiency": float, "time_weighted_mflops_per_node": float,
+    "job_sizes": dict, "app_mix_node_seconds": dict,
+}
+
+
+def read_fleet_document(path: str | pathlib.Path) -> dict[str, Any]:
+    """The document of a ``sp2-fleet run --out`` file, checked as it loads.
+
+    Its ``fleet`` block holds every :data:`FLEET_FIELDS` key, and each
+    of its ``members`` every :data:`MEMBER_FIELDS` field, with
+    ``job_sizes`` keyed by node count and holding a numeric
+    ``node_seconds`` per size, and numeric ``app_mix_node_seconds``.
+    Anything else is a one-line ``ValueError`` before
+    :func:`render_fleet_report` or :func:`compare_fleets` reads it."""
+    document = json.loads(pathlib.Path(path).read_text())
+    if not isinstance(document, dict) or "fleet" not in document:
+        raise ValueError("document has no 'fleet' block — is it a 'sp2-fleet run --out' file?")
+    block = check_fields(document["fleet"], FLEET_FIELDS, "fleet")
+    for i, member in enumerate(block["members"]):
+        where = f"fleet.members[{i}]"
+        check_fields(member, MEMBER_FIELDS, where)
+        for size, bucket in member["job_sizes"].items():
+            what = f"{where}.job_sizes[{describe(size)}]"
+            try:
+                int(size)
+            except ValueError:
+                raise ValueError(f"{what}: a job size must be a node count") from None
+            check_fields(bucket, {"node_seconds": float}, what)
+        for app, node_seconds in member["app_mix_node_seconds"].items():
+            check_number(node_seconds, f"{where}.app_mix_node_seconds[{describe(app)}]",
+                         positive=None)
+    return document
 
 
 def utilization_table(summary: dict[str, Any]) -> Table:
     """Per-center utilization and delivered performance."""
-    block = _fleet_block(summary)
+    block = summary["fleet"]
     t = Table(
         title=f"Fleet utilization by center ({block['n_days']} days, "
         f"routing={block['routing']})",
@@ -143,7 +185,7 @@ def utilization_table(summary: dict[str, Any]) -> Table:
 
 def job_size_table(summary: dict[str, Any]) -> Table:
     """Job-size distribution per center (% of node-seconds)."""
-    block = _fleet_block(summary)
+    block = summary["fleet"]
     members = block["members"]
     sizes = sorted(
         {int(s) for m in members for s in m["job_sizes"]},
@@ -169,7 +211,7 @@ def job_size_table(summary: dict[str, Any]) -> Table:
 
 def app_mix_table(summary: dict[str, Any]) -> Table:
     """Application mix per center (% of node-seconds)."""
-    block = _fleet_block(summary)
+    block = summary["fleet"]
     members = block["members"]
     fleet_totals: dict[str, float] = {}
     for m in members:
@@ -199,7 +241,7 @@ def app_mix_table(summary: dict[str, Any]) -> Table:
 
 def render_fleet_report(summary: dict[str, Any]) -> str:
     """The full cross-center comparison: all three tables."""
-    block = _fleet_block(summary)
+    block = summary["fleet"]
     header = (
         f"Fleet {block['name']!r}: {block['n_members']} centers, "
         f"{block['total_nodes']} nodes, {block['n_users']} users, "
@@ -233,7 +275,7 @@ def compare_fleets(
     Centers present in only one run get a one-sided row; the delta
     column is the relative change from ``a`` to ``b``.
     """
-    block_a, block_b = _fleet_block(a), _fleet_block(b)
+    block_a, block_b = a["fleet"], b["fleet"]
     by_name_a = {m["name"]: m for m in block_a["members"]}
     by_name_b = {m["name"]: m for m in block_b["members"]}
     names = list(by_name_a) + [n for n in by_name_b if n not in by_name_a]

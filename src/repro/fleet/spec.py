@@ -6,17 +6,16 @@ measure *fleets* of heterogeneous centers and compare workloads across
 them.  A :class:`FleetSpec` is the declarative counterpart of
 :class:`repro.core.study.StudyConfig` at fleet scale: a shared user
 population and demand model, a job-routing policy, and one
-:class:`MemberSpec` per machine — node count, memory size, TLB shape,
-switch characteristics and fault profile all per member.
+:class:`MemberSpec` per machine — node count, memory size and fault
+profile per member.
 
 A member's keys are sweep axes (:data:`repro.core.study.AXES`) with the
 same checks, and :func:`repro.core.study.resolve_config` builds each
 member's config.  Both specs are frozen and validated at construction:
-bad day counts, node counts, routing or fault-profile names, and member
-machines the model cannot build (``tlb_entries: 511``) fail with a
-``ValueError`` naming the offending value, not a traceback deep inside
-the sim.  They round-trip through plain dicts so fleet definitions can
-live in JSON files.
+bad day counts, node counts, memory sizes, routing or fault-profile
+names fail with a ``ValueError`` naming the offending value, not a
+traceback deep inside the sim.  They round-trip through plain dicts so
+fleet definitions can live in JSON files.
 """
 
 from __future__ import annotations
@@ -37,9 +36,9 @@ class MemberSpec:
 
     Every field but ``name`` is a named setting of
     :data:`repro.core.study.AXES`, checked as a sweep checks it.
-    Overrides default to ``None`` = the NAS SP2 value (POWER2/590 nodes,
-    45 µs / 34 MB/s switch), so a member that only states a node count is
-    a smaller-or-larger NAS machine.
+    ``memory_mb`` defaults to ``None`` = the NAS SP2's 128 MB, so a
+    member that only states a node count is a smaller-or-larger NAS
+    machine: POWER2/590 nodes on the 45 µs / 34 MB/s switch.
     """
 
     name: str
@@ -48,11 +47,6 @@ class MemberSpec:
     fault_profile: str = "none"
     #: Per-node memory (MB); the §6 paging pathologies scale with this.
     memory_mb: int | None = None
-    #: TLB entries per node (power-of-two sized machines shipped 512).
-    tlb_entries: int | None = None
-    #: Switch fabric overrides.
-    switch_latency_us: float | None = None
-    switch_bandwidth_mb_s: float | None = None
 
     def __post_init__(self) -> None:
         if not isinstance(self.name, str) or not self.name.strip():
@@ -127,13 +121,6 @@ class FleetSpec:
                 f"unknown routing policy {describe(self.routing)}; available: "
                 f"{', '.join(ROUTING_POLICIES)}"
             )
-        # A member the machine model cannot build is refused here, at
-        # load, not when its campaign starts.
-        for member in self.members:
-            try:
-                self.member_config(member)
-            except ValueError as err:
-                raise ValueError(f"member {describe(member.name)}: {err}") from None
 
     @property
     def total_nodes(self) -> int:
@@ -215,28 +202,15 @@ def _demo2() -> FleetSpec:
 
 def _demo3() -> FleetSpec:
     """The three-center heterogeneous fleet the docs analyze: a small
-    memory-starved center on a slower fabric, the NAS reference machine,
-    and a large center with a fast fabric but an unreliable first year."""
+    memory-starved center, the NAS reference machine, and a large
+    center with roomy nodes but an unreliable first year."""
     return FleetSpec(
         name="demo3",
         members=(
-            MemberSpec(
-                name="lewis",
-                n_nodes=64,
-                memory_mb=64,
-                switch_latency_us=90.0,
-                switch_bandwidth_mb_s=17.0,
-                fault_profile="mild",
-            ),
+            MemberSpec(name="lewis", n_nodes=64, memory_mb=64, fault_profile="mild"),
             MemberSpec(name="ames", n_nodes=144),
             MemberSpec(
-                name="langley",
-                n_nodes=256,
-                memory_mb=256,
-                tlb_entries=1024,
-                switch_latency_us=30.0,
-                switch_bandwidth_mb_s=68.0,
-                fault_profile="pathological",
+                name="langley", n_nodes=256, memory_mb=256, fault_profile="pathological"
             ),
         ),
         n_days=30,

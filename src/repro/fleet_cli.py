@@ -25,7 +25,6 @@ import time
 from repro.cli_common import (
     EXIT_OK,
     EXIT_OPERATIONAL,
-    UsageError,
     add_shard_args,
     entry_point,
     read_input,
@@ -33,7 +32,12 @@ from repro.cli_common import (
     usage_errors,
     write_output,
 )
-from repro.fleet.analysis import compare_fleets, fleet_summary, render_fleet_report
+from repro.fleet.analysis import (
+    compare_fleets,
+    fleet_summary,
+    read_fleet_document,
+    render_fleet_report,
+)
 from repro.fleet.runner import run_fleet
 from repro.fleet.spec import PRESETS, ROUTING_POLICIES, FleetSpec
 
@@ -51,15 +55,6 @@ def _build_spec(args: argparse.Namespace) -> FleetSpec:
             PRESETS[args.preset] if args.spec is None else FleetSpec.from_dict(read_input(args.spec))
         )
         return dataclasses.replace(spec, **applied) if applied else spec
-
-
-def _read_summary(path: str) -> dict:
-    document = read_input(path)
-    if not isinstance(document, dict) or "fleet" not in document:
-        raise UsageError(
-            f"{path!r} has no 'fleet' block — is it a 'sp2-fleet run --out' file?"
-        )
-    return document
 
 
 # ----------------------------------------------------------------------
@@ -98,12 +93,12 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    print(render_fleet_report(_read_summary(args.summary)))
+    print(render_fleet_report(read_input(args.summary, read_fleet_document)))
     return EXIT_OK
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    a, b = _read_summary(args.a), _read_summary(args.b)
+    a, b = (read_input(path, read_fleet_document) for path in (args.a, args.b))
     print(compare_fleets(a, b, label_a=args.a, label_b=args.b).render())
     return EXIT_OK
 

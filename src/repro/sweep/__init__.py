@@ -2,9 +2,9 @@
 
 The what-if layer over the reproduction: a validated
 :class:`~repro.sweep.spec.SweepSpec` declares a base campaign and the
-axes to cross (TLB entries, memory size, fault profile, scheduler
-policy, switch latency, ...); the planner expands and fingerprints the
-cells; the executor runs them through the serial/sharded runner or the
+axes to cross (page size, memory size, fault profile, scheduler
+policy, ...); the planner expands and fingerprints the cells; the
+executor runs them through the serial/sharded runner or the
 :mod:`repro.stats` Repeater with per-cell result caching; and the
 report layer renders per-axis sensitivity tables and CI-aware
 differential comparisons.  ``sp2-sweep`` is the CLI.

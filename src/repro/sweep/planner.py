@@ -199,7 +199,7 @@ def parse_selector(spec: SweepSpec, text: str) -> dict[str, Any]:
     """``axis=value[,axis=value...]`` → an axis assignment.
 
     Values are matched against each axis's *declared* values by their
-    canonical rendering (:func:`format_value`), so ``tlb_entries=1024``
+    canonical rendering (:func:`format_value`), so ``page_kb=16``
     and ``fault_profile=none`` mean exactly the spec's objects — no
     ad-hoc type coercion.
     """

@@ -21,7 +21,7 @@ from typing import Any
 
 from repro.analysis.report import PAPER_CLAIMS
 from repro.sweep.cache import CELL_FIELDS
-from repro.util.checks import describe, describe_names
+from repro.util.checks import check_fields, check_number, check_object, describe
 from repro.util.tables import Table
 
 #: The per-axis sensitivity columns: (metric key, column header).
@@ -36,30 +36,47 @@ SENSITIVITY_METRICS = (
 #: The compare flag for a delta whose CIs don't overlap.
 FLAG = "*"
 
+#: A saved cell holds every field it is cached with; these are the
+#: types of the fields a report or comparison reads.
+_CELL_TYPES = {
+    **dict.fromkeys(sorted(CELL_FIELDS), object),
+    "name": str,
+    "overrides": dict,
+    "metrics": dict,
+    "estimates": (dict, type(None)),
+}
+#: An estimate's interval, as :func:`cis_overlap` reads it.
+_CI = {"ci_low": float, "ci_high": float}
+
 
 def read_sweep_document(path: str | pathlib.Path) -> dict[str, Any]:
     """The document of a ``sp2-sweep run --out`` file, checked as it loads.
 
-    Its ``sweep.cells`` is a list of cell objects, each holding every
-    field a cell is saved with (:data:`~repro.sweep.cache.CELL_FIELDS`)
-    and a ``metrics`` object.  Anything else is a one-line
-    ``ValueError`` naming the cell, before a report or comparison reads
-    it."""
+    Its ``spec`` block, if any, is an object whose ``axes`` map names to
+    lists.  Its ``sweep.cells`` is a list of cell objects, each holding
+    every field a cell is saved with
+    (:data:`~repro.sweep.cache.CELL_FIELDS`): a string ``name``, an
+    ``overrides`` object, a ``metrics`` object of numbers, and
+    ``estimates`` that are null or an object whose entries are null or
+    hold a numeric ``ci_low`` and ``ci_high``.  Anything else is a
+    one-line ``ValueError`` naming the block or cell, before a report
+    or comparison reads it."""
     document = json.loads(pathlib.Path(path).read_text())
     cells = _cells(document)
+    spec = check_object(document.get("spec", {}), "spec")
+    for axis, values in check_object(spec.get("axes") or {}, "spec.axes").items():
+        if not isinstance(values, list):
+            raise ValueError(f"spec.axes[{describe(axis)}] must be a list, got {describe(values)}")
     if not isinstance(cells, list):
         raise ValueError(f"sweep.cells must be a list, got {describe(cells)}")
     for i, cell in enumerate(cells):
         where = f"sweep.cells[{i}]"
-        if not isinstance(cell, dict):
-            raise ValueError(f"{where} must be an object, got {describe(cell)}")
-        missing = CELL_FIELDS - cell.keys()
-        if missing:
-            raise ValueError(f"{where} lacks {describe_names(sorted(missing))}")
-        if not isinstance(cell["metrics"], dict):
-            raise ValueError(
-                f"{where}.metrics must be an object, got {describe(cell['metrics'])}"
-            )
+        check_fields(cell, _CELL_TYPES, where)
+        for metric, value in cell["metrics"].items():
+            check_number(value, f"{where}.metrics[{describe(metric)}]", positive=None)
+        for metric, entry in (cell["estimates"] or {}).items():
+            if entry is not None:
+                check_fields(entry, _CI, f"{where}.estimates[{describe(metric)}]")
     return document
 
 

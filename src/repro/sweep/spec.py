@@ -2,10 +2,10 @@
 
 The paper's §6 findings are one-off measurements on one configuration;
 a :class:`SweepSpec` turns them into *what-if studies*: a base campaign
-plus named **axes** (TLB entries, memory size, fault profile, scheduler
-policy, switch latency, ...) whose cross-product the planner expands
-into cells — "would a 1024-entry TLB have fixed §6's miss rates?" is a
-two-line spec, not a shell loop.
+plus named **axes** (page size, memory size, fault profile, scheduler
+policy, ...) whose cross-product the planner expands into cells —
+"would 256 MB nodes have stopped §6's paging?" is a two-line spec, not
+a shell loop.
 
 Specs are plain data.  They load from Python dicts, JSON files, or a
 small YAML subset (:func:`parse_simple_yaml` — mappings, lists, scalars

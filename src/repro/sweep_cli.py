@@ -2,18 +2,18 @@
 
 Where ``sp2-study`` measures one configuration and ``sp2-study repeat``
 puts error bars on it, ``sp2-sweep`` crosses whole *axes* of
-configurations — TLB entries, memory size, fault profile, scheduler
-policy, switch latency — plans the cells, caches each by configuration
-fingerprint, and diffs the results.
+configurations — page size, memory size, fault profile, scheduler
+policy — plans the cells, caches each by configuration fingerprint, and
+diffs the results.
 
 Examples::
 
     sp2-sweep axes                                   # what can be swept
-    sp2-sweep plan --spec tlb.yaml                   # cells + fingerprints
-    sp2-sweep run --spec tlb.yaml --cache-dir .sweep --out sweep.json
-    sp2-sweep run --spec tlb.yaml --cache-dir .sweep # again: 100% reuse
+    sp2-sweep plan --spec pages.yaml                 # cells + fingerprints
+    sp2-sweep run --spec pages.yaml --cache-dir .sweep --out sweep.json
+    sp2-sweep run --spec pages.yaml --cache-dir .sweep  # again: 100% reuse
     sp2-sweep report sweep.json                      # re-render saved run
-    sp2-sweep compare sweep.json baseline tlb_entries=1024
+    sp2-sweep compare sweep.json baseline page_kb=16
 
 Exit codes follow the repo-wide contract (CONTRIBUTING.md): 0 success,
 1 operational failure (zero-cell plan, a cell that measured zero jobs),
@@ -183,9 +183,7 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 def _resolve_name(document: dict, text: str) -> str:
     """A compare operand → a cell name, via the saved spec block."""
-    cells = document.get("sweep", {}).get("cells", [])
-    names = {c.get("name") for c in cells}
-    if text in names:
+    if text in {c["name"] for c in document["sweep"]["cells"]}:
         return text
     spec = SweepSpec.from_dict(document.get("spec") or {})
     if text == "baseline":

@@ -39,7 +39,6 @@ from repro.telemetry.store import (
     MetricStore,
     MetricSummary,
     SeriesSnapshot,
-    StoreSnapshot,
 )
 
 __all__ = [
@@ -64,7 +63,6 @@ __all__ = [
     "Rule",
     "SampleTaken",
     "SeriesSnapshot",
-    "StoreSnapshot",
     "TelemetryService",
     "TlbSpikeRule",
     "TOPIC_JOB_END",

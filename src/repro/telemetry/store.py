@@ -29,9 +29,8 @@ one-shot CLI never had: **snapshot isolation** — a query handler that
 awaits between reads must see one consistent view of a series even
 while the ingest side keeps appending.  :meth:`MetricSeries.snapshot`
 freezes one name's column and every aggregate into an immutable
-:class:`SeriesSnapshot`; :meth:`MetricStore.snapshot` does it
-store-wide.  A read folds, so reads and appends share one thread (the
-hub's loop).
+:class:`SeriesSnapshot`.  A read folds, so reads and appends share one
+thread (the hub's loop).
 """
 
 from __future__ import annotations
@@ -122,27 +121,6 @@ class SeriesSnapshot:
             max=self.max if self.count else 0.0,
             quantiles=dict(self.quantiles),
         )
-
-
-@dataclass(frozen=True)
-class StoreSnapshot:
-    """Immutable view of a whole store (or a named subset of it)."""
-
-    series: dict[str, SeriesSnapshot]
-
-    def names(self) -> list[str]:
-        return sorted(self.series)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self.series
-
-    def __getitem__(self, name: str) -> SeriesSnapshot:
-        return self.series[name]
-
-    @property
-    def points_dropped(self) -> int:
-        """Raw points evicted by the rings, summed over retained series."""
-        return sum(s.dropped for s in self.series.values())
 
 
 class _Ring:
@@ -313,14 +291,6 @@ class MetricStore:
 
     def names(self) -> list[str]:
         return sorted(self._series)
-
-    def snapshot(self, names: list[str] | None = None) -> StoreSnapshot:
-        """Immutable view of every series (or just ``names``, skipping
-        unknown ones) — one consistent read for handlers that await."""
-        picked = self._series if names is None else {
-            n: self._series[n] for n in names if n in self._series
-        }
-        return StoreSnapshot(series={n: s.snapshot() for n, s in picked.items()})
 
     @property
     def points_dropped(self) -> int:

@@ -30,7 +30,7 @@ from repro.tracing.span import (
     Span,
     span_index,
 )
-from repro.util.checks import check_number, cut, describe, describe_names
+from repro.util.checks import check_number, check_object, cut, describe, describe_names
 
 #: A span id: ``s`` and a number (the exporters sort by the number).
 _SPAN_ID = re.compile(r"s[0-9]+")
@@ -102,8 +102,8 @@ def _checked_span(row: Any, where: str) -> Span:
     parent, args = row.get("parent"), row.get("args")
     if parent is not None and not isinstance(parent, str):
         raise ValueError(f"{where}: span parent must be a span id, got {describe(parent)}")
-    if args is not None and not isinstance(args, dict):
-        raise ValueError(f"{where}: span args must be an object, got {describe(args)}")
+    if args is not None:
+        check_object(args, f"{where}: span args")
     if row["cat"] == CAT_JOB:
         # The exporters and analyses read a job root's ids as integers.
         for key in ("job_id", "nodes"):

@@ -60,3 +60,33 @@ def check_number(
             f"{what} must be {'positive' if positive else 'non-negative'}, "
             f"got {cut(_REPR.repr(value))}"
         )
+
+
+def check_object(value: Any, what: str) -> dict:
+    """``value`` if it is an object (a dict), else a one-line
+    ``ValueError``."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be an object, got {describe(value)}")
+    return value
+
+
+#: How a refusal names each type :func:`check_fields` checks for.
+_KINDS = {str: "a string", list: "a list", dict: "an object",
+          (str, type(None)): "a string or null", (dict, type(None)): "an object or null"}
+
+
+def check_fields(block: Any, fields: dict[str, Any], where: str) -> dict:
+    """``block`` if it is an object holding every key of ``fields``, each
+    value of that key's type, else a one-line ``ValueError``.  A type is
+    a key of :data:`_KINDS`, ``int`` or ``float`` (a finite number, as
+    :func:`check_number` takes it), or ``object`` (anything)."""
+    missing = fields.keys() - check_object(block, where).keys()
+    if missing:
+        raise ValueError(f"{where} lacks {describe_names(sorted(missing))}")
+    for key, kind in fields.items():
+        value, what = block[key], f"{where}.{key}"
+        if kind in (int, float):
+            check_number(value, what, integer=kind is int, positive=None)
+        elif not isinstance(value, kind):
+            raise ValueError(f"{what} must be {_KINDS[kind]}, got {describe(value)}")
+    return block

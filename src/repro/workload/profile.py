@@ -164,7 +164,6 @@ def build_job_profile(
     memory_bytes_per_node: float,
     comm: CommPattern | None = None,
     io: IOPattern | None = None,
-    switch: HighPerformanceSwitch | None = None,
     config: MachineConfig | None = None,
     serial_fraction: float = 0.0,
 ) -> JobProfile:
@@ -183,7 +182,7 @@ def build_job_profile(
     if not 0.0 <= serial_fraction < 1.0:
         raise ValueError("serial_fraction must be in [0, 1)")
     cfg = config or POWER2_590
-    sw = switch or HighPerformanceSwitch()
+    sw = HighPerformanceSwitch()
     comm = comm or CommPattern()
     io = io or IOPattern()
     if nodes == 1:

@@ -1,11 +1,9 @@
-"""Every named setting moves the model it claims to move, or is on record
-as inert.
+"""Every named setting moves the model it claims to move.
 
 Each axis of :data:`repro.core.study.AXES` (``seed`` excepted) runs at
 two values on a small campaign where jobs page and some run wide, and
-the sweep metrics must differ.  An axis known to move nothing is listed
-in :data:`INERT`, and there the metrics must be identical: a change that
-makes one act fails here until it leaves the set.
+the sweep metrics must differ.  A setting that would move nothing is
+not offered: a new axis joins :data:`VALUES` and must move them too.
 """
 
 from __future__ import annotations
@@ -30,19 +28,10 @@ VALUES = {
     "fault_profile": (None, "pathological"),
     "scheduler_policy": ("backfill", "fifo"),
     "scheduler_wide_threshold": (64, 8),
-    "tlb_entries": (512, 1024),
     "page_kb": (4, 16),
     "memory_mb": (64, 256),
     "paging_fault_limit": (110.0, 40.0),
-    "switch_latency_us": (45.0, 90.0),
-    "switch_bandwidth_mb_s": (34.0, 17.0),
 }
-
-#: Axes that move no metric.  Job profiles never read the TLB entry
-#: count, and they are costed with the reference switch: nothing
-#: measured reads a machine's own switch constants (docs/SWEEPS.md,
-#: "Axes that move nothing").
-INERT = {"tlb_entries", "switch_latency_us", "switch_bandwidth_mb_s"}
 
 
 def metrics(axis: str, value) -> str:
@@ -52,7 +41,6 @@ def metrics(axis: str, value) -> str:
 
 def test_every_axis_but_seed_has_two_values():
     assert set(VALUES) == set(AXES) - {"seed"}
-    assert INERT <= set(VALUES)
 
 
 def test_fixture_pages_and_runs_wide_jobs():
@@ -63,9 +51,6 @@ def test_fixture_pages_and_runs_wide_jobs():
 
 @pytest.mark.parametrize("axis", sorted(set(AXES) - {"seed"}))
 def test_axis_moves_the_metrics_unless_known_inert(axis):
+    """No axis is known inert: every one must move the metrics."""
     a, b = VALUES[axis]
-    same = metrics(axis, a) == metrics(axis, b)
-    if axis in INERT:
-        assert same, f"{axis} now moves the metrics: take it out of INERT"
-    else:
-        assert not same, f"{axis} moved no metric between {a!r} and {b!r}"
+    assert metrics(axis, a) != metrics(axis, b), f"{axis} moved no metric between {a!r} and {b!r}"

@@ -51,12 +51,9 @@ class TestOperationalFailures:
 
     def test_sweep_zero_cell_plan(self, tmp_path, capsys):
         spec = tmp_path / "s.yaml"
-        spec.write_text("name: s\naxes:\n  tlb_entries: [256, 512]\n")
+        spec.write_text("name: s\naxes:\n  page_kb: [4, 16]\n")
         rc = repro.sweep_cli.main(
-            [
-                "plan", "--spec", str(spec),
-                "--only", "tlb_entries=256", "--only", "tlb_entries=512",
-            ]
+            ["plan", "--spec", str(spec), "--only", "page_kb=4", "--only", "page_kb=16"]
         )
         assert rc == 1
 
@@ -105,6 +102,18 @@ class TestUsageErrors:
             StudyConfig(accrual_backend="scalar")
         assert StudyConfig().accrual_backend == "auto"
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("switch_config", None), ("sample_interval", 60.0), ("utilization_probe_interval", 60.0)],
+    )
+    def test_study_config_refuses_constants(self, field, value):
+        """The collector and probe cadences and the switch are the
+        paper's, not settings: the fields only keep the repr stable."""
+        default = getattr(StudyConfig(), field)
+        with pytest.raises(TypeError, match=field):
+            StudyConfig(**{field: value})
+        assert getattr(StudyConfig(), field) == default
+
     def test_sweep_bad_spec(self, tmp_path, capsys):
         spec = tmp_path / "s.yaml"
         spec.write_text("name: s\naxes:\n  bogus: [1]\n")
@@ -143,7 +152,6 @@ MATRIX = [
     pytest.param(trace, ["export", MISSING, "--out", MISSING], 2, None,
                  id="trace-export-missing"),
     pytest.param(trace, ["critical-path", MISSING], 2, None, id="trace-critical-path-missing"),
-    pytest.param(fleet, ["run", "--spec", "{tlb_511_fleet}"], 2, None, id="fleet-tlb-entries-511"),
     # Exit 2, was a hang: the Chrome exporter walked the parent cycle.
     pytest.param(trace, ["export", "{trace_cycle}", "--out", MISSING], 2, None,
                  id="trace-export-parent-cycle"),
@@ -151,6 +159,20 @@ MATRIX = [
     pytest.param(sweep, ["report", "{sweep_cell_string}"], 2, None, id="sweep-report-cell-string"),
     pytest.param(sweep, ["compare", "{sweep_cell_string}", "base", "base"], 2, None,
                  id="sweep-compare-cell-string"),
+    # Exit 2, was a TypeError traceback.
+    pytest.param(sweep, ["compare", "{sweep_metric_string}", "base", "base"], 2, None,
+                 id="sweep-compare-metric-string"),
+    pytest.param(sweep, ["compare", "{sweep_estimate_string}", "base", "base"], 2, None,
+                 id="sweep-compare-estimate-string"),
+    pytest.param(fleet, ["report", "{fleet_members_string}"], 2, None,
+                 id="fleet-report-members-string"),
+    pytest.param(fleet, ["compare", "{fleet_members_string}", "{fleet_doc}"], 2, None,
+                 id="fleet-compare-members-string"),
+    # Exit 2, was a KeyError traceback.
+    pytest.param(fleet, ["report", "{fleet_members_missing}"], 2, None,
+                 id="fleet-report-members-missing"),
+    pytest.param(fleet, ["compare", "{fleet_doc}", "{fleet_members_missing}"], 2, None,
+                 id="fleet-compare-members-missing"),
     # Exit 2, was a RecursionError traceback.
     pytest.param(sweep, ["plan", "--spec", "{deep_json}"], 2, None, id="sweep-spec-deep-json"),
     pytest.param(fleet, ["run", "--spec", "{deep_json}"], 2, None, id="fleet-spec-deep-json"),
@@ -177,6 +199,23 @@ MATRIX = [
                  id="sweep-report-cell-no-metrics"),
     pytest.param(sweep, ["compare", "{sweep_cell_no_metrics}", "base", "base"], 2, None,
                  id="sweep-compare-cell-no-metrics"),
+    pytest.param(sweep, ["report", "{sweep_metric_string}"], 2, None,
+                 id="sweep-report-metric-string"),
+    pytest.param(sweep, ["report", "{sweep_estimate_string}"], 2, None,
+                 id="sweep-report-estimate-string"),
+    pytest.param(fleet, ["report", "{fleet_gflops_string}"], 2, None,
+                 id="fleet-report-gflops-string"),
+    pytest.param(fleet, ["compare", "{fleet_doc}", "{fleet_gflops_string}"], 2, None,
+                 id="fleet-compare-gflops-string"),
+    # Exit 2, a setting that moved no metric and was taken before.
+    pytest.param(sweep, ["plan", "--spec", "{tlb_entries_axis_sweep}"], 2, None,
+                 id="sweep-axis-tlb-entries"),
+    pytest.param(sweep, ["plan", "--spec", "{tlb_entries_base_sweep}"], 2, None,
+                 id="sweep-base-tlb-entries"),
+    pytest.param(sweep, ["plan", "--spec", "{spec}", "--only", "tlb_entries=512"], 2, None,
+                 id="sweep-only-tlb-entries"),
+    pytest.param(fleet, ["run", "--spec", "{tlb_entries_fleet}"], 2, None,
+                 id="fleet-member-tlb-entries"),
     # Exit 2, a removed flag that the parser took before.
     pytest.param(ops, ["serve", "--max-series", "4"], 2, None, id="ops-serve-max-series"),
     # Exit 1 in one line, was a ShardExecutionError traceback.
@@ -192,15 +231,18 @@ MATRIX = [
 
 
 #: Input files the matrix names: a valid one-cell sweep spec, the same
-#: cell on 3 kB pages, a fleet whose member has an odd TLB entry count
-#: for a 2-way TLB, documents nested deeper than a decoder can recurse
-#: (100,000 JSON arrays; 3,000 YAML-subset mappings, each one space
-#: deeper than its parent), a list of 1,000 numbers where one number
-#: belongs, and saved sweep documents whose one cell is a string or
-#: lacks its metrics.
+#: cell on 3 kB pages, sweep specs and a fleet naming ``tlb_entries`` (a
+#: setting that moved no metric), documents nested deeper than a decoder
+#: can recurse (100,000 JSON arrays; 3,000 YAML-subset mappings, each one
+#: space deeper than its parent), a list of 1,000 numbers where one
+#: number belongs, saved sweep documents whose one cell is a string,
+#: lacks its metrics, or holds a string metric or estimate, and demo2's
+#: saved fleet document (the golden) with its members missing or a
+#: string, or its Gflops mean a string.
 CELL = "name: s\nbase:\n  n_days: 1\n  n_nodes: 8\n  n_users: 2\n"
 LONG_LIST = "[" + ", ".join(["0"] * 1000) + "]"
 SAVED_CELL = {**dict.fromkeys(CELL_FIELDS), "name": "base", "overrides": {}, "metrics": {}}
+FLEET_DOC = pathlib.Path(__file__).resolve().parents[1] / "golden" / "data" / "fleet_demo2.json"
 
 
 def sweep_document(cell) -> str:
@@ -209,13 +251,26 @@ def sweep_document(cell) -> str:
     return json.dumps({"spec": {"name": "s", "axes": {}}, "sweep": sweep})
 
 
+def fleet_document(**changes) -> str:
+    """demo2's saved fleet document, its ``fleet`` block changed (a
+    value of ``None`` deletes the key)."""
+    document = json.loads(FLEET_DOC.read_text())
+    for key, value in changes.items():
+        document["fleet"].pop(key)
+        if value is not None:
+            document["fleet"][key] = value
+    return json.dumps(document)
+
+
 SPAN = '{{"id": "{}", "parent": "{}", "name": "a", "cat": "pbs.state", "start": 0.0, "end": 1.0}}\n'
 INPUTS = {
     "trace_cycle": SPAN.format("s1", "s2") + SPAN.format("s2", "s1"),
     "spec": CELL,
     "page_kb_3_sweep": CELL + "  page_kb: 3\n",
-    "tlb_511_fleet": '{"n_days": 1, "n_users": 2, "members": '
-    '[{"name": "a", "n_nodes": 8, "tlb_entries": 511}]}',
+    "tlb_entries_axis_sweep": "name: s\naxes:\n  tlb_entries: [512, 1024]\n",
+    "tlb_entries_base_sweep": CELL + "  tlb_entries: 1024\n",
+    "tlb_entries_fleet": '{"n_days": 1, "n_users": 2, "members": '
+    '[{"name": "a", "n_nodes": 8, "tlb_entries": 1024}]}',
     "deep_json": "[" * 100_000 + "]" * 100_000,
     "deep_yaml": "".join(f"{' ' * depth}k{depth}:\n" for depth in range(3000)),
     "long_seed_sweep": f'{{"name": "s", "base": {{"seed": {LONG_LIST}}}}}',
@@ -225,6 +280,14 @@ INPUTS = {
     "sweep_cell_no_metrics": sweep_document(
         {k: v for k, v in SAVED_CELL.items() if k != "metrics"}
     ),
+    "sweep_metric_string": sweep_document({**SAVED_CELL, "metrics": {"campaign.jobs": "oops"}}),
+    "sweep_estimate_string": sweep_document(
+        {**SAVED_CELL, "metrics": {"campaign.jobs": 1.0}, "estimates": {"campaign.jobs": "oops"}}
+    ),
+    "fleet_doc": FLEET_DOC.read_text(),
+    "fleet_members_missing": fleet_document(members=None),
+    "fleet_members_string": fleet_document(members="oops"),
+    "fleet_gflops_string": fleet_document(fleet_gflops_mean="oops"),
 }
 
 #: Longest refusal line the matrix accepts: a refusal names what was
@@ -326,7 +389,6 @@ def test_value_error_inside_a_run_is_not_a_usage_error(monkeypatch):
 # A closed stdout is not a failure
 # ----------------------------------------------------------------------
 SRC = pathlib.Path(__file__).resolve().parents[2] / "src"
-FLEET_DOC = pathlib.Path(__file__).resolve().parents[1] / "golden" / "data" / "fleet_demo2.json"
 
 
 @pytest.fixture(params=["buffered", "unbuffered"])

@@ -119,26 +119,15 @@ class TestFleetInvariance:
 
 class TestHeterogeneousFleet:
     def test_three_center_fleet_end_to_end(self):
-        """The acceptance-criteria shape: 64/144/256 nodes, mixed switch
+        """The acceptance-criteria shape: 64/144/256 nodes, mixed memory
         and fault configs, run end to end with comparison tables out."""
         spec = FleetSpec(
             name="accept",
             members=(
-                MemberSpec(
-                    name="lewis",
-                    n_nodes=64,
-                    memory_mb=64,
-                    switch_latency_us=90.0,
-                    switch_bandwidth_mb_s=17.0,
-                    fault_profile="mild",
-                ),
+                MemberSpec(name="lewis", n_nodes=64, memory_mb=64, fault_profile="mild"),
                 MemberSpec(name="ames", n_nodes=144),
                 MemberSpec(
-                    name="langley",
-                    n_nodes=256,
-                    memory_mb=256,
-                    switch_latency_us=30.0,
-                    fault_profile="pathological",
+                    name="langley", n_nodes=256, memory_mb=256, fault_profile="pathological"
                 ),
             ),
             seed=1,

@@ -17,7 +17,7 @@ base:
   n_users: 4
   seed: 3
 axes:
-  tlb_entries: [256, 512]
+  page_kb: [4, 16]
 """
 
 
@@ -32,8 +32,10 @@ class TestAxes:
     def test_lists_every_axis(self, capsys):
         assert main(["axes"]) == 0
         out = capsys.readouterr().out
-        for name in ("tlb_entries", "fault_profile", "switch_latency_us"):
+        for name in ("page_kb", "fault_profile", "memory_mb"):
             assert name in out
+        for name in ("tlb_entries", "switch_latency_us", "switch_bandwidth_mb_s"):
+            assert name not in out
 
 
 class TestPlan:
@@ -41,7 +43,7 @@ class TestPlan:
         assert main(["plan", "--spec", spec_file]) == 0
         out = capsys.readouterr().out
         assert "Sweep plan 'toy': 2 cells" in out
-        assert "tlb_entries=256 (baseline)" in out
+        assert "page_kb=4 (baseline)" in out
         assert "cells: 2 planned, 2 to execute, 0 cached" in out
 
     def test_plan_sees_cache(self, spec_file, tmp_path, capsys):
@@ -52,13 +54,13 @@ class TestPlan:
         assert "cells: 2 planned, 0 to execute, 2 cached" in capsys.readouterr().out
 
     def test_only_filters(self, spec_file, capsys):
-        assert main(["plan", "--spec", spec_file, "--only", "tlb_entries=512"]) == 0
+        assert main(["plan", "--spec", spec_file, "--only", "page_kb=16"]) == 0
         out = capsys.readouterr().out
-        assert "1 cells" in out and "tlb_entries=256" not in out
+        assert "1 cells" in out and "page_kb=4" not in out
 
     def test_bad_spec_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.yaml"
-        bad.write_text("name: x\naxes:\n  tlb_entriez: [1]\n")
+        bad.write_text("name: x\naxes:\n  page_kbz: [1]\n")
         assert main(["plan", "--spec", str(bad)]) == 2
         assert "unknown axis" in capsys.readouterr().err
 
@@ -73,7 +75,7 @@ class TestRun:
         assert main(["run", "--spec", spec_file, "--cache-dir", cache]) == 0
         out = capsys.readouterr().out
         assert "cells: 2 planned, 2 executed, 0 reused (0% cache reuse)" in out
-        assert "Sensitivity to tlb_entries" in out
+        assert "Sensitivity to page_kb" in out
         # Unchanged spec: everything from cache, zero campaigns.
         assert main(["run", "--spec", spec_file, "--cache-dir", cache]) == 0
         captured = capsys.readouterr()
@@ -91,14 +93,14 @@ class TestRun:
         capsys.readouterr()
         document = json.loads(out_file.read_text())
         assert [c["name"] for c in document["sweep"]["cells"]] == [
-            "tlb_entries=256",
-            "tlb_entries=512",
+            "page_kb=4",
+            "page_kb=16",
         ]
         assert main(["report", str(out_file)]) == 0
         assert "Sweep 'toy': 2 cells" in capsys.readouterr().out
-        assert main(["compare", str(out_file), "baseline", "tlb_entries=512"]) == 0
+        assert main(["compare", str(out_file), "baseline", "page_kb=16"]) == 0
         compare_out = capsys.readouterr().out
-        assert "Differential: tlb_entries=256 vs tlb_entries=512" in compare_out
+        assert "Differential: page_kb=4 vs page_kb=16" in compare_out
         assert "carry no significance flags" in compare_out
 
     def test_out_dir_cell_is_byte_identical_to_sp2_study_json(
@@ -142,14 +144,14 @@ class TestRun:
             rc = main(
                 [
                     verb, "--spec", spec_file,
-                    "--only", "tlb_entries=256", "--only", "tlb_entries=512",
+                    "--only", "page_kb=4", "--only", "page_kb=16",
                 ]
             )
             assert rc == 1
             assert "zero cells" in capsys.readouterr().err
 
     def test_unknown_selector_exits_2(self, spec_file, capsys):
-        assert main(["run", "--spec", spec_file, "--only", "tlb_entries=999"]) == 2
+        assert main(["run", "--spec", spec_file, "--only", "page_kb=999"]) == 2
         assert "matches none" in capsys.readouterr().err
 
     def test_zero_job_cell_exits_1(self, tmp_path, capsys):
@@ -169,7 +171,7 @@ class TestCompareErrors:
         out_file = tmp_path / "sweep.json"
         main(["run", "--spec", spec_file, "--out", str(out_file)])
         capsys.readouterr()
-        assert main(["compare", str(out_file), "baseline", "tlb_entries=999"]) == 2
+        assert main(["compare", str(out_file), "baseline", "page_kb=999"]) == 2
         assert "matches none" in capsys.readouterr().err
 
     def test_unreadable_document_exits_2(self, capsys):

@@ -63,7 +63,7 @@ class TestDegeneracy:
 
 class TestCaching:
     def test_first_run_executes_everything(self, tmp_path):
-        plan = plan_sweep(make(axes={"tlb_entries": [256, 512]}))
+        plan = plan_sweep(make(axes={"page_kb": [4, 16]}))
         result = run_sweep(plan, cache_dir=str(tmp_path))
         assert result.executed == 2 and result.reused == 0
         assert result.reuse_fraction == 0.0
@@ -71,7 +71,7 @@ class TestCaching:
     def test_unchanged_spec_rerun_executes_zero_campaigns(
         self, tmp_path, monkeypatch
     ):
-        plan = plan_sweep(make(axes={"tlb_entries": [256, 512]}))
+        plan = plan_sweep(make(axes={"page_kb": [4, 16]}))
         first = run_sweep(plan, cache_dir=str(tmp_path))
 
         def boom(*a, **kw):  # any execution now is a cache failure
@@ -87,11 +87,11 @@ class TestCaching:
 
     def test_edited_spec_reexecutes_only_changed_cells(self, tmp_path):
         run_sweep(
-            plan_sweep(make(axes={"tlb_entries": [256, 512]})),
+            plan_sweep(make(axes={"page_kb": [4, 16]})),
             cache_dir=str(tmp_path),
         )
         grown = run_sweep(
-            plan_sweep(make(axes={"tlb_entries": [256, 512, 1024]})),
+            plan_sweep(make(axes={"page_kb": [4, 16, 8]})),
             cache_dir=str(tmp_path),
         )
         assert grown.reused == 2 and grown.executed == 1
@@ -162,7 +162,7 @@ class TestZeroJobs:
 
 class TestSweepDocument:
     def test_document_shape(self, tmp_path):
-        spec = make(axes={"tlb_entries": [256, 512]})
+        spec = make(axes={"page_kb": [4, 16]})
         result = run_sweep(plan_sweep(spec), cache_dir=str(tmp_path))
         document = result.document()
         assert document["spec"] == spec.to_dict()
@@ -170,6 +170,6 @@ class TestSweepDocument:
         assert sweep["name"] == "t"
         assert sweep["executed"] == 2 and sweep["reused"] == 0
         assert [c["name"] for c in sweep["cells"]] == [
-            "tlb_entries=256",
-            "tlb_entries=512",
+            "page_kb=4",
+            "page_kb=16",
         ]

@@ -25,7 +25,7 @@ def make(**kw):
     kw.setdefault("base", dict(BASE))
     kw.setdefault(
         "axes",
-        {"tlb_entries": [256, 512], "fault_profile": [None, "pathological"]},
+        {"page_kb": [16, 4], "fault_profile": [None, "pathological"]},
     )
     return SweepSpec.from_dict(kw)
 
@@ -41,10 +41,10 @@ class TestExpansion:
         # order: nested loops with the first axis outermost.
         names = [c.name for c in plan.cells]
         assert names == [
-            "tlb_entries=256,fault_profile=none",
-            "tlb_entries=256,fault_profile=pathological",
-            "tlb_entries=512,fault_profile=none",
-            "tlb_entries=512,fault_profile=pathological",
+            "page_kb=16,fault_profile=none",
+            "page_kb=16,fault_profile=pathological",
+            "page_kb=4,fault_profile=none",
+            "page_kb=4,fault_profile=pathological",
         ]
 
     def test_indices_are_sequential(self):
@@ -59,10 +59,10 @@ class TestExpansion:
 
     def test_settings_merge_base_and_overrides(self):
         plan = plan_sweep(make())
-        cell = plan.cell("tlb_entries=512,fault_profile=pathological")
+        cell = plan.cell("page_kb=4,fault_profile=pathological")
         assert cell.settings["n_days"] == 2
-        assert cell.settings["tlb_entries"] == 512
-        assert cell.config.machine_config.tlb.entries == 512
+        assert cell.settings["page_kb"] == 4
+        assert cell.config.machine_config.tlb.page_bytes == 4096
         assert cell.config.fault_profile.name == "pathological"
 
 
@@ -71,21 +71,21 @@ class TestBaselineOrdering:
         plan = plan_sweep(make())
         assert plan.baseline is plan.cells[0]
         assert plan.baseline.overrides == {
-            "tlb_entries": 256,
+            "page_kb": 16,
             "fault_profile": None,
         }
 
     def test_explicit_baseline_moves_to_front(self):
         plan = plan_sweep(
-            make(baseline={"tlb_entries": 512, "fault_profile": "pathological"})
+            make(baseline={"page_kb": 4, "fault_profile": "pathological"})
         )
-        assert plan.cells[0].name == "tlb_entries=512,fault_profile=pathological"
+        assert plan.cells[0].name == "page_kb=4,fault_profile=pathological"
         assert plan.cells[0].is_baseline
         # Grid order preserved for the rest.
         assert [c.name for c in plan.cells[1:]] == [
-            "tlb_entries=256,fault_profile=none",
-            "tlb_entries=256,fault_profile=pathological",
-            "tlb_entries=512,fault_profile=none",
+            "page_kb=16,fault_profile=none",
+            "page_kb=16,fault_profile=pathological",
+            "page_kb=4,fault_profile=none",
         ]
 
     def test_exactly_one_baseline(self):
@@ -134,57 +134,57 @@ class TestFingerprints:
         repr: a changed ``StudyConfig`` field, order or default orphans
         every cache on disk and must show up here, not in the field."""
         cell = plan_sweep(make()).cells[-1]
-        assert cell.name == "tlb_entries=512,fault_profile=pathological"
+        assert cell.name == "page_kb=4,fault_profile=pathological"
         assert cell.fingerprint == PINNED_CELL_FINGERPRINT
 
 
 class TestOnly:
     def test_only_filters_cells(self):
-        plan = plan_sweep(make(), only={"tlb_entries": 512})
+        plan = plan_sweep(make(), only={"page_kb": 4})
         assert [c.name for c in plan.cells] == [
-            "tlb_entries=512,fault_profile=none",
-            "tlb_entries=512,fault_profile=pathological",
+            "page_kb=4,fault_profile=none",
+            "page_kb=4,fault_profile=pathological",
         ]
 
     def test_only_can_exclude_baseline(self):
-        plan = plan_sweep(make(), only={"tlb_entries": 512})
+        plan = plan_sweep(make(), only={"page_kb": 4})
         assert plan.baseline is None
 
     def test_only_reindexes(self):
-        plan = plan_sweep(make(), only={"tlb_entries": 512})
+        plan = plan_sweep(make(), only={"page_kb": 4})
         assert [c.index for c in plan.cells] == [0, 1]
 
     def test_only_unswept_value_gives_zero_cells(self):
-        plan = plan_sweep(make(), only={"tlb_entries": 512, "fault_profile": "mild"})
+        plan = plan_sweep(make(), only={"page_kb": 4, "fault_profile": "mild"})
         assert plan.n_cells == 0
 
     def test_only_unknown_axis_raises(self):
         with pytest.raises(ValueError, match="not a swept axis"):
-            plan_sweep(make(), only={"page_kb": 4})
+            plan_sweep(make(), only={"memory_mb": 64})
 
 
 class TestSelectors:
     def test_parse_selector_matches_declared_values(self):
         spec = make()
-        assert parse_selector(spec, "tlb_entries=512") == {"tlb_entries": 512}
+        assert parse_selector(spec, "page_kb=4") == {"page_kb": 4}
         assert parse_selector(spec, "fault_profile=none") == {"fault_profile": None}
 
     def test_parse_selector_multi(self):
         spec = make()
-        sel = parse_selector(spec, "tlb_entries=256,fault_profile=pathological")
-        assert sel == {"tlb_entries": 256, "fault_profile": "pathological"}
+        sel = parse_selector(spec, "page_kb=16,fault_profile=pathological")
+        assert sel == {"page_kb": 16, "fault_profile": "pathological"}
 
     def test_parse_selector_rejects_unknown_axis(self):
         with pytest.raises(ValueError, match="not a swept axis"):
-            parse_selector(make(), "page_kb=4")
+            parse_selector(make(), "memory_mb=64")
 
     def test_parse_selector_rejects_undeclared_value(self):
         with pytest.raises(ValueError, match="matches none"):
-            parse_selector(make(), "tlb_entries=1024")
+            parse_selector(make(), "page_kb=8")
 
     def test_parse_selector_rejects_bare_word(self):
         with pytest.raises(ValueError, match="expected axis=value"):
-            parse_selector(make(), "tlb_entries")
+            parse_selector(make(), "page_kb")
 
     # A compare operand resolves against a saved run's cell names and
     # spec block, whatever the plan kept.
@@ -201,9 +201,9 @@ class TestSelectors:
 
     def test_select_cell_full_name(self):
         plan = plan_sweep(make())
-        name = _resolve_name(self.saved(plan), "tlb_entries=512,fault_profile=pathological")
+        name = _resolve_name(self.saved(plan), "page_kb=4,fault_profile=pathological")
         assert plan.cell(name).overrides == {
-            "tlb_entries": 512,
+            "page_kb": 4,
             "fault_profile": "pathological",
         }
 
@@ -211,12 +211,12 @@ class TestSelectors:
         plan = plan_sweep(make())
         name = _resolve_name(self.saved(plan), "fault_profile=pathological")
         assert plan.cell(name).overrides == {
-            "tlb_entries": 256,  # baseline value
+            "page_kb": 16,  # baseline value
             "fault_profile": "pathological",
         }
 
     def test_select_cell_missing_from_filtered_plan(self):
-        saved = self.saved(plan_sweep(make(), only={"tlb_entries": 512}))
-        name = _resolve_name(saved, "tlb_entries=256,fault_profile=none")
+        saved = self.saved(plan_sweep(make(), only={"page_kb": 4}))
+        name = _resolve_name(saved, "page_kb=16,fault_profile=none")
         with pytest.raises(ValueError, match="no cell named"):
             find_cell(saved, name)

@@ -2,17 +2,24 @@
 
 from __future__ import annotations
 
-import pytest
+import json
 
+import pytest
+from hypothesis import HealthCheck, given, settings
+
+from repro.sweep.cache import CELL_FIELDS
 from repro.sweep.report import (
     FLAG,
     cis_overlap,
     compare_cells,
     find_cell,
+    read_sweep_document,
     render_compare,
     render_sweep_report,
     sensitivity_tables,
 )
+from repro.sweep_cli import main
+from tests.spec_fuzz import mutated
 
 
 def est(mean, half):
@@ -177,3 +184,58 @@ class TestSensitivity:
         text = render_sweep_report(REPEAT_DOC)
         assert "Sweep 'fix': 2 cells" in text
         assert "Sensitivity to fault_profile" in text
+
+
+#: REPEAT_DOC as ``sp2-sweep run --out`` saves it: every cell field
+#: present, and the axis its cells vary.
+SAVED_DOC = document(
+    [{**dict.fromkeys(CELL_FIELDS), **c} for c in REPEAT_DOC["sweep"]["cells"]],
+    axes={"fault_profile": [None, "pathological"]},
+)
+METRICS = sorted(REPEAT_DOC["sweep"]["cells"][0]["metrics"])
+PATHS = (
+    [("spec",), ("spec", "axes"), ("spec", "axes", "fault_profile"), ("sweep",), ("sweep", "cells")]
+    + [("sweep", "cells", i) for i in range(2)]
+    + [("sweep", "cells", i, key) for i in range(2) for key in sorted(CELL_FIELDS)]
+    + [("sweep", "cells", i, "overrides", "fault_profile") for i in range(2)]
+    + [
+        ("sweep", "cells", i, block, metric)
+        for i in range(2)
+        for block in ("metrics", "estimates")
+        for metric in METRICS
+    ]
+    + [
+        ("sweep", "cells", i, "estimates", metric, bound)
+        for i in range(2)
+        for metric in METRICS
+        for bound in ("ci_low", "ci_high")
+    ]
+)
+
+
+class TestSavedDocument:
+    def test_saved_document_loads_as_written(self, tmp_path):
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(SAVED_DOC))
+        assert read_sweep_document(path) == SAVED_DOC
+
+    @settings(
+        max_examples=300,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(document=mutated(SAVED_DOC, PATHS))
+    def test_mutated_document_is_refused_in_one_line_or_renders(self, tmp_path, capsys, document):
+        """``report`` and ``compare`` refuse a mutated saved sweep in one
+        ``error:`` line with exit 2, or run to the end."""
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(document))
+        for argv in (
+            ["report", str(path)],
+            ["compare", str(path), "baseline", "fault_profile=pathological"],
+        ):
+            rc = main(argv)
+            err = capsys.readouterr().err
+            assert rc in (0, 2), err
+            if rc == 2:
+                assert err.startswith("error: ") and err.count("\n") == 1, err

@@ -19,11 +19,14 @@ from tests.spec_fuzz import assert_loads_or_refuses, mutated
 
 BASE = {"n_days": 2, "n_nodes": 16, "n_users": 6, "seed": 3}
 
+#: Settings that moved no metric, with a value each once took.
+REMOVED_KNOBS = {"tlb_entries": 1024, "switch_latency_us": 90.0, "switch_bandwidth_mb_s": 17.0}
+
 
 def make(**kw):
     kw.setdefault("name", "t")
     kw.setdefault("base", dict(BASE))
-    kw.setdefault("axes", {"tlb_entries": [256, 512]})
+    kw.setdefault("axes", {"page_kb": [4, 16]})
     return SweepSpec.from_dict(kw)
 
 
@@ -33,8 +36,8 @@ class TestValidation:
         assert spec.n_cells == 2
 
     def test_unknown_axis_is_one_line_error(self):
-        with pytest.raises(ValueError, match="unknown axis 'tlb_entriez'") as e:
-            make(axes={"tlb_entriez": [256]})
+        with pytest.raises(ValueError, match="unknown axis 'page_kbz'") as e:
+            make(axes={"page_kbz": [4]})
         assert "\n" not in str(e.value).replace("known axes:", "")
 
     def test_unknown_base_key(self):
@@ -49,8 +52,8 @@ class TestValidation:
         assert "accrual_backend" not in AXES
 
     def test_wrong_type_value(self):
-        with pytest.raises(ValueError, match="tlb_entries"):
-            make(axes={"tlb_entries": [256, "lots"]})
+        with pytest.raises(ValueError, match="page_kb"):
+            make(axes={"page_kb": [4, "lots"]})
 
     @pytest.mark.parametrize("value", [float("inf"), float("nan")])
     def test_non_finite_value(self, value):
@@ -59,8 +62,8 @@ class TestValidation:
             make(axes={"paging_fault_limit": [value]})
 
     def test_bool_is_not_an_int(self):
-        with pytest.raises(ValueError, match="tlb_entries"):
-            make(axes={"tlb_entries": [True]})
+        with pytest.raises(ValueError, match="page_kb"):
+            make(axes={"page_kb": [True]})
 
     def test_axis_collides_with_base(self):
         with pytest.raises(
@@ -70,9 +73,9 @@ class TestValidation:
 
     def test_empty_axis_is_empty_cross_product(self):
         with pytest.raises(
-            ValueError, match="axis 'tlb_entries' has no values"
+            ValueError, match="axis 'page_kb' has no values"
         ):
-            make(axes={"tlb_entries": []})
+            make(axes={"page_kb": []})
 
     def test_one_axis_sweep_with_no_values(self):
         # The shape benchmarks/bench_sensitivity.py builds: a bare spec,
@@ -82,11 +85,11 @@ class TestValidation:
 
     def test_non_list_axis(self):
         with pytest.raises(ValueError, match="must list its values"):
-            make(axes={"tlb_entries": 256})
+            make(axes={"page_kb": 4})
 
     def test_duplicate_values_within_axis(self):
         with pytest.raises(ValueError, match="duplicate value"):
-            make(axes={"tlb_entries": [256, 256]})
+            make(axes={"page_kb": [4, 4]})
 
     def test_unknown_choice(self):
         with pytest.raises(ValueError, match="fault_profile"):
@@ -102,11 +105,11 @@ class TestValidation:
 
     def test_baseline_must_use_axis_values(self):
         with pytest.raises(ValueError, match="baseline"):
-            make(baseline={"tlb_entries": 1024})
+            make(baseline={"page_kb": 8})
 
     def test_baseline_unknown_axis(self):
         with pytest.raises(ValueError, match="baseline"):
-            make(baseline={"page_kb": 4})
+            make(baseline={"memory_mb": 64})
 
     def test_seed_axis_conflicts_with_repeat(self):
         with pytest.raises(ValueError, match="seed"):
@@ -123,10 +126,10 @@ class TestValidation:
     def test_errors_are_single_line(self):
         cases = [
             dict(axes={"bogus": [1]}),
-            dict(axes={"tlb_entries": [256, "x"]}),
+            dict(axes={"page_kb": [4, "x"]}),
             dict(axes={"seed": [1]}),
-            dict(axes={"tlb_entries": []}),
-            dict(axes={"tlb_entries": [256, 256]}),
+            dict(axes={"page_kb": []}),
+            dict(axes={"page_kb": [4, 4]}),
         ]
         for kw in cases:
             with pytest.raises(ValueError) as e:
@@ -171,8 +174,8 @@ class TestResolveConfig:
         assert resolve_config({}) == StudyConfig(n_days=30)
 
     def test_machine_knobs_build_machine_config(self):
-        cfg = resolve_config({"tlb_entries": 1024, "page_kb": 16, "memory_mb": 256})
-        assert cfg.machine_config.tlb.entries == 1024
+        cfg = resolve_config({"page_kb": 16, "memory_mb": 256})
+        assert cfg.machine_config.tlb.entries == 512
         assert cfg.machine_config.tlb.page_bytes == 16 * 1024
         assert cfg.machine_config.memory_bytes == 256 * 1024 * 1024
 
@@ -184,10 +187,18 @@ class TestResolveConfig:
         cfg = resolve_config({"memory_mb": 256})
         assert cfg.machine_config == replace(POWER2_590, memory_bytes=256 * 1024 * 1024)
 
-    def test_switch_knobs_build_switch_config(self):
-        cfg = resolve_config({"switch_latency_us": 90, "switch_bandwidth_mb_s": 17})
-        assert cfg.switch_config.latency_seconds == pytest.approx(90e-6)
-        assert cfg.switch_config.bandwidth_bytes_per_s == pytest.approx(17e6)
+    @pytest.mark.parametrize("name", sorted(REMOVED_KNOBS))
+    def test_knobs_that_moved_nothing_are_refused(self, name):
+        """No job's cost reads the TLB entry count or the switch
+        constants, so they are unknown settings, not inert ones."""
+        value = REMOVED_KNOBS[name]
+        assert name not in AXES
+        with pytest.raises(ValueError, match=f"^unknown setting '{name}'; known axes: "):
+            resolve_config({name: value})
+        with pytest.raises(ValueError, match=f"^unknown axis '{name}'"):
+            make(axes={name: [value]})
+        with pytest.raises(ValueError, match=f"^unknown base setting '{name}'"):
+            make(base={**BASE, name: value})
 
     def test_fault_profile_by_name(self):
         cfg = resolve_config({"fault_profile": "pathological"})
@@ -230,7 +241,7 @@ class TestResolveConfig:
 
 class TestLoaders:
     def test_json_roundtrip(self, tmp_path):
-        spec = make(baseline={"tlb_entries": 512})
+        spec = make(baseline={"page_kb": 16})
         p = tmp_path / "s.json"
         p.write_text(json.dumps(spec.to_dict()))
         assert load_spec_file(str(p)).to_dict() == spec.to_dict()
@@ -245,7 +256,7 @@ class TestLoaders:
             "  n_nodes: 16\n"
             "  n_users: 6\n"
             "axes:\n"
-            "  tlb_entries: [256, 512]\n"
+            "  page_kb: [4, 16]\n"
             "  fault_profile:\n"
             "    - none\n"
             "    - pathological\n"
@@ -254,7 +265,7 @@ class TestLoaders:
         )
         spec = load_spec_file(str(p))
         assert spec.name == "demo"
-        assert spec.axes["tlb_entries"] == [256, 512]
+        assert spec.axes["page_kb"] == [4, 16]
         assert spec.axes["fault_profile"] == [None, "pathological"]
         assert spec.repeat.seeds == (1, 2)
 
@@ -288,8 +299,8 @@ class TestLoaders:
 CI_SMOKE = {
     "name": "ci-smoke",
     "base": {"n_days": 4, "n_nodes": 144, "n_users": 60},
-    "axes": {"fault_profile": ["none", "mild", "pathological"], "tlb_entries": [512, 1024]},
-    "baseline": {"fault_profile": "none", "tlb_entries": 512},
+    "axes": {"fault_profile": ["none", "mild", "pathological"], "page_kb": [4, 16]},
+    "baseline": {"fault_profile": "none", "page_kb": 4},
     "repeat": {"seeds": [1, 2, 3]},
 }
 
@@ -300,7 +311,7 @@ class TestLoaderFuzz:
         + [("repeat", f) for f in RepeatSpec.__dataclass_fields__]
         + [("repeat", "seeds", 0)]
         + [(block, key) for block in ("base", "axes", "baseline") for key in CI_SMOKE[block]]
-        + [("axes", "tlb_entries", 0)]
+        + [("axes", "page_kb", 0)]
     )
 
     def test_smoke_spec_loads(self):

@@ -26,12 +26,12 @@ base:
   n_users: 60
 axes:
   fault_profile: ["none", mild, pathological]
-  tlb_entries:
-    - 512
-    - 1024
+  page_kb:
+    - 4
+    - 16
 baseline:
   fault_profile: 'none'   # the healthy cell
-  tlb_entries: 512
+  page_kb: 4
 repeat:
   seeds: [1, 2, 3]
 """

@@ -20,7 +20,6 @@ from repro.telemetry.store import (
     DEFAULT_EWMA_ALPHA,
     MetricSummary,
     SeriesSnapshot,
-    StoreSnapshot,
 )
 
 
@@ -137,12 +136,6 @@ class ReferenceStore:
 
     def names(self) -> list[str]:
         return sorted(self._series)
-
-    def snapshot(self, names: list[str] | None = None) -> StoreSnapshot:
-        picked = self._series if names is None else {
-            n: self._series[n] for n in names if n in self._series
-        }
-        return StoreSnapshot(series={n: s.snapshot() for n, s in picked.items()})
 
     @property
     def points_dropped(self) -> int:

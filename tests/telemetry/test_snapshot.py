@@ -1,4 +1,4 @@
-"""Snapshot isolation: frozen views of one series or a whole store."""
+"""Snapshot isolation: frozen views of one series."""
 
 import numpy as np
 
@@ -37,31 +37,6 @@ class TestSeriesSnapshot:
         assert snap.dropped == 5
         assert snap.count == 8
         assert np.array_equal(snap.values, [5, 6, 7])
-
-
-class TestStoreSnapshot:
-    def test_whole_store_one_instant(self):
-        store = MetricStore()
-        store.append(0.0, {"a": 1.0})
-        store.append(0.0, {"b": 2.0})
-        snap = store.snapshot()
-        store.append(1.0, {"a": 10.0})
-        assert snap.names() == ["a", "b"]
-        assert "a" in snap
-        assert snap["a"].count == 1
-
-    def test_subset_snapshot_skips_unknown(self):
-        store = MetricStore()
-        store.append(0.0, {"a": 1.0})
-        snap = store.snapshot(names=["a", "ghost"])
-        assert snap.names() == ["a"]
-
-    def test_points_dropped_sums_series(self):
-        store = MetricStore(capacity=2)
-        for i in range(5):
-            store.append(float(i), {"a": 0.0, "b": 0.0})
-        assert store.points_dropped == 6
-        assert store.snapshot().points_dropped == 6
 
 
 class TestBoundedSeries:
