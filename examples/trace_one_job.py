@@ -20,7 +20,6 @@ from repro.cluster.machine import SP2Machine
 from repro.pbs.scheduler import PBSServer
 from repro.sim.engine import Simulator
 from repro.tracing import Tracer, analyze_jobs, render_critical_path
-from repro.tracing.span import CAT_SWITCH
 from repro.workload.apps import application
 
 
@@ -34,7 +33,6 @@ def main() -> None:
     tracer = Tracer(lambda: sim.now)
     sim.tracer = tracer
     machine = SP2Machine(16)
-    machine.switch.tracer = tracer
     pbs = PBSServer(sim, machine, tracer=tracer)
 
     # One concrete job from the workload's majority family (§4).
@@ -75,16 +73,6 @@ def main() -> None:
         "attributed span by span)"
     )
 
-    # ------------------------------------------------------------------
-    # The cost models trace too: one halo exchange, span-recorded.
-    # ------------------------------------------------------------------
-    machine.switch.exchange(64 * 1024, 4, asynchronous=True)
-    exchange = next(s for s in tracer.spans if s.category == CAT_SWITCH)
-    print(
-        f"\nswitch span: {exchange.name} of {exchange.args['bytes']:.0f} B "
-        f"x{exchange.args['neighbors']} neighbors -> "
-        f"{exchange.duration * 1e3:.2f} ms modeled"
-    )
     print(f"\n{len(tracer.spans)} spans recorded; categories:")
     for cat, n in sorted(tracer.counts_by_category().items()):
         print(f"  {cat:<14s} {n}")

@@ -19,12 +19,8 @@ latency/bandwidth cost model:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from repro.power2.config import SP2_SWITCH, SwitchConfig
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.tracing.tracer import Tracer
 
 
 @dataclass(frozen=True)
@@ -43,19 +39,11 @@ class MessageCost:
 class HighPerformanceSwitch:
     """Latency/bandwidth cost model of the SP2 switch fabric."""
 
-    def __init__(
-        self,
-        config: SwitchConfig | None = None,
-        *,
-        tracer: "Tracer | None" = None,
-    ) -> None:
+    def __init__(self, config: SwitchConfig | None = None) -> None:
         self.config = config or SP2_SWITCH
         #: Total bytes ever carried (for utilization reporting).
         self.bytes_carried = 0.0
         self.messages_carried = 0
-        #: Span tracer; each accounted message/exchange is recorded with
-        #: its modeled duration.
-        self.tracer = tracer
         #: Fabric degradation factor (>= 1): latency is multiplied and
         #: bandwidth divided by it during a degradation episode
         #: (driven by :mod:`repro.faults.injector`).
@@ -90,10 +78,6 @@ class HighPerformanceSwitch:
         t = self.message_seconds(nbytes)
         self.bytes_carried += nbytes
         self.messages_carried += 1
-        if self.tracer is not None and self.tracer.enabled:
-            from repro.tracing.span import CAT_SWITCH
-
-            self.tracer.record("send", CAT_SWITCH, duration=t, bytes=nbytes)
         return MessageCost(seconds=t, bytes_sent=nbytes, bytes_received=0.0)
 
     def exchange(
@@ -127,17 +111,6 @@ class HighPerformanceSwitch:
         total = nbytes_per_neighbor * n_neighbors
         self.bytes_carried += 2.0 * total  # sent and received
         self.messages_carried += 2 * n_neighbors
-        if self.tracer is not None and self.tracer.enabled:
-            from repro.tracing.span import CAT_SWITCH
-
-            self.tracer.record(
-                "exchange",
-                CAT_SWITCH,
-                duration=seconds,
-                neighbors=n_neighbors,
-                bytes=2.0 * total,
-                asynchronous=asynchronous,
-            )
         return MessageCost(seconds=seconds, bytes_sent=total, bytes_received=total)
 
     def aggregate_bandwidth(self, n_nodes: int) -> float:

@@ -172,12 +172,14 @@ AXES: dict[str, AxisDef] = {
 
 def axis_def(name: str, kind: str = "setting") -> AxisDef:
     """The :data:`AXES` entry ``name``, or a one-line ``ValueError``
-    calling it an unknown ``kind``."""
+    calling it an unknown ``kind``.  The refusal points to ``sp2-sweep
+    axes`` rather than listing the axes, so its length is bounded by the
+    echoed name alone."""
     try:
         return AXES[name]
     except KeyError:
         raise ValueError(
-            f"unknown {kind} {describe(name)}; known axes: {', '.join(sorted(AXES))}"
+            f"unknown {kind} {describe(name)}; known axes: see `sp2-sweep axes`"
         ) from None
 
 

@@ -18,12 +18,19 @@ pass's matrix would hold 1.25 GB.  So the collector holds only the
 latest sample, and what the campaign keeps is its interval rows (44
 int64 each); ``samples`` keeps every pass only when asked
 (``keep_samples``: the shard worker, whose merge rebases and replays
-them).  A pass is one
-:meth:`~repro.cluster.machine.SP2Machine.read_counters` call over the
-nodes whose daemon answers — the same read the PBS prologue and
-epilogue make.  Which daemons answer is one set of node ids the daemons
-keep up to date, so the common pass (everyone answers) is one test of
-that set.
+them).  A collector that keeps its samples and publishes to no bus
+does not difference them as it takes them: ``intervals()`` differences
+them when read.  The shard worker is that collector, and nothing reads
+its intervals; the merge's replay differences the merged samples once.
+
+A pass is one :meth:`~repro.cluster.machine.SP2Machine.read_counters`
+call over the nodes whose daemon answers — the same read the PBS
+prologue and epilogue make.  Which daemons answer is one set of node
+ids the daemons keep up to date.  The common pass (everyone answers)
+is one test of that set.  Otherwise the pass reuses the reachable ids,
+the missing ids and their slot array, which the collector rebuilds only
+when the set changes, so the passes between two daemon state changes
+share one ``node_ids`` tuple.
 """
 
 from __future__ import annotations
@@ -124,14 +131,21 @@ def sample_delta(before: SystemSample, after: SystemSample) -> IntervalCounts:
     return IntervalCounts(before.time, after.time, diff.sum(axis=0), len(ids))
 
 
+def flag_gap(iv: IntervalCounts, cadence: float) -> IntervalCounts:
+    """``iv``, flagged ``interpolated`` when it spans well over one
+    ``cadence`` period (dropped passes): the rule every interval of a
+    live or replayed run follows."""
+    return iv._replace(interpolated=True) if iv.seconds > cadence * 1.5 else iv
+
+
 class SampleSeries:
     """Interval algebra over an ordered run of :class:`SystemSample`.
 
     Base of :class:`SystemCollector` (which *produces* samples on the
-    simulation clock and differences each as it takes it) and of the
-    parallel runner's merged series (which *concatenates* rebased shard
-    samples) — both expose the same ``intervals()`` surface the analysis
-    layer consumes.  ``samples`` is the run, where it is kept.
+    simulation clock) and of the parallel runner's merged series (which
+    *concatenates* rebased shard samples) — both expose the same
+    ``intervals()`` surface the analysis layer consumes.  ``samples`` is
+    the run, where it is kept.
     """
 
     def __init__(
@@ -153,9 +167,10 @@ class SampleSeries:
         nodes present in both (a node missing from either is skipped for
         that interval, as the real scripts had to do).  With a known
         cadence, intervals spanning a collector gap carry
-        ``interpolated=True``.  Each sample is differenced once; a
-        collector differences each pass as it takes it, so its list is
-        whole whether or not it keeps the samples."""
+        ``interpolated=True``.  Each sample is differenced once: pairs
+        already differenced (by a collector as it took them, or by the
+        replay that fed a merged series) are not differenced again, and
+        the rest are differenced here."""
         samples = self.samples
         for i in range(len(self._intervals) + 1, len(samples)):
             self._difference(samples[i - 1], samples[i])
@@ -163,8 +178,8 @@ class SampleSeries:
 
     def _difference(self, before: SystemSample, after: SystemSample) -> IntervalCounts:
         iv = sample_delta(before, after)
-        if self.cadence is not None and iv.seconds > self.cadence * 1.5:
-            iv = iv._replace(interpolated=True)
+        if self.cadence is not None:
+            iv = flag_gap(iv, self.cadence)
         self._intervals.append(iv)
         return iv
 
@@ -208,6 +223,12 @@ class SystemCollector(SampleSeries):
         #: Every node, for the common pass where all daemons answer: the
         #: machine's own tuple, so its read tests it by identity.
         self._all_ids = machine.node_ids
+        #: The unreachable set :attr:`_reach` was built for.
+        self._reach_for: frozenset[int] = frozenset()
+        #: (reachable ids, missing ids, the reachable slots to read):
+        #: rebuilt only when a daemon goes down or up, so the passes in
+        #: between share one ``node_ids`` tuple.
+        self._reach: tuple = (self._all_ids, (), self._all_ids)
         self.interval = interval
         self.bus = bus
         #: Span tracer; each cron pass becomes one span on the machine
@@ -268,14 +289,16 @@ class SystemCollector(SampleSeries):
         backend: advancing a down node's clock in two steps instead of
         one would change its accumulators bitwise.
         """
-        unreachable = self._unreachable
-        if not unreachable:
-            ids: tuple[int, ...] = self._all_ids
-            missing: tuple[int, ...] = ()
-        else:
-            ids = tuple(i for i in self._all_ids if i not in unreachable)
-            missing = tuple(sorted(unreachable))
-        sample = SystemSample(now, ids, self.machine.read_counters(ids, now), missing)
+        if self._unreachable != self._reach_for:
+            self._reach = self._reachable()
+        ids, missing, slots = self._reach
+        sample = SystemSample(now, ids, self.machine.read_counters(slots, now), missing)
+        if self.keep_samples and self.bus is None:
+            # Kept for a reader and published to no one (a shard worker):
+            # ``intervals()`` differences the samples where they are read.
+            self.last_sample = sample
+            self.samples.append(sample)
+            return sample
         last = self.last_sample
         interval = self._difference(last, sample) if last is not None else None
         self.last_sample = sample
@@ -283,6 +306,17 @@ class SystemCollector(SampleSeries):
             self.samples.append(sample)
         self._publish(sample, interval)
         return sample
+
+    def _reachable(self) -> tuple:
+        """(reachable ids, missing ids, reachable slots) for the current
+        unreachable set.  Every node answering reads the machine's own
+        tuple; otherwise the slots are an index array (slot i is node
+        i), so the read converts nothing."""
+        unreachable = self._reach_for = frozenset(self._unreachable)
+        if not unreachable:
+            return self._all_ids, (), self._all_ids
+        ids = tuple(i for i in self._all_ids if i not in unreachable)
+        return ids, tuple(sorted(unreachable)), np.array(ids, dtype=np.intp)
 
     def _publish(self, sample: SystemSample, interval: IntervalCounts | None) -> None:
         """Feed the streaming side: the sample and the interval it

@@ -23,7 +23,10 @@ processed in index order):
   identical no matter how many workers executed the shards.  It is a
   sharded campaign's only telemetry (workers run with no bus), it is
   published on a bus the caller may tap (``bus_hook``), and it is
-  skipped when the caller asks for none.
+  skipped when the caller asks for none.  It is also a sharded
+  campaign's only differencing: shard workers keep their samples
+  without differencing them, and the merged series keeps the intervals
+  the replay publishes.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from repro.hpm.collector import SampleSeries, SystemSample
 from repro.parallel.worker import ShardResult
 from repro.pbs.accounting import AccountingLog
 from repro.pbs.job import JobRecord
-from repro.telemetry.bus import EventBus
+from repro.telemetry.bus import TOPIC_SAMPLE, EventBus, SampleTaken
 from repro.tracing.span import CAT_JOB
 from repro.workload.traces import CampaignTrace
 
@@ -54,7 +57,14 @@ SPAN_ID_STRIDE = 1_000_000_000
 
 
 class MergedSampleSeries(SampleSeries):
-    """The campaign-wide sample run assembled from shard samples."""
+    """The campaign-wide sample run assembled from shard samples.  Its
+    intervals are the replay's (:meth:`take_interval`), or, for a merge
+    without telemetry, differenced on read."""
+
+    def take_interval(self, event: SampleTaken) -> None:
+        """Keep the interval a replayed sample event closes."""
+        if event.interval is not None:
+            self._intervals.append(event.interval)
 
 
 def merge_samples(results: list[ShardResult]) -> list[SystemSample]:
@@ -256,12 +266,17 @@ def merge_shard_results(
     if telemetry:
         from repro.telemetry.service import TelemetryService
 
+        def tap(bus: EventBus) -> None:
+            bus.subscribe(TOPIC_SAMPLE, collector.take_interval)
+            if bus_hook is not None:
+                bus_hook(bus)
+
         service = TelemetryService.replay(
             samples,
             records,
             spans=spans,
             faults=faults.events if faults is not None else (),
-            bus_hook=bus_hook,
+            bus_hook=tap,
         )
         if faults is not None:
             # Replay sees fault *events* but not the live side effects

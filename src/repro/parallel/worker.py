@@ -8,7 +8,8 @@ day range on a local clock, and reduces the result to a picklable
 doesn't (no buses, no live services, no closures).  The stack runs
 with no event bus at all: the merge rebuilds a sharded campaign's
 telemetry by replaying the merged samples, so nothing reads a worker's.
-It is the one campaign that keeps its counter samples, for that merge.
+It is the one campaign that keeps its counter samples, for that merge,
+and it does not difference them: the merge's replay does, once.
 """
 
 from __future__ import annotations

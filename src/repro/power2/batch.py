@@ -31,8 +31,13 @@ exactly ``dt``, and an idle node's ``0.0 * dt`` busy step is fact 2.
 The one *semantic* hazard is unreachable nodes: a collector never syncs
 a node whose daemon is down (``rate*dt1 + rate*dt2`` is not bitwise
 ``rate*(dt1+dt2)``), so a sweep must mask down nodes out entirely —
-their clocks must not advance.  See :meth:`CounterStore.sync_slots` and
-the regression tests in ``tests/hpm/``.
+their clocks must not advance.  A sweep over most of the store (a pass
+with a few nodes down, a wide job's start or end) masks them by time,
+not by index: every slot takes the multiply-add, an unlisted slot with
+``dt = 0`` (fact 2 again, so its accumulators keep their bits) and its
+``last_sync`` left as it was.  A small subset gathers its own rows
+instead, which is cheaper there.  See :meth:`CounterStore.sync_slots`
+and the regression tests in ``tests/hpm/`` and ``tests/power2/``.
 """
 
 from __future__ import annotations
@@ -146,13 +151,16 @@ class CounterStore:
         their clocks move.  That is load-bearing for unreachable nodes:
         advancing a down node's clock in two steps instead of one would
         change its accumulators bitwise relative to one catch-up sync.
+        A subset of at least half the slots is one multiply-add over the
+        whole store with ``dt = 0`` for the unlisted slots; a smaller one
+        gathers its rows.
         """
         if not len(slots):
             return
         last = self._last_sync
+        dt = self._dt
         if len(slots) == self.n_slots:
-            # Full sweep: no index gather, one multiply-add in place.
-            dt = self._dt
+            # Full sweep: no index gather.
             np.subtract(now, last, out=dt)
             shortest = dt.min()
             if shortest < 0.0:
@@ -160,16 +168,24 @@ class CounterStore:
                     raise ValueError(f"sync cannot run backwards (now={now})")
                 np.maximum(0.0, dt, out=dt)  # float noise, as sync_one clamps it
             last.fill(now)
-            np.multiply(self._rates, self._dt_column, out=self._step)
-            self._acc += self._step
-            return
-        idx = np.asarray(slots, dtype=np.intp)
-        before = last[idx]
-        if now < before.max() - 1e-9:
-            raise ValueError(f"sync cannot run backwards (now={now})")
-        dt = np.maximum(0.0, now - before)
-        last[idx] = now
-        self._acc[idx] += self._rates[idx] * dt[:, None]
+        else:
+            idx = np.asarray(slots, dtype=np.intp)
+            before = last[idx]
+            if now < before.max() - 1e-9:
+                raise ValueError(f"sync cannot run backwards (now={now})")
+            step = np.maximum(0.0, now - before)
+            last[idx] = now
+            if 2 * len(idx) < self.n_slots:
+                # A few slots: gather their rows, step them, scatter back.
+                self._acc[idx] += self._rates[idx] * step[:, None]
+                return
+            # Half the store or more (a faulted pass, a wide job): the
+            # whole-store multiply-add beats the row gather, and every
+            # unlisted slot steps by dt = 0, a bitwise no-op (fact 2).
+            dt.fill(0.0)
+            dt[idx] = step
+        np.multiply(self._rates, self._dt_column, out=self._step)
+        self._acc += self._step
 
     # -- direct accrual (phase-execution path) --------------------------
     def add(self, slot: int, mode: Mode, name: str, amount: float) -> None:

@@ -21,14 +21,15 @@ sample regardless of campaign length.
 ``replay`` rebuilds a service from recorded samples and job records:
 a sharded campaign's only telemetry, published on a bus the caller may
 tap (``bus_hook``), and the determinism check (online == replay) in
-the integration tests.
+the integration tests.  Its intervals are a sharded campaign's only
+differencing: the merged series keeps them.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Iterable
 
-from repro.hpm.collector import SystemSample, sample_delta
+from repro.hpm.collector import SAMPLE_INTERVAL_SECONDS, SystemSample, flag_gap, sample_delta
 from repro.hpm.derived import row_rates
 from repro.pbs.job import JobRecord
 from repro.telemetry.bus import (
@@ -282,7 +283,9 @@ def replay_events(
     event stream again: faults, job ends and job starts are interleaved
     with the sample stream by time, then trailing records and spans
     follow; each sample event carries the interval it closes,
-    differenced here as the live collector does.
+    differenced and gap-flagged here as the live collector does (at the
+    paper's cadence, :data:`~repro.hpm.collector.SAMPLE_INTERVAL_SECONDS`),
+    so the replayed stream equals the live one.
     :meth:`TelemetryService.replay` publishes these pairs on a fresh
     bus, and whatever taps that bus (the ops hub, through
     :mod:`repro.ops.ingest`) sees the identical stream.
@@ -317,7 +320,9 @@ def replay_events(
                 ),
             )
             si += 1
-        interval = sample_delta(prev, sample) if prev is not None else None
+        interval = None
+        if prev is not None:
+            interval = flag_gap(sample_delta(prev, sample), SAMPLE_INTERVAL_SECONDS)
         prev = sample
         yield TOPIC_SAMPLE, SampleTaken(sample.time, sample, interval)
     for fe in fault_list[fi:]:

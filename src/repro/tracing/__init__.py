@@ -3,8 +3,7 @@
 The second observability pillar (the first is :mod:`repro.telemetry`):
 span trees over *simulated* time.  Every layer of the stack is
 instrumented — simulator event dispatch, PBS job lifecycle, the
-15-minute collector cron, the switch cost model and node phase
-execution — producing one span tree per batch job plus a machine-wide
+15-minute collector cron and node phase execution — producing one span tree per batch job plus a machine-wide
 timeline, exportable to Chrome trace-event JSON (open it in Perfetto)
 or compact JSONL, and analyzable into per-job critical paths.
 

@@ -10,7 +10,7 @@ each span becomes a complete (``"ph": "X"``) event with microsecond
 timestamps of *simulated* time.  Track layout:
 
 * pid 0 — the machine: sim dispatch + scheduler (tid 0), the 15-minute
-  collector (tid 1), switch and node models (tid 2);
+  collector (tid 1), the node cost model (tid 2);
 * pid = job id — one process per batch job, so a flagged job's
   queued → running → phase tree reads as one self-contained track.
 """
@@ -26,7 +26,6 @@ from repro.tracing.span import (
     CAT_HPM,
     CAT_JOB,
     CAT_NODE_PHASE,
-    CAT_SWITCH,
     Span,
     span_index,
 )
@@ -36,7 +35,7 @@ from repro.util.checks import check_number, check_object, cut, describe, describ
 _SPAN_ID = re.compile(r"s[0-9]+")
 
 #: Machine-track thread ids by category (pid 0).
-_MACHINE_TIDS = {CAT_HPM: 1, CAT_SWITCH: 2, CAT_NODE_PHASE: 2}
+_MACHINE_TIDS = {CAT_HPM: 1, CAT_NODE_PHASE: 2}
 _MACHINE_TID_NAMES = {0: "sim+scheduler", 1: "rs2hpm collector", 2: "cost models"}
 
 

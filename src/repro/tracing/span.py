@@ -32,8 +32,6 @@ CAT_JOB_SNAPSHOT = "pbs.snapshot"
 CAT_JOB_PHASE = "job.phase"
 #: One 15-minute collector cron pass.
 CAT_HPM = "hpm.collect"
-#: Switch messages / exchanges (modeled duration).
-CAT_SWITCH = "switch"
 #: Node-level work phases (the phase-execution path).
 CAT_NODE_PHASE = "node.phase"
 

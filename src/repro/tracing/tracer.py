@@ -15,8 +15,8 @@ Three ways to open a span:
 * ``@tracer.trace("name", CAT)`` — decorator sugar over ``span``.
 
 ``tracer.record(...)`` appends an already-closed span with a *modeled*
-duration — how the switch and node cost models report intervals
-without advancing the clock.
+duration — how the node cost model reports intervals without
+advancing the clock.
 
 Disabled tracers (``enabled=False``) allocate nothing and record
 nothing: every entry point returns the shared ``_NULL_SPAN`` and the

@@ -10,6 +10,8 @@ intentional model change regenerates the files with ``--update-golden``
 
 from __future__ import annotations
 
+import json
+
 from repro.analysis import paper_comparison, table1, table2, table3, table4
 from repro.analysis.export import dataset_to_json
 from repro.analysis.opsreport import campaign_ops_digest
@@ -63,8 +65,6 @@ class TestFleet:
         """The ``sp2-fleet run --json`` document for the demo2 preset at
         the default seed — pins the fleet routing, the per-center
         campaigns and the analysis reduction in one artifact."""
-        import json
-
         from repro.fleet import fleet_summary, preset, run_fleet
 
         spec = preset("demo2")
@@ -86,6 +86,24 @@ class TestRepeat:
         argv = ["--days", "2", "--nodes", "16", "--users", "6", "--seeds", "0,1,2"]
         assert repeat_main([*argv, "--json", str(out)]) == 0
         golden.check("repeat_2d_16n.json", out.read_text())
+
+
+class TestFaulted:
+    def test_faulted_json_summary(self, tmp_path, golden):
+        """``sp2-study --days 6 --nodes 64 --seed 3 --fault-profile
+        pathological --json``: a serial campaign with nodes down,
+        dropped collector passes and killed jobs, so the faulted cron
+        pass and the store's partial sweeps are pinned byte for byte."""
+        from repro.cli import main
+
+        out = tmp_path / "faulted.json"
+        argv = ["--days", "6", "--nodes", "64", "--seed", "3", "--fault-profile", "pathological"]
+        assert main([*argv, "--json", str(out)]) == 0
+        summary = json.loads(out.read_text())
+        faults = summary["faults"]
+        assert faults["node_down_hours"] > 0 and faults["passes_dropped"] > 0
+        assert faults["jobs_killed"] > 0
+        golden.check("faulted_summary.json", out.read_text())
 
 
 #: Counters whose per-job PHPM reductions the job-report golden pins.

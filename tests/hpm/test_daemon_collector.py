@@ -129,6 +129,37 @@ class TestCollector:
         col.daemons[3].mark_up()
         assert col.collect(20.0).node_ids == (0, 1, 2, 3)
 
+    def test_passes_share_one_node_ids_tuple_until_a_daemon_changes(self):
+        """While no daemon goes down or up, every pass holds the same
+        ``node_ids`` tuple object (the identity test in ``sample_delta``,
+        one pickled copy per shard); a change builds a new one."""
+        col = SystemCollector(make_machine(n=5), keep_samples=True)
+        states = [
+            (None, (0, 1, 2, 3, 4), ()),
+            (("down", 2), (0, 1, 3, 4), (2,)),
+            (("down", 0), (1, 3, 4), (0, 2)),
+            (("up", 2), (1, 2, 3, 4), (0,)),
+            (("up", 0), (0, 1, 2, 3, 4), ()),
+        ]
+        t = 0.0
+        seen = []
+        for change, ids, missing in states:
+            if change is not None:
+                op, idx = change
+                getattr(col.daemons[idx], f"mark_{op}")()
+            passes = []
+            for _ in range(3):
+                passes.append(col.collect(t))
+                t += 900.0
+            first = passes[0]
+            assert (first.node_ids, first.missing) == (ids, missing)
+            assert all(s.node_ids is first.node_ids for s in passes)
+            assert all(s.missing is first.missing for s in passes)
+            seen.append(first.node_ids)
+        # Every node answering reads the machine's own tuple.
+        assert seen[0] is seen[-1] is col.machine.node_ids
+        assert len(col.intervals()) == 3 * len(states) - 1
+
     def test_needs_daemons(self):
         """One daemon per node, and a machine has at least one node."""
         assert len(SystemCollector(make_machine(n=3)).daemons) == 3

@@ -216,6 +216,15 @@ MATRIX = [
                  id="sweep-only-tlb-entries"),
     pytest.param(fleet, ["run", "--spec", "{tlb_entries_fleet}"], 2, None,
                  id="fleet-member-tlb-entries"),
+    # Exit 2, the longest removed names: the refusal stays one bounded line.
+    pytest.param(sweep, ["plan", "--spec", "{switch_latency_us_axis_sweep}"], 2, None,
+                 id="sweep-axis-switch-latency-us"),
+    pytest.param(sweep, ["plan", "--spec", "{switch_latency_us_base_sweep}"], 2, None,
+                 id="sweep-base-switch-latency-us"),
+    pytest.param(sweep, ["plan", "--spec", "{switch_bandwidth_mb_s_axis_sweep}"], 2, None,
+                 id="sweep-axis-switch-bandwidth-mb-s"),
+    pytest.param(sweep, ["plan", "--spec", "{switch_bandwidth_mb_s_base_sweep}"], 2, None,
+                 id="sweep-base-switch-bandwidth-mb-s"),
     # Exit 2, a removed flag that the parser took before.
     pytest.param(ops, ["serve", "--max-series", "4"], 2, None, id="ops-serve-max-series"),
     # Exit 1 in one line, was a ShardExecutionError traceback.
@@ -231,8 +240,9 @@ MATRIX = [
 
 
 #: Input files the matrix names: a valid one-cell sweep spec, the same
-#: cell on 3 kB pages, sweep specs and a fleet naming ``tlb_entries`` (a
-#: setting that moved no metric), documents nested deeper than a decoder
+#: cell on 3 kB pages, sweep specs and a fleet naming ``tlb_entries``,
+#: sweep specs naming ``switch_latency_us`` or ``switch_bandwidth_mb_s``
+#: (settings that moved no metric), documents nested deeper than a decoder
 #: can recurse (100,000 JSON arrays; 3,000 YAML-subset mappings, each one
 #: space deeper than its parent), a list of 1,000 numbers where one
 #: number belongs, saved sweep documents whose one cell is a string,
@@ -271,6 +281,10 @@ INPUTS = {
     "tlb_entries_base_sweep": CELL + "  tlb_entries: 1024\n",
     "tlb_entries_fleet": '{"n_days": 1, "n_users": 2, "members": '
     '[{"name": "a", "n_nodes": 8, "tlb_entries": 1024}]}',
+    "switch_latency_us_axis_sweep": "name: s\naxes:\n  switch_latency_us: [45, 90]\n",
+    "switch_latency_us_base_sweep": CELL + "  switch_latency_us: 90\n",
+    "switch_bandwidth_mb_s_axis_sweep": "name: s\naxes:\n  switch_bandwidth_mb_s: [34, 68]\n",
+    "switch_bandwidth_mb_s_base_sweep": CELL + "  switch_bandwidth_mb_s: 68\n",
     "deep_json": "[" * 100_000 + "]" * 100_000,
     "deep_yaml": "".join(f"{' ' * depth}k{depth}:\n" for depth in range(3000)),
     "long_seed_sweep": f'{{"name": "s", "base": {{"seed": {LONG_LIST}}}}}',

@@ -191,6 +191,99 @@ class TestScheduleEquivalence:
         assert served(built)
 
 
+def last_sync(node: Node) -> float:
+    return node._store.last_sync(node._slot)
+
+
+def slot_state(node: Node) -> bytes:
+    """A node's accumulators and clocks, bit for bit."""
+    banks = node.monitor.banks
+    return b"".join(
+        (
+            np.asarray(banks[Mode.USER].raw_vector()).tobytes(),
+            np.asarray(banks[Mode.SYSTEM].raw_vector()).tobytes(),
+            np.array([node.wall_seconds, node.busy_seconds, last_sync(node)]).tobytes(),
+        )
+    )
+
+
+#: Subsets ``sync_slots`` takes a different path for: exactly half the
+#: store and all but one slot (the whole-store multiply-add, unlisted
+#: slots stepping by dt = 0), one slot and any subset (a row gather
+#: below half the store).
+SUBSET_KINDS = ("half", "all-but-one", "single", "any")
+
+
+def draw_subset(data, n: int, kind: str) -> list[int]:
+    order = data.draw(st.permutations(range(n)), label="order")
+    size = {
+        "half": n // 2,
+        "all-but-one": n - 1,
+        "single": 1,
+        "any": data.draw(st.integers(min_value=1, max_value=n), label="size"),
+    }[kind]
+    return list(order[:size])
+
+
+class TestSubsetSweeps:
+    """``CounterStore.sync_slots`` over a subset of the slots equals
+    syncing exactly the listed nodes on the per-node reference, whichever
+    path the subset's size takes, and leaves every unlisted slot's
+    accumulators and ``last_sync`` as they were."""
+
+    @staticmethod
+    def check_pass(store, scalar, attached, subset, now):
+        unlisted = [i for i in range(len(attached)) if i not in subset]
+        before = {i: slot_state(attached[i]) for i in unlisted}
+        for i in subset:
+            scalar[i].sync(now)
+        store.sync_slots(subset, now)
+        for i in unlisted:
+            assert slot_state(attached[i]) == before[i], f"unlisted slot {i} moved"
+        for ref, node in zip(scalar, attached):
+            assert_bitwise_equal(ref, node)
+            assert last_sync(ref) == last_sync(node)
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_random_subsets_match_the_reference(self, data):
+        n = data.draw(st.integers(min_value=2, max_value=9), label="slots")
+        per_node_rates = data.draw(st.lists(bank_rates, min_size=n, max_size=n), label="rates")
+        halted = data.draw(st.lists(st.booleans(), min_size=n, max_size=n), label="halted")
+        scalar, attached, built = make_pair(n)
+        store = attached[0]._store
+        for i, rates in enumerate(per_node_rates):
+            for group in (scalar, attached):
+                group[i].install_rates(0.0, np.asarray(rates), busy=True)
+                if halted[i]:
+                    group[i].halt(0.0)
+        now = 0.0
+        for _ in range(data.draw(st.integers(min_value=1, max_value=6), label="passes")):
+            now += data.draw(deltas, label="dt")
+            kind = data.draw(st.sampled_from(SUBSET_KINDS), label="kind")
+            self.check_pass(store, scalar, attached, draw_subset(data, n, kind), now)
+        assert served(built)
+
+    @pytest.mark.parametrize("size", [72, 143, 1, 71])
+    def test_paper_machine_subsets(self, size):
+        """A 144-slot store at both sides of the half-store line (72
+        and 143 listed sweep the whole store, 71 and 1 gather), with
+        every fifth slot halted and the listed set moving each pass."""
+        n = 144
+        scalar, attached, built = make_pair(n)
+        store = attached[0]._store
+        for i in range(n):
+            rates = rates_vector({"fxu0": 1e6 / (i + 3), "cycles": 6.65e7 / 3.0})
+            for group in (scalar, attached):
+                group[i].install_rates(0.0, rates, busy=bool(i % 2))
+                if i % 5 == 0:
+                    group[i].halt(0.0)
+        for k in range(4):
+            subset = [(i * 7 + k) % n for i in range(size)]
+            self.check_pass(store, scalar, attached, subset, 900.0 * (k + 1) / 3.0)
+        assert served(built)
+
+
 # One machine-level step: advance time by dt, then act on a random
 # ordered subset of nodes ("read" is SP2Machine.read_counters).
 MACHINE_NODES = 5

@@ -3,17 +3,11 @@
 import pytest
 
 from repro.analysis.opsreport import campaign_ops_digest, day_ops, render_day_report
-from repro.cluster.switch import HighPerformanceSwitch
 from repro.core.study import StudyConfig, WorkloadStudy
 from repro.hpm.derived import workload_rates
 from repro.telemetry.rules import AnomalyEngine, Observation, PagingRule
 from repro.tracing import Tracer, span_index, spans_to_jsonl
-from repro.tracing.span import (
-    CAT_CAMPAIGN,
-    CAT_JOB_PHASE,
-    CAT_JOB_STATE,
-    CAT_SWITCH,
-)
+from repro.tracing.span import CAT_CAMPAIGN, CAT_JOB_PHASE, CAT_JOB_STATE
 
 _CFG = StudyConfig(seed=42, n_days=1, n_nodes=16, n_users=6)
 
@@ -130,17 +124,6 @@ class TestTelemetryIntegration:
             Observation(time=900.0, rates=pathological, nodes_reporting=1)
         )
         assert alert.span_id is None
-
-
-class TestCostModelSpans:
-    def test_switch_records_message_spans(self):
-        tracer = Tracer()
-        switch = HighPerformanceSwitch(tracer=tracer)
-        cost = switch.send(1e6)
-        (span,) = tracer.spans
-        assert span.category == CAT_SWITCH
-        assert span.duration == pytest.approx(cost.seconds)
-        assert span.args["bytes"] == 1e6
 
 
 class TestOverheadIsZero:
