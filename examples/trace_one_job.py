@@ -13,6 +13,7 @@ Run::
 """
 
 import sys
+from collections import Counter
 
 import numpy as np
 
@@ -74,7 +75,7 @@ def main() -> None:
     )
 
     print(f"\n{len(tracer.spans)} spans recorded; categories:")
-    for cat, n in sorted(tracer.counts_by_category().items()):
+    for cat, n in sorted(Counter(s.category for s in tracer.spans).items()):
         print(f"  {cat:<14s} {n}")
 
 

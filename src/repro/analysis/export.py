@@ -13,8 +13,7 @@ import json
 from typing import Any
 
 from repro.analysis.figures import figure1, figure2, figure3, figure4, figure5
-from repro.analysis.report import headline_report
-from repro.analysis.tables import busy_days
+from repro.analysis.report import campaign_block, headline_report
 from repro.core.study import StudyDataset
 from repro.util.tables import Table, _is_section
 
@@ -39,27 +38,9 @@ def table_to_csv(table: Table) -> str:
 
 def dataset_summary(dataset: StudyDataset) -> dict[str, Any]:
     """A JSON-ready summary of one campaign."""
-    daily = dataset.daily_gflops()
-    util = dataset.daily_utilization()[: len(daily)]
-    _, interval = dataset.interval_gflops()
-    acct = dataset.accounting
-
-    headlines = [
-        {
-            "claim": h.claim,
-            "paper": h.paper_value,
-            "measured": h.measured_value,
-            "unit": h.unit,
-            "ratio": h.ratio,
-        }
-        for h in headline_report(dataset)
-    ]
-    idx, _ = busy_days(dataset)
-
     telemetry = (
         dataset.telemetry.summary() if dataset.telemetry is not None else None
     )
-
     out = {
         "config": {
             "seed": dataset.config.seed,
@@ -67,20 +48,18 @@ def dataset_summary(dataset: StudyDataset) -> dict[str, Any]:
             "n_nodes": dataset.config.n_nodes,
             "n_users": dataset.config.n_users,
         },
-        "campaign": {
-            "seed": dataset.config.seed,
-            "events_processed": dataset.events_processed,
-            "jobs_accounted": len(acct),
-            "daily_gflops_mean": float(daily.mean()) if daily.size else 0.0,
-            "daily_gflops_max": float(daily.max()) if daily.size else 0.0,
-            "utilization_mean": float(util.mean()) if util.size else 0.0,
-            "utilization_max": float(util.max()) if util.size else 0.0,
-            "interval_gflops_max": float(interval.max()) if interval.size else 0.0,
-            "busy_days": len(idx),
-            "time_weighted_mflops_per_node": acct.time_weighted_mflops_per_node(),
-        },
+        "campaign": campaign_block(dataset),
         "telemetry": telemetry,
-        "headlines": headlines,
+        "headlines": [
+            {
+                "claim": h.claim,
+                "paper": h.paper_value,
+                "measured": h.measured_value,
+                "unit": h.unit,
+                "ratio": h.ratio,
+            }
+            for h in headline_report(dataset)
+        ],
     }
     if dataset.faults is not None:
         # Key only present on faulted campaigns: healthy summaries stay

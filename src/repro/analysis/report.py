@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any, Callable
 
 import numpy as np
 
 from repro.analysis.tables import busy_days
 from repro.core.study import StudyDataset
+from repro.hpm.derived import DerivedRates
 from repro.power2.config import POWER2_590
 
 
@@ -33,11 +35,10 @@ class Headline:
         )
 
 
-#: Every §5–§7 claim with its paper-side value and unit — the static
-#: half of the headline table.  The repeat layer (:mod:`repro.stats`)
-#: uses this to annotate across-seed estimates without re-running the
-#: analysis, so keep it in sync with :func:`headline_report` (a test
-#: pins the two against each other).
+#: Every §5–§7 claim with its paper-side value and unit, in reporting
+#: order: the one place a paper value is written.  :func:`headline_report`
+#: pairs each with its measured value, and the repeat layer
+#: (:mod:`repro.stats`) annotates across-seed estimates with it.
 PAPER_CLAIMS: dict[str, tuple[float, str]] = {
     "average daily system performance": (1.3, "Gflops"),
     "system efficiency (of aggregate peak)": (0.03, "fraction"),
@@ -63,138 +64,84 @@ PAPER_CLAIMS: dict[str, tuple[float, str]] = {
 }
 
 
-def headline_report(dataset: StudyDataset) -> list[Headline]:
-    """Every §5–§7 headline number, paper vs measured."""
+def campaign_block(dataset: StudyDataset) -> dict[str, Any]:
+    """The ``--json`` campaign block: the seed and the campaign's nine
+    whole-run figures (:func:`repro.stats.metrics.collect_metrics` takes
+    its ``campaign.*`` metrics from here too)."""
     daily = dataset.daily_gflops()
     util = dataset.daily_utilization()[: len(daily)]
-    _, rates = busy_days(dataset)
     _, interval = dataset.interval_gflops()
+    idx, _ = busy_days(dataset)
+    return {
+        "seed": dataset.config.seed,
+        "events_processed": dataset.events_processed,
+        "jobs_accounted": len(dataset.accounting),
+        "daily_gflops_mean": float(daily.mean()) if daily.size else 0.0,
+        "daily_gflops_max": float(daily.max()) if daily.size else 0.0,
+        "utilization_mean": float(util.mean()) if util.size else 0.0,
+        "utilization_max": float(util.max()) if util.size else 0.0,
+        "interval_gflops_max": float(interval.max()) if interval.size else 0.0,
+        "busy_days": len(idx),
+        "time_weighted_mflops_per_node": dataset.accounting.time_weighted_mflops_per_node(),
+    }
+
+
+def headline_report(dataset: StudyDataset) -> list[Headline]:
+    """Every §5–§7 headline number, paper vs measured, in
+    :data:`PAPER_CLAIMS` order.  The busy-day claims need a day over
+    2 Gflops, and the node-count claim a finished job."""
+    block = campaign_block(dataset)
+    _, rates = busy_days(dataset)
     acct = dataset.accounting
-
     peak_gflops = dataset.config.n_nodes * POWER2_590.peak_mflops / 1e3
-    mean_gflops = float(daily.mean()) if daily.size else 0.0
-
     _, dma = dataset.interval_dma_bytes_per_node()
 
-    out = [
-        Headline("average daily system performance", 1.3, mean_gflops, "Gflops"),
-        Headline(
-            "system efficiency (of aggregate peak)",
-            0.03,
-            mean_gflops / peak_gflops if peak_gflops else 0.0,
-            "fraction",
+    measured = {
+        "average daily system performance": block["daily_gflops_mean"],
+        "system efficiency (of aggregate peak)": (
+            block["daily_gflops_mean"] / peak_gflops if peak_gflops else 0.0
         ),
-        Headline("machine average utilization", 0.64, float(util.mean()) if util.size else 0.0, "fraction"),
-        Headline("maximum daily utilization", 0.95, float(util.max()) if util.size else 0.0, "fraction"),
-        Headline("maximum 24-hour rate", 3.4, float(daily.max()) if daily.size else 0.0, "Gflops"),
-        Headline(
-            "maximum 15-minute rate", 5.7, float(interval.max()) if interval.size else 0.0, "Gflops"
-        ),
-        Headline(
-            "time-weighted batch-job rate", 19.0, acct.time_weighted_mflops_per_node(), "Mflops/node"
-        ),
-        Headline(
-            "batch-job flops per memory instruction",
-            1.0,
-            acct.mean_flops_per_memref(),
-            "ratio",
-        ),
-        Headline(
-            "fma fraction of the best-decile jobs",
-            0.80,
-            acct.top_decile_fma_fraction(),
-            "fraction",
-        ),
+        "machine average utilization": block["utilization_mean"],
+        "maximum daily utilization": block["utilization_max"],
+        "maximum 24-hour rate": block["daily_gflops_max"],
+        "maximum 15-minute rate": block["interval_gflops_max"],
+        "time-weighted batch-job rate": block["time_weighted_mflops_per_node"],
+        "batch-job flops per memory instruction": acct.mean_flops_per_memref(),
+        "fma fraction of the best-decile jobs": acct.top_decile_fma_fraction(),
         # §5 cannot separate message, disk and paging DMA, and neither
         # can we: both numbers are all-causes DMA traffic per node.
-        Headline(
-            "max 15-minute DMA traffic per node",
-            5.4,
-            float(dma.max()) / 1e6 if dma.size else 0.0,
-            "MB/s",
-        ),
-    ]
+        "max 15-minute DMA traffic per node": float(dma.max()) / 1e6 if dma.size else 0.0,
+    }
     if rates:
-        out += [
-            Headline(
-                "busy-day (>2 Gflops) mean performance",
-                2.5,
-                float(np.mean([r.gflops_system() for r in rates])),
-                "Gflops",
-            ),
-            Headline(
-                "busy-day DMA traffic per node",
-                1.3,
-                float(np.mean([r.dma_bytes_per_s for r in rates])) / 1e6,
-                "MB/s",
-            ),
-            Headline(
-                "fma fraction of workload flops",
-                0.54,
-                float(np.mean([r.fma_flop_fraction for r in rates])),
-                "fraction",
-            ),
-            Headline(
-                "FPU0:FPU1 instruction ratio",
-                1.7,
-                float(np.mean([r.fpu_ratio for r in rates])),
-                "ratio",
-            ),
-            Headline(
-                "flops per memory instruction",
-                0.53,
-                float(np.mean([r.flops_per_memory_inst for r in rates])),
-                "ratio",
-            ),
-            Headline(
-                "cache miss ratio (lower bound)",
-                0.010,
-                float(np.mean([r.dcache_miss_ratio for r in rates])),
-                "fraction",
-            ),
-            Headline(
-                "TLB miss ratio (lower bound)",
-                0.001,
-                float(np.mean([r.tlb_miss_ratio for r in rates])),
-                "fraction",
-            ),
-            Headline(
-                "branch fraction of instructions",
-                0.11,
-                float(np.mean([r.branch_fraction for r in rates])),
-                "fraction",
-            ),
-            Headline(
-                "delay per memory instruction",
-                0.12,
-                float(np.mean([r.delay_per_memory_inst() for r in rates])),
-                "cycles",
-            ),
+
+        def mean(rate: Callable[[DerivedRates], float]) -> float:
+            return float(np.mean([rate(r) for r in rates]))
+
+        measured.update({
+            "busy-day (>2 Gflops) mean performance": mean(lambda r: r.gflops_system()),
+            "busy-day DMA traffic per node": mean(lambda r: r.dma_bytes_per_s) / 1e6,
+            "fma fraction of workload flops": mean(lambda r: r.fma_flop_fraction),
+            "FPU0:FPU1 instruction ratio": mean(lambda r: r.fpu_ratio),
+            "flops per memory instruction": mean(lambda r: r.flops_per_memory_inst),
+            "cache miss ratio (lower bound)": mean(lambda r: r.dcache_miss_ratio),
+            "TLB miss ratio (lower bound)": mean(lambda r: r.tlb_miss_ratio),
+            "branch fraction of instructions": mean(lambda r: r.branch_fraction),
+            "delay per memory instruction": mean(lambda r: r.delay_per_memory_inst()),
             # §5: "This performance rate corresponds to about 1 FLOP
             # every 4 cycles" on the busy days.
-            Headline(
-                "cycles per flop (busy days)",
-                4.0,
-                float(
-                    POWER2_590.clock_hz
-                    / np.mean([r.mflops_total for r in rates])
-                    / 1e6
-                ),
-                "cycles",
+            "cycles per flop (busy days)": float(
+                POWER2_590.clock_hz / np.mean([r.mflops_total for r in rates]) / 1e6
             ),
-        ]
+        })
     try:
-        out.append(
-            Headline(
-                "most popular node count",
-                16,
-                float(acct.most_popular_nodes()),
-                "nodes",
-            )
-        )
+        measured["most popular node count"] = float(acct.most_popular_nodes())
     except ValueError:
         pass
-    return out
+    return [
+        Headline(claim, paper, measured[claim], unit)
+        for claim, (paper, unit) in PAPER_CLAIMS.items()
+        if claim in measured
+    ]
 
 
 def paper_comparison(dataset: StudyDataset) -> str:

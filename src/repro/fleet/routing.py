@@ -1,23 +1,19 @@
 """Shared fleet demand, routed onto member machines.
 
-One demand model feeds the whole fleet: the user population, the AR(1)
-demand walk and every per-submission draw come from the *fleet* seed's
-root streams — the same streams, in the same order, as the
-single-machine :func:`repro.workload.traces.generate_trace`.  Routing
-decisions consume no draws from the submission stream (policies are
-either deterministic or draw from their own ``fleet.*`` streams), which
-gives the degenerate contract the tests pin:
+One demand model feeds the whole fleet, drawn by the single-machine
+loop itself (:func:`repro.workload.traces.draw_traces`) from the *fleet*
+seed's root streams, with a routing policy choosing each job's member.
+Routing decisions consume no draws from the submission stream (policies
+are either deterministic or draw from their own ``fleet.*`` streams), so:
 
-* a **single-member** fleet draws a submission stream byte-identical to
-  the single-machine trace at the same seed, under *any* policy;
+* a **single-member** fleet draws the single-machine trace at the same
+  seed, under *any* policy;
 * routed member traces always partition the fleet stream — job counts
   sum to the fleet demand no matter the policy or fleet shape.
 
 Per day, the node-second budget is ``demand × total fleet nodes``, the
 fleet-scale analogue of one machine's ``demand × n_nodes``; each drawn
-job is routed to a member and its node count clamped to that member's
-capacity exactly the way the single-machine generator clamps to its
-machine.
+job's node count is clamped to its member's capacity.
 """
 
 from __future__ import annotations
@@ -28,10 +24,8 @@ import numpy as np
 
 from repro.fleet.spec import FleetSpec
 from repro.util.rng import RngStreams
-from repro.workload.apps import ApplicationTemplate, application
-from repro.workload.profile import JobProfile
-from repro.workload.traces import SECONDS_PER_DAY, CampaignTrace, Submission
-from repro.workload.users import DemandModel, UserPopulation
+from repro.workload.apps import ApplicationTemplate
+from repro.workload.traces import CampaignTrace, draw_traces
 
 
 @dataclass
@@ -61,8 +55,9 @@ class RoutingPolicy:
 
     ``choose`` must not consume from the submission stream — policies are
     deterministic functions of the routing state (plus their own named
-    streams, drawn up-front) so the fleet's submission draws stay
-    byte-aligned with the single-machine generator.
+    streams, drawn up-front) so they never shift the submission loop's
+    random draws, and a single-member fleet draws the single-machine
+    trace.
     """
 
     name = "abstract"
@@ -157,20 +152,13 @@ def make_policy(spec: FleetSpec, streams: RngStreams) -> RoutingPolicy:
     return cls(spec, streams)
 
 
-def _clamp_nodes(app: ApplicationTemplate, nodes: int, capacity: int) -> int:
-    """The single-machine generator's clamp, against one member."""
-    if nodes > capacity:
-        return max(c for c in app.node_choices if c <= capacity)
-    return nodes
-
-
 def generate_fleet_trace(spec: FleetSpec) -> FleetTrace:
     """Draw the shared fleet demand and route it onto the members.
 
-    The draw sequence per submission — pick user, pick app, sample
-    nodes, instantiate profile, pick time-of-day — is byte-for-byte the
-    single-machine sequence; only the eligibility test and the clamp run
-    against the routed member's capacity instead of "the" machine's.
+    The draw is :func:`repro.workload.traces.draw_traces` over the
+    members' node counts with the spec's routing policy; profiles are
+    evaluated on the stock geometry, as no profile reads the memory size
+    members differ in.
 
     Routing runs over the members in *name order*, whatever order the
     spec lists them in: homes, load tie-breaks and round-robin cycles
@@ -178,63 +166,17 @@ def generate_fleet_trace(spec: FleetSpec) -> FleetTrace:
     tuple never changes any member's routed trace.
     """
     spec = replace(spec, members=tuple(sorted(spec.members, key=lambda m: m.name)))
-    streams = RngStreams(spec.seed)
-    population = UserPopulation(spec.n_users, streams.get("workload.population"))
-    if spec.demand_mean is None:
-        demand = DemandModel(streams.get("workload.demand"), spec.n_days)
-    else:
-        demand = DemandModel(
-            streams.get("workload.demand"), spec.n_days, mean=spec.demand_mean
-        )
-    sub_rng = streams.get("workload.submissions")
-    policy = make_policy(spec, streams)
-
-    members = spec.members
-    total_nodes = spec.total_nodes
-    member_subs: dict[str, list[Submission]] = {m.name: [] for m in members}
-    assignments: list[str] = []
-
-    for day in range(spec.n_days):
-        budget = demand.demand(day) * total_nodes * SECONDS_PER_DAY
-        spent = 0.0
-        while spent < budget:
-            user = population.pick_user(sub_rng)
-            app = application(user.pick_app(sub_rng))
-            eligible = [
-                i for i, m in enumerate(members) if min(app.node_choices) <= m.n_nodes
-            ]
-            if not eligible:
-                continue  # this code cannot run anywhere in the fleet
-            target = policy.choose(user.user_id, app, eligible)
-            member = members[target]
-            nodes = _clamp_nodes(app, app.sample_nodes(sub_rng), member.n_nodes)
-            profile: JobProfile = app.instantiate(sub_rng, nodes=nodes)
-            t = day * SECONDS_PER_DAY + demand.submit_time_in_day(sub_rng)
-            sub = Submission(
-                time=t,
-                user=user.user_id,
-                app_name=app.name,
-                nodes=profile.nodes,
-                profile=profile,
-            )
-            member_subs[member.name].append(sub)
-            assignments.append(member.name)
-            spent += sub.node_seconds
-            policy.commit(target, sub.node_seconds)
-
-    traces: dict[str, CampaignTrace] = {}
-    for member in members:
-        subs = sorted(member_subs[member.name], key=lambda s: s.time)
-        traces[member.name] = CampaignTrace(
-            seed=spec.seed,
-            n_days=spec.n_days,
-            n_nodes=member.n_nodes,
-            submissions=subs,
-            demand_levels=demand.levels.copy(),
-        )
+    traces, picks = draw_traces(
+        spec.seed,
+        [m.n_nodes for m in spec.members],
+        n_days=spec.n_days,
+        n_users=spec.n_users,
+        demand_mean=spec.demand_mean,
+        policy=make_policy(spec, RngStreams(spec.seed)),
+    )
     return FleetTrace(
         spec=spec,
-        member_traces=traces,
-        demand_levels=demand.levels.copy(),
-        assignments=assignments,
+        member_traces={m.name: t for m, t in zip(spec.members, traces)},
+        demand_levels=traces[0].demand_levels.copy(),
+        assignments=[spec.members[i].name for i in picks],
     )

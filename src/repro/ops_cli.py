@@ -52,12 +52,6 @@ from repro.telemetry.service import METRIC_CATALOG
 from repro.workload.traces import SECONDS_PER_DAY
 
 
-def _fmt_time(t: float) -> str:
-    day, rem = divmod(t, SECONDS_PER_DAY)
-    hh, mm = divmod(int(rem) // 60, 60)
-    return f"d{int(day):03d} {hh:02d}:{mm:02d}"
-
-
 def _add_campaign_args(p: argparse.ArgumentParser) -> None:
     add_campaign_args(p, days=3)
     add_shard_args(p, workers_help="replay the campaign through the sharded runner on N workers")
@@ -114,6 +108,8 @@ TAIL_SERIES = (
 
 
 def cmd_tail(dataset: StudyDataset, args: argparse.Namespace) -> int:
+    from repro.ops.report import _fmt_time
+
     if _no_samples(dataset):
         return EXIT_OPERATIONAL
     t = dataset.telemetry
@@ -193,6 +189,8 @@ def cmd_query(dataset: StudyDataset, args: argparse.Namespace) -> int:
 
 
 def cmd_jobs(dataset: StudyDataset, args: argparse.Namespace) -> int:
+    from repro.ops.report import _fmt_time
+
     if _no_samples(dataset):
         return EXIT_OPERATIONAL
     t = dataset.telemetry

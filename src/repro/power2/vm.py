@@ -123,10 +123,6 @@ class VirtualMemory:
     def frames_used(self) -> int:
         return len(self._frames)
 
-    @property
-    def frames_free(self) -> int:
-        return self.n_frames - len(self._frames)
-
     def resident_pages(self, pid: int) -> int:
         return sum(1 for key in self._frames if key[0] == pid)
 

@@ -25,6 +25,14 @@ def estimate_payload(result: RepeatResult, metric: str) -> dict[str, Any]:
     return payload
 
 
+def samples_payload(result: RepeatResult) -> dict[str, Any]:
+    """Every metric's per-seed sample, ``{metric: {seeds, values}}``."""
+    return {
+        metric: {"seeds": result.metric_seeds[metric], "values": result.samples[metric]}
+        for metric in result.metrics()
+    }
+
+
 def format_estimate(est: Estimate, rule: str | None = None, fmt: str = "{:.3g}") -> str:
     """``1.27 ± 0.034 [n=48, rule=rse]`` (the ``±`` reads as the 95% CI
     half-width around the across-seed mean)."""
@@ -194,12 +202,6 @@ def repeat_summary(
             "table3": _table_payload(result, "table3."),
             "table4": _table_payload(result, "table4."),
         },
-        "samples": {
-            metric: {
-                "seeds": result.metric_seeds[metric],
-                "values": result.samples[metric],
-            }
-            for metric in result.metrics()
-        },
+        "samples": samples_payload(result),
     }
     return out

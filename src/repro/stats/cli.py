@@ -31,7 +31,7 @@ from repro.stats.annotate import (
     repeat_summary,
     repeat_tables,
 )
-from repro.stats.campaign import ConfigRepeatSpec, make_config_batch_runner
+from repro.stats.campaign import ConfigRepeatSpec
 from repro.stats.metrics import DEFAULT_TARGET_METRIC
 from repro.stats.repeater import Repeater
 from repro.stats.stopping import HalfWidthRule, KSStableRule, RSERule
@@ -154,7 +154,7 @@ def repeat_main(argv: list[str] | None = None) -> int:
         batch_size=args.batch,
         target_metric=args.metric,
         confidence=args.confidence,
-        batch_runner=make_config_batch_runner(unit, workers=args.workers or 1),
+        workers=args.workers or 1,
         on_batch=narrate,
     )
     try:

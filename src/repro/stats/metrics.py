@@ -16,7 +16,7 @@ table edit automatically propagates to the statistical layer.
 
 from __future__ import annotations
 
-from repro.analysis.report import headline_report
+from repro.analysis.report import campaign_block, headline_report
 from repro.analysis.tables import (
     TABLE2_ROWS,
     TABLE3_SECTIONS,
@@ -31,25 +31,11 @@ DEFAULT_TARGET_METRIC = "campaign.daily_gflops_mean"
 
 def collect_metrics(dataset: StudyDataset) -> dict[str, float]:
     """Every reported number of one campaign, as a flat float dict."""
-    daily = dataset.daily_gflops()
-    util = dataset.daily_utilization()[: len(daily)]
-    _, interval = dataset.interval_gflops()
-    acct = dataset.accounting
-    idx, rates = busy_days(dataset)
-
-    out: dict[str, float] = {
-        "campaign.jobs_accounted": float(len(acct)),
-        "campaign.events_processed": float(dataset.events_processed),
-        "campaign.daily_gflops_mean": float(daily.mean()) if daily.size else 0.0,
-        "campaign.daily_gflops_max": float(daily.max()) if daily.size else 0.0,
-        "campaign.utilization_mean": float(util.mean()) if util.size else 0.0,
-        "campaign.utilization_max": float(util.max()) if util.size else 0.0,
-        "campaign.interval_gflops_max": float(interval.max()) if interval.size else 0.0,
-        "campaign.busy_days": float(len(idx)),
-        "campaign.time_weighted_mflops_per_node": float(
-            acct.time_weighted_mflops_per_node()
-        ),
-    }
+    _, rates = busy_days(dataset)
+    block = campaign_block(dataset)
+    # The metric dict has always led with the job count.
+    out = {"campaign.jobs_accounted": float(block["jobs_accounted"])}
+    out.update((f"campaign.{k}", float(v)) for k, v in block.items() if k != "seed")
 
     # Availability block: the fault axis's first-order observables.  A
     # healthy campaign is *exactly* up — 1.0 availability, zero downtime,

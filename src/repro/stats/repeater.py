@@ -8,14 +8,19 @@ set of *every* collected metric is recorded, not just the target: the
 reporting layer attaches confidence intervals to each table cell and
 headline from the same run.
 
-Determinism contract (mirroring ``repro.parallel``):
+Fixed and adaptive campaigns run the same loop: each batch is the next
+``batch_size`` seeds of the campaign's seed order, run on
+:func:`repro.parallel.runner.run_tasks` over ``workers`` processes (a
+seed whose worker dies is retried, like a crashed shard), then checked
+against the campaign's stopping checks.  Determinism contract
+(mirroring ``repro.parallel``):
 
 * per-seed results are pure functions of the seed, so the result is
   byte-identical whatever worker count executed the batches;
 * with an explicit ``seeds`` list the campaign is *fixed*: every seed
-  runs, no adaptive evaluation happens mid-stream, and the result is
+  runs, its only check is "the list is done", and the result is
   additionally invariant to ``batch_size``;
-* in adaptive mode the seed stream is ``seed0, seed0+1, …`` and the
+* in adaptive mode the seed order is ``seed0, seed0+1, …`` and the
   stopping decision depends only on the accumulated sample — again
   independent of workers, but batch size is part of the experiment
   definition (rules are evaluated at batch boundaries).
@@ -26,6 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
+from repro.parallel.runner import WorkerCrashError, run_tasks
 from repro.stats.estimators import (
     DistributionShape,
     Estimate,
@@ -41,9 +47,6 @@ from repro.stats.stopping import (
 
 #: One repeat: seed in, flat ``{metric: value}`` out.
 MetricFn = Callable[[int], dict[str, float]]
-#: Optional batch executor: seeds in, per-seed metric dicts out, order
-#: preserved (the campaign layer supplies one on worker processes).
-BatchRunner = Callable[[Sequence[int]], list[dict[str, float]]]
 
 
 @dataclass
@@ -89,10 +92,8 @@ class Repeater:
 
     ``rules`` are evaluated in order after every batch; the first that
     fires names the stop.  ``max_repeats`` is enforced as an implicit
-    final :class:`MaxRepeatsRule` so the loop always terminates.
-    ``batch_runner`` overrides how a batch of seeds is executed (the
-    campaign layer plugs its worker processes in here); the default maps
-    serially in-process.
+    final :class:`MaxRepeatsRule` so the loop always terminates.  Each
+    batch's seeds run on ``workers`` processes (1 = in this process).
     """
 
     run_one: MetricFn
@@ -101,7 +102,7 @@ class Repeater:
     batch_size: int = 8
     target_metric: str = "value"
     confidence: float = 0.95
-    batch_runner: BatchRunner | None = None
+    workers: int = 1
     #: Called after each batch with (n_so_far, latest Estimate | None) —
     #: the CLI uses it to narrate convergence.
     on_batch: Callable[[int, Estimate | None], None] | None = field(
@@ -116,15 +117,13 @@ class Repeater:
 
     # ------------------------------------------------------------------
     def _run_batch(self, seeds: list[int]) -> list[dict[str, float]]:
-        if self.batch_runner is not None:
-            results = self.batch_runner(seeds)
-            if len(results) != len(seeds):
-                raise RuntimeError(
-                    f"batch runner returned {len(results)} results for "
-                    f"{len(seeds)} seeds"
-                )
-            return results
-        return [self.run_one(seed) for seed in seeds]
+        """``run_one`` over ``seeds``, order preserved.  Seeds whose
+        worker dies on every attempt raise
+        :class:`~repro.parallel.runner.WorkerCrashError` naming them."""
+        try:
+            return run_tasks(self.run_one, seeds, workers=self.workers)
+        except WorkerCrashError as err:
+            raise WorkerCrashError([seeds[i] for i in err.failed], err.attempts, "seeds") from None
 
     def _fold(
         self,
@@ -150,62 +149,39 @@ class Repeater:
     def run(
         self, *, seed0: int = 0, seeds: Sequence[int] | None = None
     ) -> RepeatResult:
-        """Adaptive campaign from ``seed0``, or a fixed ``seeds`` list."""
+        """Adaptive campaign from ``seed0``, or a fixed ``seeds`` list.
+
+        A fixed list *is* the experiment: every seed runs and neither
+        ``rules`` nor ``max_repeats`` applies, so the result is
+        invariant to batch size by construction.
+        """
+        if seeds is None:
+            order: Sequence[int] = range(seed0, seed0 + self.max_repeats)
+            checks = [rule.check for rule in (*self.rules, MaxRepeatsRule(self.max_repeats))]
+        else:
+            order = [int(s) for s in seeds]
+            if not order:
+                raise ValueError("explicit seeds list must not be empty")
+            if len(set(order)) != len(order):
+                raise ValueError(f"duplicate seeds in {order}")
+            done = StopDecision("fixed-seeds", f"ran the full {len(order)}-seed list")
+            checks = [lambda history: done if history.n == len(order) else None]
+
         samples: dict[str, list[float]] = {}
         metric_seeds: dict[str, list[int]] = {}
         history = SampleHistory()
         run_seeds: list[int] = []
         batch_sizes: list[int] = []
-
-        if seeds is not None:
-            seed_list = [int(s) for s in seeds]
-            if not seed_list:
-                raise ValueError("explicit seeds list must not be empty")
-            if len(set(seed_list)) != len(seed_list):
-                raise ValueError(f"duplicate seeds in {seed_list}")
-            # Fixed campaign: the seed list *is* the experiment — every
-            # seed runs and no mid-stream decision happens, so the
-            # result is invariant to batch size by construction.
-            for start in range(0, len(seed_list), self.batch_size):
-                batch = seed_list[start : start + self.batch_size]
-                values = self._fold(
-                    batch, self._run_batch(batch), samples, metric_seeds
-                )
-                history.extend(values)
-                run_seeds.extend(batch)
-                batch_sizes.append(len(batch))
-                if self.on_batch is not None:
-                    self.on_batch(history.n, mean_ci(history.values, self.confidence))
-            stopped = StopDecision(
-                "fixed-seeds", f"ran the full {len(seed_list)}-seed list"
-            )
-            return RepeatResult(
-                seeds=run_seeds,
-                batch_sizes=batch_sizes,
-                samples=samples,
-                metric_seeds=metric_seeds,
-                stopped=stopped,
-                target_metric=self.target_metric,
-                confidence=self.confidence,
-            )
-
-        cutoff = MaxRepeatsRule(self.max_repeats)
         stopped: StopDecision | None = None
         while stopped is None:
-            want = min(self.batch_size, self.max_repeats - history.n)
-            batch = [seed0 + len(run_seeds) + i for i in range(want)]
+            batch = list(order[len(run_seeds) : len(run_seeds) + self.batch_size])
             values = self._fold(batch, self._run_batch(batch), samples, metric_seeds)
             history.extend(values)
             run_seeds.extend(batch)
             batch_sizes.append(len(batch))
             if self.on_batch is not None:
                 self.on_batch(history.n, mean_ci(history.values, self.confidence))
-            for rule in self.rules:
-                stopped = rule.check(history)
-                if stopped is not None:
-                    break
-            if stopped is None:
-                stopped = cutoff.check(history)
+            stopped = next(filter(None, (check(history) for check in checks)), None)
         return RepeatResult(
             seeds=run_seeds,
             batch_sizes=batch_sizes,

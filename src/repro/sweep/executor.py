@@ -23,7 +23,8 @@ from typing import Any, Callable
 
 from repro.analysis.export import dataset_summary
 from repro.core.study import run_study
-from repro.stats.campaign import ConfigRepeatSpec, make_config_batch_runner
+from repro.stats.annotate import estimate_payload, samples_payload
+from repro.stats.campaign import ConfigRepeatSpec
 from repro.stats.metrics import collect_metrics
 from repro.stats.repeater import Repeater
 from repro.stats.stopping import RSERule
@@ -135,20 +136,13 @@ def _run_repeat(cell: Cell, spec: SweepSpec, workers: int) -> dict[str, Any]:
         batch_size=repeat.batch,
         target_metric=repeat.metric,
         confidence=repeat.confidence,
-        batch_runner=make_config_batch_runner(unit, workers=workers),
+        workers=workers,
     )
     result = repeater.run(seed0=cell.config.seed, seeds=repeat.seeds)
-    estimates: dict[str, dict] = {}
-    metrics: dict[str, float] = {}
-    for metric in result.metrics():
-        est = result.estimate(metric)
-        payload = est.as_dict()
-        payload["rule"] = result.stopped.rule
-        estimates[metric] = payload
-        metrics[metric] = est.mean
+    estimates = {metric: estimate_payload(result, metric) for metric in result.metrics()}
     return {
         "summary": None,
-        "metrics": metrics,
+        "metrics": {metric: est["mean"] for metric, est in estimates.items()},
         "repeat": {
             "n": result.n,
             "rule": result.stopped.rule,
@@ -158,13 +152,7 @@ def _run_repeat(cell: Cell, spec: SweepSpec, workers: int) -> dict[str, Any]:
             "confidence": result.confidence,
         },
         "estimates": estimates,
-        "samples": {
-            metric: {
-                "seeds": result.metric_seeds[metric],
-                "values": result.samples[metric],
-            }
-            for metric in result.metrics()
-        },
+        "samples": samples_payload(result),
     }
 
 

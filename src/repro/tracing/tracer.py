@@ -153,10 +153,6 @@ class Tracer:
         span = self.begin(name, category, parent=parent, start=start, **args)
         return self.finish(span, end=span.start + duration)
 
-    def instant(self, name: str, category: str = "span", **args: Any) -> Span:
-        """A zero-duration marker at the current time."""
-        return self.record(name, category, **args)
-
     # ------------------------------------------------------------------
     # Lexical API
     # ------------------------------------------------------------------
@@ -212,12 +208,6 @@ class Tracer:
         roots = [s for s in self.spans if s.category == CAT_JOB]
         roots.sort(key=lambda s: s.args.get("job_id", 0))
         return roots
-
-    def counts_by_category(self) -> dict[str, int]:
-        out: dict[str, int] = {}
-        for s in self.spans:
-            out[s.category] = out.get(s.category, 0) + 1
-        return out
 
 
 #: Shared disabled tracer, for call sites that want a non-None default.

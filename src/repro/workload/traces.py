@@ -6,11 +6,17 @@ from one seed.  Each day's submissions are budgeted in node-seconds
 against that day's demand level, so machine load tracks the demand
 random walk and Figure 1's shape emerges from queueing rather than
 being painted on.
+
+One loop, :func:`draw_traces`, makes every submission stream: the
+serial campaign's, each shard's (:func:`generate_shard_trace`) and a
+fleet's, routed onto its members (:mod:`repro.fleet.routing`).  So a
+single-member fleet draws the single-machine trace by construction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -19,6 +25,9 @@ from repro.util.rng import RngStreams, spawn_stream
 from repro.workload.apps import APPLICATIONS, application
 from repro.workload.profile import JobProfile
 from repro.workload.users import DemandModel, UserPopulation
+
+if TYPE_CHECKING:
+    from repro.fleet.routing import RoutingPolicy
 
 SECONDS_PER_DAY = 86400.0
 
@@ -60,6 +69,114 @@ class CampaignTrace:
         return self.total_node_seconds() / (self.n_nodes * self.horizon_seconds)
 
 
+def draw_traces(
+    seed: int,
+    capacities: Sequence[int],
+    *,
+    n_days: int,
+    n_users: int = 60,
+    demand_mean: float | None = None,
+    day_start: int = 0,
+    day_end: int | None = None,
+    shard_id: int | None = None,
+    policy: RoutingPolicy | None = None,
+    machine_config: MachineConfig | None = None,
+) -> tuple[list[CampaignTrace], list[int]]:
+    """The one submission draw: days ``[day_start, day_end)`` of
+    campaign ``seed``, onto machines of the given node counts.
+
+    The user population and the demand walk come from the campaign seed
+    over all ``n_days``, so every shard and every fleet member sees the
+    same users and demand shape.  The per-submission draws come from the
+    campaign's ``workload.submissions`` stream or, with ``shard_id``,
+    from that shard's :func:`repro.util.rng.spawn_stream`, so a shard's
+    submissions are a pure function of ``(seed, shard_id)``.
+
+    Per day: the demand model gives a target load fraction, and
+    submissions are drawn (user → app → concrete job) until that
+    fraction of the summed capacity's node-seconds is spent.  Long jobs
+    spill their node-seconds into later days naturally when PBS runs
+    them.  An app whose smallest node count fits no machine is skipped.
+    One machine takes every job; for more, ``policy.choose`` picks one
+    the app fits and ``policy.commit`` observes the routed job, and
+    neither draws from the submission stream.  A job's node count is
+    clamped to its machine's capacity.
+
+    ``machine_config`` is the geometry the profiles' cache/TLB miss
+    ratios and cycle counts are evaluated against (``None`` = the stock
+    POWER2/590), while every random draw stays machine-independent: the
+    *same* jobs run on a different machine, which is what a what-if
+    sweep over page geometry means.
+
+    Returns one trace per capacity, on the local clock (day 0 is
+    ``day_start``) and sorted by time, plus each submission's machine
+    index in draw order.
+    """
+    day_end = n_days if day_end is None else day_end
+    if not 0 <= day_start < day_end <= n_days:
+        raise ValueError(f"days [{day_start}, {day_end}) outside a {n_days}-day campaign")
+    streams = RngStreams(seed)
+    population = UserPopulation(n_users, streams.get("workload.population"))
+    if demand_mean is None:
+        demand = DemandModel(streams.get("workload.demand"), n_days)
+    else:
+        demand = DemandModel(streams.get("workload.demand"), n_days, mean=demand_mean)
+    if shard_id is not None:
+        streams = spawn_stream(seed, shard_id)
+    rng = streams.get("workload.submissions")
+
+    fits = {
+        name: [i for i, cap in enumerate(capacities) if min(app.node_choices) <= cap]
+        for name, app in APPLICATIONS.items()
+    }
+    total_nodes = sum(capacities)
+    subs: list[list[Submission]] = [[] for _ in capacities]
+    picks: list[int] = []
+    for day in range(day_start, day_end):
+        budget = demand.demand(day) * total_nodes * SECONDS_PER_DAY
+        spent = 0.0
+        # A single enormous job may overshoot the budget; allow it but
+        # stop the day there (matches real users, who don't budget).
+        while spent < budget:
+            user = population.pick_user(rng)
+            app = application(user.pick_app(rng))
+            eligible = fits[app.name]
+            if not eligible:
+                continue  # this code cannot run on any of the machines
+            target = 0 if policy is None else policy.choose(user.user_id, app, eligible)
+            nodes = app.sample_nodes(rng)
+            capacity = capacities[target]
+            if nodes > capacity:
+                nodes = max(c for c in app.node_choices if c <= capacity)
+            profile = app.instantiate(rng, nodes=nodes, config=machine_config)
+            t = (day - day_start) * SECONDS_PER_DAY + demand.submit_time_in_day(rng)
+            sub = Submission(
+                time=t,
+                user=user.user_id,
+                app_name=app.name,
+                nodes=profile.nodes,
+                profile=profile,
+            )
+            subs[target].append(sub)
+            picks.append(target)
+            spent += sub.node_seconds
+            if policy is not None:
+                policy.commit(target, sub.node_seconds)
+
+    levels = demand.levels[day_start:day_end]
+    traces = [
+        CampaignTrace(
+            seed=seed,
+            n_days=day_end - day_start,
+            n_nodes=capacity,
+            submissions=sorted(machine_subs, key=lambda s: s.time),
+            demand_levels=levels.copy(),
+        )
+        for capacity, machine_subs in zip(capacities, subs)
+    ]
+    return traces, picks
+
+
 def generate_trace(
     seed: int = 0,
     *,
@@ -69,83 +186,13 @@ def generate_trace(
     demand_mean: float | None = None,
     machine_config: MachineConfig | None = None,
 ) -> CampaignTrace:
-    """Generate the campaign submission trace.
-
-    Per day: the demand model gives a target load fraction; submissions
-    are drawn (user → app → concrete job) until the day's node-second
-    budget is spent.  Long jobs spill their node-seconds into later days
-    naturally when PBS runs them.
-
-    ``machine_config`` is the machine the jobs will run on: the profiles'
-    cache/TLB miss ratios and cycle counts are evaluated against its
-    geometry (``None`` = the stock POWER2/590), while every random draw
-    stays machine-independent — the *same* jobs run on a different
-    machine, which is what a what-if sweep over TLB or page geometry
-    means.
-    """
-    if n_days <= 0:
-        raise ValueError("need at least one day")
-    streams = RngStreams(seed)
-    pop_rng = streams.get("workload.population")
-    demand_rng = streams.get("workload.demand")
-    sub_rng = streams.get("workload.submissions")
-
-    population = UserPopulation(n_users, pop_rng)
-    if demand_mean is None:
-        demand = DemandModel(demand_rng, n_days)
-    else:
-        demand = DemandModel(demand_rng, n_days, mean=demand_mean)
-
-    trace = CampaignTrace(
-        seed=seed, n_days=n_days, n_nodes=n_nodes, demand_levels=demand.levels.copy()
+    """The campaign submission trace: :func:`draw_traces` onto one
+    machine over every day."""
+    (trace,), _ = draw_traces(
+        seed, [n_nodes], n_days=n_days, n_users=n_users, demand_mean=demand_mean,
+        machine_config=machine_config,
     )
-    for day in range(n_days):
-        _fill_day(
-            trace, day, demand.demand(day), population, demand, sub_rng,
-            machine_config=machine_config,
-        )
-
-    trace.submissions.sort(key=lambda s: s.time)
     return trace
-
-
-def _fill_day(
-    trace: CampaignTrace,
-    day: int,
-    demand_level: float,
-    population: UserPopulation,
-    demand: DemandModel,
-    rng: np.random.Generator,
-    *,
-    machine_config: MachineConfig | None = None,
-) -> None:
-    """Draw one day's submissions into ``trace`` (day indexed within the
-    trace).  Extracted so the serial generator and the per-shard
-    generator share one draw sequence per day."""
-    n_nodes = trace.n_nodes
-    budget = demand_level * n_nodes * SECONDS_PER_DAY
-    spent = 0.0
-    # Guard: a single enormous job may overshoot the budget; allow it
-    # but stop the day there (matches real users, who don't budget).
-    while spent < budget:
-        user = population.pick_user(rng)
-        app = application(user.pick_app(rng))
-        if min(app.node_choices) > n_nodes:
-            continue  # this code cannot run on a small test machine
-        nodes = app.sample_nodes(rng)
-        if nodes > n_nodes:
-            nodes = max(c for c in app.node_choices if c <= n_nodes)
-        profile = app.instantiate(rng, nodes=nodes, config=machine_config)
-        t = day * SECONDS_PER_DAY + demand.submit_time_in_day(rng)
-        sub = Submission(
-            time=t,
-            user=user.user_id,
-            app_name=app.name,
-            nodes=profile.nodes,
-            profile=profile,
-        )
-        trace.submissions.append(sub)
-        spent += sub.node_seconds
 
 
 def generate_shard_trace(
@@ -160,46 +207,18 @@ def generate_shard_trace(
     demand_mean: float | None = None,
     machine_config: MachineConfig | None = None,
 ) -> CampaignTrace:
-    """The submission stream for one day-range shard of a campaign.
-
-    The campaign-level models are shared — the user population and the
-    demand random walk are drawn from the *campaign* seed over the full
-    ``n_days``, so every shard sees the same users and the same global
-    demand shape.  The per-submission draws come from
-    :func:`repro.util.rng.spawn_stream`, so shard ``shard_id``'s
-    submissions are a pure function of ``(seed, shard_id)`` — unaffected
-    by other shards, worker count, or scheduling order.
-
-    Times in the returned trace are *shard-local* (day 0 is
+    """The submission stream for one day-range shard of a campaign:
+    :func:`draw_traces` over the shard's days from the shard's own
+    submission stream, so it is unaffected by other shards, worker
+    count or scheduling order.  Times are *shard-local* (day 0 is
     ``day_start``); the merge layer offsets them back onto the campaign
     clock.
     """
-    if not 0 <= day_start < day_end <= n_days:
-        raise ValueError(
-            f"shard days [{day_start}, {day_end}) outside campaign of {n_days} days"
-        )
-    streams = RngStreams(seed)
-    population = UserPopulation(n_users, streams.get("workload.population"))
-    demand_rng = streams.get("workload.demand")
-    if demand_mean is None:
-        demand = DemandModel(demand_rng, n_days)
-    else:
-        demand = DemandModel(demand_rng, n_days, mean=demand_mean)
-
-    sub_rng = spawn_stream(seed, shard_id).get("workload.submissions")
-    trace = CampaignTrace(
-        seed=seed,
-        n_days=day_end - day_start,
-        n_nodes=n_nodes,
-        demand_levels=demand.levels[day_start:day_end].copy(),
+    (trace,), _ = draw_traces(
+        seed, [n_nodes], n_days=n_days, n_users=n_users, demand_mean=demand_mean,
+        day_start=day_start, day_end=day_end, shard_id=shard_id,
+        machine_config=machine_config,
     )
-    for local_day, day in enumerate(range(day_start, day_end)):
-        _fill_day(
-            trace, local_day, demand.demand(day), population, demand, sub_rng,
-            machine_config=machine_config,
-        )
-
-    trace.submissions.sort(key=lambda s: s.time)
     return trace
 
 

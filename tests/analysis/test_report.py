@@ -58,8 +58,8 @@ class TestReport:
 
 
 class TestPaperClaims:
-    """PAPER_CLAIMS is the static mirror of headline_report — the repeat
-    layer annotates against it, so the two must never drift apart."""
+    """headline_report measures every claim of PAPER_CLAIMS, in its
+    order, and takes each paper value and unit from it."""
 
     def test_claims_match_headline_report_exactly(self, month_dataset):
         report = headline_report(month_dataset)

@@ -8,14 +8,21 @@ properties over random fleet shapes:
 * **capacity** — a routed job never exceeds its member's node count;
 * **degeneracy** — a single-member fleet's trace is the single-machine
   trace, byte for byte, under every policy.
+
+A digest of demo3's routed trace under each policy pins the multi-member
+draw itself.
 """
 
+from dataclasses import replace
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.fleet.routing import generate_fleet_trace
-from repro.fleet.spec import ROUTING_POLICIES, FleetSpec, MemberSpec
+from repro.fleet.spec import ROUTING_POLICIES, FleetSpec, MemberSpec, preset
+from tests.workload.trace_digest import trace_digest
 
 NODE_COUNTS = st.sampled_from([16, 32, 64, 144])
 
@@ -97,6 +104,23 @@ class TestSingleMemberDegeneracy:
             assert a.profile.walltime_seconds == b.profile.walltime_seconds
             assert a.profile.mflops_per_node == b.profile.mflops_per_node
         assert np.array_equal(fleet.demand_levels, serial.demand_levels)
+
+
+#: demo3's routed trace per policy: the assignments, then each member's
+#: submissions in member-name order (:func:`trace_digest`).
+DEMO3_DIGESTS = {
+    "home-center": "d5af72b86a02209e4a7586e9f3c695c86d10420249be64286c135f05295077dc",
+    "least-loaded": "8f60bd950104a94b302a1ff906e713056ce81cd08cfd07939de1a6854e25bea7",
+    "round-robin": "0c654991adbb19b3ecf69e787a43bacab032f04b2e217e1da6287f5b367ac7cf",
+}
+
+
+class TestPinnedRouting:
+    @pytest.mark.parametrize("routing", ROUTING_POLICIES)
+    def test_demo3_routed_trace_is_pinned(self, routing):
+        trace = generate_fleet_trace(replace(preset("demo3"), routing=routing))
+        streams = {name: t.submissions for name, t in trace.member_traces.items()}
+        assert trace_digest(streams, trace.assignments) == DEMO3_DIGESTS[routing]
 
 
 class TestPolicyShapes:

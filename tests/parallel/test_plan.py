@@ -8,6 +8,7 @@ import pytest
 from repro.parallel.plan import DEFAULT_SHARD_DAYS, Shard, plan_shards
 from repro.util.rng import RngStreams, spawn_stream
 from repro.workload.traces import SECONDS_PER_DAY, generate_shard_trace, generate_trace
+from tests.workload.trace_digest import trace_digest
 
 
 class TestPlanShards:
@@ -103,6 +104,17 @@ class TestShardTrace:
             5, shard_id=1, day_start=2, day_end=4, n_days=6, n_nodes=32, n_users=8
         )
         assert np.allclose(shard.demand_levels, full.demand_levels[2:4])
+
+    def test_multi_shard_trace_is_pinned(self):
+        # Shard 1 of a 28-day, 144-node campaign at shard_days=7:
+        # (time, user, app, nodes, walltime) per submission.
+        trace = generate_shard_trace(
+            8, shard_id=1, day_start=7, day_end=14, n_days=28, n_nodes=144, n_users=60
+        )
+        assert len(trace.submissions) == 177
+        assert trace_digest({"shard": trace.submissions}) == (
+            "0e0ce047a6ce01456903e35c55d9d36ab4c497eb0f24bf3873692c835bda7c4d"
+        )
 
     def test_rejects_out_of_range_days(self):
         with pytest.raises(ValueError):

@@ -16,9 +16,11 @@ import pathlib
 import pytest
 
 import repro.parallel.runner as runner
-import repro.stats.campaign as campaign
 from repro.core.study import StudyConfig
+from repro.stats.campaign import ConfigRepeatSpec
 from repro.stats.cli import repeat_main
+from repro.stats.metrics import DEFAULT_TARGET_METRIC
+from repro.stats.repeater import Repeater
 
 #: Tiny campaigns: 3 seeds x 2 days x 16 nodes keep the test under a
 #: few seconds while still producing real jobs.
@@ -75,28 +77,32 @@ class TestFixedSeedSemantics:
 #: Marker file that records seed 1's worker death (set by the test).
 _DIED: pathlib.Path | None = None
 
+#: Tiny campaigns as a repeat unit, for driving the Repeater directly.
+_UNIT = ConfigRepeatSpec(config=StudyConfig(seed=0, n_days=2, n_nodes=16, n_users=6))
 
-def _seed_1_dies_once(payload: tuple[campaign.ConfigRepeatSpec, int]) -> dict[str, float]:
-    spec, seed = payload
+
+def _seed_1_dies_once(seed: int) -> dict[str, float]:
     if seed == 1 and not _DIED.exists() and multiprocessing.parent_process() is not None:
         _DIED.write_text("seed 1's worker died\n")
         os._exit(3)
-    return spec.run_one(seed)
+    return _UNIT.run_one(seed)
 
 
 class TestDeadSeedWorker:
     def test_repeat_survives_a_dead_seed_worker(self, tmp_path, monkeypatch):
         """Seed 1's worker dies once: the seed is retried and the
-        batch's metric dicts match a one-worker run's."""
-        spec = campaign.ConfigRepeatSpec(
-            config=StudyConfig(seed=0, n_days=2, n_nodes=16, n_users=6)
-        )
-        seeds = [0, 1, 2]
-        serial = campaign.make_config_batch_runner(spec, workers=1)(seeds)
+        campaign matches a one-worker run's."""
+
+        def run(run_one, workers):
+            return Repeater(
+                run_one=run_one, batch_size=3, target_metric=DEFAULT_TARGET_METRIC,
+                workers=workers,
+            ).run(seeds=[0, 1, 2])
+
+        serial = run(_UNIT.run_one, 1)
         monkeypatch.setattr(f"{__name__}._DIED", tmp_path / "died")
-        monkeypatch.setattr(campaign, "_config_repeat_task", _seed_1_dies_once)
         monkeypatch.setattr(runner.time, "sleep", lambda seconds: None)
-        parallel = campaign.make_config_batch_runner(spec, workers=2)(seeds)
+        parallel = run(_seed_1_dies_once, 2)
         assert (tmp_path / "died").exists()
         assert parallel == serial
         assert multiprocessing.active_children() == []

@@ -1,7 +1,11 @@
 """The adaptive campaign driver, exercised with a fake measurement."""
 
+import multiprocessing
+import os
+
 import pytest
 
+import repro.parallel.runner as runner
 from repro.stats.repeater import Repeater
 from repro.stats.stopping import RSERule
 
@@ -91,24 +95,49 @@ class TestFixedSeeds:
             r.run(seeds=[1, 2, 1])
 
 
-class TestBatchRunner:
-    def test_batch_runner_is_used(self):
-        calls = []
+def dies_on_seed_7(seed: int) -> dict[str, float]:
+    """``noisy``, except that seed 7 kills the worker process running it."""
+    if seed == 7 and multiprocessing.parent_process() is not None:
+        os._exit(3)
+    return noisy(seed)
 
-        def runner(seeds):
-            calls.append(list(seeds))
-            return [noisy(s) for s in seeds]
 
-        result = Repeater(
-            run_one=noisy, batch_size=3, max_repeats=6, batch_runner=runner
-        ).run()
-        assert calls == [[0, 1, 2], [3, 4, 5]]
-        assert result.n == 6
+class TestWorkers:
+    """Each batch's seeds run on ``workers`` processes; the count never
+    changes the result, adaptive or fixed."""
 
-    def test_short_batch_runner_rejected(self):
-        r = Repeater(run_one=noisy, batch_runner=lambda seeds: [], max_repeats=2)
-        with pytest.raises(RuntimeError, match="batch runner"):
-            r.run()
+    def test_adaptive_run_matches_across_worker_counts(self):
+        def run(workers):
+            return Repeater(
+                run_one=noisy, rules=[RSERule(0.01)], batch_size=4, max_repeats=40,
+                workers=workers,
+            ).run()
+
+        one, two = run(1), run(2)
+        assert one.stopped.rule == "rse"
+        assert two == one
+
+    def test_fixed_seed_run_matches_across_worker_counts(self):
+        def run(workers):
+            # The rule would fire at once and max_repeats is tiny; a
+            # fixed list ignores both.
+            return Repeater(
+                run_one=noisy, rules=[RSERule(10.0)], batch_size=2, max_repeats=3,
+                workers=workers,
+            ).run(seeds=[5, 1, 8, 2, 9])
+
+        one, two = run(1), run(2)
+        assert one.stopped.rule == "fixed-seeds"
+        assert one.seeds == [5, 1, 8, 2, 9]
+        assert one.batch_sizes == [2, 2, 1]
+        assert two == one
+
+    def test_a_seed_whose_worker_always_dies_is_named(self, monkeypatch):
+        monkeypatch.setattr(runner.time, "sleep", lambda seconds: None)
+        r = Repeater(run_one=dies_on_seed_7, workers=2)
+        with pytest.raises(runner.WorkerCrashError, match=r"^seeds \[7\] failed after 3 attempt"):
+            r.run(seeds=[6, 7, 8])
+        assert multiprocessing.active_children() == []
 
     def test_constructor_validation(self):
         with pytest.raises(ValueError):

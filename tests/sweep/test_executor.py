@@ -7,6 +7,9 @@ import pytest
 import repro.sweep.executor as executor_mod
 from repro.core.study import WorkloadStudy
 from repro.analysis.export import dataset_summary
+from repro.stats.annotate import estimate_payload, repeat_summary
+from repro.stats.campaign import ConfigRepeatSpec
+from repro.stats.repeater import Repeater
 from repro.sweep import (
     SweepSpec,
     execute_cell,
@@ -138,6 +141,23 @@ class TestRepeat:
         samples = document["samples"]["campaign.jobs_accounted"]["values"]
         mean = sum(samples) / len(samples)
         assert document["metrics"]["campaign.jobs_accounted"] == pytest.approx(mean)
+
+    def test_repeat_cell_is_the_repeat_summary(self):
+        """A repeat cell's estimates, point metrics and samples are what
+        ``sp2-study repeat --json`` gives for the same seeds."""
+        spec = make(repeat={"seeds": [1, 2]})
+        cell = plan_sweep(spec).cells[0]
+        document = execute_cell(cell, spec)
+        result = Repeater(
+            run_one=ConfigRepeatSpec(config=cell.config).run_one,
+            batch_size=spec.repeat.batch,
+            target_metric=spec.repeat.metric,
+            confidence=spec.repeat.confidence,
+        ).run(seeds=spec.repeat.seeds)
+        metrics = result.metrics()
+        assert document["estimates"] == {m: estimate_payload(result, m) for m in metrics}
+        assert document["metrics"] == {m: result.estimate(m).mean for m in metrics}
+        assert document["samples"] == repeat_summary(result)["samples"]
 
     def test_repeat_jobs_sums_all_seeds(self):
         spec = make(repeat={"seeds": [1, 2]})
